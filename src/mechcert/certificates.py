@@ -84,6 +84,9 @@ class CalibrationParams:
             raise ValueError(f"k must be >= 2, got {self.k}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
+        for name in ("sigma", "kappa_mu", "d_f", "b_mu", "h_mu", "sigma_f2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.sigma <= 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         if self.kappa_mu <= 0:
@@ -147,8 +150,8 @@ def solve_bias_for_capacity(target: float, p: CalibrationParams) -> float:
     Raises UnreachableTarget when target > capacity at zero bias, i.e.
     no model, however unbiased, can transmit that much information.
     """
-    if target <= 0:
-        raise ValueError(f"target must be positive, got {target}")
+    if not (math.isfinite(target) and target > 0):
+        raise ValueError(f"target must be positive and finite, got {target}")
     denom = math.expm1(2.0 * target / p.d_f)
     ratio = (p.kappa_mu**2 * p.sigma_f2 / p.sigma**2) / denom
     radicand = ratio - 1.0

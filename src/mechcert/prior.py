@@ -2,10 +2,12 @@
 
 The hybrid prior places mass beta on the model-recommended arm and
 equal mass alpha on every other arm. Its entropy is strictly
-decreasing in beta on [1/k, 1], so the prior matching a requested
-information level is found by bisection rather than a black-box
-search. Joint distributions over (optimal arm, recommended arm) are
-plain k x k probability tables.
+decreasing and concave in beta on [1/k, 1], with the closed-form
+derivative ln((1 - beta) / ((k - 1) * beta)), so the prior matching a
+requested information level is found by Newton steps kept inside a
+shrinking bisection bracket rather than a black-box search. Joint
+distributions over (optimal arm, recommended arm) are plain k x k
+probability tables.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "TwoLevelPrior",
@@ -96,9 +97,31 @@ def solve_prior_for_r_mech(k: int, r_mech: float, recommended: int = 0) -> TwoLe
 
 @lru_cache(maxsize=1024)
 def _solve_beta(k: int, r_mech: float) -> float:
+    """Root of two_level_entropy(k, b) = ln k - r_mech for b in [1/k, 1 - 1e-15].
+
+    Safeguarded Newton: every iterate stays inside a bracket [lo, hi] around
+    the root that shrinks with each evaluation, and a step that would leave
+    it, or a zero slope, falls back to bisection.
+    """
     target = math.log(k) - r_mech
-    return float(brentq(lambda b: two_level_entropy(k, b) - target,
-                        1.0 / k, 1.0 - 1e-15, xtol=1e-15, rtol=8.9e-16))
+    lo, hi = 1.0 / k, 1.0 - 1e-15
+    b = 0.5 * (lo + hi)
+    for _ in range(100):  # bisection alone reaches one ulp in about 55 steps
+        g = two_level_entropy(k, b) - target
+        if g > 0.0:
+            lo = b
+        elif g < 0.0:
+            hi = b
+        else:
+            return b
+        slope = math.log((1.0 - b) / ((k - 1) * b))  # 0 only where b rounds to 1/k
+        nxt = b - g / slope if slope < 0.0 else lo
+        if abs(nxt - b) <= 2.0 * math.ulp(b):
+            return nxt
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        b = nxt
+    return b
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ is computed in closed form.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,6 +186,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if not (math.isfinite(self.prior_strength) and self.prior_strength >= 0):
+            raise ValueError(f"prior_strength must be finite and non-negative, "
+                             f"got {self.prior_strength}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
         _check_arms(self.k, self.p_opt, self.p_bsa)
         for r in self.r_mech_grid:
             if not 0.0 <= r <= math.log(self.k) + 1e-12:
@@ -257,6 +261,9 @@ def regret_curves(config: ExperimentConfig, algorithm: str, r_mech: float,
     """
     blocks = -(-config.trials // BLOCK_SIZE)
     if config.workers > 1 and blocks > 1:
+        # imported here so that the serial and closed-form paths skip multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         per = -(-blocks // config.workers)
         jobs = [(config, algorithm, r_mech, tuple(horizons), s, min(s + per, blocks))
                 for s in range(0, blocks, per)]

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,10 +143,39 @@ class TestBurnin:
         assert "burn_in_cycles = 0" in out
         assert "degenerate" in out
 
-    def test_domain_error_exit_2(self, capsys):
-        code, _, err = run(capsys, "burnin", "--eps", "1.5", "--delta", "0.01",
-                           "--gap", "0.2")
-        assert code == 2
+
+@pytest.mark.parametrize("argv", [
+    ("burnin", "--eps", "1.5", "--delta", "0.01", "--gap", "0.2"),
+    ("certify", "--b-mu", "nan"),
+    ("certify", "--sigma", "nan"),
+    ("certify", "--kappa-mu", "nan"),
+    ("certify", "--d-f", "nan"),
+    ("certify", "--target", "nan"),
+    ("simulate", "--table", "1", "--trials", "10", "--strength", "nan"),
+    ("simulate", "--table", "1", "--trials", "10", "--strength", "-1"),
+    ("simulate", "--table", "1", "--trials", "10", "--workers", "-3"),
+    ("simulate", "--table", "1", "--trials", "10", "--workers", "0"),
+], ids=["burnin-eps", "certify-b-mu-nan", "certify-sigma-nan", "certify-kappa-mu-nan",
+        "certify-d-f-nan", "certify-target-nan", "simulate-strength-nan",
+        "simulate-strength-negative", "simulate-workers-negative", "simulate-workers-zero"])
+def test_domain_error_exit_2(capsys, tmp_path, argv):
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error:")
+    assert "nan" not in out
+
+
+def test_import_skips_scipy_and_process_pool():
+    """Closed-form commands start without scipy or multiprocessing."""
+    import mechcert
+    src = str(Path(mechcert.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = ("import sys, mechcert.cli; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy' or m == 'concurrent.futures.process'))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, timeout=60, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 class TestShift:

@@ -81,11 +81,25 @@ class TestPriorSolver:
 
     def test_roundtrip_1000_random_targets(self):
         rng = np.random.default_rng(20260823)
+        cases = []
         for _ in range(1000):
             k = int(rng.integers(2, 33))
-            r = float(rng.random() * math.log(k))
+            cases.append((k, float(rng.random() * math.log(k))))
+        # targets next to both endpoints, where the entropy is flattest and steepest
+        cases += [(k, r) for k in (2, 32) for r in (1e-12, math.log(k) - 1e-12)]
+        for k, r in cases:
             prior = solve_prior_for_r_mech(k, r)
             assert abs(prior.entropy() - (math.log(k) - r)) < 1e-9
+
+    @pytest.mark.parametrize("r_mech, beta", [
+        (0.3, 0.4377637697495556),
+        (0.8, 0.6688260890984845),
+        (1.4, 0.8594544639306568),
+        (1.9, 0.9725022684471253),
+    ])
+    def test_table_levels_match_reference_roots(self, r_mech, beta):
+        # reference roots from a Brent solve at xtol 1e-15; the tables depend on them
+        assert solve_prior_for_r_mech(8, r_mech).beta == pytest.approx(beta, abs=1e-14)
 
 
 class TestTwoLevelPrior:
