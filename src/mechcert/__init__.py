@@ -16,12 +16,9 @@ from .certificates import (
     classify_regime,
     critical_bias,
     lb_envelope,
-    occupancy_bias,
-    participation_ratio,
     residual_entropy,
     sample_complexity_ratio,
     solve_bias_for_capacity,
-    steady_state_sensitivity,
     ub_envelope,
 )
 from .prior import (

@@ -34,8 +34,8 @@ class BurnInParams:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if not 0 < self.delta < 0.5:
             raise ValueError(f"delta must lie in (0, 1/2), got {self.delta}")
-        if self.gap < 0:
-            raise ValueError(f"gap must be non-negative, got {self.gap}")
+        if not (math.isfinite(self.gap) and self.gap >= 0):
+            raise ValueError(f"gap must be finite and non-negative, got {self.gap}")
         if self.k < 2:
             raise ValueError(f"k must be >= 2, got {self.k}")
 

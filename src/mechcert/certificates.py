@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 __all__ = [
     "CalibrationParams",
     "CertificateReport",
@@ -28,9 +26,6 @@ __all__ = [
     "lb_envelope",
     "ub_envelope",
     "sample_complexity_ratio",
-    "occupancy_bias",
-    "steady_state_sensitivity",
-    "participation_ratio",
     "certificate_report",
 ]
 
@@ -114,10 +109,11 @@ class CalibrationParams:
 class CertificateReport:
     """Composite certificate evaluated at a working point."""
 
+    target: float                # information target of the critical bias, nats
     capacity_at_bias: float
     residual_entropy_floor: float
-    critical_bias: float | None  # None when the working target is unreachable
-    bias_ratio: float | None     # b_mu / critical_bias
+    critical_bias: float | None  # None when the target is unreachable
+    bias_ratio: float | None     # critical_bias / b_mu; inf at b_mu = 0
     regime: Regime
     sample_ratio: float
     lb_envelope: float
@@ -217,51 +213,26 @@ def sample_complexity_ratio(h_mu: float, h_mech: float) -> float:
     return h_mu / h_mech
 
 
-def occupancy_bias(weights, j_true, j_model) -> float:
-    """Prior-weighted RMS gap between true and modeled per-arm rewards."""
-    w = np.asarray(weights, dtype=float)
-    jt = np.asarray(j_true, dtype=float)
-    jm = np.asarray(j_model, dtype=float)
-    if not (w.shape == jt.shape == jm.shape):
-        raise ValueError("weights and reward vectors must have equal length")
-    if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
-        raise ValueError("weights must be a probability vector")
-    return float(math.sqrt(float(np.sum(w * (jt - jm) ** 2))))
+def certificate_report(p: CalibrationParams, target: float | None = None) -> CertificateReport:
+    """Evaluate the full composite certificate at p's working point.
 
-
-def steady_state_sensitivity(y_norm: float, u_norm: float, slope: float) -> float:
-    """Dimensionless dose-to-outcome sensitivity y_norm / (u_norm * slope)."""
-    if y_norm <= 0 or u_norm <= 0:
-        raise ValueError("normalization scales must be positive")
-    if slope <= 0:
-        raise ValueError(f"slope must be positive, got {slope}")
-    return y_norm / (u_norm * slope)
-
-
-def participation_ratio(eigenvalues) -> float:
-    """Effective dimension (sum lambda)^2 / sum lambda^2 of a spectrum."""
-    lam = np.asarray(eigenvalues, dtype=float)
-    if np.any(lam < 0):
-        raise ValueError("eigenvalues must be non-negative")
-    s2 = float(np.sum(lam**2))
-    if s2 == 0:
-        raise ValueError("spectrum must contain a positive eigenvalue")
-    return float(np.sum(lam)) ** 2 / s2
-
-
-def certificate_report(p: CalibrationParams) -> CertificateReport:
-    """Evaluate the full composite certificate at p's working point."""
+    The critical bias is solved once, for `target` nats of information
+    (default h_mu/n, the target of critical_bias); the regime and the
+    bias ratio follow from it.
+    """
+    target = p.h_mu / p.n if target is None else target
     cap = channel_capacity(p.b_mu, p)
     floor = residual_entropy(p.h_mu, cap)
     try:
-        b_crit: float | None = critical_bias(p)
+        b_crit: float | None = solve_bias_for_capacity(target, p)
     except UnreachableTarget:
-        b_crit = None
-    ratio = p.b_mu / b_crit if b_crit else None
-    regime = (Regime.DATA_EFFICIENT if b_crit is not None and p.b_mu < b_crit
-              else Regime.BASELINE)
+        b_crit, ratio, regime = None, None, Regime.BASELINE
+    else:
+        ratio = b_crit / p.b_mu if p.b_mu > 0 else math.inf
+        regime = Regime.DATA_EFFICIENT if p.b_mu < b_crit else Regime.BASELINE
     rho = sample_complexity_ratio(p.h_mu, floor) if p.h_mu >= floor else math.inf
     return CertificateReport(
+        target=target,
         capacity_at_bias=cap,
         residual_entropy_floor=floor,
         critical_bias=b_crit,

@@ -3,7 +3,8 @@
 Subcommands: certify, simulate, burnin, shift, prior, sweep.
 Exit codes: 0 success, 1 usage or I/O error, 2 domain error. Results go
 to stdout, diagnostics to stderr. A flat ``key = value`` config file
-(``--config``) supplies defaults that explicit flags override.
+(``--config``) supplies defaults for the subcommand's own single-value
+flags (key ``b_mu`` for ``--b-mu``); explicit flags override it.
 """
 
 from __future__ import annotations
@@ -25,11 +26,6 @@ EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 
 LN2 = math.log(2.0)
-
-# 5-FU working values; overridable by flags or config file.
-DEFAULTS = {
-    "k": 8, "n": 12, "sigma": 0.40, "kappa_mu": 1.8, "d_f": 3.0, "b_mu": 0.22,
-}
 
 
 class UsageError(Exception):
@@ -61,65 +57,35 @@ def _read_config(path: str) -> dict:
     return values
 
 
-def _apply_config(args: argparse.Namespace, parser_keys: dict) -> None:
-    """Fill unset args from the config file; unknown keys are rejected."""
-    if not getattr(args, "config", None):
-        return
-    values = _read_config(args.config)
-    for key, raw in values.items():
-        if key not in parser_keys:
+def _load_config(command: argparse.ArgumentParser, path: str) -> None:
+    """Make the file's values the defaults of the subcommand's flags.
+
+    Keys are the dests of the subcommand's single-value flags; argparse
+    converts each value with its flag's type on the next parse.
+    """
+    keys = {a.dest for a in command._actions
+            if a.option_strings and a.nargs is None and a.dest != "config"}
+    values = _read_config(path)
+    for key in values:
+        if key not in keys:
             raise UsageError(f"unknown config key {key!r}")
-        dest, conv = parser_keys[key]
-        if getattr(args, dest) is None:
-            setattr(args, dest, conv(raw))
+    command.set_defaults(**values)
 
 
-def _nats(args, x: float) -> tuple[float, str]:
-    if args.bits:
-        return x / LN2, "bits"
-    return x, "nats"
-
-
-def _add_common(p: _Parser) -> None:
-    p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--seed", type=int, default=None, help="master RNG seed")
-    p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--bits", action="store_true",
-                   help="display entropies and information in bits")
-
-
-def _add_calibration_flags(p: _Parser) -> None:
-    p.add_argument("--k", type=int, default=None, help="number of arms")
-    p.add_argument("--n", type=int, default=None, help="horizon in cycles")
-    p.add_argument("--sigma", type=float, default=None, help="reward-noise std")
-    p.add_argument("--kappa-mu", type=float, default=None, help="occupancy sensitivity")
-    p.add_argument("--d-f", type=float, default=None, help="effective residual dimension")
-    p.add_argument("--b-mu", type=float, default=None, help="occupancy-weighted bias")
-    p.add_argument("--sigma-f2", type=float, default=None,
-                   help="residual variance (overrides the canonical value)")
-
-
-_CALIBRATION_KEYS = {
-    "k": ("k", int), "n": ("n", int), "sigma": ("sigma", float),
-    "kappa_mu": ("kappa_mu", float), "d_f": ("d_f", float),
-    "b_mu": ("b_mu", float), "sigma_f2": ("sigma_f2", float),
-    "seed": ("seed", int), "out": ("out", str),
-}
+def _info(args, x: float) -> str:
+    """An entropy or information value in the unit that --bits selects."""
+    return f"{x / LN2:.6g} bits" if args.bits else f"{x:.6g} nats"
 
 
 def _build_params(args) -> cert.CalibrationParams:
-    vals = {name: getattr(args, name) if getattr(args, name) is not None
-            else DEFAULTS[name]
+    vals = {name: getattr(args, name)
             for name in ("k", "n", "sigma", "kappa_mu", "d_f", "b_mu")}
-    if getattr(args, "sigma_f2", None) is not None:
-        return cert.CalibrationParams(h_mu=math.log(vals["k"]),
-                                      sigma_f2=args.sigma_f2, **vals)
+    if args.sigma_f2 is not None:
+        return cert.CalibrationParams(h_mu=math.log(args.k), sigma_f2=args.sigma_f2, **vals)
     return cert.CalibrationParams.canonical(**vals)
 
 
-def _outdir(args) -> Path | None:
-    if args.out is None:
-        return None
+def _outdir(args) -> Path:
     path = Path(args.out)
     try:
         path.mkdir(parents=True, exist_ok=True)
@@ -130,21 +96,18 @@ def _outdir(args) -> Path | None:
 
 def cmd_certify(args) -> int:
     params = _build_params(args)
-    if args.target is not None:
-        # report the bias solving capacity == target instead of h_mu/n
-        b_crit = cert.solve_bias_for_capacity(args.target, params)
-    else:
-        b_crit = cert.critical_bias(params)
-    report = cert.certificate_report(params)
-    unit = "bits" if args.bits else "nats"
+    report = cert.certificate_report(params, args.target)
+    if report.critical_bias is None:
+        raise cert.UnreachableTarget(
+            f"target {report.target:.6g} nats exceeds zero-bias capacity "
+            f"{cert.channel_capacity(0.0, params):.6g} nats")
     lines = [
         f"sigma_f2 = {params.sigma_f2:.6g}",
-        f"capacity = {_nats(args, report.capacity_at_bias)[0]:.6g} {unit}",
-        f"h_mech_floor = {_nats(args, report.residual_entropy_floor)[0]:.6g} {unit}",
-        f"critical_bias = {b_crit:.6g}",
-        f"bias_ratio_crit_over_b = {b_crit / params.b_mu:.6g}" if params.b_mu > 0
-        else "bias_ratio_crit_over_b = inf",
-        f"regime = {('DataEfficient' if params.b_mu < b_crit else 'Baseline')}",
+        f"capacity = {_info(args, report.capacity_at_bias)}",
+        f"h_mech_floor = {_info(args, report.residual_entropy_floor)}",
+        f"critical_bias = {report.critical_bias:.6g}",
+        f"bias_ratio_crit_over_b = {report.bias_ratio:.6g}",
+        f"regime = {report.regime.value}",
         f"sample_ratio = {report.sample_ratio:.6g}",
         f"lb_envelope = {report.lb_envelope:.6g}",
         f"ub_envelope = {report.ub_envelope:.6g}",
@@ -152,52 +115,34 @@ def cmd_certify(args) -> int:
     if report.capacity_exceeds_entropy:
         lines.append("warning = capacity exceeds prior entropy (non-canonical sigma_f2)")
     print("\n".join(lines))
-    out = _outdir(args)
-    if out is not None:
-        (out / "certify.txt").write_text("\n".join(lines) + "\n")
+    if args.out is not None:
+        (_outdir(args) / "certify.txt").write_text("\n".join(lines) + "\n")
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    if args.trials is not None and args.trials < 1:
+    if args.trials < 1:
         raise UsageError(f"--trials must be >= 1, got {args.trials}")
-    config = sim.ExperimentConfig(
-        trials=args.trials if args.trials is not None else 10_000,
-        seed=args.seed if args.seed is not None else 0,
-        workers=args.workers,
-        prior_strength=args.strength if args.strength is not None
-        else sim.DEFAULT_PRIOR_STRENGTH,
-    )
-    out = _outdir(args) or Path(".")
+    config = sim.ExperimentConfig(trials=args.trials, seed=args.seed,
+                                  workers=args.workers, prior_strength=args.strength)
+    out = _outdir(args)
     if args.table == 1:
-        rows = sim.table1_experiment(config)
-        sim.write_table1_csv(rows, out / "table1.csv")
-        print(sim.TABLE1_HEADER)
-        for r in rows:
-            print(f"{r.r_mech:.6g},{r.h_mech:.6g},{r.hyb.mean:.6g},"
-                  f"{r.hyb.ci96_halfwidth:.6g},{r.uninf.mean:.6g},"
-                  f"{r.uninf.ci96_halfwidth:.6g},{r.bsa.mean:.6g},"
-                  f"{r.bsa.ci96_halfwidth:.6g},{r.ratio_uninf_hyb:.6g},"
-                  f"{r.lb_prediction:.6g},{r.ratio_bsa_hyb:.6g}")
+        path = out / "table1.csv"
+        sim.write_table1_csv(sim.table1_experiment(config), path)
     else:
-        rows = sim.table2_experiment(config)
-        sim.write_table2_csv(rows, out / "table2.csv")
-        print(sim.TABLE2_HEADER)
-        for r in rows:
-            print(f"{r.n},{r.hyb.mean:.6g},{r.hyb.ci96_halfwidth:.6g},"
-                  f"{r.uninf.mean:.6g},{r.uninf.ci96_halfwidth:.6g},{r.ratio:.6g}")
+        path = out / "table2.csv"
+        sim.write_table2_csv(sim.table2_experiment(config), path)
+    sys.stdout.write(path.read_text())
     return EXIT_OK
 
 
 def cmd_burnin(args) -> int:
-    params = bi.BurnInParams(epsilon=args.eps, delta=args.delta,
-                             gap=args.gap, k=args.k if args.k else DEFAULTS["k"])
+    params = bi.BurnInParams(epsilon=args.eps, delta=args.delta, gap=args.gap, k=args.k)
     result = bi.burn_in_lower_bound(params)
     eps_k = bi.effective_prior_weight(params.epsilon, params.k)
     print(f"effective_prior_weight = {eps_k:.6g}")
     if not result.degenerate:
-        kl, unit = _nats(args, bi.binary_kl(eps_k, 1.0 - eps_k))
-        print(f"binary_kl = {kl:.6g} {unit}")
+        print(f"binary_kl = {_info(args, bi.binary_kl(eps_k, 1.0 - eps_k))}")
     print(f"burn_in_cycles = {result.cycles:.6g}")
     if result.degenerate:
         print("flag = degenerate regime (delta >= 1 - epsilon); bound is 0")
@@ -215,23 +160,19 @@ def cmd_shift(args) -> int:
         print(f"cond_entropy_residual = {report.cond_entropy_residual:.6g}")
         print(f"kl_residual = {report.kl_residual:.6g}")
         print(f"mi_excess = {report.mi_excess:.6g}")
-        unit = "bits" if args.bits else "nats"
-        print(f"shift_divergence = {_nats(args, report.shift_divergence)[0]:.6g} {unit}")
-        print(f"mutual_information_test = "
-              f"{_nats(args, report.mutual_information_test)[0]:.6g} {unit}")
+        print(f"shift_divergence = {_info(args, report.shift_divergence)}")
+        print(f"mutual_information_test = {_info(args, report.mutual_information_test)}")
         return EXIT_OK
     if args.r_train is None or args.delta_pi is None:
         raise UsageError("shift requires --r-train and --delta-pi (or --joint)")
-    report = sh.check_retention(args.r_train, args.k if args.k else DEFAULTS["k"],
-                                args.delta_pi)
-    unit = "bits" if args.bits else "nats"
-    print(f"threshold = {_nats(args, report.threshold)[0]:.6g} {unit}")
+    report = sh.check_retention(args.r_train, args.k, args.delta_pi)
+    print(f"threshold = {_info(args, report.threshold)}")
     print(f"retained = {report.retained.value}")
     return EXIT_OK
 
 
 def cmd_prior(args) -> int:
-    prior = solve_prior_for_r_mech(args.k if args.k else DEFAULTS["k"], args.r_mech)
+    prior = solve_prior_for_r_mech(args.k, args.r_mech)
     print(f"beta = {prior.beta:.6g}")
     print(f"alpha = {prior.alpha:.6g}")
     return EXIT_OK
@@ -239,7 +180,7 @@ def cmd_prior(args) -> int:
 
 def cmd_sweep(args) -> int:
     base = _build_params(args)
-    out = _outdir(args) or Path(".")
+    out = _outdir(args)
 
     def axis(param: str, lo=None, hi=None, steps=None, values=None) -> sw.SweepSpec:
         if values:
@@ -258,7 +199,7 @@ def cmd_sweep(args) -> int:
         x_param, y_param = args.grid
         ranges = dict(sigma=(0.357, 0.50), kappa_mu=(0.6, 3.0), d_f=(2.0, 5.0),
                       k=(4, 16), p_opt=(0.50, 0.95), b_mu=(0.10, 0.40))
-        steps = args.steps if args.steps else 60
+        steps = 60 if args.steps is None else args.steps
         x_spec = axis(x_param, *ranges[x_param], steps)
         y_spec = axis(y_param, *ranges[y_param], steps)
         rows = sw.sweep_2d(x_spec, y_spec)
@@ -270,7 +211,7 @@ def cmd_sweep(args) -> int:
         else:
             if args.min is None or args.max is None:
                 raise UsageError("sweep needs --values or --min/--max")
-            spec = axis(args.param, args.min, args.max, args.steps or 50)
+            spec = axis(args.param, args.min, args.max, 50 if args.steps is None else args.steps)
         rows = sw.sweep_1d(spec)
         sw.write_sweep1d_csv(rows, out / "sweep1d.csv")
         print(f"wrote {out / 'sweep1d.csv'} ({len(rows)} rows)")
@@ -279,65 +220,85 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _add_bits(p: _Parser) -> None:
+    p.add_argument("--bits", action="store_true",
+                   help="display entropies and information in bits")
+
+
+def _add_calibration_flags(p: _Parser) -> None:
+    # the 5-FU working values
+    p.add_argument("--k", type=int, default=8, help="number of arms")
+    p.add_argument("--n", type=int, default=12, help="horizon in cycles")
+    p.add_argument("--sigma", type=float, default=0.40, help="reward-noise std")
+    p.add_argument("--kappa-mu", type=float, default=1.8, help="occupancy sensitivity")
+    p.add_argument("--d-f", type=float, default=3.0, help="effective residual dimension")
+    p.add_argument("--b-mu", type=float, default=0.22, help="occupancy-weighted bias")
+    p.add_argument("--sigma-f2", type=float, default=None,
+                   help="residual variance (overrides the canonical value)")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="mechcert",
                      description="Mechanistic-information certificates and "
                                  "calibrated dosing-bandit simulations.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("certify", parents=[], help="composite certificate")
-    _add_common(p)
+    def command(name: str, func, summary: str) -> _Parser:
+        p = subs.add_parser(name, help=summary)
+        p.add_argument("--config", help="flat key = value file of flag defaults")
+        p.set_defaults(func=func)
+        return p
+
+    p = command("certify", cmd_certify, "composite certificate")
     _add_calibration_flags(p)
     p.add_argument("--target", type=float, default=None,
                    help="working-point information target in nats (default h_mu/n)")
-    p.set_defaults(func=cmd_certify)
+    _add_bits(p)
+    p.add_argument("--out", default=None, help="also write certify.txt here")
 
-    p = subs.add_parser("simulate", help="Monte Carlo regret tables")
-    _add_common(p)
+    p = command("simulate", cmd_simulate, "Monte Carlo regret tables")
     p.add_argument("--table", type=int, choices=(1, 2), required=True)
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--trials", type=int, default=10_000)
+    p.add_argument("--seed", type=int, default=0, help="master RNG seed")
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--strength", type=float, default=None,
+    p.add_argument("--strength", type=float, default=sim.DEFAULT_PRIOR_STRENGTH,
                    help="hybrid prior pseudo-count scale")
-    p.set_defaults(func=cmd_simulate)
+    p.add_argument("--out", default=".", help="output directory")
 
-    p = subs.add_parser("burnin", help="burn-in lower bound")
-    _add_common(p)
+    p = command("burnin", cmd_burnin, "burn-in lower bound")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--gap", type=float, required=True)
-    p.add_argument("--k", type=int, default=None)
-    p.set_defaults(func=cmd_burnin)
+    p.add_argument("--k", type=int, default=8)
+    _add_bits(p)
 
-    p = subs.add_parser("shift", help="distribution-shift retention and impossibility")
-    _add_common(p)
+    p = command("shift", cmd_shift, "distribution-shift retention and impossibility")
     p.add_argument("--r-train", type=float, default=None)
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=int, default=8)
     p.add_argument("--delta-pi", type=float, default=None)
     p.add_argument("--joint", default=None, help="joint-distribution CSV file")
     p.add_argument("--subset", default=None, help="comma-separated kept arm indices")
-    p.set_defaults(func=cmd_shift)
+    _add_bits(p)
 
-    p = subs.add_parser("prior", help="two-level prior for an information level")
-    _add_common(p)
-    p.add_argument("--k", type=int, default=None)
+    p = command("prior", cmd_prior, "two-level prior for an information level")
+    p.add_argument("--k", type=int, default=8)
     p.add_argument("--r-mech", type=float, required=True)
-    p.set_defaults(func=cmd_prior)
 
-    p = subs.add_parser("sweep", help="sensitivity sweeps to CSV")
-    _add_common(p)
+    p = command("sweep", cmd_sweep, "sensitivity sweeps to CSV")
     _add_calibration_flags(p)
     p.add_argument("--param", choices=sw.SWEEP_PARAMETERS, default=None)
     p.add_argument("--min", type=float, default=None)
     p.add_argument("--max", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None)
+    p.add_argument("--steps", type=int, default=None,
+                   help="grid points per axis (default 60 with --grid, 50 with --param)")
     p.add_argument("--values", default=None, help="explicit comma-separated values")
     p.add_argument("--grid", nargs=2, metavar=("X", "Y"),
                    choices=sw.SWEEP_PARAMETERS, default=None,
                    help="two parameters for a 2-D ratio grid")
     p.add_argument("--k-sweep", action="store_true")
-    p.set_defaults(func=cmd_sweep)
+    p.add_argument("--out", default=".", help="output directory")
 
+    parser.commands = subs.choices
     return parser
 
 
@@ -345,8 +306,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "config", None):
-            _apply_config(args, _CALIBRATION_KEYS)
+        if args.config:
+            _load_config(parser.commands[args.command], args.config)
+            args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

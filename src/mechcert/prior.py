@@ -85,6 +85,8 @@ def solve_prior_for_r_mech(k: int, r_mech: float, recommended: int = 0) -> TwoLe
     endpoints r_mech = 0 and r_mech = ln k short-circuit to the exact
     uniform and point-mass priors.
     """
+    if k < 2:
+        raise ValueError(f"k must be >= 2, got {k}")
     h_max = math.log(k)
     if not 0.0 <= r_mech <= h_max + 1e-12:
         raise ValueError(f"r_mech must lie in [0, ln k] = [0, {h_max:.6g}], got {r_mech}")

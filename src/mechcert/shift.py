@@ -49,8 +49,8 @@ class ShiftReport:
 
 def retention_threshold(r_train: float, k: int) -> float:
     """Largest KL shift under which half the information survives."""
-    if r_train < 0:
-        raise ValueError(f"r_train must be non-negative, got {r_train}")
+    if not (math.isfinite(r_train) and r_train >= 0):
+        raise ValueError(f"r_train must be finite and non-negative, got {r_train}")
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     return r_train**2 / (2.0 * k**2 * math.log(k) ** 2)
@@ -70,8 +70,8 @@ def check_retention(r_train: float, k: int, delta_pi: float) -> ShiftReport:
     within retention_threshold; the proof's worst case sits exactly at
     r_min, so the floor is part of the guarantee's premise.
     """
-    if delta_pi < 0:
-        raise ValueError(f"delta_pi must be non-negative, got {delta_pi}")
+    if not (math.isfinite(delta_pi) and delta_pi >= 0):
+        raise ValueError(f"delta_pi must be finite and non-negative, got {delta_pi}")
     threshold = retention_threshold(r_train, k)
     if k < _MIN_ARMS:
         retained = Retention.OUT_OF_SCOPE

@@ -33,7 +33,6 @@ __all__ = [
     "ExperimentConfig",
     "RegretSummary",
     "ThompsonPolicy",
-    "FixedArmPolicy",
     "hybrid_policy",
     "uninformed_policy",
     "build_environment",
@@ -102,11 +101,6 @@ class ThompsonPolicy:
     beta0: np.ndarray
 
 
-@dataclass(frozen=True)
-class FixedArmPolicy:
-    """Off-grid fixed dose: attains p_bsa regardless of arm identities."""
-
-
 def uninformed_policy(k: int) -> ThompsonPolicy:
     return ThompsonPolicy(alpha0=np.ones(k), beta0=np.ones(k))
 
@@ -161,12 +155,11 @@ def _thompson_rounds(alpha: np.ndarray, beta: np.ndarray, means: np.ndarray,
     return out
 
 
-def run_trial(policy, env: BanditEnvironment, n: int, rng: np.random.Generator | None) -> float:
+def run_trial(policy: ThompsonPolicy, env: BanditEnvironment, n: int,
+              rng: np.random.Generator) -> float:
     """Cumulative pseudo-regret of one trial of n rounds: the block kernel on one row."""
     if n < 1:
         raise ValueError(f"horizon must be >= 1, got {n}")
-    if isinstance(policy, FixedArmPolicy):
-        return n * (float(env.means[env.optimal]) - float(np.min(env.means)))
     return float(_thompson_rounds(policy.alpha0[None, :], policy.beta0[None, :],
                                   env.means[None, :], (n,), rng)[0, 0])
 

@@ -91,10 +91,10 @@ def _rebuild(base: CalibrationParams, parameter: str, value: float) -> Calibrati
 class Sweep1DRow:
     param: str
     value: float
-    capacity: float | None
+    capacity: float
     critical_bias: float | None
-    ratio: float | None
-    regime: str  # Regime value, "Unreachable", or "error: ..."
+    ratio: float
+    regime: str  # Regime value or "Unreachable"
 
 
 def _evaluate_cell(params: CalibrationParams) -> tuple:
@@ -110,18 +110,12 @@ def _evaluate_cell(params: CalibrationParams) -> tuple:
 def sweep_1d(spec: SweepSpec) -> list[Sweep1DRow]:
     """Capacity and critical bias at each value of one parameter.
 
-    Invalid values produce an error row and the sweep continues.
+    An invalid value raises ValueError, as in sweep_2d.
     """
     rows = []
     for value in spec.values:
-        try:
-            params = _rebuild(spec.base, spec.parameter, value)
-            cap, b_crit = _evaluate_cell(params)
-        except (ValueError, TypeError) as exc:
-            rows.append(Sweep1DRow(param=spec.parameter, value=value,
-                                   capacity=None, critical_bias=None,
-                                   ratio=None, regime=f"error: {exc}"))
-            continue
+        params = _rebuild(spec.base, spec.parameter, value)
+        cap, b_crit = _evaluate_cell(params)
         if b_crit is None:
             rows.append(Sweep1DRow(param=spec.parameter, value=value,
                                    capacity=cap, critical_bias=None,
@@ -174,14 +168,14 @@ class KSweepRow:
     capacity_at_base_bias: float
 
 
-def k_sweep(base: CalibrationParams, k_values, n: int | None = None) -> list[KSweepRow]:
+def k_sweep(base: CalibrationParams, k_values) -> list[KSweepRow]:
     """Critical bias as the arm count varies, entropy tracking ln k."""
     rows = []
     for k in k_values:
         if not 2 <= k <= 64:
             raise ValueError(f"k sweep values must lie in [2, 64], got {k}")
         params = CalibrationParams.canonical(
-            k=int(k), n=base.n if n is None else n, sigma=base.sigma,
+            k=int(k), n=base.n, sigma=base.sigma,
             kappa_mu=base.kappa_mu, d_f=base.d_f, b_mu=base.b_mu)
         cap, b_crit = _evaluate_cell(params)
         rows.append(KSweepRow(k=int(k), critical_bias=b_crit, capacity_at_base_bias=cap))
@@ -200,7 +194,7 @@ def write_sweep1d_csv(rows: list[Sweep1DRow], path) -> None:
         for r in rows:
             fh.write(",".join([r.param, _fmt(r.value), _fmt(r.capacity),
                                _fmt(r.critical_bias), _fmt(r.ratio),
-                               r.regime.replace(",", ";")]) + "\n")
+                               r.regime]) + "\n")
 
 
 def write_sweep2d_csv(rows: list[Sweep2DRow], path) -> None:

@@ -14,12 +14,9 @@ from mechcert.certificates import (
     classify_regime,
     critical_bias,
     lb_envelope,
-    occupancy_bias,
-    participation_ratio,
     residual_entropy,
     sample_complexity_ratio,
     solve_bias_for_capacity,
-    steady_state_sensitivity,
     ub_envelope,
 )
 
@@ -222,40 +219,6 @@ class TestSampleRatio:
         assert sample_complexity_ratio(1.0, 0.0) == math.inf
 
 
-class TestOccupancyBias:
-    def test_exact_model(self):
-        assert occupancy_bias([0.3, 0.7], [0.1, 0.9], [0.1, 0.9]) == 0.0
-
-    def test_uniform_two_arms(self):
-        assert occupancy_bias([0.5, 0.5], [1.0, 0.0], [0.0, 0.0]) == pytest.approx(
-            math.sqrt(0.5), rel=1e-12)
-
-    def test_error_off_support(self):
-        assert occupancy_bias([1.0, 0.0, 0.0], [0.5, 0.9, 0.1], [0.5, 0.2, 0.8]) == 0.0
-
-    def test_invalid_simplex(self):
-        with pytest.raises(ValueError):
-            occupancy_bias([0.5, 0.6], [0, 0], [0, 0])
-        with pytest.raises(ValueError):
-            occupancy_bias([0.5, 0.5], [0, 0, 0], [0, 0])
-
-
-class TestScalarHelpers:
-    def test_steady_state_sensitivity(self):
-        assert steady_state_sensitivity(25, 2000, 0.02063) == pytest.approx(0.606, abs=1e-3)
-        assert steady_state_sensitivity(1, 1, 1) == 1.0
-        assert steady_state_sensitivity(25, 2000, 0.04126) == pytest.approx(0.303, abs=1e-3)
-        with pytest.raises(ValueError):
-            steady_state_sensitivity(25, 2000, 0.0)
-
-    def test_participation_ratio(self):
-        assert participation_ratio([1, 1, 1]) == pytest.approx(3.0, rel=1e-12)
-        assert participation_ratio([1, 0, 0, 0]) == pytest.approx(1.0, rel=1e-12)
-        assert participation_ratio([2, 1, 1]) == pytest.approx(16 / 6, rel=1e-12)
-        with pytest.raises(ValueError):
-            participation_ratio([0.0, 0.0])
-
-
 class TestReport:
     def test_working_report(self):
         rep = certificate_report(WORKING)
@@ -263,6 +226,23 @@ class TestReport:
         assert rep.critical_bias == pytest.approx(0.714, abs=1e-3)
         assert 0.0 <= rep.residual_entropy_floor <= WORKING.h_mu
         assert not rep.capacity_exceeds_entropy
+
+    @pytest.mark.parametrize("target", [0.05, 0.1, 0.5, WORKING.h_mu / WORKING.n])
+    def test_target_matches_solver(self, target):
+        rep = certificate_report(WORKING, target)
+        b_crit = solve_bias_for_capacity(target, WORKING)
+        assert rep.target == target
+        assert rep.critical_bias == b_crit
+        assert rep.bias_ratio == b_crit / WORKING.b_mu
+        assert rep.regime is (Regime.DATA_EFFICIENT if WORKING.b_mu < b_crit
+                              else Regime.BASELINE)
+
+    def test_unreachable_target(self):
+        rep = certificate_report(WORKING, 10.0)
+        assert rep.critical_bias is None and rep.bias_ratio is None
+        assert rep.regime is Regime.BASELINE
+        with pytest.raises(UnreachableTarget):
+            solve_bias_for_capacity(10.0, WORKING)
 
     def test_non_canonical_flag(self):
         p = CalibrationParams(k=8, n=12, sigma=0.40, kappa_mu=1.8, d_f=3.0,

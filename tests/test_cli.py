@@ -1,5 +1,6 @@
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mechcert.cli import main
+from mechcert.cli import build_parser, main
 from mechcert.prior import JointDistribution, joint_from_channel, two_level_channel
 
 
@@ -79,6 +80,13 @@ class TestCertify:
         assert code == 1
         assert "horizon" in err
 
+    def test_bad_config_value_exit_1(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k = x\n")
+        code, _, err = run(capsys, "certify", "--config", str(cfg))
+        assert code == 1
+        assert "--k" in err
+
     def test_missing_config_file(self, capsys):
         code, _, err = run(capsys, "certify", "--config", "/no/such/file.cfg")
         assert code == 1
@@ -99,6 +107,21 @@ class TestSimulate:
                          "--seed", "7", "--out", str(tmp_path))
         assert code == 0
         assert len((tmp_path / "table2.csv").read_text().splitlines()) == 6
+
+    @pytest.mark.parametrize("table", ["1", "2"])
+    def test_stdout_is_the_csv(self, capsys, tmp_path, table):
+        code, out, _ = run(capsys, "simulate", "--table", table, "--trials", "40",
+                           "--seed", "3", "--out", str(tmp_path))
+        assert code == 0
+        assert out == (tmp_path / f"table{table}.csv").read_text()
+
+    def test_config_key_of_another_command_exit_1(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k = 8\n")
+        code, _, err = run(capsys, "simulate", "--table", "1", "--trials", "10",
+                           "--config", str(cfg), "--out", str(tmp_path))
+        assert code == 1
+        assert "unknown config key" in err
 
     def test_zero_trials_exit_1(self, capsys):
         code, _, err = run(capsys, "simulate", "--table", "1", "--trials", "0")
@@ -155,11 +178,24 @@ class TestBurnin:
     ("simulate", "--table", "1", "--trials", "10", "--strength", "-1"),
     ("simulate", "--table", "1", "--trials", "10", "--workers", "-3"),
     ("simulate", "--table", "1", "--trials", "10", "--workers", "0"),
+    ("burnin", "--eps", "0.2", "--delta", "0.01", "--gap", "nan"),
+    ("shift", "--r-train", "nan", "--delta-pi", "0.005"),
+    ("shift", "--r-train", "1.6", "--delta-pi", "nan"),
+    ("burnin", "--eps", "0.2", "--delta", "0.01", "--gap", "0.2", "--k", "0"),
+    ("shift", "--r-train", "1.6", "--delta-pi", "0.005", "--k", "0"),
+    ("prior", "--k", "0", "--r-mech", "1.9"),
+    ("sweep", "--grid", "kappa_mu", "b_mu", "--steps", "0"),
+    ("sweep", "--param", "sigma", "--min", "0.3", "--max", "0.5", "--steps", "0"),
+    ("sweep", "--param", "k", "--values", "1.5,8"),
 ], ids=["burnin-eps", "certify-b-mu-nan", "certify-sigma-nan", "certify-kappa-mu-nan",
         "certify-d-f-nan", "certify-target-nan", "simulate-strength-nan",
-        "simulate-strength-negative", "simulate-workers-negative", "simulate-workers-zero"])
-def test_domain_error_exit_2(capsys, tmp_path, argv):
-    code, out, err = run(capsys, *argv, "--out", str(tmp_path))
+        "simulate-strength-negative", "simulate-workers-negative", "simulate-workers-zero",
+        "burnin-gap-nan", "shift-r-train-nan", "shift-delta-pi-nan", "burnin-k-zero",
+        "shift-k-zero", "prior-k-zero", "sweep-grid-steps-zero", "sweep-param-steps-zero",
+        "sweep-invalid-k-cell"])
+def test_domain_error_exit_2(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error:")
     assert "nan" not in out
@@ -263,3 +299,29 @@ class TestSweepCommand:
     def test_missing_range_exit_1(self, capsys):
         code, _, _ = run(capsys, "sweep", "--param", "sigma")
         assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("burnin", "--eps", "0.2", "--delta", "0.01", "--gap", "0.2"),
+    ("shift", "--r-train", "1.6", "--delta-pi", "0.0"),
+    ("prior", "--r-mech", "1.9"),
+])
+def test_config_k_takes_effect(capsys, tmp_path, argv):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("k = 12\n")
+    code, from_config, _ = run(capsys, *argv, "--config", str(cfg))
+    assert code == 0
+    _, explicit, _ = run(capsys, *argv, "--k", "12")
+    _, default, _ = run(capsys, *argv)
+    assert from_config == explicit
+    assert from_config != default
+
+
+def test_readme_cli_lines_parse():
+    """Every `mechcert ...` line of the README's CLI block is accepted by the parser."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("mechcert ")]
+    assert len(lines) >= 6
+    for line in lines:
+        build_parser().parse_args(shlex.split(line)[1:])

@@ -8,7 +8,6 @@ from mechcert.sim import (
     TABLE1_HEADER,
     TABLE2_HEADER,
     ExperimentConfig,
-    FixedArmPolicy,
     _trial_regret,
     build_environment,
     hybrid_policy,
@@ -46,10 +45,6 @@ class TestEnvironment:
 
 
 class TestRunTrial:
-    def test_fixed_arm_exact(self):
-        env = build_environment(8, 2, 0.85, 0.20)
-        assert run_trial(FixedArmPolicy(), env, 12, None) == pytest.approx(7.80, abs=1e-12)
-
     def test_horizon_guard(self):
         env = build_environment(8, 0, 0.85, 0.20)
         with pytest.raises(ValueError):

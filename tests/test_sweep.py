@@ -65,12 +65,11 @@ class TestSweep1D:
             for row in one_param(param, values):
                 assert row.regime == "DataEfficient", (param, row)
 
-    def test_invalid_value_marks_row_and_continues(self):
-        rows = one_param("p_opt", [0.5, 1.5, 0.8])
-        assert rows[0].regime == "DataEfficient"
-        assert rows[1].regime.startswith("error:")
-        assert rows[1].capacity is None
-        assert rows[2].regime == "DataEfficient"
+    def test_invalid_value_raises(self):
+        with pytest.raises(ValueError):
+            one_param("p_opt", [0.5, 1.5, 0.8])
+        with pytest.raises(ValueError):
+            one_param("k", [1.5, 8])
 
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ValueError):
