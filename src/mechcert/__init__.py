@@ -13,7 +13,6 @@ from .certificates import (
     canonical_sigma_f2,
     certificate_report,
     channel_capacity,
-    classify_regime,
     critical_bias,
     lb_envelope,
     residual_entropy,

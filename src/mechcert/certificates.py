@@ -22,7 +22,6 @@ __all__ = [
     "residual_entropy",
     "solve_bias_for_capacity",
     "critical_bias",
-    "classify_regime",
     "lb_envelope",
     "ub_envelope",
     "sample_complexity_ratio",
@@ -60,9 +59,9 @@ def canonical_sigma_f2(sigma: float, h_mu: float, kappa_mu: float, d_f: float) -
 class CalibrationParams:
     """Full parameter vector of the certificate.
 
-    Use :meth:`canonical` for the standard construction (uniform prior
-    entropy ln k and the canonical residual variance); the plain
-    constructor accepts an arbitrary sigma_f2 > 0 and h_mu >= 0.
+    h_mu defaults to the uniform-prior entropy ln k and sigma_f2 to the
+    canonical residual variance; pass either to override it (h_mu >= 0,
+    sigma_f2 >= 0). k is checked before ln k is taken.
     """
 
     k: int
@@ -71,38 +70,33 @@ class CalibrationParams:
     kappa_mu: float
     d_f: float
     b_mu: float
-    h_mu: float
-    sigma_f2: float
+    h_mu: float | None = None
+    sigma_f2: float | None = None
 
     def __post_init__(self):
         if self.k < 2:
             raise ValueError(f"k must be >= 2, got {self.k}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        for name in ("sigma", "kappa_mu", "d_f", "b_mu", "h_mu", "sigma_f2"):
+        if self.h_mu is None:
+            object.__setattr__(self, "h_mu", math.log(self.k))
+        for name in ("sigma", "kappa_mu", "d_f", "b_mu", "h_mu"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.kappa_mu <= 0:
-            raise ValueError(f"kappa_mu must be positive, got {self.kappa_mu}")
-        if self.d_f <= 0:
-            raise ValueError(f"d_f must be positive, got {self.d_f}")
         if self.b_mu < 0:
             raise ValueError(f"b_mu must be non-negative, got {self.b_mu}")
-        if self.h_mu < 0:
-            raise ValueError(f"h_mu must be non-negative, got {self.h_mu}")
-        if self.sigma_f2 < 0:
-            raise ValueError(f"sigma_f2 must be non-negative, got {self.sigma_f2}")
+        # canonical_sigma_f2 range-checks sigma, kappa_mu, d_f and h_mu
+        canonical = canonical_sigma_f2(self.sigma, self.h_mu, self.kappa_mu, self.d_f)
+        if self.sigma_f2 is None:
+            object.__setattr__(self, "sigma_f2", canonical)
+        elif not (math.isfinite(self.sigma_f2) and self.sigma_f2 >= 0):
+            raise ValueError(f"sigma_f2 must be finite and non-negative, got {self.sigma_f2}")
 
     @classmethod
     def canonical(cls, k: int, n: int, sigma: float, kappa_mu: float,
                   d_f: float, b_mu: float) -> "CalibrationParams":
         """Uniform-prior entropy ln k and canonical residual variance."""
-        h_mu = math.log(k)
-        return cls(k=k, n=n, sigma=sigma, kappa_mu=kappa_mu, d_f=d_f,
-                   b_mu=b_mu, h_mu=h_mu,
-                   sigma_f2=canonical_sigma_f2(sigma, h_mu, kappa_mu, d_f))
+        return cls(k=k, n=n, sigma=sigma, kappa_mu=kappa_mu, d_f=d_f, b_mu=b_mu)
 
 
 @dataclass(frozen=True)
@@ -170,34 +164,24 @@ def critical_bias(p: CalibrationParams) -> float:
     return solve_bias_for_capacity(p.h_mu / p.n, p)
 
 
-def classify_regime(b_mu: float, p: CalibrationParams) -> Regime:
-    """DataEfficient iff b_mu < critical_bias; unreachable => Baseline."""
-    try:
-        b_crit = critical_bias(p)
-    except UnreachableTarget:
-        return Regime.BASELINE
-    return Regime.DATA_EFFICIENT if b_mu < b_crit else Regime.BASELINE
-
-
-def lb_envelope(k: int, n: int, h_mech: float) -> float:
-    """Lower regret envelope sqrt(k*n*h_mech / ln k), constant-free."""
+def _check_envelope_args(k: int, n: int, h_mech: float) -> None:
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if h_mech < 0:
         raise ValueError(f"h_mech must be non-negative, got {h_mech}")
+
+
+def lb_envelope(k: int, n: int, h_mech: float) -> float:
+    """Lower regret envelope sqrt(k*n*h_mech / ln k), constant-free."""
+    _check_envelope_args(k, n, h_mech)
     return math.sqrt(k * n * h_mech / math.log(k))
 
 
 def ub_envelope(k: int, n: int, h_mech: float) -> float:
     """Upper regret envelope sqrt(k*n*h_mech), constant-free."""
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if h_mech < 0:
-        raise ValueError(f"h_mech must be non-negative, got {h_mech}")
+    _check_envelope_args(k, n, h_mech)
     return math.sqrt(k * n * h_mech)
 
 

@@ -60,15 +60,18 @@ def _read_config(path: str) -> dict:
 def _load_config(command: argparse.ArgumentParser, path: str) -> None:
     """Make the file's values the defaults of the subcommand's flags.
 
-    Keys are the dests of the subcommand's single-value flags; argparse
-    converts each value with its flag's type on the next parse.
+    Keys are the dests of the subcommand's single-value flags, a value must
+    be among its flag's choices, and argparse converts it with its type.
     """
-    keys = {a.dest for a in command._actions
-            if a.option_strings and a.nargs is None and a.dest != "config"}
+    actions = {a.dest: a for a in command._actions
+               if a.option_strings and a.nargs is None and a.dest != "config"}
     values = _read_config(path)
-    for key in values:
-        if key not in keys:
+    for key, value in values.items():
+        if key not in actions:
             raise UsageError(f"unknown config key {key!r}")
+        choices = actions[key].choices
+        if choices is not None and value not in map(str, choices):
+            raise UsageError(f"config {key} = {value}: choose from {', '.join(map(str, choices))}")
     command.set_defaults(**values)
 
 
@@ -78,11 +81,8 @@ def _info(args, x: float) -> str:
 
 
 def _build_params(args) -> cert.CalibrationParams:
-    vals = {name: getattr(args, name)
-            for name in ("k", "n", "sigma", "kappa_mu", "d_f", "b_mu")}
-    if args.sigma_f2 is not None:
-        return cert.CalibrationParams(h_mu=math.log(args.k), sigma_f2=args.sigma_f2, **vals)
-    return cert.CalibrationParams.canonical(**vals)
+    return cert.CalibrationParams(**{name: getattr(args, name) for name in (
+        "k", "n", "sigma", "kappa_mu", "d_f", "b_mu", "sigma_f2")})
 
 
 def _outdir(args) -> Path:
@@ -181,42 +181,29 @@ def cmd_prior(args) -> int:
 def cmd_sweep(args) -> int:
     base = _build_params(args)
     out = _outdir(args)
-
-    def axis(param: str, lo=None, hi=None, steps=None, values=None) -> sw.SweepSpec:
-        if values:
-            vals = [float(x) for x in values.split(",")]
-        else:
-            vals = sw.linear_grid(lo, hi, steps)
-        return sw.SweepSpec(parameter=param, values=vals, base=base)
-
     if args.k_sweep:
         k_values = ([int(x) for x in args.values.split(",")] if args.values
-                    else list(range(2, 21)))
+                    else sw.K_SWEEP_VALUES)
         rows = sw.k_sweep(base, k_values)
-        sw.write_ksweep_csv(rows, out / "ksweep.csv")
-        print(f"wrote {out / 'ksweep.csv'} ({len(rows)} rows)")
+        name, write = "ksweep.csv", sw.write_ksweep_csv
     elif args.grid:
-        x_param, y_param = args.grid
-        ranges = dict(sigma=(0.357, 0.50), kappa_mu=(0.6, 3.0), d_f=(2.0, 5.0),
-                      k=(4, 16), p_opt=(0.50, 0.95), b_mu=(0.10, 0.40))
-        steps = 60 if args.steps is None else args.steps
-        x_spec = axis(x_param, *ranges[x_param], steps)
-        y_spec = axis(y_param, *ranges[y_param], steps)
-        rows = sw.sweep_2d(x_spec, y_spec)
-        sw.write_sweep2d_csv(rows, out / "sweep2d.csv")
-        print(f"wrote {out / 'sweep2d.csv'} ({len(rows)} rows)")
+        steps = sw.GRID_STEPS if args.steps is None else args.steps
+        rows = sw.sweep_2d(*(sw.grid_axis(param, base, steps) for param in args.grid))
+        name, write = "sweep2d.csv", sw.write_sweep2d_csv
     elif args.param:
         if args.values:
-            spec = axis(args.param, values=args.values)
+            values = [float(x) for x in args.values.split(",")]
+        elif args.min is None or args.max is None:
+            raise UsageError("sweep needs --values or --min/--max")
         else:
-            if args.min is None or args.max is None:
-                raise UsageError("sweep needs --values or --min/--max")
-            spec = axis(args.param, args.min, args.max, 50 if args.steps is None else args.steps)
-        rows = sw.sweep_1d(spec)
-        sw.write_sweep1d_csv(rows, out / "sweep1d.csv")
-        print(f"wrote {out / 'sweep1d.csv'} ({len(rows)} rows)")
+            steps = sw.PARAM_STEPS if args.steps is None else args.steps
+            values = sw.linear_grid(args.min, args.max, steps)
+        rows = sw.sweep_1d(sw.SweepSpec(parameter=args.param, values=values, base=base))
+        name, write = "sweep1d.csv", sw.write_sweep1d_csv
     else:
         raise UsageError("sweep requires --param, --grid, or --k-sweep")
+    write(rows, out / name)
+    print(f"wrote {out / name} ({len(rows)} rows)")
     return EXIT_OK
 
 

@@ -43,6 +43,7 @@ __all__ = [
     "table2_experiment",
     "write_table1_csv",
     "write_table2_csv",
+    "write_csv",
     "BLOCK_SIZE",
     "TABLE1_HEADER",
     "TABLE2_HEADER",
@@ -357,25 +358,28 @@ def table2_experiment(config: ExperimentConfig, r_mech: float = 1.9,
     return rows
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.6g}"
+def _fmt(x) -> str:
+    """One CSV field: strings pass through, None is nan, numbers take 6 significant digits."""
+    if isinstance(x, str):
+        return x
+    return "nan" if x is None else f"{x:.6g}"
+
+
+def write_csv(path, header: str, rows) -> None:
+    """Write the header line, then one line per sequence of fields."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for fields in rows:
+            fh.write(",".join(map(_fmt, fields)) + "\n")
 
 
 def write_table1_csv(rows: list[Table1Row], path) -> None:
-    with open(path, "w") as fh:
-        fh.write(TABLE1_HEADER + "\n")
-        for r in rows:
-            fields = [r.r_mech, r.h_mech, r.hyb.mean, r.hyb.ci96_halfwidth,
-                      r.uninf.mean, r.uninf.ci96_halfwidth,
-                      r.bsa.mean, r.bsa.ci96_halfwidth,
-                      r.ratio_uninf_hyb, r.lb_prediction, r.ratio_bsa_hyb]
-            fh.write(",".join(_fmt(x) for x in fields) + "\n")
+    write_csv(path, TABLE1_HEADER, (
+        (r.r_mech, r.h_mech, r.hyb.mean, r.hyb.ci96_halfwidth, r.uninf.mean,
+         r.uninf.ci96_halfwidth, r.bsa.mean, r.bsa.ci96_halfwidth,
+         r.ratio_uninf_hyb, r.lb_prediction, r.ratio_bsa_hyb) for r in rows))
 
 
 def write_table2_csv(rows: list[Table2Row], path) -> None:
-    with open(path, "w") as fh:
-        fh.write(TABLE2_HEADER + "\n")
-        for r in rows:
-            fields = [r.n, r.hyb.mean, r.hyb.ci96_halfwidth,
-                      r.uninf.mean, r.uninf.ci96_halfwidth, r.ratio]
-            fh.write(",".join(_fmt(x) for x in fields) + "\n")
+    write_csv(path, TABLE2_HEADER, ((r.n, r.hyb.mean, r.hyb.ci96_halfwidth, r.uninf.mean,
+                                     r.uninf.ci96_halfwidth, r.ratio) for r in rows))

@@ -15,11 +15,11 @@ import numpy as np
 
 from .certificates import (
     CalibrationParams,
-    Regime,
     UnreachableTarget,
-    channel_capacity,
+    certificate_report,
     critical_bias,
 )
+from .sim import write_csv
 
 __all__ = [
     "SWEEP_PARAMETERS",
@@ -28,6 +28,7 @@ __all__ = [
     "Sweep2DRow",
     "KSweepRow",
     "linear_grid",
+    "grid_axis",
     "sweep_1d",
     "sweep_2d",
     "k_sweep",
@@ -36,7 +37,13 @@ __all__ = [
     "write_ksweep_csv",
 ]
 
-SWEEP_PARAMETERS = ("sigma", "kappa_mu", "d_f", "k", "p_opt", "b_mu")
+# Axis range of each sweep parameter in a 2-D grid; the keys are the parameters.
+GRID_RANGES = {"sigma": (0.357, 0.50), "kappa_mu": (0.6, 3.0), "d_f": (2.0, 5.0),
+               "k": (4, 16), "p_opt": (0.50, 0.95), "b_mu": (0.10, 0.40)}
+SWEEP_PARAMETERS = tuple(GRID_RANGES)
+GRID_STEPS = 60    # points per 2-D grid axis
+PARAM_STEPS = 50   # points of a 1-D sweep over a range
+K_SWEEP_VALUES = tuple(range(2, 21))
 
 SWEEP1D_HEADER = "param,value,capacity_nats,critical_bias,ratio,regime"
 SWEEP2D_HEADER = "x_param,y_param,x,y,ratio"
@@ -63,28 +70,38 @@ class SweepSpec:
             raise ValueError("sweep values must be non-empty")
 
 
-def _rebuild(base: CalibrationParams, parameter: str, value: float) -> CalibrationParams:
-    """Base params with one parameter replaced; canonical variance recomputed."""
-    k, sigma, kappa_mu, d_f, b_mu = base.k, base.sigma, base.kappa_mu, base.d_f, base.b_mu
-    if parameter == "sigma":
-        sigma = value
-    elif parameter == "kappa_mu":
-        kappa_mu = value
-    elif parameter == "d_f":
-        d_f = value
-    elif parameter == "k":
-        k = int(value)
-    elif parameter == "p_opt":
-        # p_opt enters only through the Bernoulli noise scale
-        if not 0.0 < value < 1.0:
-            raise ValueError(f"p_opt must lie in (0, 1), got {value}")
-        sigma = math.sqrt(value * (1.0 - value))
-    elif parameter == "b_mu":
-        b_mu = value
-    else:
-        raise ValueError(f"unknown sweep parameter {parameter!r}")
-    return CalibrationParams.canonical(k=k, n=base.n, sigma=sigma,
-                                       kappa_mu=kappa_mu, d_f=d_f, b_mu=b_mu)
+def grid_axis(parameter: str, base: CalibrationParams, steps: int = GRID_STEPS) -> SweepSpec:
+    """A 2-D grid axis: `steps` points over GRID_RANGES[parameter].
+
+    The k axis keeps the distinct rounded values, so every cell is
+    computed at the k its row is labelled with.
+    """
+    values = linear_grid(*GRID_RANGES[parameter], steps)
+    if parameter == "k":
+        values = sorted({round(v) for v in values})
+    return SweepSpec(parameter=parameter, values=values, base=base)
+
+
+def _cell(base: CalibrationParams, overrides: dict) -> CalibrationParams:
+    """One sweep cell: the base params with every {parameter: value} override applied."""
+    values = dict(k=base.k, n=base.n, sigma=base.sigma, kappa_mu=base.kappa_mu,
+                  d_f=base.d_f, b_mu=base.b_mu)
+    for name, value in overrides.items():
+        if name == "k":
+            if not float(value).is_integer():
+                raise ValueError(f"k must be an integer, got {value}")
+            value = int(value)
+        elif name == "p_opt":
+            if not 0.0 < value < 1.0:
+                raise ValueError(f"p_opt must lie in (0, 1), got {value}")
+            name, value = "sigma", math.sqrt(value * (1.0 - value))
+        values[name] = value
+    return CalibrationParams(**values)
+
+
+def _ratio(b_mu: float, b_crit: float | None) -> float:
+    """b_mu / b_crit; inf when there is no critical bias or it is 0."""
+    return b_mu / b_crit if b_crit else math.inf
 
 
 @dataclass(frozen=True)
@@ -97,35 +114,20 @@ class Sweep1DRow:
     regime: str  # Regime value or "Unreachable"
 
 
-def _evaluate_cell(params: CalibrationParams) -> tuple:
-    """(capacity at the cell's bias, critical bias or None)."""
-    cap = channel_capacity(params.b_mu, params)
-    try:
-        b_crit = critical_bias(params)
-    except UnreachableTarget:
-        b_crit = None
-    return cap, b_crit
-
-
 def sweep_1d(spec: SweepSpec) -> list[Sweep1DRow]:
-    """Capacity and critical bias at each value of one parameter.
+    """The certificate's capacity, critical bias and regime at each value.
 
     An invalid value raises ValueError, as in sweep_2d.
     """
     rows = []
     for value in spec.values:
-        params = _rebuild(spec.base, spec.parameter, value)
-        cap, b_crit = _evaluate_cell(params)
-        if b_crit is None:
-            rows.append(Sweep1DRow(param=spec.parameter, value=value,
-                                   capacity=cap, critical_bias=None,
-                                   ratio=math.inf, regime="Unreachable"))
-            continue
-        ratio = params.b_mu / b_crit if b_crit > 0 else math.inf
-        regime = Regime.DATA_EFFICIENT if params.b_mu < b_crit else Regime.BASELINE
-        rows.append(Sweep1DRow(param=spec.parameter, value=value, capacity=cap,
-                               critical_bias=b_crit, ratio=ratio,
-                               regime=regime.value))
+        params = _cell(spec.base, {spec.parameter: value})
+        report = certificate_report(params)
+        b_crit = report.critical_bias
+        rows.append(Sweep1DRow(
+            param=spec.parameter, value=value, capacity=report.capacity_at_bias,
+            critical_bias=b_crit, ratio=_ratio(params.b_mu, b_crit),
+            regime="Unreachable" if b_crit is None else report.regime.value))
     return rows
 
 
@@ -142,22 +144,24 @@ def sweep_2d(x_spec: SweepSpec, y_spec: SweepSpec) -> list[Sweep2DRow]:
     """Certificate ratio over the full Cartesian grid of two parameters.
 
     The ratio-equals-one contour is the boundary between the
-    data-efficient and baseline regimes.
+    data-efficient and baseline regimes. Two axes that set the same
+    quantity (b_mu twice, or sigma and p_opt) raise ValueError.
     """
     if x_spec.base is not y_spec.base and x_spec.base != y_spec.base:
         raise ValueError("both sweep axes must share the same base parameters")
+    x_param, y_param = x_spec.parameter, y_spec.parameter
+    if {x_param, y_param} <= {"sigma", "p_opt"} or x_param == y_param:
+        raise ValueError(f"grid axes {x_param} and {y_param} set the same quantity")
     rows = []
     for x in x_spec.values:
         for y in y_spec.values:
-            params = _rebuild(_rebuild(x_spec.base, x_spec.parameter, x),
-                              y_spec.parameter, y)
-            _, b_crit = _evaluate_cell(params)
-            if b_crit is None or b_crit == 0:
-                ratio = math.inf
-            else:
-                ratio = params.b_mu / b_crit
-            rows.append(Sweep2DRow(x_param=x_spec.parameter, y_param=y_spec.parameter,
-                                   x=x, y=y, ratio=ratio))
+            params = _cell(x_spec.base, {x_param: x, y_param: y})
+            try:
+                b_crit = critical_bias(params)
+            except UnreachableTarget:
+                b_crit = None
+            rows.append(Sweep2DRow(x_param=x_param, y_param=y_param, x=x, y=y,
+                                   ratio=_ratio(params.b_mu, b_crit)))
     return rows
 
 
@@ -170,44 +174,24 @@ class KSweepRow:
 
 def k_sweep(base: CalibrationParams, k_values) -> list[KSweepRow]:
     """Critical bias as the arm count varies, entropy tracking ln k."""
-    rows = []
+    k_values = list(k_values)
     for k in k_values:
         if not 2 <= k <= 64:
             raise ValueError(f"k sweep values must lie in [2, 64], got {k}")
-        params = CalibrationParams.canonical(
-            k=int(k), n=base.n, sigma=base.sigma,
-            kappa_mu=base.kappa_mu, d_f=base.d_f, b_mu=base.b_mu)
-        cap, b_crit = _evaluate_cell(params)
-        rows.append(KSweepRow(k=int(k), critical_bias=b_crit, capacity_at_base_bias=cap))
-    return rows
-
-
-def _fmt(x) -> str:
-    if x is None:
-        return "nan"
-    return f"{x:.6g}"
+    rows = sweep_1d(SweepSpec(parameter="k", values=k_values, base=base))
+    return [KSweepRow(k=int(r.value), critical_bias=r.critical_bias,
+                      capacity_at_base_bias=r.capacity) for r in rows]
 
 
 def write_sweep1d_csv(rows: list[Sweep1DRow], path) -> None:
-    with open(path, "w") as fh:
-        fh.write(SWEEP1D_HEADER + "\n")
-        for r in rows:
-            fh.write(",".join([r.param, _fmt(r.value), _fmt(r.capacity),
-                               _fmt(r.critical_bias), _fmt(r.ratio),
-                               r.regime]) + "\n")
+    write_csv(path, SWEEP1D_HEADER, ((r.param, r.value, r.capacity, r.critical_bias,
+                                      r.ratio, r.regime) for r in rows))
 
 
 def write_sweep2d_csv(rows: list[Sweep2DRow], path) -> None:
-    with open(path, "w") as fh:
-        fh.write(SWEEP2D_HEADER + "\n")
-        for r in rows:
-            fh.write(",".join([r.x_param, r.y_param, _fmt(r.x), _fmt(r.y),
-                               _fmt(r.ratio)]) + "\n")
+    write_csv(path, SWEEP2D_HEADER, ((r.x_param, r.y_param, r.x, r.y, r.ratio) for r in rows))
 
 
 def write_ksweep_csv(rows: list[KSweepRow], path) -> None:
-    with open(path, "w") as fh:
-        fh.write(KSWEEP_HEADER + "\n")
-        for r in rows:
-            fh.write(",".join([str(r.k), _fmt(r.critical_bias),
-                               _fmt(r.capacity_at_base_bias)]) + "\n")
+    write_csv(path, KSWEEP_HEADER, ((r.k, r.critical_bias, r.capacity_at_base_bias)
+                                    for r in rows))

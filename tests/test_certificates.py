@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -11,7 +12,6 @@ from mechcert.certificates import (
     canonical_sigma_f2,
     certificate_report,
     channel_capacity,
-    classify_regime,
     critical_bias,
     lb_envelope,
     residual_entropy,
@@ -166,22 +166,27 @@ class TestCriticalBias:
         assert critical_bias(p2) == pytest.approx(b1, rel=1e-12)
 
 
+def regime_at(p, b_mu):
+    return certificate_report(dataclasses.replace(p, b_mu=b_mu)).regime
+
+
 class TestRegime:
     def test_working_point_efficient(self):
-        assert classify_regime(0.22, WORKING) is Regime.DATA_EFFICIENT
+        assert regime_at(WORKING, 0.22) is Regime.DATA_EFFICIENT
         assert critical_bias(WORKING) / 0.22 == pytest.approx(3.24, abs=0.02)
 
     def test_boundary_exclusive(self):
         b_crit = critical_bias(WORKING)
-        assert classify_regime(b_crit + 1e-9, WORKING) is Regime.BASELINE
+        assert regime_at(WORKING, b_crit) is Regime.BASELINE
+        assert regime_at(WORKING, b_crit + 1e-9) is Regime.BASELINE
 
     def test_sweep_point(self):
-        assert classify_regime(0.40, WORKING) is Regime.DATA_EFFICIENT
+        assert regime_at(WORKING, 0.40) is Regime.DATA_EFFICIENT
 
     def test_unreachable_is_baseline(self):
         p = CalibrationParams.canonical(k=8, n=1, sigma=0.40, kappa_mu=1.8,
                                         d_f=3.0, b_mu=0.22)
-        assert classify_regime(0.0, p) is Regime.BASELINE
+        assert regime_at(p, 0.0) is Regime.BASELINE
 
 
 class TestEnvelopes:
@@ -257,3 +262,25 @@ class TestReport:
         with pytest.raises(ValueError):
             CalibrationParams.canonical(k=8, n=0, sigma=0.4, kappa_mu=1.8,
                                         d_f=3.0, b_mu=0.22)
+
+    def test_plain_constructor_is_canonical(self):
+        p = CalibrationParams(k=8, n=12, sigma=0.40, kappa_mu=1.8, d_f=3.0, b_mu=0.22)
+        assert p == WORKING
+        assert p.h_mu == math.log(8)
+        assert p.sigma_f2 == canonical_sigma_f2(0.40, math.log(8), 1.8, 3.0)
+        q = CalibrationParams(k=8, n=12, sigma=0.40, kappa_mu=1.8, d_f=3.0, b_mu=0.22,
+                              sigma_f2=0.5)
+        assert q.h_mu == math.log(8) and q.sigma_f2 == 0.5
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_k_checked_before_log(self, k):
+        for sigma_f2 in (None, 0.5):
+            with pytest.raises(ValueError, match=f"k must be >= 2, got {k}"):
+                CalibrationParams(k=k, n=12, sigma=0.4, kappa_mu=1.8, d_f=3.0, b_mu=0.22,
+                                  sigma_f2=sigma_f2)
+
+    @pytest.mark.parametrize("sigma_f2", [-1.0, math.nan, math.inf])
+    def test_bad_sigma_f2_rejected(self, sigma_f2):
+        with pytest.raises(ValueError, match="sigma_f2"):
+            CalibrationParams(k=8, n=12, sigma=0.4, kappa_mu=1.8, d_f=3.0, b_mu=0.22,
+                              sigma_f2=sigma_f2)

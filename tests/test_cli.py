@@ -167,38 +167,53 @@ class TestBurnin:
         assert "degenerate" in out
 
 
-@pytest.mark.parametrize("argv", [
-    ("burnin", "--eps", "1.5", "--delta", "0.01", "--gap", "0.2"),
-    ("certify", "--b-mu", "nan"),
-    ("certify", "--sigma", "nan"),
-    ("certify", "--kappa-mu", "nan"),
-    ("certify", "--d-f", "nan"),
-    ("certify", "--target", "nan"),
-    ("simulate", "--table", "1", "--trials", "10", "--strength", "nan"),
-    ("simulate", "--table", "1", "--trials", "10", "--strength", "-1"),
-    ("simulate", "--table", "1", "--trials", "10", "--workers", "-3"),
-    ("simulate", "--table", "1", "--trials", "10", "--workers", "0"),
-    ("burnin", "--eps", "0.2", "--delta", "0.01", "--gap", "nan"),
-    ("shift", "--r-train", "nan", "--delta-pi", "0.005"),
-    ("shift", "--r-train", "1.6", "--delta-pi", "nan"),
-    ("burnin", "--eps", "0.2", "--delta", "0.01", "--gap", "0.2", "--k", "0"),
-    ("shift", "--r-train", "1.6", "--delta-pi", "0.005", "--k", "0"),
-    ("prior", "--k", "0", "--r-mech", "1.9"),
-    ("sweep", "--grid", "kappa_mu", "b_mu", "--steps", "0"),
-    ("sweep", "--param", "sigma", "--min", "0.3", "--max", "0.5", "--steps", "0"),
-    ("sweep", "--param", "k", "--values", "1.5,8"),
+@pytest.mark.parametrize("argv,message", [
+    (("burnin", "--eps", "1.5", "--delta", "0.01", "--gap", "0.2"), "epsilon must lie in (0, 1)"),
+    (("certify", "--b-mu", "nan"), "b_mu must be finite"),
+    (("certify", "--sigma", "nan"), "sigma must be finite"),
+    (("certify", "--kappa-mu", "nan"), "kappa_mu must be finite"),
+    (("certify", "--d-f", "nan"), "d_f must be finite"),
+    (("certify", "--target", "nan"), "target must be positive and finite"),
+    (("simulate", "--table", "1", "--trials", "10", "--strength", "nan"),
+     "prior_strength must be finite and non-negative"),
+    (("simulate", "--table", "1", "--trials", "10", "--strength", "-1"),
+     "prior_strength must be finite and non-negative"),
+    (("simulate", "--table", "1", "--trials", "10", "--workers", "-3"), "workers must be >= 1"),
+    (("simulate", "--table", "1", "--trials", "10", "--workers", "0"), "workers must be >= 1"),
+    (("burnin", "--eps", "0.2", "--delta", "0.01", "--gap", "nan"),
+     "gap must be finite and non-negative"),
+    (("shift", "--r-train", "nan", "--delta-pi", "0.005"),
+     "r_train must be finite and non-negative"),
+    (("shift", "--r-train", "1.6", "--delta-pi", "nan"),
+     "delta_pi must be finite and non-negative"),
+    (("burnin", "--eps", "0.2", "--delta", "0.01", "--gap", "0.2", "--k", "0"),
+     "k must be >= 2, got 0"),
+    (("shift", "--r-train", "1.6", "--delta-pi", "0.005", "--k", "0"), "k must be >= 2, got 0"),
+    (("prior", "--k", "0", "--r-mech", "1.9"), "k must be >= 2, got 0"),
+    (("sweep", "--grid", "kappa_mu", "b_mu", "--steps", "0"), "steps must be >= 1"),
+    (("sweep", "--param", "sigma", "--min", "0.3", "--max", "0.5", "--steps", "0"),
+     "steps must be >= 1"),
+    (("sweep", "--param", "k", "--values", "1.5,8"), "k must be an integer, got 1.5"),
+    (("certify", "--k", "0"), "k must be >= 2, got 0"),
+    (("sweep", "--k", "0", "--k-sweep"), "k must be >= 2, got 0"),
+    (("sweep", "--param", "k", "--values", "8,8.7"), "k must be an integer, got 8.7"),
+    (("sweep", "--grid", "sigma", "p_opt", "--steps", "3"), "set the same quantity"),
+    (("sweep", "--grid", "b_mu", "b_mu", "--steps", "3"), "set the same quantity"),
 ], ids=["burnin-eps", "certify-b-mu-nan", "certify-sigma-nan", "certify-kappa-mu-nan",
         "certify-d-f-nan", "certify-target-nan", "simulate-strength-nan",
         "simulate-strength-negative", "simulate-workers-negative", "simulate-workers-zero",
         "burnin-gap-nan", "shift-r-train-nan", "shift-delta-pi-nan", "burnin-k-zero",
         "shift-k-zero", "prior-k-zero", "sweep-grid-steps-zero", "sweep-param-steps-zero",
-        "sweep-invalid-k-cell"])
-def test_domain_error_exit_2(capsys, monkeypatch, tmp_path, argv):
+        "sweep-invalid-k-cell", "certify-k-zero", "sweep-k-zero", "sweep-non-integer-k",
+        "sweep-grid-sigma-p-opt", "sweep-grid-same-axis"])
+def test_domain_error_exit_2(capsys, monkeypatch, tmp_path, argv, message):
     monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error:")
+    assert message in err
     assert "nan" not in out
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_import_skips_scipy_and_process_pool():
@@ -291,6 +306,27 @@ class TestSweepCommand:
         assert code == 0
         lines = (tmp_path / "ksweep.csv").read_text().splitlines()
         assert len(lines) == 4
+
+    def test_grid_k_axis_is_integral(self, capsys, tmp_path):
+        code, _, _ = run(capsys, "sweep", "--grid", "k", "b_mu", "--out", str(tmp_path))
+        assert code == 0
+        rows = [line.split(",") for line in
+                (tmp_path / "sweep2d.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 13 * 60
+        assert sorted({int(r[2]) for r in rows}) == list(range(4, 17))
+        assert all(r[2] == str(int(r[2])) for r in rows)
+
+    def test_config_value_outside_choices_exit_1(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("param = foo\n")
+        code, _, err = run(capsys, "sweep", "--config", str(cfg), "--values", "1",
+                           "--out", str(tmp_path))
+        assert code == 1
+        assert "param = foo" in err
+        cfg.write_text("param = sigma\n")
+        code, _, _ = run(capsys, "sweep", "--config", str(cfg), "--values", "0.4",
+                         "--out", str(tmp_path))
+        assert code == 0
 
     def test_no_mode_exit_1(self, capsys):
         code, _, err = run(capsys, "sweep")

@@ -1,13 +1,24 @@
+import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mechcert.certificates import CalibrationParams
+from mechcert.certificates import (
+    CalibrationParams,
+    UnreachableTarget,
+    certificate_report,
+    critical_bias,
+)
 from mechcert.sweep import (
+    GRID_RANGES,
     KSWEEP_HEADER,
     SWEEP1D_HEADER,
     SWEEP2D_HEADER,
+    SWEEP_PARAMETERS,
     SweepSpec,
+    grid_axis,
     k_sweep,
     linear_grid,
     sweep_1d,
@@ -23,6 +34,89 @@ BASE = CalibrationParams.canonical(k=8, n=12, sigma=0.40, kappa_mu=1.8,
 
 def one_param(param, values):
     return sweep_1d(SweepSpec(parameter=param, values=list(values), base=BASE))
+
+
+def expected_cell(base, overrides):
+    """The cell a sweep should evaluate, built directly with the canonical constructor."""
+    fields = dict(k=base.k, n=base.n, sigma=base.sigma, kappa_mu=base.kappa_mu,
+                  d_f=base.d_f, b_mu=base.b_mu)
+    for name, value in overrides.items():
+        if name == "p_opt":
+            fields["sigma"] = math.sqrt(value * (1.0 - value))
+        else:
+            fields[name] = int(value) if name == "k" else value
+    return CalibrationParams.canonical(**fields)
+
+
+# valid values of each sweep parameter
+CELL_VALUES = {
+    "sigma": st.floats(0.05, 2.0),
+    "kappa_mu": st.floats(0.1, 5.0),
+    "d_f": st.floats(0.5, 10.0),
+    "k": st.integers(2, 64),
+    "p_opt": st.floats(0.01, 0.99),
+    "b_mu": st.floats(0.0, 3.0),
+}
+# n = 1 leaves the working target unreachable, so Unreachable rows are drawn too
+bases = st.builds(CalibrationParams.canonical, k=st.integers(2, 32), n=st.integers(1, 60),
+                  sigma=st.floats(0.05, 2.0), kappa_mu=st.floats(0.1, 5.0),
+                  d_f=st.floats(0.5, 10.0), b_mu=st.floats(0.0, 3.0))
+
+
+@st.composite
+def one_d_specs(draw):
+    param = draw(st.sampled_from(SWEEP_PARAMETERS))
+    values = draw(st.lists(CELL_VALUES[param], min_size=1, max_size=5))
+    return SweepSpec(parameter=param, values=values, base=draw(bases))
+
+
+class TestSingleRule:
+    """Every sweep row is the certificate of its cell."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(one_d_specs())
+    def test_sweep_1d_rows_are_certificate_reports(self, spec):
+        rows = sweep_1d(spec)
+        assert [r.value for r in rows] == spec.values
+        for row in rows:
+            cell = expected_cell(spec.base, {spec.parameter: row.value})
+            rep = certificate_report(cell)
+            assert row.capacity == rep.capacity_at_bias
+            assert row.critical_bias == rep.critical_bias
+            if rep.critical_bias is None:
+                assert row.regime == "Unreachable"
+                assert row.ratio == math.inf
+            else:
+                assert row.regime == rep.regime.value
+
+    @settings(max_examples=100, deadline=None)
+    @given(bases, st.lists(CELL_VALUES["k"], min_size=1, max_size=5))
+    def test_k_sweep_rows_are_certificate_reports(self, base, k_values):
+        rows = k_sweep(base, k_values)
+        assert [r.k for r in rows] == k_values
+        for row in rows:
+            rep = certificate_report(expected_cell(base, {"k": row.k}))
+            assert row.critical_bias == rep.critical_bias
+            assert row.capacity_at_base_bias == rep.capacity_at_bias
+
+    @pytest.mark.parametrize("n", [1, 12])
+    @pytest.mark.parametrize("b_mu", [0.0, 0.22])
+    def test_sweep_2d_ratio_is_b_mu_over_critical_bias(self, n, b_mu):
+        base = CalibrationParams.canonical(k=8, n=n, sigma=0.40, kappa_mu=1.8,
+                                           d_f=3.0, b_mu=b_mu)
+        pairs = [(x, y) for x, y in itertools.permutations(SWEEP_PARAMETERS, 2)
+                 if {x, y} != {"sigma", "p_opt"}]
+        for x_param, y_param in pairs:
+            rows = sweep_2d(grid_axis(x_param, base, 4), grid_axis(y_param, base, 4))
+            assert len(rows) == 16
+            for row in rows:
+                cell = expected_cell(base, {x_param: row.x, y_param: row.y})
+                try:
+                    b_crit = critical_bias(cell)
+                except UnreachableTarget:
+                    b_crit = None
+                expected = cell.b_mu / b_crit if b_crit else math.inf
+                assert row.ratio == expected, (x_param, y_param, row)
 
 
 class TestSweep1D:
@@ -71,6 +165,14 @@ class TestSweep1D:
         with pytest.raises(ValueError):
             one_param("k", [1.5, 8])
 
+    def test_non_integer_k_rejected(self):
+        assert [r.value for r in one_param("k", [8, 8.0, 12])] == [8, 8.0, 12]
+        for bad in (8.7, math.inf, math.nan):
+            with pytest.raises(ValueError, match="integer"):
+                one_param("k", [8, bad])
+        with pytest.raises(ValueError, match="integer"):
+            k_sweep(BASE, [8.5])
+
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ValueError):
             SweepSpec(parameter="horizon", values=[1.0], base=BASE)
@@ -103,6 +205,34 @@ class TestSweep2D:
         assert [(r.x, r.y) for r in rows[:3]] == [(0.357, 0.10), (0.357, 0.25), (0.357, 0.40)]
 
 
+    @pytest.mark.parametrize("x_param,y_param", [
+        ("sigma", "p_opt"), ("p_opt", "sigma"), ("b_mu", "b_mu"), ("k", "k"), ("p_opt", "p_opt"),
+    ])
+    def test_axes_setting_the_same_quantity_rejected(self, x_param, y_param):
+        with pytest.raises(ValueError, match="same quantity"):
+            sweep_2d(grid_axis(x_param, BASE, 3), grid_axis(y_param, BASE, 3))
+
+
+class TestGridAxis:
+    def test_ranges_and_default_steps(self):
+        for param, (lo, hi) in GRID_RANGES.items():
+            axis = grid_axis(param, BASE)
+            assert axis.parameter == param and axis.base is BASE
+            if param != "k":
+                assert axis.values == linear_grid(lo, hi, 60)
+
+    def test_default_k_axis_is_the_integers_4_to_16(self):
+        assert grid_axis("k", BASE).values == list(range(4, 17))
+
+    @pytest.mark.parametrize("steps", [2, 3, 4, 5, 7, 13])
+    def test_integral_k_axis_unchanged(self, steps):
+        assert grid_axis("k", BASE, steps).values == linear_grid(4, 16, steps)
+
+    def test_non_integral_k_axis_is_rounded(self):
+        # linspace(4, 16, 6) = 4, 6.4, 8.8, 11.2, 13.6, 16
+        assert grid_axis("k", BASE, 6).values == [4, 6, 9, 11, 14, 16]
+
+
 class TestKSweep:
     def test_published_points(self):
         rows = k_sweep(BASE, [4, 8, 16])
@@ -112,7 +242,8 @@ class TestKSweep:
         assert by_k[4].capacity_at_base_bias == pytest.approx(0.57, abs=0.01)
 
     def test_flat_across_small_k(self):
-        rows = k_sweep(BASE, range(2, 21))
+        rows = k_sweep(BASE, (k for k in range(2, 21)))
+        assert len(rows) == 19
         biases = [r.critical_bias for r in rows]
         assert max(biases) - min(biases) < 0.05
 
