@@ -52,6 +52,6 @@ from .sim import (
     table1_experiment,
     table2_experiment,
 )
-from .sweep import SweepSpec, k_sweep, linear_grid, sweep_1d, sweep_2d
+from .sweep import SweepSpec, linear_grid, sweep_1d, sweep_2d
 
 __version__ = "0.1.0"

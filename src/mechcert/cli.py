@@ -80,9 +80,9 @@ def _info(args, x: float) -> str:
     return f"{x / LN2:.6g} bits" if args.bits else f"{x:.6g} nats"
 
 
-def _build_params(args) -> cert.CalibrationParams:
+def _build_params(args, **extra) -> cert.CalibrationParams:
     return cert.CalibrationParams(**{name: getattr(args, name) for name in (
-        "k", "n", "sigma", "kappa_mu", "d_f", "b_mu", "sigma_f2")})
+        "k", "n", "sigma", "kappa_mu", "d_f", "b_mu")}, **extra)
 
 
 def _outdir(args) -> Path:
@@ -95,12 +95,10 @@ def _outdir(args) -> Path:
 
 
 def cmd_certify(args) -> int:
-    params = _build_params(args)
+    params = _build_params(args, sigma_f2=args.sigma_f2)
     report = cert.certificate_report(params, args.target)
     if report.critical_bias is None:
-        raise cert.UnreachableTarget(
-            f"target {report.target:.6g} nats exceeds zero-bias capacity "
-            f"{cert.channel_capacity(0.0, params):.6g} nats")
+        cert.solve_bias_for_capacity(report.target, params)  # raises UnreachableTarget
     lines = [
         f"sigma_f2 = {params.sigma_f2:.6g}",
         f"capacity = {_info(args, report.capacity_at_bias)}",
@@ -181,12 +179,7 @@ def cmd_prior(args) -> int:
 def cmd_sweep(args) -> int:
     base = _build_params(args)
     out = _outdir(args)
-    if args.k_sweep:
-        k_values = ([int(x) for x in args.values.split(",")] if args.values
-                    else sw.K_SWEEP_VALUES)
-        rows = sw.k_sweep(base, k_values)
-        name, write = "ksweep.csv", sw.write_ksweep_csv
-    elif args.grid:
+    if args.grid:
         steps = sw.GRID_STEPS if args.steps is None else args.steps
         rows = sw.sweep_2d(*(sw.grid_axis(param, base, steps) for param in args.grid))
         name, write = "sweep2d.csv", sw.write_sweep2d_csv
@@ -201,7 +194,7 @@ def cmd_sweep(args) -> int:
         rows = sw.sweep_1d(sw.SweepSpec(parameter=args.param, values=values, base=base))
         name, write = "sweep1d.csv", sw.write_sweep1d_csv
     else:
-        raise UsageError("sweep requires --param, --grid, or --k-sweep")
+        raise UsageError("sweep requires --param or --grid")
     write(rows, out / name)
     print(f"wrote {out / name} ({len(rows)} rows)")
     return EXIT_OK
@@ -220,8 +213,6 @@ def _add_calibration_flags(p: _Parser) -> None:
     p.add_argument("--kappa-mu", type=float, default=1.8, help="occupancy sensitivity")
     p.add_argument("--d-f", type=float, default=3.0, help="effective residual dimension")
     p.add_argument("--b-mu", type=float, default=0.22, help="occupancy-weighted bias")
-    p.add_argument("--sigma-f2", type=float, default=None,
-                   help="residual variance (overrides the canonical value)")
 
 
 def build_parser() -> _Parser:
@@ -238,6 +229,8 @@ def build_parser() -> _Parser:
 
     p = command("certify", cmd_certify, "composite certificate")
     _add_calibration_flags(p)
+    p.add_argument("--sigma-f2", type=float, default=None,
+                   help="residual variance (overrides the canonical value)")
     p.add_argument("--target", type=float, default=None,
                    help="working-point information target in nats (default h_mu/n)")
     _add_bits(p)
@@ -282,7 +275,6 @@ def build_parser() -> _Parser:
     p.add_argument("--grid", nargs=2, metavar=("X", "Y"),
                    choices=sw.SWEEP_PARAMETERS, default=None,
                    help="two parameters for a 2-D ratio grid")
-    p.add_argument("--k-sweep", action="store_true")
     p.add_argument("--out", default=".", help="output directory")
 
     parser.commands = subs.choices

@@ -39,17 +39,18 @@ def _entropy(p: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class TwoLevelPrior:
-    """Mass beta on the recommended arm, alpha on each of the others."""
+    """Mass beta on the recommended arm, alpha on each of the others.
+
+    The recommended arm is arm 0; the simulation rotates the weights to
+    each trial's recommended arm.
+    """
 
     k: int
-    recommended: int
     beta: float
 
     def __post_init__(self):
         if self.k < 2:
             raise ValueError(f"k must be >= 2, got {self.k}")
-        if not 0 <= self.recommended < self.k:
-            raise ValueError(f"recommended arm {self.recommended} outside [0, {self.k})")
         if not 1.0 / self.k - 1e-12 <= self.beta <= 1.0 + 1e-12:
             raise ValueError(f"beta must lie in [1/k, 1], got {self.beta}")
 
@@ -59,7 +60,7 @@ class TwoLevelPrior:
 
     def weights(self) -> np.ndarray:
         w = np.full(self.k, self.alpha)
-        w[self.recommended] = self.beta
+        w[0] = self.beta
         return w
 
     def entropy(self) -> float:
@@ -78,7 +79,7 @@ def two_level_entropy(k: int, beta: float) -> float:
     return -beta * math.log(beta) - rest * math.log(rest / (k - 1))
 
 
-def solve_prior_for_r_mech(k: int, r_mech: float, recommended: int = 0) -> TwoLevelPrior:
+def solve_prior_for_r_mech(k: int, r_mech: float) -> TwoLevelPrior:
     """Two-level prior whose entropy equals ln k - r_mech.
 
     Exploits strict monotone decrease of the entropy in beta; the
@@ -91,10 +92,10 @@ def solve_prior_for_r_mech(k: int, r_mech: float, recommended: int = 0) -> TwoLe
     if not 0.0 <= r_mech <= h_max + 1e-12:
         raise ValueError(f"r_mech must lie in [0, ln k] = [0, {h_max:.6g}], got {r_mech}")
     if r_mech <= 0.0:
-        return TwoLevelPrior(k=k, recommended=recommended, beta=1.0 / k)
+        return TwoLevelPrior(k=k, beta=1.0 / k)
     if r_mech >= h_max - 1e-15:
-        return TwoLevelPrior(k=k, recommended=recommended, beta=1.0)
-    return TwoLevelPrior(k=k, recommended=recommended, beta=_solve_beta(k, r_mech))
+        return TwoLevelPrior(k=k, beta=1.0)
+    return TwoLevelPrior(k=k, beta=_solve_beta(k, r_mech))
 
 
 @lru_cache(maxsize=1024)
@@ -152,15 +153,9 @@ class JointDistribution:
     def col_marginal(self) -> np.ndarray:
         return self.probs.sum(axis=0)
 
-    def to_csv(self, path) -> None:
-        """k on the first line, then k rows of k probabilities."""
-        with open(path, "w") as fh:
-            fh.write(f"{self.k}\n")
-            for row in self.probs:
-                fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
-
     @classmethod
     def from_csv(cls, path) -> "JointDistribution":
+        """k on the first line, then k rows of k probabilities."""
         with open(path) as fh:
             k = int(fh.readline().strip())
             rows = [

@@ -10,10 +10,11 @@ constant. Block b holds trials b*BLOCK_SIZE .. (b+1)*BLOCK_SIZE - 1 and
 draws from its own counter-based Philox environment and policy streams,
 keyed by (master seed, b). Whole blocks are always simulated and the
 surplus rows dropped, so a trial's regret depends only on (seed, trial
-index, algorithm, r_mech): never on the trial count, the worker count or
-the execution order. Each Thompson round makes the same draws whatever
-the horizon, so the regret at a shorter horizon is the prefix of the
-longer run. The two Thompson variants share streams within a block: they
+index, prior strength, r_mech): never on the trial count, the worker
+count or the execution order. Each Thompson round makes the same draws
+whatever the horizon, so the regret at a shorter horizon is the prefix
+of the longer run. Uninformed Thompson sampling is the hybrid encoding
+at strength 0, and the two variants share streams within a block: they
 face the same optimal-arm draws, and with a uniform hybrid prior their
 trajectories coincide bit for bit. The baseline dose is a constant and
 is computed in closed form.
@@ -34,7 +35,6 @@ __all__ = [
     "RegretSummary",
     "ThompsonPolicy",
     "hybrid_policy",
-    "uninformed_policy",
     "build_environment",
     "run_trial",
     "regret_curves",
@@ -61,12 +61,16 @@ DEFAULT_PRIOR_STRENGTH = 2.0
 # changing it changes every simulated table.
 BLOCK_SIZE = 256
 
-
-def _check_arms(k: int, p_opt: float, p_bsa: float) -> None:
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    if not 0.0 <= p_bsa < p_opt <= 1.0:
-        raise ValueError(f"require 0 <= p_bsa < p_opt <= 1, got p_bsa={p_bsa}, p_opt={p_opt}")
+# The calibrated 5-FU experiment: arms, Table 1 horizon, attainment
+# probability of the optimal arm and of the others, and the information
+# levels of Table 1; Table 2 sweeps the horizon at one information level.
+K = 8
+HORIZON = 12
+P_OPT = 0.85
+P_BSA = 0.20
+R_MECH_GRID = (0.0, 0.3, 0.8, 1.4, 1.9)
+TABLE2_R_MECH = 1.9
+TABLE2_HORIZONS = (5, 10, 20, 50, 200)
 
 
 def _arm_means(k: int, optimal, p_opt: float, p_bsa: float) -> np.ndarray:
@@ -88,7 +92,10 @@ class BanditEnvironment:
 
 def build_environment(k: int, optimal: int, p_opt: float, p_bsa: float) -> BanditEnvironment:
     """One row of the environments a simulation block builds."""
-    _check_arms(k, p_opt, p_bsa)
+    if k < 2:
+        raise ValueError(f"k must be >= 2, got {k}")
+    if not 0.0 <= p_bsa < p_opt <= 1.0:
+        raise ValueError(f"require 0 <= p_bsa < p_opt <= 1, got p_bsa={p_bsa}, p_opt={p_opt}")
     if not 0 <= optimal < k:
         raise ValueError(f"optimal arm {optimal} outside [0, {k})")
     return BanditEnvironment(means=_arm_means(k, optimal, p_opt, p_bsa), optimal=optimal)
@@ -102,15 +109,12 @@ class ThompsonPolicy:
     beta0: np.ndarray
 
 
-def uninformed_policy(k: int) -> ThompsonPolicy:
-    return ThompsonPolicy(alpha0=np.ones(k), beta0=np.ones(k))
-
-
 def hybrid_policy(prior: TwoLevelPrior, strength: float = DEFAULT_PRIOR_STRENGTH) -> ThompsonPolicy:
     """Encode the two-level prior as Beta pseudo-counts.
 
     Arm j starts at Beta(1 + s*k*max(w_j - 1/k, 0), 1 + s*k*max(1/k - w_j, 0)),
-    which reduces exactly to Beta(1, 1) everywhere for the uniform prior.
+    which is exactly Beta(1, 1) everywhere for the uniform prior or s = 0:
+    uninformed Thompson sampling is this encoding at strength 0.
     """
     w = prior.weights()
     k = prior.k
@@ -167,13 +171,8 @@ def run_trial(policy: ThompsonPolicy, env: BanditEnvironment, n: int,
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    k: int = 8
-    n: int = 12
     trials: int = 10_000
     seed: int = 0
-    p_opt: float = 0.85
-    p_bsa: float = 0.20
-    r_mech_grid: tuple = (0.0, 0.3, 0.8, 1.4, 1.9)
     prior_strength: float = DEFAULT_PRIOR_STRENGTH
     workers: int = 1
 
@@ -185,115 +184,93 @@ class ExperimentConfig:
                              f"got {self.prior_strength}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        _check_arms(self.k, self.p_opt, self.p_bsa)
-        for r in self.r_mech_grid:
-            if not 0.0 <= r <= math.log(self.k) + 1e-12:
-                raise ValueError(f"r_mech grid value {r} outside [0, ln k]")
 
 
 @dataclass(frozen=True)
 class RegretSummary:
     mean: float
     ci96_halfwidth: float
-    trials: int
 
 
 def _summarize(regrets: np.ndarray) -> RegretSummary:
     m = regrets.size
     sd = float(np.std(regrets, ddof=1)) if m > 1 else 0.0
-    return RegretSummary(mean=float(np.mean(regrets)),
-                         ci96_halfwidth=Z_96 * sd / math.sqrt(m),
-                         trials=m)
+    return RegretSummary(mean=float(np.mean(regrets)), ci96_halfwidth=Z_96 * sd / math.sqrt(m))
 
 
-def _block_regrets(config: ExperimentConfig, algorithm: str, r_mech: float,
-                   horizons, block: int) -> np.ndarray:
+def _block_regrets(seed: int, strength: float, r_mech: float, horizons,
+                   block: int) -> np.ndarray:
     """Regrets of the BLOCK_SIZE trials of one block, shape (BLOCK_SIZE, len(horizons)).
 
     The environment stream draws each trial's recommended arm and its
     optimal arm from the two-level prior centred there; the policy stream
     drives the Thompson rounds. Both are keyed by (seed, block) only, so
-    all algorithms face the same environments within a block.
+    every prior strength faces the same environments within a block.
     """
-    k = config.k
-    env_seq, policy_seq = np.random.SeedSequence(
-        entropy=config.seed, spawn_key=(block,)).spawn(2)
+    env_seq, policy_seq = np.random.SeedSequence(entropy=seed, spawn_key=(block,)).spawn(2)
     env_rng = np.random.Generator(np.random.Philox(env_seq))
-    recommended = env_rng.integers(k, size=BLOCK_SIZE)
-    prior = solve_prior_for_r_mech(k, r_mech)  # centred on arm 0
+    recommended = env_rng.integers(K, size=BLOCK_SIZE)
+    prior = solve_prior_for_r_mech(K, r_mech)  # centred on arm 0
     offset = np.searchsorted(np.cumsum(prior.weights()), env_rng.random(BLOCK_SIZE),
                              side="right")
-    optimal = (recommended + np.minimum(offset, k - 1)) % k
-    if algorithm == "hybrid":
-        policy = hybrid_policy(prior, config.prior_strength)
-    elif algorithm == "uninformed":
-        policy = uninformed_policy(k)
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+    optimal = (recommended + np.minimum(offset, K - 1)) % K
+    policy = hybrid_policy(prior, strength)
     # row i takes the arm-0-centred pseudo-counts rotated to its recommended arm
-    rotation = (np.arange(k) - recommended[:, None]) % k
+    rotation = (np.arange(K) - recommended[:, None]) % K
     policy_rng = np.random.Generator(np.random.Philox(policy_seq))
     return _thompson_rounds(policy.alpha0[rotation], policy.beta0[rotation],
-                            _arm_means(k, optimal, config.p_opt, config.p_bsa),
-                            horizons, policy_rng)
+                            _arm_means(K, optimal, P_OPT, P_BSA), horizons, policy_rng)
 
 
 def _block_range(args) -> np.ndarray:
-    config, algorithm, r_mech, horizons, start, stop = args
-    return np.concatenate([_block_regrets(config, algorithm, r_mech, horizons, b)
+    seed, strength, r_mech, horizons, start, stop = args
+    return np.concatenate([_block_regrets(seed, strength, r_mech, horizons, b)
                            for b in range(start, stop)])
 
 
-def regret_curves(config: ExperimentConfig, algorithm: str, r_mech: float,
+def regret_curves(config: ExperimentConfig, strength: float, r_mech: float,
                   horizons) -> np.ndarray:
     """Cumulative pseudo-regret of each trial at each horizon.
 
-    Returns a (config.trials, len(horizons)) array. Trial t is row
-    t % BLOCK_SIZE of block t // BLOCK_SIZE; with workers > 1 the blocks
-    are split into contiguous ranges across processes, which changes
-    nothing but the wall time.
+    Thompson sampling starts from the hybrid prior at pseudo-count scale
+    `strength` (0 is uninformed). Returns a (config.trials, len(horizons))
+    array. Trial t is row t % BLOCK_SIZE of block t // BLOCK_SIZE; with
+    workers > 1 the blocks are split into contiguous ranges across
+    processes, which changes nothing but the wall time.
     """
     blocks = -(-config.trials // BLOCK_SIZE)
+    job = (config.seed, strength, r_mech, tuple(horizons))
     if config.workers > 1 and blocks > 1:
         # imported here so that the serial and closed-form paths skip multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         per = -(-blocks // config.workers)
-        jobs = [(config, algorithm, r_mech, tuple(horizons), s, min(s + per, blocks))
-                for s in range(0, blocks, per)]
+        jobs = [(*job, s, min(s + per, blocks)) for s in range(0, blocks, per)]
         with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
             parts = list(pool.map(_block_range, jobs))
         regrets = np.concatenate(parts)
     else:
-        regrets = _block_range((config, algorithm, r_mech, tuple(horizons), 0, blocks))
+        regrets = _block_range((*job, 0, blocks))
     return regrets[:config.trials]
 
 
-def _trial_regret(algorithm: str, config: ExperimentConfig, r_mech: float,
-                  n: int, trial: int) -> float:
-    """One Thompson trial: row trial % BLOCK_SIZE of block trial // BLOCK_SIZE.
-
-    Fully determined by (config, algorithm, r_mech, n, trial), and equal
-    to that trial's entry in regret_curves.
-    """
-    block, row = divmod(trial, BLOCK_SIZE)
-    return float(_block_regrets(config, algorithm, r_mech, (n,), block)[row, 0])
-
-
 def run_monte_carlo(config: ExperimentConfig, algorithm: str, r_mech: float,
-                    n: int | None = None) -> RegretSummary:
+                    n: int = HORIZON) -> RegretSummary:
     """Mean cumulative pseudo-regret with a 96% CI over config.trials trials.
 
-    The baseline dose ("bsa") has the constant regret n*(p_opt - p_bsa)
-    in every trial, so its summary is exact with a zero CI.
+    `algorithm` is "hybrid", "uninformed" (the hybrid encoding at
+    strength 0) or "bsa". The baseline dose has the constant regret
+    n*(P_OPT - P_BSA) in every trial, so its summary is exact with a
+    zero CI.
     """
-    n = config.n if n is None else n
     if algorithm == "bsa":
         if n < 1:
             raise ValueError(f"horizon must be >= 1, got {n}")
-        return RegretSummary(mean=n * (config.p_opt - config.p_bsa), ci96_halfwidth=0.0,
-                             trials=config.trials)
-    return _summarize(regret_curves(config, algorithm, r_mech, (n,))[:, 0])
+        return RegretSummary(mean=n * (P_OPT - P_BSA), ci96_halfwidth=0.0)
+    strengths = {"hybrid": config.prior_strength, "uninformed": 0.0}
+    if algorithm not in strengths:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    return _summarize(regret_curves(config, strengths[algorithm], r_mech, (n,))[:, 0])
 
 
 TABLE1_HEADER = ("r_mech,h_mech,hyb_mean,hyb_ci,uninf_mean,uninf_ci,"
@@ -323,9 +300,9 @@ class Table2Row:
 
 def table1_experiment(config: ExperimentConfig) -> list[Table1Row]:
     """Fixed horizon, sweep the information level of the hybrid prior."""
-    h_mu = math.log(config.k)
+    h_mu = math.log(K)
     rows = []
-    for r_mech in config.r_mech_grid:
+    for r_mech in R_MECH_GRID:
         h_mech = h_mu - r_mech
         hyb = run_monte_carlo(config, "hybrid", r_mech)
         uninf = run_monte_carlo(config, "uninformed", r_mech)
@@ -340,18 +317,17 @@ def table1_experiment(config: ExperimentConfig) -> list[Table1Row]:
     return rows
 
 
-def table2_experiment(config: ExperimentConfig, r_mech: float = 1.9,
-                      n_values: tuple = (5, 10, 20, 50, 200)) -> list[Table2Row]:
+def table2_experiment(config: ExperimentConfig) -> list[Table2Row]:
     """Fixed information level, sweep the horizon.
 
     Every horizon is read off one run to the longest horizon, and both
     algorithms face the same optimal-arm draws within each trial index
     (shared environment streams).
     """
-    hyb = regret_curves(config, "hybrid", r_mech, n_values)
-    uninf = regret_curves(config, "uninformed", r_mech, n_values)
+    hyb = regret_curves(config, config.prior_strength, TABLE2_R_MECH, TABLE2_HORIZONS)
+    uninf = regret_curves(config, 0.0, TABLE2_R_MECH, TABLE2_HORIZONS)
     rows = []
-    for col, n in enumerate(n_values):
+    for col, n in enumerate(TABLE2_HORIZONS):
         h, u = _summarize(hyb[:, col]), _summarize(uninf[:, col])
         rows.append(Table2Row(n=n, hyb=h, uninf=u,
                               ratio=u.mean / h.mean if h.mean > 0 else math.inf))

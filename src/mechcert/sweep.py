@@ -26,15 +26,12 @@ __all__ = [
     "SweepSpec",
     "Sweep1DRow",
     "Sweep2DRow",
-    "KSweepRow",
     "linear_grid",
     "grid_axis",
     "sweep_1d",
     "sweep_2d",
-    "k_sweep",
     "write_sweep1d_csv",
     "write_sweep2d_csv",
-    "write_ksweep_csv",
 ]
 
 # Axis range of each sweep parameter in a 2-D grid; the keys are the parameters.
@@ -43,11 +40,9 @@ GRID_RANGES = {"sigma": (0.357, 0.50), "kappa_mu": (0.6, 3.0), "d_f": (2.0, 5.0)
 SWEEP_PARAMETERS = tuple(GRID_RANGES)
 GRID_STEPS = 60    # points per 2-D grid axis
 PARAM_STEPS = 50   # points of a 1-D sweep over a range
-K_SWEEP_VALUES = tuple(range(2, 21))
 
 SWEEP1D_HEADER = "param,value,capacity_nats,critical_bias,ratio,regime"
 SWEEP2D_HEADER = "x_param,y_param,x,y,ratio"
-KSWEEP_HEADER = "k,critical_bias,capacity_at_base_bias"
 
 
 def linear_grid(lo: float, hi: float, steps: int) -> list[float]:
@@ -165,24 +160,6 @@ def sweep_2d(x_spec: SweepSpec, y_spec: SweepSpec) -> list[Sweep2DRow]:
     return rows
 
 
-@dataclass(frozen=True)
-class KSweepRow:
-    k: int
-    critical_bias: float | None
-    capacity_at_base_bias: float
-
-
-def k_sweep(base: CalibrationParams, k_values) -> list[KSweepRow]:
-    """Critical bias as the arm count varies, entropy tracking ln k."""
-    k_values = list(k_values)
-    for k in k_values:
-        if not 2 <= k <= 64:
-            raise ValueError(f"k sweep values must lie in [2, 64], got {k}")
-    rows = sweep_1d(SweepSpec(parameter="k", values=k_values, base=base))
-    return [KSweepRow(k=int(r.value), critical_bias=r.critical_bias,
-                      capacity_at_base_bias=r.capacity) for r in rows]
-
-
 def write_sweep1d_csv(rows: list[Sweep1DRow], path) -> None:
     write_csv(path, SWEEP1D_HEADER, ((r.param, r.value, r.capacity, r.critical_bias,
                                       r.ratio, r.regime) for r in rows))
@@ -190,8 +167,3 @@ def write_sweep1d_csv(rows: list[Sweep1DRow], path) -> None:
 
 def write_sweep2d_csv(rows: list[Sweep2DRow], path) -> None:
     write_csv(path, SWEEP2D_HEADER, ((r.x_param, r.y_param, r.x, r.y, r.ratio) for r in rows))
-
-
-def write_ksweep_csv(rows: list[KSweepRow], path) -> None:
-    write_csv(path, KSWEEP_HEADER, ((r.k, r.critical_bias, r.capacity_at_base_bias)
-                                    for r in rows))

@@ -195,7 +195,7 @@ class TestBurnin:
      "steps must be >= 1"),
     (("sweep", "--param", "k", "--values", "1.5,8"), "k must be an integer, got 1.5"),
     (("certify", "--k", "0"), "k must be >= 2, got 0"),
-    (("sweep", "--k", "0", "--k-sweep"), "k must be >= 2, got 0"),
+    (("sweep", "--k", "0", "--param", "b_mu", "--values", "0.2"), "k must be >= 2, got 0"),
     (("sweep", "--param", "k", "--values", "8,8.7"), "k must be an integer, got 8.7"),
     (("sweep", "--grid", "sigma", "p_opt", "--steps", "3"), "set the same quantity"),
     (("sweep", "--grid", "b_mu", "b_mu", "--steps", "3"), "set the same quantity"),
@@ -250,7 +250,8 @@ class TestShift:
     def test_impossibility_mode(self, capsys, tmp_path):
         joint = joint_from_channel(np.full(8, 1 / 8), two_level_channel(8, 0.972))
         path = tmp_path / "joint.csv"
-        joint.to_csv(path)
+        path.write_text("8\n" + "".join(",".join(str(float(x)) for x in row) + "\n"
+                                        for row in joint.probs))
         code, out, _ = run(capsys, "shift", "--joint", str(path),
                            "--subset", "0,1,2,3")
         assert code == 0
@@ -301,11 +302,24 @@ class TestSweepCommand:
         assert len(lines) == 26
 
     def test_k_sweep(self, capsys, tmp_path):
-        code, _, _ = run(capsys, "sweep", "--k-sweep", "--values", "4,8,16",
-                         "--out", str(tmp_path))
+        code, _, _ = run(capsys, "sweep", "--param", "k", "--min", "2", "--max", "20",
+                         "--steps", "19", "--out", str(tmp_path))
         assert code == 0
-        lines = (tmp_path / "ksweep.csv").read_text().splitlines()
-        assert len(lines) == 4
+        rows = [line.split(",") for line in
+                (tmp_path / "sweep1d.csv").read_text().splitlines()[1:]]
+        assert [r[1] for r in rows] == [str(k) for k in range(2, 21)]
+
+    def test_removed_flags_exit_1(self, capsys, tmp_path):
+        one_row = ("--param", "b_mu", "--values", "0.22", "--out", str(tmp_path))
+        for argv in (("--k-sweep",), ("--sigma-f2", "0.5")):
+            code, _, err = run(capsys, "sweep", *one_row, *argv)
+            assert code == 1
+            assert "unrecognized arguments" in err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("sigma_f2 = 0.5\n")
+        code, _, err = run(capsys, "sweep", *one_row, "--config", str(cfg))
+        assert code == 1
+        assert "unknown config key 'sigma_f2'" in err
 
     def test_grid_k_axis_is_integral(self, capsys, tmp_path):
         code, _, _ = run(capsys, "sweep", "--grid", "k", "b_mu", "--out", str(tmp_path))

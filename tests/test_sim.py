@@ -5,10 +5,14 @@ import pytest
 
 from mechcert.prior import solve_prior_for_r_mech
 from mechcert.sim import (
+    BLOCK_SIZE,
+    P_BSA,
+    P_OPT,
+    R_MECH_GRID,
     TABLE1_HEADER,
     TABLE2_HEADER,
     ExperimentConfig,
-    _trial_regret,
+    _block_regrets,
     build_environment,
     hybrid_policy,
     regret_curves,
@@ -16,12 +20,12 @@ from mechcert.sim import (
     run_trial,
     table1_experiment,
     table2_experiment,
-    uninformed_policy,
     write_table1_csv,
     write_table2_csv,
 )
 
 FAST = ExperimentConfig(trials=400, seed=42)
+UNINFORMED = hybrid_policy(solve_prior_for_r_mech(8, 0.0), strength=0.0)
 
 
 class TestEnvironment:
@@ -48,14 +52,14 @@ class TestRunTrial:
     def test_horizon_guard(self):
         env = build_environment(8, 0, 0.85, 0.20)
         with pytest.raises(ValueError):
-            run_trial(uninformed_policy(8), env, 0, np.random.default_rng(0))
+            run_trial(UNINFORMED, env, 0, np.random.default_rng(0))
 
     def test_first_round_uniform(self):
         # with exchangeable Beta(1,1) priors the first pull is uniform,
         # so one-round regret averages (1 - 1/8) * 0.65
         env = build_environment(8, 0, 0.85, 0.20)
         rng = np.random.default_rng(123)
-        regrets = np.array([run_trial(uninformed_policy(8), env, 1, rng)
+        regrets = np.array([run_trial(UNINFORMED, env, 1, rng)
                             for _ in range(4000)])
         assert np.all(np.isclose(regrets, 0.0) | np.isclose(regrets, 0.65))
         assert np.mean(regrets) == pytest.approx((1 - 1 / 8) * 0.65, abs=0.03)
@@ -64,7 +68,7 @@ class TestRunTrial:
         env = build_environment(8, 0, 0.85, 0.20)
         rng = np.random.default_rng(9)
         for _ in range(50):
-            r = run_trial(uninformed_policy(8), env, 12, rng)
+            r = run_trial(UNINFORMED, env, 12, rng)
             assert 0.0 <= r <= 12 * 0.65 + 1e-12
 
 
@@ -75,12 +79,17 @@ class TestHybridEncoding:
         assert np.array_equal(policy.beta0, np.ones(8))
 
     def test_informative_prior_tilts(self):
-        prior = solve_prior_for_r_mech(8, 1.9, recommended=4)
-        policy = hybrid_policy(prior, strength=2.0)
-        assert policy.alpha0[4] > 1.0
-        assert policy.beta0[4] == 1.0
-        assert np.all(policy.alpha0[np.arange(8) != 4] == 1.0)
-        assert np.all(policy.beta0[np.arange(8) != 4] > 1.0)
+        policy = hybrid_policy(solve_prior_for_r_mech(8, 1.9), strength=2.0)
+        assert policy.alpha0[0] > 1.0
+        assert policy.beta0[0] == 1.0
+        assert np.all(policy.alpha0[1:] == 1.0)
+        assert np.all(policy.beta0[1:] > 1.0)
+
+    def test_zero_strength_is_uninformed(self):
+        for r_mech in (0.0, 1.9, math.log(8)):
+            policy = hybrid_policy(solve_prior_for_r_mech(8, r_mech), strength=0.0)
+            assert np.array_equal(policy.alpha0, np.ones(8))
+            assert np.array_equal(policy.beta0, np.ones(8))
 
 
 class TestMonteCarlo:
@@ -96,27 +105,27 @@ class TestMonteCarlo:
         assert serial == parallel
 
     def test_hybrid_equals_uninformed_at_zero_information(self):
-        for t in range(200):
-            assert _trial_regret("hybrid", FAST, 0.0, 12, t) == \
-                _trial_regret("uninformed", FAST, 0.0, 12, t)
+        hyb = regret_curves(FAST, FAST.prior_strength, 0.0, (12,))
+        assert np.array_equal(hyb, regret_curves(FAST, 0.0, 0.0, (12,)))
+        assert run_monte_carlo(FAST, "hybrid", 0.0) == run_monte_carlo(FAST, "uninformed", 0.0)
 
     def test_trial_regret_independent_of_trial_count(self):
-        few = regret_curves(FAST, "hybrid", 1.4, (12,))
-        many = regret_curves(ExperimentConfig(trials=1000, seed=42), "hybrid", 1.4, (12,))
+        few = regret_curves(FAST, 2.0, 1.4, (12,))
+        many = regret_curves(ExperimentConfig(trials=1000, seed=42), 2.0, 1.4, (12,))
         assert few.shape == (400, 1)
         assert np.array_equal(few, many[:400])
         for t in (0, 255, 256, 399):
-            assert _trial_regret("hybrid", FAST, 1.4, 12, t) == few[t, 0]
+            block, row = divmod(t, BLOCK_SIZE)
+            assert _block_regrets(42, 2.0, 1.4, (12,), block)[row, 0] == few[t, 0]
 
     def test_short_horizon_is_prefix_of_long_run(self):
         # Table 2 reads every horizon off one run, so its arms still
         # share optimal-arm draws and the n = 5 column is a prefix
-        curves = regret_curves(FAST, "uninformed", 1.9, (5, 200))
-        short = regret_curves(FAST, "uninformed", 1.9, (5,))
+        curves = regret_curves(FAST, 0.0, 1.9, (5, 200))
+        short = regret_curves(FAST, 0.0, 1.9, (5,))
         assert np.array_equal(curves[:, 0], short[:, 0])
         assert np.all(curves[:, 0] <= curves[:, 1])
-        assert run_monte_carlo(FAST, "uninformed", 1.9, n=5) == \
-            table2_experiment(FAST, n_values=(5, 200))[0].uninf
+        assert run_monte_carlo(FAST, "uninformed", 1.9, n=5) == table2_experiment(FAST)[0].uninf
 
     def test_bsa_constant(self):
         s = run_monte_carlo(FAST, "bsa", 0.8)
@@ -135,7 +144,9 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             ExperimentConfig(trials=0)
         with pytest.raises(ValueError):
-            ExperimentConfig(r_mech_grid=(0.0, 5.0))
+            ExperimentConfig(workers=0)
+        with pytest.raises(ValueError):
+            ExperimentConfig(prior_strength=-1.0)
 
 
 class TestTables:
@@ -166,18 +177,67 @@ class TestTables:
     def test_table2_shared_optimal_draws(self):
         # within a trial index both algorithms face the same optimum,
         # so the hybrid can never do worse than the shared regret cap
-        for t in range(50):
-            hyb = _trial_regret("hybrid", FAST, 1.9, 5, t)
-            uninf = _trial_regret("uninformed", FAST, 1.9, 5, t)
-            assert 0.0 <= hyb <= 5 * 0.65 + 1e-12
-            assert 0.0 <= uninf <= 5 * 0.65 + 1e-12
+        for strength in (2.0, 0.0):
+            regrets = regret_curves(FAST, strength, 1.9, (5,))[:50]
+            assert np.all((0.0 <= regrets) & (regrets <= 5 * 0.65 + 1e-12))
 
     def test_csv_six_significant_digits(self, tmp_path):
-        rows = table2_experiment(ExperimentConfig(trials=30, seed=3),
-                                 n_values=(5,))
+        rows = table2_experiment(ExperimentConfig(trials=30, seed=3))
         path = tmp_path / "t2.csv"
         write_table2_csv(rows, path)
         body = path.read_text().splitlines()[1]
         for token in body.split(",")[1:]:
             mantissa = token.replace("-", "").replace(".", "").split("e")[0].lstrip("0")
             assert len(mantissa) <= 6
+
+
+# Fixed before the first run: seed, trial count, and a tolerance of four
+# standard errors of the exact Bernoulli regret plus the quadrature error.
+ORACLE_SEED = 0
+ORACLE_TRIALS = 20_000
+GAP = P_OPT - P_BSA
+
+
+def first_round_oracle(r_mech: float, strength: float, k: int = 8, points: int = 200_000):
+    """Exact expected regret of one round: (regret, quadrature error, P(correct pull)).
+
+    The optimum is the recommended arm with probability beta and each
+    other arm with probability alpha. The encoding starts the recommended
+    arm at Beta(a, 1) and the others at Beta(1, b), so the first pull is
+    the recommended arm with probability q = int f_rec * F_other^(k-1)
+    and each other arm with probability (1 - q)/(k - 1). q is a midpoint
+    sum; its error is bounded by the change from points/2 to points.
+    """
+    beta = solve_prior_for_r_mech(k, r_mech).beta
+    alpha = (1 - beta) / (k - 1)
+    a = 1 + strength * k * (beta - 1 / k)
+    b = 1 + strength * k * (1 / k - alpha)
+
+    def q(m):
+        x = (np.arange(m) + 0.5) / m
+        f_rec = np.exp(math.lgamma(a + 1) - math.lgamma(a) + (a - 1) * np.log(x))
+        f_other_cdf = 1 - (1 - x) ** b
+        return float(np.mean(f_rec * f_other_cdf ** (k - 1)))
+
+    q_fine = q(points)
+    p_correct = beta * q_fine + (1 - beta) * (1 - q_fine) / (k - 1)
+    return GAP * (1 - p_correct), GAP * abs(q_fine - q(points // 2)), p_correct
+
+
+class TestExactOracle:
+    def test_oracle_values(self):
+        # the exact one-round regrets of Table 1's hybrid prior, to five decimals
+        for r_mech, value in zip(R_MECH_GRID, (0.56875, 0.42186, 0.24177, 0.10237, 0.02405)):
+            assert first_round_oracle(r_mech, 2.0)[0] == pytest.approx(value, abs=5e-6)
+            uninformed, quad_err, _ = first_round_oracle(r_mech, 0.0)
+            assert abs(uninformed - GAP * 7 / 8) <= quad_err
+
+    @pytest.mark.parametrize("algorithm", ["hybrid", "uninformed"])
+    def test_one_round_regret_matches_oracle(self, algorithm):
+        config = ExperimentConfig(trials=ORACLE_TRIALS, seed=ORACLE_SEED)
+        strength = config.prior_strength if algorithm == "hybrid" else 0.0
+        for r_mech in R_MECH_GRID:
+            exact, quad_err, p = first_round_oracle(r_mech, strength)
+            tol = 4 * GAP * math.sqrt(p * (1 - p) / ORACLE_TRIALS) + quad_err
+            got = run_monte_carlo(config, algorithm, r_mech, n=1).mean
+            assert abs(got - exact) <= tol, (r_mech, got, exact, tol)

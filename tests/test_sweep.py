@@ -13,17 +13,14 @@ from mechcert.certificates import (
 )
 from mechcert.sweep import (
     GRID_RANGES,
-    KSWEEP_HEADER,
     SWEEP1D_HEADER,
     SWEEP2D_HEADER,
     SWEEP_PARAMETERS,
     SweepSpec,
     grid_axis,
-    k_sweep,
     linear_grid,
     sweep_1d,
     sweep_2d,
-    write_ksweep_csv,
     write_sweep1d_csv,
     write_sweep2d_csv,
 )
@@ -88,16 +85,6 @@ class TestSingleRule:
                 assert row.ratio == math.inf
             else:
                 assert row.regime == rep.regime.value
-
-    @settings(max_examples=100, deadline=None)
-    @given(bases, st.lists(CELL_VALUES["k"], min_size=1, max_size=5))
-    def test_k_sweep_rows_are_certificate_reports(self, base, k_values):
-        rows = k_sweep(base, k_values)
-        assert [r.k for r in rows] == k_values
-        for row in rows:
-            rep = certificate_report(expected_cell(base, {"k": row.k}))
-            assert row.critical_bias == rep.critical_bias
-            assert row.capacity_at_base_bias == rep.capacity_at_bias
 
     @pytest.mark.parametrize("n", [1, 12])
     @pytest.mark.parametrize("b_mu", [0.0, 0.22])
@@ -170,8 +157,6 @@ class TestSweep1D:
         for bad in (8.7, math.inf, math.nan):
             with pytest.raises(ValueError, match="integer"):
                 one_param("k", [8, bad])
-        with pytest.raises(ValueError, match="integer"):
-            k_sweep(BASE, [8.5])
 
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ValueError):
@@ -235,21 +220,17 @@ class TestGridAxis:
 
 class TestKSweep:
     def test_published_points(self):
-        rows = k_sweep(BASE, [4, 8, 16])
-        by_k = {r.k: r for r in rows}
+        rows = one_param("k", [4, 8, 16])
+        by_k = {r.value: r for r in rows}
         assert by_k[8].critical_bias == pytest.approx(0.714, abs=1e-3)
         assert by_k[16].critical_bias == pytest.approx(0.706, abs=5e-3)
-        assert by_k[4].capacity_at_base_bias == pytest.approx(0.57, abs=0.01)
+        assert by_k[4].capacity == pytest.approx(0.57, abs=0.01)
 
     def test_flat_across_small_k(self):
-        rows = k_sweep(BASE, (k for k in range(2, 21)))
+        rows = one_param("k", linear_grid(2, 20, 19))
         assert len(rows) == 19
         biases = [r.critical_bias for r in rows]
         assert max(biases) - min(biases) < 0.05
-
-    def test_range_guard(self):
-        with pytest.raises(ValueError):
-            k_sweep(BASE, [65])
 
 
 class TestCsvWriters:
@@ -270,11 +251,3 @@ class TestCsvWriters:
         lines = path.read_text().splitlines()
         assert lines[0] == SWEEP2D_HEADER
         assert lines[1].split(",")[:2] == ["kappa_mu", "b_mu"]
-
-    def test_ksweep_csv(self, tmp_path):
-        rows = k_sweep(BASE, [8])
-        path = tmp_path / "ksweep.csv"
-        write_ksweep_csv(rows, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == KSWEEP_HEADER
-        assert lines[1].startswith("8,")
