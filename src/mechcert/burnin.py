@@ -50,6 +50,8 @@ class BurnInResult:
     cycles: float
     degenerate: bool            # log term non-positive; bound clamped to 0
     assumption_violated: bool   # evaluated outside the epsilon <= delta regime
+    effective_prior_weight: float  # eps_k, the prior weight spread over k arms
+    binary_kl: float | None     # kl(eps_k, 1 - eps_k) in nats; None when degenerate
 
 
 def binary_kl(p: float, q: float) -> float:
@@ -75,12 +77,12 @@ def burn_in_lower_bound(p: BurnInParams) -> BurnInResult:
     When delta >= 1 - epsilon the log term is non-positive and the bound
     degenerates to zero.
     """
+    eps_k = effective_prior_weight(p.epsilon, p.k)
     log_term = math.log((1.0 - p.epsilon) / p.delta)
     if log_term <= 0:
-        return BurnInResult(cycles=0.0, degenerate=True,
-                            assumption_violated=p.assumption_violated)
-    eps_k = effective_prior_weight(p.epsilon, p.k)
+        return BurnInResult(cycles=0.0, degenerate=True, assumption_violated=p.assumption_violated,
+                            effective_prior_weight=eps_k, binary_kl=None)
     kl = binary_kl(eps_k, 1.0 - eps_k)
     cycles = (1.0 - p.delta) * (1.0 - p.epsilon) * p.gap * log_term / kl
-    return BurnInResult(cycles=cycles, degenerate=False,
-                        assumption_violated=p.assumption_violated)
+    return BurnInResult(cycles=cycles, degenerate=False, assumption_violated=p.assumption_violated,
+                        effective_prior_weight=eps_k, binary_kl=kl)

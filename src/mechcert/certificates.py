@@ -214,7 +214,6 @@ def certificate_report(p: CalibrationParams, target: float | None = None) -> Cer
     else:
         ratio = b_crit / p.b_mu if p.b_mu > 0 else math.inf
         regime = Regime.DATA_EFFICIENT if p.b_mu < b_crit else Regime.BASELINE
-    rho = sample_complexity_ratio(p.h_mu, floor) if p.h_mu >= floor else math.inf
     return CertificateReport(
         target=target,
         capacity_at_bias=cap,
@@ -222,7 +221,7 @@ def certificate_report(p: CalibrationParams, target: float | None = None) -> Cer
         critical_bias=b_crit,
         bias_ratio=ratio,
         regime=regime,
-        sample_ratio=rho,
+        sample_ratio=sample_complexity_ratio(p.h_mu, floor),
         lb_envelope=lb_envelope(p.k, p.n, floor),
         ub_envelope=ub_envelope(p.k, p.n, floor),
         capacity_exceeds_entropy=cap > p.h_mu + 1e-12,

@@ -119,8 +119,6 @@ def cmd_certify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.trials < 1:
-        raise UsageError(f"--trials must be >= 1, got {args.trials}")
     config = sim.ExperimentConfig(trials=args.trials, seed=args.seed,
                                   workers=args.workers, prior_strength=args.strength)
     out = _outdir(args)
@@ -135,12 +133,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_burnin(args) -> int:
-    params = bi.BurnInParams(epsilon=args.eps, delta=args.delta, gap=args.gap, k=args.k)
-    result = bi.burn_in_lower_bound(params)
-    eps_k = bi.effective_prior_weight(params.epsilon, params.k)
-    print(f"effective_prior_weight = {eps_k:.6g}")
-    if not result.degenerate:
-        print(f"binary_kl = {_info(args, bi.binary_kl(eps_k, 1.0 - eps_k))}")
+    result = bi.burn_in_lower_bound(
+        bi.BurnInParams(epsilon=args.eps, delta=args.delta, gap=args.gap, k=args.k))
+    print(f"effective_prior_weight = {result.effective_prior_weight:.6g}")
+    if result.binary_kl is not None:
+        print(f"binary_kl = {_info(args, result.binary_kl)}")
     print(f"burn_in_cycles = {result.cycles:.6g}")
     if result.degenerate:
         print("flag = degenerate regime (delta >= 1 - epsilon); bound is 0")

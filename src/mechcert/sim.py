@@ -163,8 +163,6 @@ def _thompson_rounds(alpha: np.ndarray, beta: np.ndarray, means: np.ndarray,
 def run_trial(policy: ThompsonPolicy, env: BanditEnvironment, n: int,
               rng: np.random.Generator) -> float:
     """Cumulative pseudo-regret of one trial of n rounds: the block kernel on one row."""
-    if n < 1:
-        raise ValueError(f"horizon must be >= 1, got {n}")
     return float(_thompson_rounds(policy.alpha0[None, :], policy.beta0[None, :],
                                   env.means[None, :], (n,), rng)[0, 0])
 
@@ -222,36 +220,33 @@ def _block_regrets(seed: int, strength: float, r_mech: float, horizons,
                             _arm_means(K, optimal, P_OPT, P_BSA), horizons, policy_rng)
 
 
-def _block_range(args) -> np.ndarray:
-    seed, strength, r_mech, horizons, start, stop = args
-    return np.concatenate([_block_regrets(seed, strength, r_mech, horizons, b)
-                           for b in range(start, stop)])
+def regret_curves(config: ExperimentConfig, cells, horizons) -> np.ndarray:
+    """Cumulative pseudo-regret of each trial of each cell at each horizon.
 
-
-def regret_curves(config: ExperimentConfig, strength: float, r_mech: float,
-                  horizons) -> np.ndarray:
-    """Cumulative pseudo-regret of each trial at each horizon.
-
-    Thompson sampling starts from the hybrid prior at pseudo-count scale
-    `strength` (0 is uninformed). Returns a (config.trials, len(horizons))
-    array. Trial t is row t % BLOCK_SIZE of block t // BLOCK_SIZE; with
-    workers > 1 the blocks are split into contiguous ranges across
-    processes, which changes nothing but the wall time.
+    A cell is a (strength, r_mech) pair: Thompson sampling from the hybrid
+    prior at pseudo-count scale `strength` (0 is uninformed) on information
+    level r_mech. Returns a (len(cells), config.trials, len(horizons))
+    array. Trial t is row t % BLOCK_SIZE of block t // BLOCK_SIZE. Every
+    (cell, block) pair is one job; with workers > 1 the jobs are split into
+    contiguous chunks over one process pool, which changes nothing but the
+    wall time.
     """
     blocks = -(-config.trials // BLOCK_SIZE)
-    job = (config.seed, strength, r_mech, tuple(horizons))
-    if config.workers > 1 and blocks > 1:
+    horizons = tuple(horizons)
+    jobs = [(config.seed, strength, r_mech, horizons, b)
+            for strength, r_mech in cells for b in range(blocks)]
+    workers = min(config.workers, len(jobs))
+    if workers == 1:
+        parts = list(map(_block_regrets, *zip(*jobs)))
+    else:
         # imported here so that the serial and closed-form paths skip multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        per = -(-blocks // config.workers)
-        jobs = [(*job, s, min(s + per, blocks)) for s in range(0, blocks, per)]
-        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-            parts = list(pool.map(_block_range, jobs))
-        regrets = np.concatenate(parts)
-    else:
-        regrets = _block_range((*job, 0, blocks))
-    return regrets[:config.trials]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_block_regrets, *zip(*jobs),
+                                  chunksize=-(-len(jobs) // workers)))
+    curves = np.stack(parts).reshape(len(cells), blocks * BLOCK_SIZE, len(horizons))
+    return curves[:, :config.trials]
 
 
 def run_monte_carlo(config: ExperimentConfig, algorithm: str, r_mech: float,
@@ -270,7 +265,7 @@ def run_monte_carlo(config: ExperimentConfig, algorithm: str, r_mech: float,
     strengths = {"hybrid": config.prior_strength, "uninformed": 0.0}
     if algorithm not in strengths:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    return _summarize(regret_curves(config, strengths[algorithm], r_mech, (n,))[:, 0])
+    return _summarize(regret_curves(config, [(strengths[algorithm], r_mech)], (n,))[0, :, 0])
 
 
 TABLE1_HEADER = ("r_mech,h_mech,hyb_mean,hyb_ci,uninf_mean,uninf_ci,"
@@ -300,13 +295,15 @@ class Table2Row:
 
 def table1_experiment(config: ExperimentConfig) -> list[Table1Row]:
     """Fixed horizon, sweep the information level of the hybrid prior."""
+    cells = [(strength, r_mech) for r_mech in R_MECH_GRID
+             for strength in (config.prior_strength, 0.0)]
+    curves = regret_curves(config, cells, (HORIZON,)).reshape(len(R_MECH_GRID), 2, -1)
+    bsa = run_monte_carlo(config, "bsa", 0.0)  # constant in r_mech
     h_mu = math.log(K)
     rows = []
-    for r_mech in R_MECH_GRID:
+    for r_mech, (hyb_regrets, uninf_regrets) in zip(R_MECH_GRID, curves):
         h_mech = h_mu - r_mech
-        hyb = run_monte_carlo(config, "hybrid", r_mech)
-        uninf = run_monte_carlo(config, "uninformed", r_mech)
-        bsa = run_monte_carlo(config, "bsa", r_mech)
+        hyb, uninf = _summarize(hyb_regrets), _summarize(uninf_regrets)
         lb_pred = math.sqrt(h_mu / h_mech) if h_mech > 0 else math.inf
         rows.append(Table1Row(
             r_mech=r_mech, h_mech=h_mech, hyb=hyb, uninf=uninf, bsa=bsa,
@@ -324,8 +321,8 @@ def table2_experiment(config: ExperimentConfig) -> list[Table2Row]:
     algorithms face the same optimal-arm draws within each trial index
     (shared environment streams).
     """
-    hyb = regret_curves(config, config.prior_strength, TABLE2_R_MECH, TABLE2_HORIZONS)
-    uninf = regret_curves(config, 0.0, TABLE2_R_MECH, TABLE2_HORIZONS)
+    hyb, uninf = regret_curves(config, [(config.prior_strength, TABLE2_R_MECH),
+                                        (0.0, TABLE2_R_MECH)], TABLE2_HORIZONS)
     rows = []
     for col, n in enumerate(TABLE2_HORIZONS):
         h, u = _summarize(hyb[:, col]), _summarize(uninf[:, col])

@@ -66,6 +66,9 @@ class TestBurnInBound:
         assert not result.degenerate
         # epsilon = 0.2 > delta = 0.01 sits outside the proposition's premise
         assert result.assumption_violated
+        assert result.effective_prior_weight == effective_prior_weight(0.2, 8)
+        eps_k = result.effective_prior_weight
+        assert result.binary_kl == binary_kl(eps_k, 1 - eps_k)
 
     def test_zero_gap(self):
         result = burn_in_lower_bound(BurnInParams(epsilon=0.2, delta=0.01, gap=0.0, k=8))
@@ -83,6 +86,8 @@ class TestBurnInBound:
         result = burn_in_lower_bound(BurnInParams(epsilon=0.9, delta=0.3, gap=0.2, k=8))
         assert result.cycles == 0.0
         assert result.degenerate
+        assert result.effective_prior_weight == effective_prior_weight(0.9, 8)
+        assert result.binary_kl is None
 
     def test_param_validation(self):
         with pytest.raises(ValueError):

@@ -123,10 +123,6 @@ class TestSimulate:
         assert code == 1
         assert "unknown config key" in err
 
-    def test_zero_trials_exit_1(self, capsys):
-        code, _, err = run(capsys, "simulate", "--table", "1", "--trials", "0")
-        assert code == 1
-
     def test_byte_identical_reruns(self, capsys, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         run(capsys, "simulate", "--table", "1", "--trials", "60", "--seed", "5",
@@ -180,6 +176,7 @@ class TestBurnin:
      "prior_strength must be finite and non-negative"),
     (("simulate", "--table", "1", "--trials", "10", "--workers", "-3"), "workers must be >= 1"),
     (("simulate", "--table", "1", "--trials", "10", "--workers", "0"), "workers must be >= 1"),
+    (("simulate", "--table", "1", "--trials", "0"), "trials must be >= 1, got 0"),
     (("burnin", "--eps", "0.2", "--delta", "0.01", "--gap", "nan"),
      "gap must be finite and non-negative"),
     (("shift", "--r-train", "nan", "--delta-pi", "0.005"),
@@ -202,7 +199,8 @@ class TestBurnin:
 ], ids=["burnin-eps", "certify-b-mu-nan", "certify-sigma-nan", "certify-kappa-mu-nan",
         "certify-d-f-nan", "certify-target-nan", "simulate-strength-nan",
         "simulate-strength-negative", "simulate-workers-negative", "simulate-workers-zero",
-        "burnin-gap-nan", "shift-r-train-nan", "shift-delta-pi-nan", "burnin-k-zero",
+        "simulate-trials-zero", "burnin-gap-nan", "shift-r-train-nan", "shift-delta-pi-nan",
+        "burnin-k-zero",
         "shift-k-zero", "prior-k-zero", "sweep-grid-steps-zero", "sweep-param-steps-zero",
         "sweep-invalid-k-cell", "certify-k-zero", "sweep-k-zero", "sweep-non-integer-k",
         "sweep-grid-sigma-p-opt", "sweep-grid-same-axis"])

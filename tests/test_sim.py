@@ -105,13 +105,13 @@ class TestMonteCarlo:
         assert serial == parallel
 
     def test_hybrid_equals_uninformed_at_zero_information(self):
-        hyb = regret_curves(FAST, FAST.prior_strength, 0.0, (12,))
-        assert np.array_equal(hyb, regret_curves(FAST, 0.0, 0.0, (12,)))
+        hyb, uninf = regret_curves(FAST, [(FAST.prior_strength, 0.0), (0.0, 0.0)], (12,))
+        assert np.array_equal(hyb, uninf)
         assert run_monte_carlo(FAST, "hybrid", 0.0) == run_monte_carlo(FAST, "uninformed", 0.0)
 
     def test_trial_regret_independent_of_trial_count(self):
-        few = regret_curves(FAST, 2.0, 1.4, (12,))
-        many = regret_curves(ExperimentConfig(trials=1000, seed=42), 2.0, 1.4, (12,))
+        few = regret_curves(FAST, [(2.0, 1.4)], (12,))[0]
+        many = regret_curves(ExperimentConfig(trials=1000, seed=42), [(2.0, 1.4)], (12,))[0]
         assert few.shape == (400, 1)
         assert np.array_equal(few, many[:400])
         for t in (0, 255, 256, 399):
@@ -121,11 +121,36 @@ class TestMonteCarlo:
     def test_short_horizon_is_prefix_of_long_run(self):
         # Table 2 reads every horizon off one run, so its arms still
         # share optimal-arm draws and the n = 5 column is a prefix
-        curves = regret_curves(FAST, 0.0, 1.9, (5, 200))
-        short = regret_curves(FAST, 0.0, 1.9, (5,))
+        curves = regret_curves(FAST, [(0.0, 1.9)], (5, 200))[0]
+        short = regret_curves(FAST, [(0.0, 1.9)], (5,))[0]
         assert np.array_equal(curves[:, 0], short[:, 0])
         assert np.all(curves[:, 0] <= curves[:, 1])
         assert run_monte_carlo(FAST, "uninformed", 1.9, n=5) == table2_experiment(FAST)[0].uninf
+
+    def test_cell_independent_of_its_companions(self):
+        cells = [(2.0, 1.9), (0.0, 0.3), (5.0, 0.8)]
+        config = ExperimentConfig(trials=300, seed=11, workers=2)
+        together = regret_curves(config, cells, (3, 12))
+        assert together.shape == (3, 300, 2)
+        for i, cell in enumerate(cells):
+            assert np.array_equal(together[i], regret_curves(config, [cell], (3, 12))[0])
+
+    @pytest.mark.parametrize("experiment", [table1_experiment, table2_experiment])
+    def test_one_pool_per_table(self, monkeypatch, experiment):
+        import concurrent.futures
+
+        started = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        serial = experiment(ExperimentConfig(trials=300, seed=5))
+        assert started == []
+        assert experiment(ExperimentConfig(trials=300, seed=5, workers=2)) == serial
+        assert started == [2]
 
     def test_bsa_constant(self):
         s = run_monte_carlo(FAST, "bsa", 0.8)
@@ -177,9 +202,8 @@ class TestTables:
     def test_table2_shared_optimal_draws(self):
         # within a trial index both algorithms face the same optimum,
         # so the hybrid can never do worse than the shared regret cap
-        for strength in (2.0, 0.0):
-            regrets = regret_curves(FAST, strength, 1.9, (5,))[:50]
-            assert np.all((0.0 <= regrets) & (regrets <= 5 * 0.65 + 1e-12))
+        regrets = regret_curves(FAST, [(2.0, 1.9), (0.0, 1.9)], (5,))[:, :50]
+        assert np.all((0.0 <= regrets) & (regrets <= 5 * 0.65 + 1e-12))
 
     def test_csv_six_significant_digits(self, tmp_path):
         rows = table2_experiment(ExperimentConfig(trials=30, seed=3))
@@ -240,4 +264,43 @@ class TestExactOracle:
             exact, quad_err, p = first_round_oracle(r_mech, strength)
             tol = 4 * GAP * math.sqrt(p * (1 - p) / ORACLE_TRIALS) + quad_err
             got = run_monte_carlo(config, algorithm, r_mech, n=1).mean
+            assert abs(got - exact) <= tol, (r_mech, got, exact, tol)
+
+
+# Fixed before the first run, like the n = 1 oracle's: seed, trial count,
+# and a tolerance of four exact standard errors of the mean.
+ORACLE2_TRIALS = 50_000
+
+
+def second_round_oracle(k: int = 8):
+    """Exact mean and standard deviation of uninformed Thompson regret at n = 2.
+
+    The first pull is uniform. Against k - 1 Beta(1, 1) arms, the second
+    round picks the pulled arm with probability 2/(k+1) after a success
+    (Beta(2, 1)) and 2/(k(k+1)) after a failure (Beta(1, 2)), and each
+    other arm with an equal share of the rest. The uninformed policy is
+    blind to where the optimum sits, so the value holds at every r_mech.
+    """
+    win, loss = 2 / (k + 1), 2 / (k * (k + 1))
+    # P(second pull optimal | first pull optimal), and | first pull not optimal
+    after_opt = P_OPT * win + (1 - P_OPT) * loss
+    after_sub = (P_BSA * (1 - win) + (1 - P_BSA) * (1 - loss)) / (k - 1)
+    miss1 = (k - 1) / k
+    miss2 = 1 - (after_opt / k + miss1 * after_sub)
+    both = miss1 * (1 - after_sub)
+    var = miss1 + miss2 + 2 * both - (miss1 + miss2) ** 2
+    return GAP * (miss1 + miss2), GAP * math.sqrt(var)
+
+
+class TestSecondRoundOracle:
+    def test_oracle_value(self):
+        # 129857/115200; the value with the alpha/beta update swapped is 132223/115200
+        assert second_round_oracle()[0] == pytest.approx(129857 / 115200, abs=1e-12)
+
+    def test_two_round_regret_matches_oracle(self):
+        config = ExperimentConfig(trials=ORACLE2_TRIALS, seed=ORACLE_SEED)
+        exact, sd = second_round_oracle()
+        tol = 4 * sd / math.sqrt(ORACLE2_TRIALS)
+        for r_mech in R_MECH_GRID:
+            got = run_monte_carlo(config, "uninformed", r_mech, n=2).mean
             assert abs(got - exact) <= tol, (r_mech, got, exact, tol)
