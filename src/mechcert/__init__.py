@@ -3,6 +3,10 @@
 Closed-form channel-capacity and regret certificates, two-level prior
 construction, burn-in and distribution-shift bounds, and the seeded
 Monte Carlo bandit experiments that validate them.
+
+`sim`, the Monte Carlo engine, is the only module that imports numpy.
+Its names are resolved on first access, so importing the package and
+running the closed-form calculator needs the standard library only.
 """
 
 from .certificates import (
@@ -42,16 +46,18 @@ from .shift import (
     retention_threshold,
     verify_impossibility,
 )
-from .sim import (
-    BanditEnvironment,
-    ExperimentConfig,
-    RegretSummary,
-    build_environment,
-    run_monte_carlo,
-    run_trial,
-    table1_experiment,
-    table2_experiment,
-)
 from .sweep import SweepSpec, linear_grid, sweep_1d, sweep_2d
 
 __version__ = "0.1.0"
+
+# Names resolved from `sim` on first access (PEP 562), so that numpy loads only when used.
+_SIM_EXPORTS = ("BanditEnvironment", "ExperimentConfig", "RegretSummary", "build_environment",
+                "run_monte_carlo", "run_trial", "table1_experiment", "table2_experiment")
+
+
+def __getattr__(name: str):
+    if name in _SIM_EXPORTS:
+        from . import sim
+
+        return getattr(sim, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

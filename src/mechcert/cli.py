@@ -17,9 +17,8 @@ from pathlib import Path
 from . import certificates as cert
 from . import burnin as bi
 from . import shift as sh
-from . import sim
 from . import sweep as sw
-from .prior import JointDistribution, solve_prior_for_r_mech
+from .prior import DEFAULT_PRIOR_STRENGTH, JointDistribution, solve_prior_for_r_mech
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -119,6 +118,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import sim  # the only command that needs numpy
+
     config = sim.ExperimentConfig(trials=args.trials, seed=args.seed,
                                   workers=args.workers, prior_strength=args.strength)
     out = _outdir(args)
@@ -238,7 +239,7 @@ def build_parser() -> _Parser:
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0, help="master RNG seed")
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--strength", type=float, default=sim.DEFAULT_PRIOR_STRENGTH,
+    p.add_argument("--strength", type=float, default=DEFAULT_PRIOR_STRENGTH,
                    help="hybrid prior pseudo-count scale")
     p.add_argument("--out", default=".", help="output directory")
 

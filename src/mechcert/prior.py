@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 __all__ = [
     "TwoLevelPrior",
     "JointDistribution",
@@ -28,13 +26,18 @@ __all__ = [
     "mutual_information",
     "conditional_entropy",
     "kl_divergence",
+    "DEFAULT_PRIOR_STRENGTH",
 ]
 
+# Pseudo-count scale for encoding the hybrid prior into Beta posteriors,
+# frozen after a one-time grid search over s in {1..40} against the
+# published hybrid regret column (see README).
+DEFAULT_PRIOR_STRENGTH = 2.0
 
-def _entropy(p: np.ndarray) -> float:
-    """Shannon entropy in nats with the 0*ln(0) = 0 convention."""
-    p = p[p > 0]
-    return float(-np.sum(p * np.log(p)))
+
+def _entropy(p) -> float:
+    """Shannon entropy in nats of a sequence of probabilities, with 0*ln(0) = 0."""
+    return -math.fsum(x * math.log(x) for x in p if x > 0)
 
 
 @dataclass(frozen=True)
@@ -58,10 +61,8 @@ class TwoLevelPrior:
     def alpha(self) -> float:
         return (1.0 - self.beta) / (self.k - 1)
 
-    def weights(self) -> np.ndarray:
-        w = np.full(self.k, self.alpha)
-        w[0] = self.beta
-        return w
+    def weights(self) -> tuple[float, ...]:
+        return (self.beta,) + (self.alpha,) * (self.k - 1)
 
     def entropy(self) -> float:
         return two_level_entropy(self.k, self.beta)
@@ -129,79 +130,85 @@ def _solve_beta(k: int, r_mech: float) -> float:
 
 @dataclass(frozen=True)
 class JointDistribution:
-    """k x k probability table, entry (i, j) = P(optimal=i, recommended=j)."""
+    """k x k probability table, entry (i, j) = P(optimal=i, recommended=j).
 
-    probs: np.ndarray
+    `probs` accepts any square nested sequence of numbers and is stored
+    as a tuple of row tuples of floats.
+    """
+
+    probs: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
-        if p.ndim != 2 or p.shape[0] != p.shape[1]:
-            raise ValueError(f"probs must be a square matrix, got shape {p.shape}")
-        if np.any(p < 0):
-            raise ValueError("probabilities must be non-negative")
-        if abs(p.sum() - 1.0) > 1e-9:
-            raise ValueError(f"probabilities must sum to 1, got {p.sum()}")
-        object.__setattr__(self, "probs", p)
+        rows = tuple(tuple(float(x) for x in row) for row in self.probs)
+        if any(len(row) != len(rows) for row in rows):
+            raise ValueError(f"probs must be a square matrix, got {len(rows)} rows of "
+                             f"lengths {sorted({len(row) for row in rows})}")
+        bad = next((x for row in rows for x in row if not (math.isfinite(x) and x >= 0)), None)
+        if bad is not None:
+            raise ValueError(f"probabilities must be finite and non-negative, got {bad}")
+        total = math.fsum(x for row in rows for x in row)
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"probabilities must sum to 1, got {total}")
+        object.__setattr__(self, "probs", rows)
 
     @property
     def k(self) -> int:
-        return self.probs.shape[0]
+        return len(self.probs)
 
-    def row_marginal(self) -> np.ndarray:
-        return self.probs.sum(axis=1)
+    def row_marginal(self) -> tuple[float, ...]:
+        return tuple(math.fsum(row) for row in self.probs)
 
-    def col_marginal(self) -> np.ndarray:
-        return self.probs.sum(axis=0)
+    def col_marginal(self) -> tuple[float, ...]:
+        return tuple(math.fsum(col) for col in zip(*self.probs))
 
     @classmethod
     def from_csv(cls, path) -> "JointDistribution":
-        """k on the first line, then k rows of k probabilities."""
+        """k on the first line, then k rows of k comma-separated probabilities."""
+        layout = (f"{path}: expected k on the first line, "
+                  "then k rows of k comma-separated probabilities")
         with open(path) as fh:
-            k = int(fh.readline().strip())
-            rows = [
-                [float(x) for x in line.strip().split(",")]
-                for line in fh
-                if line.strip()
-            ]
-        probs = np.array(rows, dtype=float)
-        if probs.shape != (k, k):
-            raise ValueError(f"expected a {k}x{k} table, got shape {probs.shape}")
-        return cls(probs=probs)
+            try:
+                k = int(fh.readline().strip())
+                rows = [[float(x) for x in line.strip().split(",")]
+                        for line in fh if line.strip()]
+            except ValueError as exc:
+                raise ValueError(f"{layout} ({exc})") from None
+        if len(rows) != k or any(len(row) != k for row in rows):
+            raise ValueError(f"{layout}; got k = {k} and {len(rows)} rows of "
+                             f"lengths {sorted({len(row) for row in rows})}")
+        return cls(probs=rows)
 
 
-def two_level_channel(k: int, beta: float) -> np.ndarray:
+def two_level_channel(k: int, beta: float) -> tuple[tuple[float, ...], ...]:
     """Symmetric conditional P(recommended=j | optimal=i): beta on the diagonal."""
     alpha = (1.0 - beta) / (k - 1)
-    cond = np.full((k, k), alpha)
-    np.fill_diagonal(cond, beta)
-    return cond
+    return tuple(tuple(beta if i == j else alpha for j in range(k)) for i in range(k))
 
 
-def joint_from_channel(marginal: np.ndarray, conditional: np.ndarray) -> JointDistribution:
+def joint_from_channel(marginal, conditional) -> JointDistribution:
     """Joint table from a row marginal and a row-stochastic conditional."""
-    marginal = np.asarray(marginal, dtype=float)
-    return JointDistribution(probs=marginal[:, None] * conditional)
+    return JointDistribution(probs=[[float(m) * float(c) for c in row]
+                                    for m, row in zip(marginal, conditional, strict=True)])
 
 
 def mutual_information(j: JointDistribution) -> float:
     """I(row; col) in nats, always >= 0."""
-    p = j.probs
-    outer = np.outer(j.row_marginal(), j.col_marginal())
-    mask = p > 0
-    return float(np.sum(p[mask] * np.log(p[mask] / outer[mask])))
+    cols = j.col_marginal()
+    return math.fsum(p * math.log(p / (r * c))
+                     for r, row in zip(j.row_marginal(), j.probs)
+                     for p, c in zip(row, cols) if p > 0)
 
 
 def conditional_entropy(j: JointDistribution) -> float:
     """H(col | row) = H(joint) - H(row marginal), in nats."""
-    return _entropy(j.probs.ravel()) - _entropy(j.row_marginal())
+    return _entropy(x for row in j.probs for x in row) - _entropy(j.row_marginal())
 
 
 def kl_divergence(p: JointDistribution, q: JointDistribution) -> float:
     """D_KL(p || q) in nats; math.inf on a support violation."""
     if p.k != q.k:
         raise ValueError(f"dimension mismatch: {p.k} vs {q.k}")
-    pp, qq = p.probs, q.probs
-    if np.any((qq == 0) & (pp > 0)):
+    pairs = [(a, b) for pr, qr in zip(p.probs, q.probs) for a, b in zip(pr, qr) if a > 0]
+    if any(b == 0 for _, b in pairs):
         return math.inf
-    mask = pp > 0
-    return float(np.sum(pp[mask] * np.log(pp[mask] / qq[mask])))
+    return math.fsum(a * math.log(a / b) for a, b in pairs)

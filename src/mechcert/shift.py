@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .prior import JointDistribution, conditional_entropy, kl_divergence, mutual_information
 
 __all__ = [
@@ -95,13 +93,10 @@ def impossibility_construction(p: JointDistribution, s) -> JointDistribution:
     s = sorted(set(int(i) for i in s))
     if len(s) != k // 2 or s[0] < 0 or s[-1] >= k:
         raise ValueError(f"subset must contain k/2 = {k // 2} distinct arm indices in [0, {k})")
-    marginal = p.row_marginal()
-    if np.max(np.abs(marginal - 1.0 / k)) > 1e-9:
+    if max(abs(m - 1.0 / k) for m in p.row_marginal()) > 1e-9:
         raise ValueError("construction requires a uniform row marginal")
-    q = np.full((k, k), 1.0 / k**2)
-    for i in s:
-        q[i] = p.probs[i]
-    return JointDistribution(probs=q)
+    scrambled = (1.0 / k**2,) * k
+    return JointDistribution(probs=[p.probs[i] if i in s else scrambled for i in range(k)])
 
 
 @dataclass(frozen=True)

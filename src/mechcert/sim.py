@@ -18,6 +18,9 @@ at strength 0, and the two variants share streams within a block: they
 face the same optimal-arm draws, and with a uniform hybrid prior their
 trajectories coincide bit for bit. The baseline dose is a constant and
 is computed in closed form.
+
+This is the only module that imports numpy: the closed-form calculator
+and the CLI's other commands run on the standard library alone.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prior import TwoLevelPrior, solve_prior_for_r_mech
+from .prior import DEFAULT_PRIOR_STRENGTH, TwoLevelPrior, solve_prior_for_r_mech
+from .sweep import write_csv
 
 __all__ = [
     "BanditEnvironment",
@@ -43,7 +47,6 @@ __all__ = [
     "table2_experiment",
     "write_table1_csv",
     "write_table2_csv",
-    "write_csv",
     "BLOCK_SIZE",
     "TABLE1_HEADER",
     "TABLE2_HEADER",
@@ -51,11 +54,6 @@ __all__ = [
 
 # Two-sided normal quantile for a 96% confidence interval.
 Z_96 = 2.0537
-
-# Pseudo-count scale for encoding the hybrid prior into Beta posteriors,
-# frozen after a one-time grid search over s in {1..40} against the
-# published hybrid regret column (see README).
-DEFAULT_PRIOR_STRENGTH = 2.0
 
 # Trials per random-stream block. Part of the reproducibility contract:
 # changing it changes every simulated table.
@@ -116,7 +114,7 @@ def hybrid_policy(prior: TwoLevelPrior, strength: float = DEFAULT_PRIOR_STRENGTH
     which is exactly Beta(1, 1) everywhere for the uniform prior or s = 0:
     uninformed Thompson sampling is this encoding at strength 0.
     """
-    w = prior.weights()
+    w = np.asarray(prior.weights())
     k = prior.k
     excess = np.maximum(w - 1.0 / k, 0.0)
     deficit = np.maximum(1.0 / k - w, 0.0)
@@ -177,6 +175,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.prior_strength) and self.prior_strength >= 0):
             raise ValueError(f"prior_strength must be finite and non-negative, "
                              f"got {self.prior_strength}")
@@ -329,21 +329,6 @@ def table2_experiment(config: ExperimentConfig) -> list[Table2Row]:
         rows.append(Table2Row(n=n, hyb=h, uninf=u,
                               ratio=u.mean / h.mean if h.mean > 0 else math.inf))
     return rows
-
-
-def _fmt(x) -> str:
-    """One CSV field: strings pass through, None is nan, numbers take 6 significant digits."""
-    if isinstance(x, str):
-        return x
-    return "nan" if x is None else f"{x:.6g}"
-
-
-def write_csv(path, header: str, rows) -> None:
-    """Write the header line, then one line per sequence of fields."""
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for fields in rows:
-            fh.write(",".join(map(_fmt, fields)) + "\n")
 
 
 def write_table1_csv(rows: list[Table1Row], path) -> None:

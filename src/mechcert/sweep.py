@@ -4,6 +4,7 @@ Each swept cell rebuilds the parameter vector from scratch: the prior
 entropy tracks k, the noise scale tracks p_opt through the Bernoulli
 standard deviation, and the canonical residual variance is recomputed
 in every cell. Output is CSV rows; plotting is left to external tools.
+`write_csv` is the one CSV writer, shared with the simulation tables.
 """
 
 from __future__ import annotations
@@ -11,15 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .certificates import (
     CalibrationParams,
     UnreachableTarget,
     certificate_report,
     critical_bias,
 )
-from .sim import write_csv
 
 __all__ = [
     "SWEEP_PARAMETERS",
@@ -32,6 +30,7 @@ __all__ = [
     "sweep_2d",
     "write_sweep1d_csv",
     "write_sweep2d_csv",
+    "write_csv",
 ]
 
 # Axis range of each sweep parameter in a 2-D grid; the keys are the parameters.
@@ -46,9 +45,13 @@ SWEEP2D_HEADER = "x_param,y_param,x,y,ratio"
 
 
 def linear_grid(lo: float, hi: float, steps: int) -> list[float]:
+    """`steps` evenly spaced points from lo to hi, bit for bit numpy's linspace."""
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    return [float(x) for x in np.linspace(lo, hi, steps)]
+    if steps == 1:
+        return [float(lo)]
+    step = (hi - lo) / (steps - 1)
+    return [lo + i * step for i in range(steps - 1)] + [float(hi)]
 
 
 @dataclass(frozen=True)
@@ -158,6 +161,21 @@ def sweep_2d(x_spec: SweepSpec, y_spec: SweepSpec) -> list[Sweep2DRow]:
             rows.append(Sweep2DRow(x_param=x_param, y_param=y_param, x=x, y=y,
                                    ratio=_ratio(params.b_mu, b_crit)))
     return rows
+
+
+def _fmt(x) -> str:
+    """One CSV field: strings pass through, None is nan, numbers take 6 significant digits."""
+    if isinstance(x, str):
+        return x
+    return "nan" if x is None else f"{x:.6g}"
+
+
+def write_csv(path, header: str, rows) -> None:
+    """Write the header line, then one line per sequence of fields."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for fields in rows:
+            fh.write(",".join(map(_fmt, fields)) + "\n")
 
 
 def write_sweep1d_csv(rows: list[Sweep1DRow], path) -> None:

@@ -163,6 +163,11 @@ class TestBurnin:
         assert "degenerate" in out
 
 
+# --joint files read by the exit-2 cases below
+BAD_JOINTS = {"nan.joint": "2\nnan,0.5\n0.25,0.25\n", "empty.joint": "",
+              "malformed.joint": "two\n0.5,0\n0,0.5\n", "ragged.joint": "2\n0.5,0\n0,0.25,0.25\n"}
+
+
 @pytest.mark.parametrize("argv,message", [
     (("burnin", "--eps", "1.5", "--delta", "0.01", "--gap", "0.2"), "epsilon must lie in (0, 1)"),
     (("certify", "--b-mu", "nan"), "b_mu must be finite"),
@@ -177,6 +182,7 @@ class TestBurnin:
     (("simulate", "--table", "1", "--trials", "10", "--workers", "-3"), "workers must be >= 1"),
     (("simulate", "--table", "1", "--trials", "10", "--workers", "0"), "workers must be >= 1"),
     (("simulate", "--table", "1", "--trials", "0"), "trials must be >= 1, got 0"),
+    (("simulate", "--table", "1", "--trials", "10", "--seed", "-1"), "seed must be >= 0, got -1"),
     (("burnin", "--eps", "0.2", "--delta", "0.01", "--gap", "nan"),
      "gap must be finite and non-negative"),
     (("shift", "--r-train", "nan", "--delta-pi", "0.005"),
@@ -196,16 +202,23 @@ class TestBurnin:
     (("sweep", "--param", "k", "--values", "8,8.7"), "k must be an integer, got 8.7"),
     (("sweep", "--grid", "sigma", "p_opt", "--steps", "3"), "set the same quantity"),
     (("sweep", "--grid", "b_mu", "b_mu", "--steps", "3"), "set the same quantity"),
+    (("shift", "--joint", "nan.joint"), "probabilities must be finite and non-negative, got nan"),
+    (("shift", "--joint", "empty.joint"), "expected k on the first line, then k rows"),
+    (("shift", "--joint", "malformed.joint"), "expected k on the first line, then k rows"),
+    (("shift", "--joint", "ragged.joint"), "expected k on the first line, then k rows"),
 ], ids=["burnin-eps", "certify-b-mu-nan", "certify-sigma-nan", "certify-kappa-mu-nan",
         "certify-d-f-nan", "certify-target-nan", "simulate-strength-nan",
         "simulate-strength-negative", "simulate-workers-negative", "simulate-workers-zero",
-        "simulate-trials-zero", "burnin-gap-nan", "shift-r-train-nan", "shift-delta-pi-nan",
-        "burnin-k-zero",
-        "shift-k-zero", "prior-k-zero", "sweep-grid-steps-zero", "sweep-param-steps-zero",
+        "simulate-trials-zero", "simulate-seed-negative", "burnin-gap-nan", "shift-r-train-nan",
+        "shift-delta-pi-nan", "burnin-k-zero", "shift-k-zero", "prior-k-zero",
+        "sweep-grid-steps-zero", "sweep-param-steps-zero",
         "sweep-invalid-k-cell", "certify-k-zero", "sweep-k-zero", "sweep-non-integer-k",
-        "sweep-grid-sigma-p-opt", "sweep-grid-same-axis"])
+        "sweep-grid-sigma-p-opt", "sweep-grid-same-axis", "shift-joint-nan", "shift-joint-empty",
+        "shift-joint-malformed", "shift-joint-ragged"])
 def test_domain_error_exit_2(capsys, monkeypatch, tmp_path, argv, message):
     monkeypatch.chdir(tmp_path)
+    for name, text in BAD_JOINTS.items():
+        (tmp_path / name).write_text(text)
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error:")
@@ -215,16 +228,18 @@ def test_domain_error_exit_2(capsys, monkeypatch, tmp_path, argv, message):
 
 
 def test_import_skips_scipy_and_process_pool():
-    """Closed-form commands start without scipy or multiprocessing."""
+    """Closed-form commands start without numpy, scipy or multiprocessing."""
     import mechcert
     src = str(Path(mechcert.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    probe = ("import sys, mechcert.cli; print(sorted(m for m in sys.modules "
-             "if m.split('.')[0] == 'scipy' or m == 'concurrent.futures.process'))")
-    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                            text=True, timeout=60, check=True)
-    assert result.stdout.strip() == "[]"
+    for module in ("mechcert", "mechcert.cli"):
+        probe = (f"import sys, {module}; print(sorted(m for m in sys.modules "
+                 "if m.split('.')[0] in ('numpy', 'scipy') "
+                 "or m == 'concurrent.futures.process'))")
+        result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                                text=True, timeout=60, check=True)
+        assert result.stdout.strip() == "[]", module
 
 
 class TestShift:

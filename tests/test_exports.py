@@ -25,3 +25,13 @@ def test_every_package_import_resolves():
         module = importlib.import_module(f"mechcert.{node.module}")
         for alias in node.names:
             assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
+
+
+def test_every_lazy_sim_name_resolves():
+    from mechcert import sim
+
+    assert mechcert._SIM_EXPORTS
+    for name in mechcert._SIM_EXPORTS:
+        assert getattr(mechcert, name) is getattr(sim, name), name
+    with pytest.raises(AttributeError):
+        mechcert.no_such_name

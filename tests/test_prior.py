@@ -102,7 +102,7 @@ class TestTwoLevelPrior:
         assert p.alpha == pytest.approx(0.5 / 7, rel=1e-12)
         w = solve_prior_for_r_mech(8, 1.0).weights()
         assert np.argmax(w) == 0
-        assert w.sum() == pytest.approx(1.0, abs=1e-12)
+        assert math.fsum(w) == pytest.approx(1.0, abs=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -119,6 +119,9 @@ class TestJointDistribution:
             JointDistribution(probs=np.full((2, 2), 0.3))
         with pytest.raises(ValueError):
             JointDistribution(probs=np.array([[1.2, -0.2], [0.0, 0.0]]))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                JointDistribution(probs=[[bad, 0.5], [0.25, 0.25]])
 
     def test_marginals(self):
         j = JointDistribution(probs=np.array([[0.1, 0.2], [0.3, 0.4]]))

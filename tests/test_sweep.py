@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -216,6 +217,18 @@ class TestGridAxis:
     def test_non_integral_k_axis_is_rounded(self):
         # linspace(4, 16, 6) = 4, 6.4, 8.8, 11.2, 13.6, 16
         assert grid_axis("k", BASE, 6).values == [4, 6, 9, 11, 14, 16]
+
+
+class TestLinearGrid:
+    """linear_grid is numpy's linspace bit for bit, so no sweep CSV changes."""
+
+    @pytest.mark.parametrize("steps", [1, 2, 13, 50, 60])
+    @pytest.mark.parametrize("lo, hi", [*GRID_RANGES.values(), (0.22, 0.22), (2, 20),
+                                        (0.5, -1.3)])
+    def test_matches_numpy_linspace(self, lo, hi, steps):
+        grid = linear_grid(lo, hi, steps)
+        assert grid == np.linspace(lo, hi, steps).tolist()
+        assert all(type(x) is float for x in grid)
 
 
 class TestKSweep:
