@@ -38,6 +38,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _comma_list(convert, what: str):
+    """An argparse type for a comma-separated list: a bad entry is a usage error."""
+
+    def parse(text: str) -> list:
+        try:
+            return [convert(x) for x in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {what}, got {text!r}") from None
+
+    return parse
+
+
 def _read_config(path: str) -> dict:
     """Flat key = value lines, # comments; values stay strings."""
     values = {}
@@ -150,8 +163,7 @@ def cmd_burnin(args) -> int:
 def cmd_shift(args) -> int:
     if args.joint is not None:
         joint = JointDistribution.from_csv(args.joint)
-        subset = ([int(x) for x in args.subset.split(",")] if args.subset
-                  else range(joint.k // 2))
+        subset = args.subset if args.subset is not None else range(joint.k // 2)
         report = sh.verify_impossibility(joint, subset)
         print(f"cond_entropy_residual = {report.cond_entropy_residual:.6g}")
         print(f"kl_residual = {report.kl_residual:.6g}")
@@ -182,8 +194,8 @@ def cmd_sweep(args) -> int:
         rows = sw.sweep_2d(*(sw.grid_axis(param, base, steps) for param in args.grid))
         name, write = "sweep2d.csv", sw.write_sweep2d_csv
     elif args.param:
-        if args.values:
-            values = [float(x) for x in args.values.split(",")]
+        if args.values is not None:
+            values = args.values
         elif args.min is None or args.max is None:
             raise UsageError("sweep needs --values or --min/--max")
         else:
@@ -255,7 +267,8 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, default=8)
     p.add_argument("--delta-pi", type=float, default=None)
     p.add_argument("--joint", default=None, help="joint-distribution CSV file")
-    p.add_argument("--subset", default=None, help="comma-separated kept arm indices")
+    p.add_argument("--subset", type=_comma_list(int, "integers"), default=None,
+                   help="comma-separated kept arm indices")
     _add_bits(p)
 
     p = command("prior", cmd_prior, "two-level prior for an information level")
@@ -269,7 +282,8 @@ def build_parser() -> _Parser:
     p.add_argument("--max", type=float, default=None)
     p.add_argument("--steps", type=int, default=None,
                    help="grid points per axis (default 60 with --grid, 50 with --param)")
-    p.add_argument("--values", default=None, help="explicit comma-separated values")
+    p.add_argument("--values", type=_comma_list(float, "numbers"), default=None,
+                   help="explicit comma-separated values")
     p.add_argument("--grid", nargs=2, metavar=("X", "Y"),
                    choices=sw.SWEEP_PARAMETERS, default=None,
                    help="two parameters for a 2-D ratio grid")

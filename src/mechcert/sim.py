@@ -13,11 +13,14 @@ surplus rows dropped, so a trial's regret depends only on (seed, trial
 index, prior strength, r_mech): never on the trial count, the worker
 count or the execution order. Each Thompson round makes the same draws
 whatever the horizon, so the regret at a shorter horizon is the prefix
-of the longer run. Uninformed Thompson sampling is the hybrid encoding
-at strength 0, and the two variants share streams within a block: they
-face the same optimal-arm draws, and with a uniform hybrid prior their
-trajectories coincide bit for bit. The baseline dose is a constant and
-is computed in closed form.
+of the longer run. The environment stream draws each trial's optimal arm
+first and its recommended arm second, so the optimum, and with it the
+path of a flat policy (every pseudo-count 1: strength 0, which is
+uninformed Thompson sampling, or r_mech = 0), depends on neither the
+strength nor r_mech. Every flat cell is therefore one cell, and each
+distinct cell is simulated once: Table 1's uninformed column is one
+estimate, and its hybrid cell at r_mech = 0 is that estimate bit for bit.
+The baseline dose is a constant and is computed in closed form.
 
 This is the only module that imports numpy: the closed-form calculator
 and the CLI's other commands run on the standard library alone.
@@ -200,18 +203,19 @@ def _block_regrets(seed: int, strength: float, r_mech: float, horizons,
                    block: int) -> np.ndarray:
     """Regrets of the BLOCK_SIZE trials of one block, shape (BLOCK_SIZE, len(horizons)).
 
-    The environment stream draws each trial's recommended arm and its
-    optimal arm from the two-level prior centred there; the policy stream
-    drives the Thompson rounds. Both are keyed by (seed, block) only, so
-    every prior strength faces the same environments within a block.
+    The environment stream draws each trial's optimal arm uniformly, then
+    its recommended arm at an offset drawn from the two-level prior, which
+    gives the same joint law as drawing the recommendation first. The
+    policy stream drives the Thompson rounds. Both are keyed by (seed,
+    block) only, so every cell of a block faces the same optimal arms.
     """
     env_seq, policy_seq = np.random.SeedSequence(entropy=seed, spawn_key=(block,)).spawn(2)
     env_rng = np.random.Generator(np.random.Philox(env_seq))
-    recommended = env_rng.integers(K, size=BLOCK_SIZE)
+    optimal = env_rng.integers(K, size=BLOCK_SIZE)
     prior = solve_prior_for_r_mech(K, r_mech)  # centred on arm 0
     offset = np.searchsorted(np.cumsum(prior.weights()), env_rng.random(BLOCK_SIZE),
                              side="right")
-    optimal = (recommended + np.minimum(offset, K - 1)) % K
+    recommended = (optimal - np.minimum(offset, K - 1)) % K
     policy = hybrid_policy(prior, strength)
     # row i takes the arm-0-centred pseudo-counts rotated to its recommended arm
     rotation = (np.arange(K) - recommended[:, None]) % K
@@ -226,15 +230,22 @@ def regret_curves(config: ExperimentConfig, cells, horizons) -> np.ndarray:
     A cell is a (strength, r_mech) pair: Thompson sampling from the hybrid
     prior at pseudo-count scale `strength` (0 is uninformed) on information
     level r_mech. Returns a (len(cells), config.trials, len(horizons))
-    array. Trial t is row t % BLOCK_SIZE of block t // BLOCK_SIZE. Every
-    (cell, block) pair is one job; with workers > 1 the jobs are split into
-    contiguous chunks over one process pool, which changes nothing but the
-    wall time.
+    array. Trial t is row t % BLOCK_SIZE of block t // BLOCK_SIZE. A flat
+    policy (strength 0 or r_mech 0) follows the same path at every r_mech,
+    so all flat cells are keyed (0, 0), and each distinct key is simulated
+    once and copied to its cells. Every (key, block) pair is one job; with
+    workers > 1 the jobs are split into contiguous chunks over one process
+    pool, which changes nothing but the wall time.
     """
     blocks = -(-config.trials // BLOCK_SIZE)
     horizons = tuple(horizons)
+    keys = []
+    for strength, r_mech in cells:
+        solve_prior_for_r_mech(K, r_mech)  # a merged cell still rejects a bad r_mech
+        keys.append((0.0, 0.0) if strength == 0 or r_mech == 0 else (strength, r_mech))
+    distinct = {key: i for i, key in enumerate(dict.fromkeys(keys))}
     jobs = [(config.seed, strength, r_mech, horizons, b)
-            for strength, r_mech in cells for b in range(blocks)]
+            for strength, r_mech in distinct for b in range(blocks)]
     workers = min(config.workers, len(jobs))
     if workers == 1:
         parts = list(map(_block_regrets, *zip(*jobs)))
@@ -245,8 +256,8 @@ def regret_curves(config: ExperimentConfig, cells, horizons) -> np.ndarray:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_block_regrets, *zip(*jobs),
                                   chunksize=-(-len(jobs) // workers)))
-    curves = np.stack(parts).reshape(len(cells), blocks * BLOCK_SIZE, len(horizons))
-    return curves[:, :config.trials]
+    curves = np.stack(parts).reshape(len(distinct), blocks * BLOCK_SIZE, len(horizons))
+    return curves[[distinct[key] for key in keys], :config.trials]
 
 
 def run_monte_carlo(config: ExperimentConfig, algorithm: str, r_mech: float,

@@ -227,6 +227,41 @@ def test_domain_error_exit_2(capsys, monkeypatch, tmp_path, argv, message):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("argv,flag,config", [
+    (("shift", "--joint", "joint.csv", "--subset", "a,b,c,d"), "--subset", None),
+    (("shift", "--joint", "joint.csv", "--subset", "0,1.5"), "--subset", None),
+    (("shift", "--joint", "joint.csv"), "--subset", "subset = 0,x\n"),
+    (("sweep", "--param", "b_mu", "--values", "x"), "--values", None),
+    (("sweep", "--param", "b_mu", "--values", "0.2,,0.3"), "--values", None),
+    (("sweep", "--param", "b_mu"), "--values", "values = 0.2;0.3\n"),
+    (("certify", "--k", "x"), "--k", None),
+], ids=["subset-letters", "subset-float", "subset-config", "values-letter", "values-empty-entry",
+        "values-config", "k-letter"])
+def test_bad_list_entry_is_usage_error_naming_flag(capsys, monkeypatch, tmp_path, argv, flag,
+                                                   config):
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        argv = (*argv, "--config", "run.cfg")
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith(f"error: argument {flag}:")
+    assert out == ""
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_list_flags_from_config_take_effect(capsys, tmp_path):
+    (tmp_path / "run.cfg").write_text("values = 0.6,3.0\n")
+    code, _, _ = run(capsys, "sweep", "--param", "kappa_mu", "--config",
+                     str(tmp_path / "run.cfg"), "--out", str(tmp_path / "a"))
+    assert code == 0
+    code, _, _ = run(capsys, "sweep", "--param", "kappa_mu", "--values", "0.6,3.0",
+                     "--out", str(tmp_path / "b"))
+    assert code == 0
+    assert ((tmp_path / "a" / "sweep1d.csv").read_bytes()
+            == (tmp_path / "b" / "sweep1d.csv").read_bytes())
+
+
 def test_import_skips_scipy_and_process_pool():
     """Closed-form commands start without numpy, scipy or multiprocessing."""
     import mechcert

@@ -1,8 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from mechcert import sim
 from mechcert.prior import solve_prior_for_r_mech
 from mechcert.sim import (
     BLOCK_SIZE,
@@ -128,12 +130,48 @@ class TestMonteCarlo:
         assert run_monte_carlo(FAST, "uninformed", 1.9, n=5) == table2_experiment(FAST)[0].uninf
 
     def test_cell_independent_of_its_companions(self):
-        cells = [(2.0, 1.9), (0.0, 0.3), (5.0, 0.8)]
         config = ExperimentConfig(trials=300, seed=11, workers=2)
-        together = regret_curves(config, cells, (3, 12))
-        assert together.shape == (3, 300, 2)
-        for i, cell in enumerate(cells):
-            assert np.array_equal(together[i], regret_curves(config, [cell], (3, 12))[0])
+        # the second list repeats a cell and has flat cells, which share one simulation
+        for cells in ([(2.0, 1.9), (0.0, 0.3), (5.0, 0.8)],
+                      [(2, 1.9), (0, 0.3), (2, 1.9), (5, 0), (0, 1.4)]):
+            together = regret_curves(config, cells, (3, 12))
+            assert together.shape == (len(cells), 300, 2)
+            for i, cell in enumerate(cells):
+                assert np.array_equal(together[i], regret_curves(config, [cell], (3, 12))[0])
+
+    @pytest.mark.parametrize("block", [0, 1])
+    def test_flat_block_independent_of_strength_and_r_mech(self, block):
+        # the optimum is drawn before the recommendation, so a policy whose
+        # pseudo-counts are all 1 follows one path at every strength and r_mech:
+        # what lets regret_curves simulate every flat cell once
+        flat = _block_regrets(7, 0.0, 0.0, (1, 12, 200), block)
+        cells = [(s, 0.0) for s in (0.0, 2.0, 5.0)] + [(0.0, r) for r in R_MECH_GRID]
+        for strength, r_mech in cells:
+            got = _block_regrets(7, strength, r_mech, (1, 12, 200), block)
+            assert np.array_equal(got, flat), (strength, r_mech)
+
+    @pytest.mark.parametrize("experiment,strength,calls", [
+        (table1_experiment, 2.0, 10), (table1_experiment, 0.0, 2),
+        (table2_experiment, 2.0, 4), (table2_experiment, 0.0, 2),
+    ])
+    def test_each_distinct_cell_simulated_once(self, monkeypatch, experiment, strength,
+                                               calls):
+        # 300 trials are two blocks; Table 1 has four informed cells and one
+        # flat one, Table 2 one of each, and at strength 0 every cell is flat
+        seen = []
+
+        def counting(*job):
+            seen.append(job)
+            return _block_regrets(*job)
+
+        monkeypatch.setattr(sim, "_block_regrets", counting)
+        experiment(ExperimentConfig(trials=300, seed=5, prior_strength=strength))
+        assert len(seen) == calls
+        assert len(set(seen)) == calls
+
+    def test_rejects_bad_r_mech_in_flat_cell(self):
+        with pytest.raises(ValueError, match="r_mech must lie in"):
+            regret_curves(FAST, [(0.0, 0.3), (0.0, 5.0)], (12,))
 
     @pytest.mark.parametrize("experiment", [table1_experiment, table2_experiment])
     def test_one_pool_per_table(self, monkeypatch, experiment):
@@ -204,6 +242,27 @@ class TestTables:
         # so the hybrid can never do worse than the shared regret cap
         regrets = regret_curves(FAST, [(2.0, 1.9), (0.0, 1.9)], (5,))[:, :50]
         assert np.all((0.0 <= regrets) & (regrets <= 5 * 0.65 + 1e-12))
+
+    def test_table1_uninformed_column_is_one_estimate(self):
+        config = ExperimentConfig(trials=300, seed=5)
+        rows = table1_experiment(config)
+        assert all(row.uninf == rows[0].uninf for row in rows)
+        for r_mech in R_MECH_GRID:
+            assert run_monte_carlo(config, "uninformed", r_mech) == rows[0].uninf
+        assert rows[0].hyb == rows[0].uninf
+
+    # The random streams, pinned. A new value here is a declared stream
+    # change: list the old and new hashes and the moved values in CHANGES.md.
+    @pytest.mark.parametrize("experiment,write,digest", [
+        (table1_experiment, write_table1_csv,
+         "fdfdd3c57975c5ade048a8b67ba8ab1a17111f41af870d26deeeb2919dda9e43"),
+        (table2_experiment, write_table2_csv,
+         "eb676b811ee2954efd29ffede8b941f49a0e6a2e7d4d85566b42401516fe41a3"),
+    ], ids=["table1", "table2"])
+    def test_stream_pinned(self, tmp_path, experiment, write, digest):
+        path = tmp_path / "table.csv"
+        write(experiment(ExperimentConfig(trials=300, seed=5)), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_csv_six_significant_digits(self, tmp_path):
         rows = table2_experiment(ExperimentConfig(trials=30, seed=3))
