@@ -10,14 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = [
-    "BurnInParams",
-    "BurnInResult",
-    "binary_kl",
-    "effective_prior_weight",
-    "burn_in_lower_bound",
-]
-
 
 @dataclass(frozen=True)
 class BurnInParams:

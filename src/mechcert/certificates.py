@@ -12,22 +12,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-__all__ = [
-    "CalibrationParams",
-    "CertificateReport",
-    "Regime",
-    "UnreachableTarget",
-    "canonical_sigma_f2",
-    "channel_capacity",
-    "residual_entropy",
-    "solve_bias_for_capacity",
-    "critical_bias",
-    "lb_envelope",
-    "ub_envelope",
-    "sample_complexity_ratio",
-    "certificate_report",
-]
-
 
 class UnreachableTarget(Exception):
     """The requested information target exceeds the zero-bias capacity."""

@@ -313,6 +313,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except ArithmeticError as exc:
+        print(f"error: a parameter is out of numeric range ({type(exc).__name__})",
+              file=sys.stderr)
+        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

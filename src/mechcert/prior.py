@@ -16,19 +16,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-__all__ = [
-    "TwoLevelPrior",
-    "JointDistribution",
-    "two_level_entropy",
-    "solve_prior_for_r_mech",
-    "two_level_channel",
-    "joint_from_channel",
-    "mutual_information",
-    "conditional_entropy",
-    "kl_divergence",
-    "DEFAULT_PRIOR_STRENGTH",
-]
-
 # Pseudo-count scale for encoding the hybrid prior into Beta posteriors,
 # frozen after a one-time grid search over s in {1..40} against the
 # published hybrid regret column (see README).

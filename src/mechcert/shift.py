@@ -16,17 +16,6 @@ from enum import Enum
 
 from .prior import JointDistribution, conditional_entropy, kl_divergence, mutual_information
 
-__all__ = [
-    "Retention",
-    "ShiftReport",
-    "ImpossibilityReport",
-    "retention_threshold",
-    "r_min",
-    "check_retention",
-    "impossibility_construction",
-    "verify_impossibility",
-]
-
 _MIN_ARMS = 12  # the retention guarantee is proved for k >= 12 only
 
 

@@ -33,27 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .certificates import residual_entropy, sample_complexity_ratio
 from .prior import DEFAULT_PRIOR_STRENGTH, TwoLevelPrior, solve_prior_for_r_mech
 from .sweep import write_csv
-
-__all__ = [
-    "BanditEnvironment",
-    "ExperimentConfig",
-    "RegretSummary",
-    "ThompsonPolicy",
-    "hybrid_policy",
-    "build_environment",
-    "run_trial",
-    "regret_curves",
-    "run_monte_carlo",
-    "table1_experiment",
-    "table2_experiment",
-    "write_table1_csv",
-    "write_table2_csv",
-    "BLOCK_SIZE",
-    "TABLE1_HEADER",
-    "TABLE2_HEADER",
-]
 
 # Two-sided normal quantile for a 96% confidence interval.
 Z_96 = 2.0537
@@ -264,15 +246,9 @@ def run_monte_carlo(config: ExperimentConfig, algorithm: str, r_mech: float,
                     n: int = HORIZON) -> RegretSummary:
     """Mean cumulative pseudo-regret with a 96% CI over config.trials trials.
 
-    `algorithm` is "hybrid", "uninformed" (the hybrid encoding at
-    strength 0) or "bsa". The baseline dose has the constant regret
-    n*(P_OPT - P_BSA) in every trial, so its summary is exact with a
-    zero CI.
+    `algorithm` is "hybrid" or "uninformed" (the hybrid encoding at
+    strength 0).
     """
-    if algorithm == "bsa":
-        if n < 1:
-            raise ValueError(f"horizon must be >= 1, got {n}")
-        return RegretSummary(mean=n * (P_OPT - P_BSA), ci96_halfwidth=0.0)
     strengths = {"hybrid": config.prior_strength, "uninformed": 0.0}
     if algorithm not in strengths:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -309,17 +285,17 @@ def table1_experiment(config: ExperimentConfig) -> list[Table1Row]:
     cells = [(strength, r_mech) for r_mech in R_MECH_GRID
              for strength in (config.prior_strength, 0.0)]
     curves = regret_curves(config, cells, (HORIZON,)).reshape(len(R_MECH_GRID), 2, -1)
-    bsa = run_monte_carlo(config, "bsa", 0.0)  # constant in r_mech
+    # the baseline dose has the regret HORIZON*(P_OPT - P_BSA) in every trial
+    bsa = RegretSummary(HORIZON * (P_OPT - P_BSA), 0.0)
     h_mu = math.log(K)
     rows = []
     for r_mech, (hyb_regrets, uninf_regrets) in zip(R_MECH_GRID, curves):
-        h_mech = h_mu - r_mech
+        h_mech = residual_entropy(h_mu, r_mech)
         hyb, uninf = _summarize(hyb_regrets), _summarize(uninf_regrets)
-        lb_pred = math.sqrt(h_mu / h_mech) if h_mech > 0 else math.inf
         rows.append(Table1Row(
             r_mech=r_mech, h_mech=h_mech, hyb=hyb, uninf=uninf, bsa=bsa,
             ratio_uninf_hyb=uninf.mean / hyb.mean if hyb.mean > 0 else math.inf,
-            lb_prediction=lb_pred,
+            lb_prediction=math.sqrt(sample_complexity_ratio(h_mu, h_mech)),
             ratio_bsa_hyb=bsa.mean / hyb.mean if hyb.mean > 0 else math.inf,
         ))
     return rows

@@ -19,20 +19,6 @@ from .certificates import (
     critical_bias,
 )
 
-__all__ = [
-    "SWEEP_PARAMETERS",
-    "SweepSpec",
-    "Sweep1DRow",
-    "Sweep2DRow",
-    "linear_grid",
-    "grid_axis",
-    "sweep_1d",
-    "sweep_2d",
-    "write_sweep1d_csv",
-    "write_sweep2d_csv",
-    "write_csv",
-]
-
 # Axis range of each sweep parameter in a 2-D grid; the keys are the parameters.
 GRID_RANGES = {"sigma": (0.357, 0.50), "kappa_mu": (0.6, 3.0), "d_f": (2.0, 5.0),
                "k": (4, 16), "p_opt": (0.50, 0.95), "b_mu": (0.10, 0.40)}

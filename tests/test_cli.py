@@ -166,6 +166,8 @@ class TestBurnin:
 # --joint files read by the exit-2 cases below
 BAD_JOINTS = {"nan.joint": "2\nnan,0.5\n0.25,0.25\n", "empty.joint": "",
               "malformed.joint": "two\n0.5,0\n0,0.5\n", "ragged.joint": "2\n0.5,0\n0,0.25,0.25\n"}
+# finite inputs whose arithmetic overflows, underflows or divides by zero
+OUT_OF_RANGE = "a parameter is out of numeric range"
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -206,6 +208,12 @@ BAD_JOINTS = {"nan.joint": "2\nnan,0.5\n0.25,0.25\n", "empty.joint": "",
     (("shift", "--joint", "empty.joint"), "expected k on the first line, then k rows"),
     (("shift", "--joint", "malformed.joint"), "expected k on the first line, then k rows"),
     (("shift", "--joint", "ragged.joint"), "expected k on the first line, then k rows"),
+    (("certify", "--kappa-mu", "1e200"), OUT_OF_RANGE),
+    (("certify", "--sigma", "1e200"), OUT_OF_RANGE),
+    (("certify", "--sigma", "1e-200"), OUT_OF_RANGE),
+    (("certify", "--d-f", "1e-300"), OUT_OF_RANGE),
+    (("shift", "--r-train", "1e300", "--delta-pi", "0", "--k", "12"), OUT_OF_RANGE),
+    (("sweep", "--param", "sigma", "--values", "1e-200"), OUT_OF_RANGE),
 ], ids=["burnin-eps", "certify-b-mu-nan", "certify-sigma-nan", "certify-kappa-mu-nan",
         "certify-d-f-nan", "certify-target-nan", "simulate-strength-nan",
         "simulate-strength-negative", "simulate-workers-negative", "simulate-workers-zero",
@@ -214,7 +222,9 @@ BAD_JOINTS = {"nan.joint": "2\nnan,0.5\n0.25,0.25\n", "empty.joint": "",
         "sweep-grid-steps-zero", "sweep-param-steps-zero",
         "sweep-invalid-k-cell", "certify-k-zero", "sweep-k-zero", "sweep-non-integer-k",
         "sweep-grid-sigma-p-opt", "sweep-grid-same-axis", "shift-joint-nan", "shift-joint-empty",
-        "shift-joint-malformed", "shift-joint-ragged"])
+        "shift-joint-malformed", "shift-joint-ragged", "certify-kappa-mu-overflow",
+        "certify-sigma-overflow", "certify-sigma-underflow", "certify-d-f-underflow",
+        "shift-r-train-overflow", "sweep-sigma-underflow"])
 def test_domain_error_exit_2(capsys, monkeypatch, tmp_path, argv, message):
     monkeypatch.chdir(tmp_path)
     for name, text in BAD_JOINTS.items():
@@ -263,15 +273,16 @@ def test_list_flags_from_config_take_effect(capsys, tmp_path):
 
 
 def test_import_skips_scipy_and_process_pool():
-    """Closed-form commands start without numpy, scipy or multiprocessing."""
+    """Closed-form commands start without numpy, scipy or multiprocessing, and
+    the bare package loads none of its modules."""
     import mechcert
     src = str(Path(mechcert.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    for module in ("mechcert", "mechcert.cli"):
-        probe = (f"import sys, {module}; print(sorted(m for m in sys.modules "
-                 "if m.split('.')[0] in ('numpy', 'scipy') "
-                 "or m == 'concurrent.futures.process'))")
+    heavy = "m.split('.')[0] in ('numpy', 'scipy') or m == 'concurrent.futures.process'"
+    for module, unwanted in (("mechcert", f"{heavy} or m.startswith('mechcert.')"),
+                             ("mechcert.cli", heavy)):
+        probe = f"import sys, {module}; print(sorted(m for m in sys.modules if {unwanted}))"
         result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                                 text=True, timeout=60, check=True)
         assert result.stdout.strip() == "[]", module

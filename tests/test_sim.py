@@ -106,11 +106,6 @@ class TestMonteCarlo:
         parallel = run_monte_carlo(parallel_cfg, "hybrid", 1.4)
         assert serial == parallel
 
-    def test_hybrid_equals_uninformed_at_zero_information(self):
-        hyb, uninf = regret_curves(FAST, [(FAST.prior_strength, 0.0), (0.0, 0.0)], (12,))
-        assert np.array_equal(hyb, uninf)
-        assert run_monte_carlo(FAST, "hybrid", 0.0) == run_monte_carlo(FAST, "uninformed", 0.0)
-
     def test_trial_regret_independent_of_trial_count(self):
         few = regret_curves(FAST, [(2.0, 1.4)], (12,))[0]
         many = regret_curves(ExperimentConfig(trials=1000, seed=42), [(2.0, 1.4)], (12,))[0]
@@ -191,9 +186,9 @@ class TestMonteCarlo:
         assert started == [2]
 
     def test_bsa_constant(self):
-        s = run_monte_carlo(FAST, "bsa", 0.8)
-        assert s.mean == pytest.approx(7.80, abs=1e-12)
-        assert s.ci96_halfwidth == pytest.approx(0.0, abs=1e-12)
+        for row in table1_experiment(FAST):
+            assert row.bsa.mean == pytest.approx(7.80, abs=1e-12)
+            assert row.bsa.ci96_halfwidth == 0.0
 
     def test_uninformed_band(self):
         s = run_monte_carlo(ExperimentConfig(trials=2000, seed=42), "uninformed", 0.0)
