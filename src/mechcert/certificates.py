@@ -43,9 +43,9 @@ def canonical_sigma_f2(sigma: float, h_mu: float, kappa_mu: float, d_f: float) -
 class CalibrationParams:
     """Full parameter vector of the certificate.
 
-    h_mu defaults to the uniform-prior entropy ln k and sigma_f2 to the
-    canonical residual variance; pass either to override it (h_mu >= 0,
-    sigma_f2 >= 0). k is checked before ln k is taken.
+    The prior entropy h_mu is the uniform-prior entropy ln k. sigma_f2
+    defaults to the canonical residual variance; pass it to override it
+    (sigma_f2 >= 0). k is checked before ln k is taken.
     """
 
     k: int
@@ -54,7 +54,6 @@ class CalibrationParams:
     kappa_mu: float
     d_f: float
     b_mu: float
-    h_mu: float | None = None
     sigma_f2: float | None = None
 
     def __post_init__(self):
@@ -62,19 +61,22 @@ class CalibrationParams:
             raise ValueError(f"k must be >= 2, got {self.k}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.h_mu is None:
-            object.__setattr__(self, "h_mu", math.log(self.k))
-        for name in ("sigma", "kappa_mu", "d_f", "b_mu", "h_mu"):
+        for name in ("sigma", "kappa_mu", "d_f", "b_mu"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.b_mu < 0:
             raise ValueError(f"b_mu must be non-negative, got {self.b_mu}")
-        # canonical_sigma_f2 range-checks sigma, kappa_mu, d_f and h_mu
+        # canonical_sigma_f2 range-checks sigma, kappa_mu and d_f
         canonical = canonical_sigma_f2(self.sigma, self.h_mu, self.kappa_mu, self.d_f)
         if self.sigma_f2 is None:
             object.__setattr__(self, "sigma_f2", canonical)
         elif not (math.isfinite(self.sigma_f2) and self.sigma_f2 >= 0):
             raise ValueError(f"sigma_f2 must be finite and non-negative, got {self.sigma_f2}")
+
+    @property
+    def h_mu(self) -> float:
+        """Prior entropy of the optimal arm, ln k."""
+        return math.log(self.k)
 
     @classmethod
     def canonical(cls, k: int, n: int, sigma: float, kappa_mu: float,

@@ -277,16 +277,17 @@ def build_parser() -> _Parser:
 
     p = command("sweep", cmd_sweep, "sensitivity sweeps to CSV")
     _add_calibration_flags(p)
-    p.add_argument("--param", choices=sw.SWEEP_PARAMETERS, default=None)
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--param", choices=sw.SWEEP_PARAMETERS, default=None)
     p.add_argument("--min", type=float, default=None)
     p.add_argument("--max", type=float, default=None)
     p.add_argument("--steps", type=int, default=None,
                    help="grid points per axis (default 60 with --grid, 50 with --param)")
     p.add_argument("--values", type=_comma_list(float, "numbers"), default=None,
                    help="explicit comma-separated values")
-    p.add_argument("--grid", nargs=2, metavar=("X", "Y"),
-                   choices=sw.SWEEP_PARAMETERS, default=None,
-                   help="two parameters for a 2-D ratio grid")
+    mode.add_argument("--grid", nargs=2, metavar=("X", "Y"),
+                      choices=sw.SWEEP_PARAMETERS, default=None,
+                      help="two parameters for a 2-D ratio grid")
     p.add_argument("--out", default=".", help="output directory")
 
     parser.commands = subs.choices
@@ -301,10 +302,7 @@ def main(argv=None) -> int:
             _load_config(parser.commands[args.command], args.config)
             args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except cert.UnreachableTarget as exc:

@@ -27,9 +27,6 @@ class Retention(Enum):
 
 @dataclass(frozen=True)
 class ShiftReport:
-    r_train: float
-    k: int
-    delta_pi: float
     threshold: float
     retained: Retention
 
@@ -66,8 +63,7 @@ def check_retention(r_train: float, k: int, delta_pi: float) -> ShiftReport:
         retained = Retention.GUARANTEED
     else:
         retained = Retention.NOT_GUARANTEED
-    return ShiftReport(r_train=r_train, k=k, delta_pi=delta_pi,
-                       threshold=threshold, retained=retained)
+    return ShiftReport(threshold=threshold, retained=retained)
 
 
 def impossibility_construction(p: JointDistribution, s) -> JointDistribution:

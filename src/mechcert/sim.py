@@ -61,39 +61,19 @@ def _arm_means(k: int, optimal, p_opt: float, p_bsa: float) -> np.ndarray:
     return np.where(np.arange(k) == np.asarray(optimal)[..., None], p_opt, p_bsa)
 
 
-@dataclass(frozen=True)
-class BanditEnvironment:
-    """Per-arm success probabilities; exactly one arm at the optimum."""
-
-    means: np.ndarray
-    optimal: int
-
-    @property
-    def k(self) -> int:
-        return self.means.shape[0]
-
-
-def build_environment(k: int, optimal: int, p_opt: float, p_bsa: float) -> BanditEnvironment:
-    """One row of the environments a simulation block builds."""
+def build_environment(k: int, optimal: int, p_opt: float, p_bsa: float) -> np.ndarray:
+    """The arm means of one environment: p_opt at `optimal`, p_bsa elsewhere."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     if not 0.0 <= p_bsa < p_opt <= 1.0:
         raise ValueError(f"require 0 <= p_bsa < p_opt <= 1, got p_bsa={p_bsa}, p_opt={p_opt}")
     if not 0 <= optimal < k:
         raise ValueError(f"optimal arm {optimal} outside [0, {k})")
-    return BanditEnvironment(means=_arm_means(k, optimal, p_opt, p_bsa), optimal=optimal)
+    return _arm_means(k, optimal, p_opt, p_bsa)
 
 
-@dataclass(frozen=True)
-class ThompsonPolicy:
-    """Beta-Bernoulli Thompson sampling from given initial pseudo-counts."""
-
-    alpha0: np.ndarray
-    beta0: np.ndarray
-
-
-def hybrid_policy(prior: TwoLevelPrior, strength: float = DEFAULT_PRIOR_STRENGTH) -> ThompsonPolicy:
-    """Encode the two-level prior as Beta pseudo-counts.
+def hybrid_policy(prior: TwoLevelPrior, strength: float = DEFAULT_PRIOR_STRENGTH) -> tuple:
+    """Encode the two-level prior as Beta pseudo-counts (alpha0, beta0).
 
     Arm j starts at Beta(1 + s*k*max(w_j - 1/k, 0), 1 + s*k*max(1/k - w_j, 0)),
     which is exactly Beta(1, 1) everywhere for the uniform prior or s = 0:
@@ -103,26 +83,19 @@ def hybrid_policy(prior: TwoLevelPrior, strength: float = DEFAULT_PRIOR_STRENGTH
     k = prior.k
     excess = np.maximum(w - 1.0 / k, 0.0)
     deficit = np.maximum(1.0 / k - w, 0.0)
-    return ThompsonPolicy(alpha0=1.0 + strength * k * excess,
-                          beta0=1.0 + strength * k * deficit)
+    return 1.0 + strength * k * excess, 1.0 + strength * k * deficit
 
 
-def _thompson_rounds(alpha: np.ndarray, beta: np.ndarray, means: np.ndarray,
-                     horizons, rng: np.random.Generator) -> np.ndarray:
-    """Run Thompson sampling on every row at once; the block kernel.
+def _thompson_rounds(alpha: np.ndarray, beta: np.ndarray, means: np.ndarray, n: int,
+                     rng: np.random.Generator) -> np.ndarray:
+    """Run n rounds of Thompson sampling on every row at once; the block kernel.
 
     alpha, beta and means are (rows, k) arrays; alpha and beta are the
     initial pseudo-counts. Each round makes one `beta` draw over all rows
-    and one uniform draw per row, whatever the horizons. Returns the
-    cumulative pseudo-regret of every row at each horizon, shape
-    (rows, len(horizons)).
+    and one uniform draw per row. Returns the cumulative pseudo-regret of
+    every row after each round t = 0..n, shape (rows, n + 1).
     """
     rows, k = means.shape
-    columns: dict = {}
-    for col, n in enumerate(horizons):
-        if n < 1:
-            raise ValueError(f"horizon must be >= 1, got {n}")
-        columns.setdefault(n, []).append(col)
     gaps = (means.max(axis=1, keepdims=True) - means).ravel()
     means = means.ravel()
     alpha = np.array(alpha, dtype=float)
@@ -130,24 +103,22 @@ def _thompson_rounds(alpha: np.ndarray, beta: np.ndarray, means: np.ndarray,
     alpha_flat = alpha.reshape(-1)  # views: updates reach the arrays `beta` draws from
     beta_flat = beta.reshape(-1)
     base = np.arange(rows) * k
-    regret = np.zeros(rows)
-    out = np.empty((rows, len(horizons)))
-    for t in range(1, max(columns) + 1):
+    path = np.zeros((rows, n + 1))
+    for t in range(1, n + 1):
         pulled = base + rng.beta(alpha, beta).argmax(axis=1)  # ties go to the lowest arm
-        regret += gaps[pulled]
+        path[:, t] = path[:, t - 1] + gaps[pulled]
         success = rng.random(rows) < means[pulled]
         alpha_flat[pulled] += success
         beta_flat[pulled] += ~success
-        for col in columns.get(t, ()):
-            out[:, col] = regret
-    return out
+    return path
 
 
-def run_trial(policy: ThompsonPolicy, env: BanditEnvironment, n: int,
-              rng: np.random.Generator) -> float:
+def run_trial(policy: tuple, means: np.ndarray, n: int, rng: np.random.Generator) -> float:
     """Cumulative pseudo-regret of one trial of n rounds: the block kernel on one row."""
-    return float(_thompson_rounds(policy.alpha0[None, :], policy.beta0[None, :],
-                                  env.means[None, :], (n,), rng)[0, 0])
+    if n < 1:
+        raise ValueError(f"horizon must be >= 1, got {n}")
+    alpha0, beta0 = policy
+    return float(_thompson_rounds(alpha0[None, :], beta0[None, :], means[None, :], n, rng)[0, n])
 
 
 @dataclass(frozen=True)
@@ -176,9 +147,10 @@ class RegretSummary:
 
 
 def _summarize(regrets: np.ndarray) -> RegretSummary:
+    """Mean and 96% CI half-width; one trial bounds nothing, so its half-width is inf."""
     m = regrets.size
-    sd = float(np.std(regrets, ddof=1)) if m > 1 else 0.0
-    return RegretSummary(mean=float(np.mean(regrets)), ci96_halfwidth=Z_96 * sd / math.sqrt(m))
+    half = Z_96 * float(np.std(regrets, ddof=1)) / math.sqrt(m) if m > 1 else math.inf
+    return RegretSummary(mean=float(np.mean(regrets)), ci96_halfwidth=half)
 
 
 def _block_regrets(seed: int, strength: float, r_mech: float, horizons,
@@ -198,12 +170,12 @@ def _block_regrets(seed: int, strength: float, r_mech: float, horizons,
     offset = np.searchsorted(np.cumsum(prior.weights()), env_rng.random(BLOCK_SIZE),
                              side="right")
     recommended = (optimal - np.minimum(offset, K - 1)) % K
-    policy = hybrid_policy(prior, strength)
+    alpha0, beta0 = hybrid_policy(prior, strength)
     # row i takes the arm-0-centred pseudo-counts rotated to its recommended arm
     rotation = (np.arange(K) - recommended[:, None]) % K
     policy_rng = np.random.Generator(np.random.Philox(policy_seq))
-    return _thompson_rounds(policy.alpha0[rotation], policy.beta0[rotation],
-                            _arm_means(K, optimal, P_OPT, P_BSA), horizons, policy_rng)
+    return _thompson_rounds(alpha0[rotation], beta0[rotation], _arm_means(K, optimal, P_OPT, P_BSA),
+                            max(horizons), policy_rng)[:, list(horizons)]
 
 
 def regret_curves(config: ExperimentConfig, cells, horizons) -> np.ndarray:
@@ -221,6 +193,8 @@ def regret_curves(config: ExperimentConfig, cells, horizons) -> np.ndarray:
     """
     blocks = -(-config.trials // BLOCK_SIZE)
     horizons = tuple(horizons)
+    if min(horizons) < 1:
+        raise ValueError(f"horizon must be >= 1, got {min(horizons)}")
     keys = []
     for strength, r_mech in cells:
         solve_prior_for_r_mech(K, r_mech)  # a merged cell still rejects a bad r_mech

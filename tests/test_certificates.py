@@ -251,7 +251,7 @@ class TestReport:
 
     def test_non_canonical_flag(self):
         p = CalibrationParams(k=8, n=12, sigma=0.40, kappa_mu=1.8, d_f=3.0,
-                              b_mu=0.0, h_mu=math.log(8), sigma_f2=50.0)
+                              b_mu=0.0, sigma_f2=50.0)
         rep = certificate_report(p)
         assert rep.capacity_exceeds_entropy
 

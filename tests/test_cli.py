@@ -380,6 +380,21 @@ class TestSweepCommand:
         assert code == 1
         assert "unknown config key 'sigma_f2'" in err
 
+    def test_param_with_grid_exit_1(self, capsys, tmp_path):
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "sweep", "--param", "sigma", "--grid", "kappa_mu", "b_mu",
+                           "--steps", "2", "--out", str(out))
+        assert code == 1
+        assert "argument --grid: not allowed with argument --param" in err
+        assert not out.exists()
+        # a config-file param is a default, so an explicit --grid still wins
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("param = sigma\n")
+        code, _, _ = run(capsys, "sweep", "--config", str(cfg), "--grid", "kappa_mu", "b_mu",
+                         "--steps", "2", "--out", str(out))
+        assert code == 0
+        assert sorted(f.name for f in out.iterdir()) == ["sweep2d.csv"]
+
     def test_grid_k_axis_is_integral(self, capsys, tmp_path):
         code, _, _ = run(capsys, "sweep", "--grid", "k", "b_mu", "--out", str(tmp_path))
         assert code == 0

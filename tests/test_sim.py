@@ -32,14 +32,13 @@ UNINFORMED = hybrid_policy(solve_prior_for_r_mech(8, 0.0), strength=0.0)
 
 class TestEnvironment:
     def test_calibrated_shape(self):
-        env = build_environment(8, 3, 0.85, 0.20)
-        assert env.means[3] == 0.85
-        assert np.sum(env.means == 0.85) == 1
-        assert np.all(env.means[np.arange(8) != 3] == 0.20)
+        means = build_environment(8, 3, 0.85, 0.20)
+        assert means[3] == 0.85
+        assert np.sum(means == 0.85) == 1
+        assert np.all(means[np.arange(8) != 3] == 0.20)
 
     def test_deterministic_env(self):
-        env = build_environment(2, 0, 1.0, 0.0)
-        assert env.means.tolist() == [1.0, 0.0]
+        assert build_environment(2, 0, 1.0, 0.0).tolist() == [1.0, 0.0]
 
     def test_zero_gap_rejected(self):
         with pytest.raises(ValueError):
@@ -76,22 +75,22 @@ class TestRunTrial:
 
 class TestHybridEncoding:
     def test_uniform_prior_is_flat(self):
-        policy = hybrid_policy(solve_prior_for_r_mech(8, 0.0), strength=2.0)
-        assert np.array_equal(policy.alpha0, np.ones(8))
-        assert np.array_equal(policy.beta0, np.ones(8))
+        alpha0, beta0 = hybrid_policy(solve_prior_for_r_mech(8, 0.0), strength=2.0)
+        assert np.array_equal(alpha0, np.ones(8))
+        assert np.array_equal(beta0, np.ones(8))
 
     def test_informative_prior_tilts(self):
-        policy = hybrid_policy(solve_prior_for_r_mech(8, 1.9), strength=2.0)
-        assert policy.alpha0[0] > 1.0
-        assert policy.beta0[0] == 1.0
-        assert np.all(policy.alpha0[1:] == 1.0)
-        assert np.all(policy.beta0[1:] > 1.0)
+        alpha0, beta0 = hybrid_policy(solve_prior_for_r_mech(8, 1.9), strength=2.0)
+        assert alpha0[0] > 1.0
+        assert beta0[0] == 1.0
+        assert np.all(alpha0[1:] == 1.0)
+        assert np.all(beta0[1:] > 1.0)
 
     def test_zero_strength_is_uninformed(self):
         for r_mech in (0.0, 1.9, math.log(8)):
-            policy = hybrid_policy(solve_prior_for_r_mech(8, r_mech), strength=0.0)
-            assert np.array_equal(policy.alpha0, np.ones(8))
-            assert np.array_equal(policy.beta0, np.ones(8))
+            alpha0, beta0 = hybrid_policy(solve_prior_for_r_mech(8, r_mech), strength=0.0)
+            assert np.array_equal(alpha0, np.ones(8))
+            assert np.array_equal(beta0, np.ones(8))
 
 
 class TestMonteCarlo:
@@ -123,6 +122,18 @@ class TestMonteCarlo:
         assert np.array_equal(curves[:, 0], short[:, 0])
         assert np.all(curves[:, 0] <= curves[:, 1])
         assert run_monte_carlo(FAST, "uninformed", 1.9, n=5) == table2_experiment(FAST)[0].uninf
+
+    def test_unordered_and_repeated_horizons(self):
+        cells = [(2.0, 1.4), (0.0, 0.8)]
+        curves = regret_curves(FAST, cells, (12, 5, 12))
+        twelve = regret_curves(FAST, cells, (12,))[:, :, 0]
+        assert np.array_equal(curves[:, :, 0], twelve)
+        assert np.array_equal(curves[:, :, 1], regret_curves(FAST, cells, (5,))[:, :, 0])
+        assert np.array_equal(curves[:, :, 2], twelve)
+
+    def test_regret_curves_rejects_horizon_below_one(self):
+        with pytest.raises(ValueError, match="horizon must be >= 1, got 0"):
+            regret_curves(FAST, [(2.0, 1.4)], (12, 0))
 
     def test_cell_independent_of_its_companions(self):
         config = ExperimentConfig(trials=300, seed=11, workers=2)
@@ -188,6 +199,15 @@ class TestMonteCarlo:
     def test_bsa_constant(self):
         for row in table1_experiment(FAST):
             assert row.bsa.mean == pytest.approx(7.80, abs=1e-12)
+            assert row.bsa.ci96_halfwidth == 0.0
+
+    def test_one_trial_ci_is_unbounded(self):
+        # one sample bounds nothing; the closed-form BSA keeps its exact zero width
+        one = ExperimentConfig(trials=1)
+        for row in table2_experiment(one):
+            assert row.hyb.ci96_halfwidth == row.uninf.ci96_halfwidth == math.inf
+        for row in table1_experiment(one):
+            assert row.hyb.ci96_halfwidth == row.uninf.ci96_halfwidth == math.inf
             assert row.bsa.ci96_halfwidth == 0.0
 
     def test_uninformed_band(self):
@@ -357,4 +377,89 @@ class TestSecondRoundOracle:
         tol = 4 * sd / math.sqrt(ORACLE2_TRIALS)
         for r_mech in R_MECH_GRID:
             got = run_monte_carlo(config, "uninformed", r_mech, n=2).mean
+            assert abs(got - exact) <= tol, (r_mech, got, exact, tol)
+
+
+def hybrid_second_round_oracle(r_mech: float, strength: float, k: int = 8,
+                               points: int = 200_000):
+    """Exact mean and standard deviation of hybrid Thompson regret at n = 2, and
+    the quadrature error of the mean.
+
+    The recommended arm starts at Beta(a, 1) and the others at Beta(1, b),
+    as in `first_round_oracle`. The branches are the optimum's position
+    (the recommended arm with probability beta, another arm otherwise),
+    the first pull (the recommended arm, the optimum, or another arm) and
+    its outcome; one success or failure moves the pulled arm to
+    Beta(a + 1, 1) or Beta(a, 2) when it is the recommended arm and to
+    Beta(2, b) or Beta(1, b + 1) otherwise. In each branch the second
+    pull's law is one more quadrature, P(arm wins) = int pdf * prod(rival
+    CDFs), and every arm that shares a law with another has an equal share.
+    """
+    beta = solve_prior_for_r_mech(k, r_mech).beta
+    a = 1 + strength * k * (beta - 1 / k)
+    b = 1 + strength * k * (1 / k - (1 - beta) / (k - 1))
+
+    def moments(m):
+        x = (np.arange(m) + 0.5) / m
+        y = 1 - x
+        law = {  # (density, CDF) on the midpoints
+            "rec": (a * x ** (a - 1), x ** a),
+            "rec+": ((a + 1) * x ** a, x ** (a + 1)),
+            "rec-": (a * (a + 1) * x ** (a - 1) * y, x ** a * (a + 1 - a * x)),
+            "arm": (b * y ** (b - 1), 1 - y ** b),
+            "arm+": (b * (b + 1) * x * y ** (b - 1), 1 - y ** b * (1 + b * x)),
+            "arm-": ((b + 1) * y ** b, 1 - y ** (b + 1)),
+        }
+
+        def wins(arm, rivals):
+            return float(np.mean(law[arm][0] * np.prod([law[r][1] for r in rivals], axis=0)))
+
+        q = wins("rec", ["arm"] * (k - 1))  # first pull is the recommended arm
+        branches = []  # (probability, first pull missed, P(second pull misses))
+        for outcome in "+-":
+            rec2 = wins("rec" + outcome, ["arm"] * (k - 1))
+            # the first pull was arm j != recommended; j and the recommended arm then
+            # win the second round with these probabilities, any other arm with `rest`
+            j2 = wins("arm" + outcome, ["rec"] + ["arm"] * (k - 2))
+            rec2_j = wins("rec", ["arm" + outcome] + ["arm"] * (k - 2))
+            rest = (1 - j2 - rec2_j) / (k - 2)
+            p_opt = P_OPT if outcome == "+" else 1 - P_OPT
+            p_bsa = P_BSA if outcome == "+" else 1 - P_BSA
+            branches += [
+                # optimum is the recommended arm
+                (beta * q * p_opt, 0, 1 - rec2),
+                (beta * (1 - q) * p_bsa, 1, 1 - rec2_j),
+                # optimum is another arm o
+                ((1 - beta) * q * p_bsa, 1, 1 - (1 - rec2) / (k - 1)),
+                ((1 - beta) * (1 - q) / (k - 1) * p_opt, 0, 1 - j2),
+                ((1 - beta) * (1 - q) * (k - 2) / (k - 1) * p_bsa, 1, 1 - rest),
+            ]
+        mean = sum(p * (m1 + m2) for p, m1, m2 in branches)
+        square = sum(p * (m1 + m2 + 2 * m1 * m2) for p, m1, m2 in branches)
+        return mean, square
+
+    mean, square = moments(points)
+    return (GAP * mean, GAP * math.sqrt(square - mean ** 2),
+            GAP * abs(mean - moments(points // 2)[0]))
+
+
+# Fixed before the first run, like the uninformed n = 2 oracle's: ORACLE_SEED,
+# ORACLE2_TRIALS, and a tolerance of four exact standard errors of the mean
+# plus the quadrature error.
+class TestHybridSecondRoundOracle:
+    def test_oracle_reduces_to_uninformed(self):
+        # at strength 0 every law is polynomial and the uninformed value is exact
+        exact, sd = second_round_oracle()
+        for r_mech in R_MECH_GRID:
+            mean, oracle_sd, quad_err = hybrid_second_round_oracle(r_mech, 0.0)
+            assert mean == pytest.approx(exact, abs=1e-9 + quad_err)
+            assert oracle_sd == pytest.approx(sd, abs=1e-6)
+
+    def test_two_round_regret_matches_oracle(self):
+        config = ExperimentConfig(trials=ORACLE2_TRIALS, seed=ORACLE_SEED)
+        curves = regret_curves(config, [(config.prior_strength, r) for r in R_MECH_GRID], (2,))
+        for r_mech, regrets in zip(R_MECH_GRID, curves[:, :, 0]):
+            exact, sd, quad_err = hybrid_second_round_oracle(r_mech, config.prior_strength)
+            tol = 4 * sd / math.sqrt(ORACLE2_TRIALS) + quad_err
+            got = float(np.mean(regrets))
             assert abs(got - exact) <= tol, (r_mech, got, exact, tol)
