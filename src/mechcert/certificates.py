@@ -13,10 +13,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 
-class UnreachableTarget(Exception):
-    """The requested information target exceeds the zero-bias capacity."""
-
-
 class Regime(Enum):
     DATA_EFFICIENT = "DataEfficient"
     BASELINE = "Baseline"
@@ -69,6 +65,8 @@ class CalibrationParams:
         # canonical_sigma_f2 range-checks sigma, kappa_mu and d_f
         canonical = canonical_sigma_f2(self.sigma, self.h_mu, self.kappa_mu, self.d_f)
         if self.sigma_f2 is None:
+            if not math.isfinite(canonical):
+                raise OverflowError(f"canonical sigma_f2 overflows: {canonical}")
             object.__setattr__(self, "sigma_f2", canonical)
         elif not (math.isfinite(self.sigma_f2) and self.sigma_f2 >= 0):
             raise ValueError(f"sigma_f2 must be finite and non-negative, got {self.sigma_f2}")
@@ -120,32 +118,32 @@ def residual_entropy(h_mu: float, r_mech: float) -> float:
     return max(h_mu - r_mech, 0.0)
 
 
-def solve_bias_for_capacity(target: float, p: CalibrationParams) -> float:
+def solve_bias_for_capacity(target: float, p: CalibrationParams) -> float | None:
     """Invert the capacity curve: the bias b with capacity(b) == target.
 
-    Raises UnreachableTarget when target > capacity at zero bias, i.e.
-    no model, however unbiased, can transmit that much information.
+    Returns None when target > capacity at zero bias, i.e. no model,
+    however unbiased, can transmit that much information.
     """
     if not (math.isfinite(target) and target > 0):
         raise ValueError(f"target must be positive and finite, got {target}")
     denom = math.expm1(2.0 * target / p.d_f)
     ratio = (p.kappa_mu**2 * p.sigma_f2 / p.sigma**2) / denom
+    if not math.isfinite(ratio):
+        raise OverflowError(f"capacity inversion overflows: ratio {ratio}")
     radicand = ratio - 1.0
     if -1e-12 * (1.0 + ratio) <= radicand < 0.0:
         radicand = 0.0  # roundoff at the zero-bias endpoint
     if radicand < 0:
-        raise UnreachableTarget(
-            f"target {target:.6g} nats exceeds zero-bias capacity "
-            f"{channel_capacity(0.0, p):.6g} nats")
+        return None
     return (p.sigma / p.kappa_mu) * math.sqrt(radicand)
 
 
-def critical_bias(p: CalibrationParams) -> float:
+def critical_bias(p: CalibrationParams) -> float | None:
     """Bias at which capacity meets the default working target h_mu/n.
 
     Below this threshold the model certifiably saves at least one cycle
-    at horizon n. Raises UnreachableTarget when even a perfect model
-    cannot meet the target (e.g. n = 1 at the working values).
+    at horizon n. Returns None when even a perfect model cannot meet the
+    target (e.g. n = 1 at the working values).
     """
     return solve_bias_for_capacity(p.h_mu / p.n, p)
 
@@ -193,10 +191,9 @@ def certificate_report(p: CalibrationParams, target: float | None = None) -> Cer
     target = p.h_mu / p.n if target is None else target
     cap = channel_capacity(p.b_mu, p)
     floor = residual_entropy(p.h_mu, cap)
-    try:
-        b_crit: float | None = solve_bias_for_capacity(target, p)
-    except UnreachableTarget:
-        b_crit, ratio, regime = None, None, Regime.BASELINE
+    b_crit = solve_bias_for_capacity(target, p)
+    if b_crit is None:
+        ratio, regime = None, Regime.BASELINE
     else:
         ratio = b_crit / p.b_mu if p.b_mu > 0 else math.inf
         regime = Regime.DATA_EFFICIENT if p.b_mu < b_crit else Regime.BASELINE

@@ -110,7 +110,8 @@ def cmd_certify(args) -> int:
     params = _build_params(args, sigma_f2=args.sigma_f2)
     report = cert.certificate_report(params, args.target)
     if report.critical_bias is None:
-        cert.solve_bias_for_capacity(report.target, params)  # raises UnreachableTarget
+        raise ValueError(f"target unreachable: target {report.target:.6g} nats exceeds "
+                         f"zero-bias capacity {cert.channel_capacity(0.0, params):.6g} nats")
     lines = [
         f"sigma_f2 = {params.sigma_f2:.6g}",
         f"capacity = {_info(args, report.capacity_at_bias)}",
@@ -305,9 +306,6 @@ def main(argv=None) -> int:
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except cert.UnreachableTarget as exc:
-        print(f"error: target unreachable: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

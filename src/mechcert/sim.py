@@ -29,6 +29,7 @@ and the CLI's other commands run on the standard library alone.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,7 +134,8 @@ class ExperimentConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not (math.isfinite(self.prior_strength) and self.prior_strength >= 0):
+        # the pseudo-counts scale with strength * K, which must stay finite too
+        if not (math.isfinite(self.prior_strength * K) and self.prior_strength >= 0):
             raise ValueError(f"prior_strength must be finite and non-negative, "
                              f"got {self.prior_strength}")
         if self.workers < 1:
@@ -189,7 +191,7 @@ def regret_curves(config: ExperimentConfig, cells, horizons) -> np.ndarray:
     so all flat cells are keyed (0, 0), and each distinct key is simulated
     once and copied to its cells. Every (key, block) pair is one job; with
     workers > 1 the jobs are split into contiguous chunks over one process
-    pool, which changes nothing but the wall time.
+    pool of at most the CPU count, which changes nothing but the wall time.
     """
     blocks = -(-config.trials // BLOCK_SIZE)
     horizons = tuple(horizons)
@@ -202,7 +204,7 @@ def regret_curves(config: ExperimentConfig, cells, horizons) -> np.ndarray:
     distinct = {key: i for i, key in enumerate(dict.fromkeys(keys))}
     jobs = [(config.seed, strength, r_mech, horizons, b)
             for strength, r_mech in distinct for b in range(blocks)]
-    workers = min(config.workers, len(jobs))
+    workers = min(config.workers, len(jobs), os.cpu_count() or 1)
     if workers == 1:
         parts = list(map(_block_regrets, *zip(*jobs)))
     else:

@@ -12,12 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .certificates import (
-    CalibrationParams,
-    UnreachableTarget,
-    certificate_report,
-    critical_bias,
-)
+from .certificates import CalibrationParams, certificate_report, critical_bias
 
 # Axis range of each sweep parameter in a 2-D grid; the keys are the parameters.
 GRID_RANGES = {"sigma": (0.357, 0.50), "kappa_mu": (0.6, 3.0), "d_f": (2.0, 5.0),
@@ -140,12 +135,8 @@ def sweep_2d(x_spec: SweepSpec, y_spec: SweepSpec) -> list[Sweep2DRow]:
     for x in x_spec.values:
         for y in y_spec.values:
             params = _cell(x_spec.base, {x_param: x, y_param: y})
-            try:
-                b_crit = critical_bias(params)
-            except UnreachableTarget:
-                b_crit = None
             rows.append(Sweep2DRow(x_param=x_param, y_param=y_param, x=x, y=y,
-                                   ratio=_ratio(params.b_mu, b_crit)))
+                                   ratio=_ratio(params.b_mu, critical_bias(params))))
     return rows
 
 

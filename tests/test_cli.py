@@ -35,10 +35,14 @@ class TestCertify:
         assert code == 0
         assert "Baseline" in out
 
-    def test_unreachable_exit_2(self, capsys):
-        code, out, err = run(capsys, "certify", "--n", "1")
-        assert code == 2
-        assert "target unreachable" in err
+    def test_unreachable_exit_2(self, capsys, tmp_path):
+        for argv, target in [(("--n", "1"), "2.07944"), (("--target", "5"), "5")]:
+            code, out, err = run(capsys, "certify", *argv, "--out", str(tmp_path))
+            assert code == 2
+            assert out == ""
+            assert err == (f"error: target unreachable: target {target} nats exceeds "
+                           "zero-bias capacity 1.30461 nats\n")
+            assert not (tmp_path / "certify.txt").exists()
 
     def test_bits_display(self, capsys):
         _, nats_out, _ = run(capsys, "certify")
@@ -214,6 +218,11 @@ OUT_OF_RANGE = "a parameter is out of numeric range"
     (("certify", "--d-f", "1e-300"), OUT_OF_RANGE),
     (("shift", "--r-train", "1e300", "--delta-pi", "0", "--k", "12"), OUT_OF_RANGE),
     (("sweep", "--param", "sigma", "--values", "1e-200"), OUT_OF_RANGE),
+    (("simulate", "--table", "1", "--trials", "3", "--strength", "1e308"),
+     "prior_strength must be finite and non-negative"),
+    (("certify", "--d-f", "1e-320"), OUT_OF_RANGE),
+    (("sweep", "--param", "d_f", "--values", "1e-320"), OUT_OF_RANGE),
+    (("certify", "--target", "1e-320"), OUT_OF_RANGE),
 ], ids=["burnin-eps", "certify-b-mu-nan", "certify-sigma-nan", "certify-kappa-mu-nan",
         "certify-d-f-nan", "certify-target-nan", "simulate-strength-nan",
         "simulate-strength-negative", "simulate-workers-negative", "simulate-workers-zero",
@@ -224,7 +233,8 @@ OUT_OF_RANGE = "a parameter is out of numeric range"
         "sweep-grid-sigma-p-opt", "sweep-grid-same-axis", "shift-joint-nan", "shift-joint-empty",
         "shift-joint-malformed", "shift-joint-ragged", "certify-kappa-mu-overflow",
         "certify-sigma-overflow", "certify-sigma-underflow", "certify-d-f-underflow",
-        "shift-r-train-overflow", "sweep-sigma-underflow"])
+        "shift-r-train-overflow", "sweep-sigma-underflow", "simulate-strength-overflow",
+        "certify-d-f-overflow", "sweep-d-f-overflow", "certify-target-overflow"])
 def test_domain_error_exit_2(capsys, monkeypatch, tmp_path, argv, message):
     monkeypatch.chdir(tmp_path)
     for name, text in BAD_JOINTS.items():
@@ -441,11 +451,21 @@ def test_config_k_takes_effect(capsys, tmp_path, argv):
     assert from_config != default
 
 
-def test_readme_cli_lines_parse():
-    """Every `mechcert ...` line of the README's CLI block is accepted by the parser."""
+def test_readme_cli_lines_parse(capsys, monkeypatch, tmp_path):
+    """Every `mechcert ...` line of the README's CLI block parses, and all but
+    `simulate` (the acceptance gate runs its 10,000-trial tables) exit 0."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
     lines = [line for line in block.splitlines() if line.startswith("mechcert ")]
     assert len(lines) >= 6
+    monkeypatch.chdir(tmp_path)
+    joint = joint_from_channel(np.full(8, 1 / 8), two_level_channel(8, 0.972))
+    (tmp_path / "joint.csv").write_text("8\n" + "".join(
+        ",".join(map(str, row)) + "\n" for row in joint.probs))
+    (tmp_path / "run.cfg").write_text("# working point\nn = 24\nb_mu = 0.5\n")
     for line in lines:
-        build_parser().parse_args(shlex.split(line)[1:])
+        argv = shlex.split(line)[1:]
+        build_parser().parse_args(argv)
+        if argv[0] != "simulate":
+            code, _, err = run(capsys, *argv)
+            assert (code, err) == (0, ""), line

@@ -191,10 +191,37 @@ class TestMonteCarlo:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 4)
         serial = experiment(ExperimentConfig(trials=300, seed=5))
         assert started == []
         assert experiment(ExperimentConfig(trials=300, seed=5, workers=2)) == serial
         assert started == [2]
+
+    def test_pool_is_capped_at_cpu_count(self, monkeypatch):
+        import concurrent.futures
+
+        started = []
+
+        class SerialPool:
+            """Records its size and maps in this process: starts no worker."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 3)
+        serial = table1_experiment(ExperimentConfig(trials=300, seed=5))
+        assert table1_experiment(ExperimentConfig(trials=300, seed=5, workers=10**6)) == serial
+        assert started == [3]
 
     def test_bsa_constant(self):
         for row in table1_experiment(FAST):

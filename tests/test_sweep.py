@@ -6,12 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mechcert.certificates import (
-    CalibrationParams,
-    UnreachableTarget,
-    certificate_report,
-    critical_bias,
-)
+from mechcert.certificates import CalibrationParams, certificate_report, critical_bias
 from mechcert.sweep import (
     GRID_RANGES,
     SWEEP1D_HEADER,
@@ -99,10 +94,7 @@ class TestSingleRule:
             assert len(rows) == 16
             for row in rows:
                 cell = expected_cell(base, {x_param: row.x, y_param: row.y})
-                try:
-                    b_crit = critical_bias(cell)
-                except UnreachableTarget:
-                    b_crit = None
+                b_crit = critical_bias(cell)
                 expected = cell.b_mu / b_crit if b_crit else math.inf
                 assert row.ratio == expected, (x_param, y_param, row)
 
