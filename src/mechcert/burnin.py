@@ -40,8 +40,6 @@ class BurnInParams:
 @dataclass(frozen=True)
 class BurnInResult:
     cycles: float
-    degenerate: bool            # log term non-positive; bound clamped to 0
-    assumption_violated: bool   # evaluated outside the epsilon <= delta regime
     effective_prior_weight: float  # eps_k, the prior weight spread over k arms
     binary_kl: float | None     # kl(eps_k, 1 - eps_k) in nats; None when degenerate
 
@@ -67,14 +65,16 @@ def burn_in_lower_bound(p: BurnInParams) -> BurnInResult:
 
     (1-delta)(1-epsilon) * gap * ln((1-epsilon)/delta) / kl(eps_k, 1-eps_k).
     When delta >= 1 - epsilon the log term is non-positive and the bound
-    degenerates to zero.
+    degenerates to zero. Raises OverflowError when 1 - eps_k rounds to 1 or the bound is inf.
     """
     eps_k = effective_prior_weight(p.epsilon, p.k)
     log_term = math.log((1.0 - p.epsilon) / p.delta)
     if log_term <= 0:
-        return BurnInResult(cycles=0.0, degenerate=True, assumption_violated=p.assumption_violated,
-                            effective_prior_weight=eps_k, binary_kl=None)
+        return BurnInResult(cycles=0.0, effective_prior_weight=eps_k, binary_kl=None)
+    if 1.0 - eps_k == 1.0:
+        raise OverflowError(f"1 - eps_k rounds to 1 at eps_k = {eps_k}")
     kl = binary_kl(eps_k, 1.0 - eps_k)
     cycles = (1.0 - p.delta) * (1.0 - p.epsilon) * p.gap * log_term / kl
-    return BurnInResult(cycles=cycles, degenerate=False, assumption_violated=p.assumption_violated,
-                        effective_prior_weight=eps_k, binary_kl=kl)
+    if not math.isfinite(cycles):
+        raise OverflowError(f"burn-in bound is not finite: {cycles}")
+    return BurnInResult(cycles=cycles, effective_prior_weight=eps_k, binary_kl=kl)

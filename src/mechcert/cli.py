@@ -106,7 +106,7 @@ def _outdir(args) -> Path:
     return path
 
 
-def cmd_certify(args) -> int:
+def cmd_certify(args) -> None:
     params = _build_params(args, sigma_f2=args.sigma_f2)
     report = cert.certificate_report(params, args.target)
     if report.critical_bias is None:
@@ -125,43 +125,39 @@ def cmd_certify(args) -> int:
     ]
     if report.capacity_exceeds_entropy:
         lines.append("warning = capacity exceeds prior entropy (non-canonical sigma_f2)")
+    if report.lb_envelope > report.ub_envelope:
+        lines.append("warning = lb_envelope exceeds ub_envelope "
+                     "(constant-free envelopes cross when ln k < 1)")
     print("\n".join(lines))
     if args.out is not None:
         (_outdir(args) / "certify.txt").write_text("\n".join(lines) + "\n")
-    return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> None:
     from . import sim  # the only command that needs numpy
 
     config = sim.ExperimentConfig(trials=args.trials, seed=args.seed,
                                   workers=args.workers, prior_strength=args.strength)
-    out = _outdir(args)
-    if args.table == 1:
-        path = out / "table1.csv"
-        sim.write_table1_csv(sim.table1_experiment(config), path)
-    else:
-        path = out / "table2.csv"
-        sim.write_table2_csv(sim.table2_experiment(config), path)
-    sys.stdout.write(path.read_text())
-    return EXIT_OK
+    experiment, write = {1: (sim.table1_experiment, sim.write_table1_csv),
+                         2: (sim.table2_experiment, sim.write_table2_csv)}[args.table]
+    path = _outdir(args) / f"table{args.table}.csv"
+    sys.stdout.write(write(experiment(config), path))
 
 
-def cmd_burnin(args) -> int:
-    result = bi.burn_in_lower_bound(
-        bi.BurnInParams(epsilon=args.eps, delta=args.delta, gap=args.gap, k=args.k))
+def cmd_burnin(args) -> None:
+    params = bi.BurnInParams(epsilon=args.eps, delta=args.delta, gap=args.gap, k=args.k)
+    result = bi.burn_in_lower_bound(params)
     print(f"effective_prior_weight = {result.effective_prior_weight:.6g}")
     if result.binary_kl is not None:
         print(f"binary_kl = {_info(args, result.binary_kl)}")
     print(f"burn_in_cycles = {result.cycles:.6g}")
-    if result.degenerate:
+    if result.binary_kl is None:
         print("flag = degenerate regime (delta >= 1 - epsilon); bound is 0")
-    if result.assumption_violated:
+    if params.assumption_violated:
         print("flag = assumption epsilon <= delta violated; bound is exploratory")
-    return EXIT_OK
 
 
-def cmd_shift(args) -> int:
+def cmd_shift(args) -> None:
     if args.joint is not None:
         joint = JointDistribution.from_csv(args.joint)
         subset = args.subset if args.subset is not None else range(joint.k // 2)
@@ -171,23 +167,21 @@ def cmd_shift(args) -> int:
         print(f"mi_excess = {report.mi_excess:.6g}")
         print(f"shift_divergence = {_info(args, report.shift_divergence)}")
         print(f"mutual_information_test = {_info(args, report.mutual_information_test)}")
-        return EXIT_OK
+        return
     if args.r_train is None or args.delta_pi is None:
         raise UsageError("shift requires --r-train and --delta-pi (or --joint)")
     report = sh.check_retention(args.r_train, args.k, args.delta_pi)
     print(f"threshold = {_info(args, report.threshold)}")
     print(f"retained = {report.retained.value}")
-    return EXIT_OK
 
 
-def cmd_prior(args) -> int:
+def cmd_prior(args) -> None:
     prior = solve_prior_for_r_mech(args.k, args.r_mech)
     print(f"beta = {prior.beta:.6g}")
     print(f"alpha = {prior.alpha:.6g}")
-    return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> None:
     base = _build_params(args)
     out = _outdir(args)
     if args.grid:
@@ -208,7 +202,6 @@ def cmd_sweep(args) -> int:
         raise UsageError("sweep requires --param or --grid")
     write(rows, out / name)
     print(f"wrote {out / name} ({len(rows)} rows)")
-    return EXIT_OK
 
 
 def _add_bits(p: _Parser) -> None:
@@ -302,7 +295,7 @@ def main(argv=None) -> int:
         if args.config:
             _load_config(parser.commands[args.command], args.config)
             args = parser.parse_args(argv)
-        return args.func(args)
+        args.func(args)
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -313,6 +306,7 @@ def main(argv=None) -> int:
         print(f"error: a parameter is out of numeric range ({type(exc).__name__})",
               file=sys.stderr)
         return EXIT_DOMAIN
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 # Pseudo-count scale for encoding the hybrid prior into Beta posteriors,
 # frozen after a one-time grid search over s in {1..40} against the
@@ -86,7 +85,6 @@ def solve_prior_for_r_mech(k: int, r_mech: float) -> TwoLevelPrior:
     return TwoLevelPrior(k=k, beta=_solve_beta(k, r_mech))
 
 
-@lru_cache(maxsize=1024)
 def _solve_beta(k: int, r_mech: float) -> float:
     """Root of two_level_entropy(k, b) = ln k - r_mech for b in [1/k, 1 - 1e-15].
 

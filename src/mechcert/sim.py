@@ -20,6 +20,7 @@ uninformed Thompson sampling, or r_mech = 0), depends on neither the
 strength nor r_mech. Every flat cell is therefore one cell, and each
 distinct cell is simulated once: Table 1's uninformed column is one
 estimate, and its hybrid cell at r_mech = 0 is that estimate bit for bit.
+`regret_curves` solves each distinct information level's prior once.
 The baseline dose is a constant and is computed in closed form.
 
 This is the only module that imports numpy: the closed-form calculator
@@ -155,20 +156,19 @@ def _summarize(regrets: np.ndarray) -> RegretSummary:
     return RegretSummary(mean=float(np.mean(regrets)), ci96_halfwidth=half)
 
 
-def _block_regrets(seed: int, strength: float, r_mech: float, horizons,
+def _block_regrets(seed: int, strength: float, prior: TwoLevelPrior, horizons,
                    block: int) -> np.ndarray:
     """Regrets of the BLOCK_SIZE trials of one block, shape (BLOCK_SIZE, len(horizons)).
 
     The environment stream draws each trial's optimal arm uniformly, then
-    its recommended arm at an offset drawn from the two-level prior, which
-    gives the same joint law as drawing the recommendation first. The
-    policy stream drives the Thompson rounds. Both are keyed by (seed,
+    its recommended arm at an offset drawn from `prior` (centred on arm 0),
+    which gives the same joint law as drawing the recommendation first.
+    The policy stream drives the Thompson rounds. Both are keyed by (seed,
     block) only, so every cell of a block faces the same optimal arms.
     """
     env_seq, policy_seq = np.random.SeedSequence(entropy=seed, spawn_key=(block,)).spawn(2)
     env_rng = np.random.Generator(np.random.Philox(env_seq))
     optimal = env_rng.integers(K, size=BLOCK_SIZE)
-    prior = solve_prior_for_r_mech(K, r_mech)  # centred on arm 0
     offset = np.searchsorted(np.cumsum(prior.weights()), env_rng.random(BLOCK_SIZE),
                              side="right")
     recommended = (optimal - np.minimum(offset, K - 1)) % K
@@ -197,12 +197,12 @@ def regret_curves(config: ExperimentConfig, cells, horizons) -> np.ndarray:
     horizons = tuple(horizons)
     if min(horizons) < 1:
         raise ValueError(f"horizon must be >= 1, got {min(horizons)}")
-    keys = []
-    for strength, r_mech in cells:
-        solve_prior_for_r_mech(K, r_mech)  # a merged cell still rejects a bad r_mech
-        keys.append((0.0, 0.0) if strength == 0 or r_mech == 0 else (strength, r_mech))
+    # one solve per level; it also rejects a bad r_mech in a merged flat cell
+    priors = {r: solve_prior_for_r_mech(K, r) for r in {0.0, *(r for _, r in cells)}}
+    keys = [(0.0, 0.0) if strength == 0 or r_mech == 0 else (strength, r_mech)
+            for strength, r_mech in cells]
     distinct = {key: i for i, key in enumerate(dict.fromkeys(keys))}
-    jobs = [(config.seed, strength, r_mech, horizons, b)
+    jobs = [(config.seed, strength, priors[r_mech], horizons, b)
             for strength, r_mech in distinct for b in range(blocks)]
     workers = min(config.workers, len(jobs), os.cpu_count() or 1)
     if workers == 1:
@@ -294,13 +294,13 @@ def table2_experiment(config: ExperimentConfig) -> list[Table2Row]:
     return rows
 
 
-def write_table1_csv(rows: list[Table1Row], path) -> None:
-    write_csv(path, TABLE1_HEADER, (
+def write_table1_csv(rows: list[Table1Row], path) -> str:
+    return write_csv(path, TABLE1_HEADER, (
         (r.r_mech, r.h_mech, r.hyb.mean, r.hyb.ci96_halfwidth, r.uninf.mean,
          r.uninf.ci96_halfwidth, r.bsa.mean, r.bsa.ci96_halfwidth,
          r.ratio_uninf_hyb, r.lb_prediction, r.ratio_bsa_hyb) for r in rows))
 
 
-def write_table2_csv(rows: list[Table2Row], path) -> None:
-    write_csv(path, TABLE2_HEADER, ((r.n, r.hyb.mean, r.hyb.ci96_halfwidth, r.uninf.mean,
-                                     r.uninf.ci96_halfwidth, r.ratio) for r in rows))
+def write_table2_csv(rows: list[Table2Row], path) -> str:
+    return write_csv(path, TABLE2_HEADER, ((r.n, r.hyb.mean, r.hyb.ci96_halfwidth, r.uninf.mean,
+                                            r.uninf.ci96_halfwidth, r.ratio) for r in rows))

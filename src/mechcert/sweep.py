@@ -147,12 +147,12 @@ def _fmt(x) -> str:
     return "nan" if x is None else f"{x:.6g}"
 
 
-def write_csv(path, header: str, rows) -> None:
-    """Write the header line, then one line per sequence of fields."""
+def write_csv(path, header: str, rows) -> str:
+    """Write the header line, then one line per sequence of fields; return the text."""
+    text = "\n".join([header, *(",".join(map(_fmt, fields)) for fields in rows)]) + "\n"
     with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for fields in rows:
-            fh.write(",".join(map(_fmt, fields)) + "\n")
+        fh.write(text)
+    return text
 
 
 def write_sweep1d_csv(rows: list[Sweep1DRow], path) -> None:

@@ -63,9 +63,9 @@ class TestBurnInBound:
         result = burn_in_lower_bound(params)
         assert result.cycles == pytest.approx(0.35, abs=0.01)
         assert result.cycles == pytest.approx(0.347, abs=0.005)
-        assert not result.degenerate
+        assert result.binary_kl is not None
         # epsilon = 0.2 > delta = 0.01 sits outside the proposition's premise
-        assert result.assumption_violated
+        assert params.assumption_violated
         assert result.effective_prior_weight == effective_prior_weight(0.2, 8)
         eps_k = result.effective_prior_weight
         assert result.binary_kl == binary_kl(eps_k, 1 - eps_k)
@@ -73,21 +73,21 @@ class TestBurnInBound:
     def test_zero_gap(self):
         result = burn_in_lower_bound(BurnInParams(epsilon=0.2, delta=0.01, gap=0.0, k=8))
         assert result.cycles == 0.0
-        assert not result.degenerate
+        assert result.binary_kl is not None
 
     def test_assumption_flagged(self):
-        result = burn_in_lower_bound(BurnInParams(epsilon=0.15, delta=0.10, gap=0.2, k=8))
+        params = BurnInParams(epsilon=0.15, delta=0.10, gap=0.2, k=8)
+        result = burn_in_lower_bound(params)
         assert result.cycles == pytest.approx(0.151, abs=0.005)
-        assert result.assumption_violated
-        assert not result.degenerate
+        assert params.assumption_violated
+        assert result.binary_kl is not None
 
     def test_degenerate_regime(self):
         # delta >= 1 - epsilon makes the log term non-positive
         result = burn_in_lower_bound(BurnInParams(epsilon=0.9, delta=0.3, gap=0.2, k=8))
         assert result.cycles == 0.0
-        assert result.degenerate
-        assert result.effective_prior_weight == effective_prior_weight(0.9, 8)
         assert result.binary_kl is None
+        assert result.effective_prior_weight == effective_prior_weight(0.9, 8)
 
     def test_param_validation(self):
         with pytest.raises(ValueError):

@@ -28,6 +28,20 @@ class TestCertify:
         assert "0.71389" in out
         assert "3.24" in out
         assert "DataEfficient" in out
+        # the whole output, pinned: no warning line at k = 8
+        assert out == ("sigma_f2 = 0.068459\ncapacity = 0.796042 nats\n"
+                       "h_mech_floor = 1.2834 nats\ncritical_bias = 0.71389\n"
+                       "bias_ratio_crit_over_b = 3.24496\nregime = DataEfficient\n"
+                       "sample_ratio = 1.62026\nlb_envelope = 7.69738\nub_envelope = 11.0998\n")
+        assert err == ""
+
+    def test_crossed_envelopes_warn(self, capsys):
+        # the envelopes' ratio ub/lb is sqrt(ln k), below 1 when k < e
+        code, out, err = run(capsys, "certify", "--k", "2", "--n", "1000000")
+        assert code == 0
+        assert out.endswith("lb_envelope = 1045.07\nub_envelope = 870.081\n"
+                            "warning = lb_envelope exceeds ub_envelope "
+                            "(constant-free envelopes cross when ln k < 1)\n")
         assert err == ""
 
     def test_baseline_regime(self, capsys):
@@ -223,6 +237,10 @@ OUT_OF_RANGE = "a parameter is out of numeric range"
     (("certify", "--d-f", "1e-320"), OUT_OF_RANGE),
     (("sweep", "--param", "d_f", "--values", "1e-320"), OUT_OF_RANGE),
     (("certify", "--target", "1e-320"), OUT_OF_RANGE),
+    (("burnin", "--eps", "0.45", "--delta", "1e-300", "--gap", "1e308"), OUT_OF_RANGE),
+    (("burnin", "--eps", "0.2", "--delta", "0.01", "--gap", "0.2", "--k", "1" + "0" * 20),
+     OUT_OF_RANGE),
+    (("burnin", "--eps", "1e-300", "--delta", "0.01", "--gap", "0.2"), OUT_OF_RANGE),
 ], ids=["burnin-eps", "certify-b-mu-nan", "certify-sigma-nan", "certify-kappa-mu-nan",
         "certify-d-f-nan", "certify-target-nan", "simulate-strength-nan",
         "simulate-strength-negative", "simulate-workers-negative", "simulate-workers-zero",
@@ -234,7 +252,8 @@ OUT_OF_RANGE = "a parameter is out of numeric range"
         "shift-joint-malformed", "shift-joint-ragged", "certify-kappa-mu-overflow",
         "certify-sigma-overflow", "certify-sigma-underflow", "certify-d-f-underflow",
         "shift-r-train-overflow", "sweep-sigma-underflow", "simulate-strength-overflow",
-        "certify-d-f-overflow", "sweep-d-f-overflow", "certify-target-overflow"])
+        "certify-d-f-overflow", "sweep-d-f-overflow", "certify-target-overflow",
+        "burnin-cycles-overflow", "burnin-k-overflow", "burnin-eps-underflow"])
 def test_domain_error_exit_2(capsys, monkeypatch, tmp_path, argv, message):
     monkeypatch.chdir(tmp_path)
     for name, text in BAD_JOINTS.items():

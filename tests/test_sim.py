@@ -110,9 +110,10 @@ class TestMonteCarlo:
         many = regret_curves(ExperimentConfig(trials=1000, seed=42), [(2.0, 1.4)], (12,))[0]
         assert few.shape == (400, 1)
         assert np.array_equal(few, many[:400])
+        prior = solve_prior_for_r_mech(8, 1.4)
         for t in (0, 255, 256, 399):
             block, row = divmod(t, BLOCK_SIZE)
-            assert _block_regrets(42, 2.0, 1.4, (12,), block)[row, 0] == few[t, 0]
+            assert _block_regrets(42, 2.0, prior, (12,), block)[row, 0] == few[t, 0]
 
     def test_short_horizon_is_prefix_of_long_run(self):
         # Table 2 reads every horizon off one run, so its arms still
@@ -150,10 +151,11 @@ class TestMonteCarlo:
         # the optimum is drawn before the recommendation, so a policy whose
         # pseudo-counts are all 1 follows one path at every strength and r_mech:
         # what lets regret_curves simulate every flat cell once
-        flat = _block_regrets(7, 0.0, 0.0, (1, 12, 200), block)
+        flat = _block_regrets(7, 0.0, solve_prior_for_r_mech(8, 0.0), (1, 12, 200), block)
         cells = [(s, 0.0) for s in (0.0, 2.0, 5.0)] + [(0.0, r) for r in R_MECH_GRID]
         for strength, r_mech in cells:
-            got = _block_regrets(7, strength, r_mech, (1, 12, 200), block)
+            got = _block_regrets(7, strength, solve_prior_for_r_mech(8, r_mech), (1, 12, 200),
+                                 block)
             assert np.array_equal(got, flat), (strength, r_mech)
 
     @pytest.mark.parametrize("experiment,strength,calls", [
@@ -174,6 +176,22 @@ class TestMonteCarlo:
         experiment(ExperimentConfig(trials=300, seed=5, prior_strength=strength))
         assert len(seen) == calls
         assert len(set(seen)) == calls
+
+    @pytest.mark.parametrize("experiment,levels", [
+        (table1_experiment, {0.0, 0.3, 0.8, 1.4, 1.9}), (table2_experiment, {0.0, 1.9}),
+    ])
+    def test_each_level_solved_once(self, monkeypatch, experiment, levels):
+        # 600 trials are three blocks; the blocks share one prior per level
+        seen = []
+
+        def counting(k, r_mech):
+            seen.append(r_mech)
+            return solve_prior_for_r_mech(k, r_mech)
+
+        monkeypatch.setattr(sim, "solve_prior_for_r_mech", counting)
+        experiment(ExperimentConfig(trials=600, seed=1))
+        assert len(seen) == len(levels)
+        assert set(seen) == levels
 
     def test_rejects_bad_r_mech_in_flat_cell(self):
         with pytest.raises(ValueError, match="r_mech must lie in"):
