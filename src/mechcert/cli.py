@@ -97,6 +97,13 @@ def _build_params(args, **extra) -> cert.CalibrationParams:
         "k", "n", "sigma", "kappa_mu", "d_f", "b_mu")}, **extra)
 
 
+def _reject_given(args, flags, reason: str) -> None:
+    """A flag the chosen mode never reads is a usage error; a config value counts as given."""
+    for flag in flags:
+        if getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise UsageError(f"argument {flag}: {reason}")
+
+
 def _outdir(args) -> Path:
     path = Path(args.out)
     try:
@@ -159,6 +166,7 @@ def cmd_burnin(args) -> None:
 
 def cmd_shift(args) -> None:
     if args.joint is not None:
+        _reject_given(args, ("--r-train", "--delta-pi"), "not allowed with argument --joint")
         joint = JointDistribution.from_csv(args.joint)
         subset = args.subset if args.subset is not None else range(joint.k // 2)
         report = sh.verify_impossibility(joint, subset)
@@ -168,6 +176,7 @@ def cmd_shift(args) -> None:
         print(f"shift_divergence = {_info(args, report.shift_divergence)}")
         print(f"mutual_information_test = {_info(args, report.mutual_information_test)}")
         return
+    _reject_given(args, ("--subset",), "not allowed without argument --joint")
     if args.r_train is None or args.delta_pi is None:
         raise UsageError("shift requires --r-train and --delta-pi (or --joint)")
     report = sh.check_retention(args.r_train, args.k, args.delta_pi)
@@ -183,13 +192,14 @@ def cmd_prior(args) -> None:
 
 def cmd_sweep(args) -> None:
     base = _build_params(args)
-    out = _outdir(args)
     if args.grid:
+        _reject_given(args, ("--values", "--min", "--max"), "not allowed with argument --grid")
         steps = sw.GRID_STEPS if args.steps is None else args.steps
         rows = sw.sweep_2d(*(sw.grid_axis(param, base, steps) for param in args.grid))
         name, write = "sweep2d.csv", sw.write_sweep2d_csv
     elif args.param:
         if args.values is not None:
+            _reject_given(args, ("--min", "--max", "--steps"), "not allowed with argument --values")
             values = args.values
         elif args.min is None or args.max is None:
             raise UsageError("sweep needs --values or --min/--max")
@@ -200,8 +210,9 @@ def cmd_sweep(args) -> None:
         name, write = "sweep1d.csv", sw.write_sweep1d_csv
     else:
         raise UsageError("sweep requires --param or --grid")
-    write(rows, out / name)
-    print(f"wrote {out / name} ({len(rows)} rows)")
+    path = _outdir(args) / name
+    write(rows, path)
+    print(f"wrote {path} ({len(rows)} rows)")
 
 
 def _add_bits(p: _Parser) -> None:

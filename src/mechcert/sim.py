@@ -14,13 +14,10 @@ index, prior strength, r_mech): never on the trial count, the worker
 count or the execution order. Each Thompson round makes the same draws
 whatever the horizon, so the regret at a shorter horizon is the prefix
 of the longer run. The environment stream draws each trial's optimal arm
-first and its recommended arm second, so the optimum, and with it the
-path of a flat policy (every pseudo-count 1: strength 0, which is
-uninformed Thompson sampling, or r_mech = 0), depends on neither the
-strength nor r_mech. Every flat cell is therefore one cell, and each
-distinct cell is simulated once: Table 1's uninformed column is one
-estimate, and its hybrid cell at r_mech = 0 is that estimate bit for bit.
-`regret_curves` solves each distinct information level's prior once.
+first and its recommended arm second, so the path of a flat policy
+(every pseudo-count 1) depends on neither the strength nor r_mech: a
+cell is one information level, uninformed Thompson sampling is the
+level r_mech = 0, and at strength 0 every level is that level.
 The baseline dose is a constant and is computed in closed form.
 
 This is the only module that imports numpy: the closed-form calculator
@@ -31,7 +28,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,11 +55,6 @@ TABLE2_R_MECH = 1.9
 TABLE2_HORIZONS = (5, 10, 20, 50, 200)
 
 
-def _arm_means(k: int, optimal, p_opt: float, p_bsa: float) -> np.ndarray:
-    """Arm means with p_opt at `optimal` (an int or an array of rows), p_bsa elsewhere."""
-    return np.where(np.arange(k) == np.asarray(optimal)[..., None], p_opt, p_bsa)
-
-
 def build_environment(k: int, optimal: int, p_opt: float, p_bsa: float) -> np.ndarray:
     """The arm means of one environment: p_opt at `optimal`, p_bsa elsewhere."""
     if k < 2:
@@ -71,21 +63,19 @@ def build_environment(k: int, optimal: int, p_opt: float, p_bsa: float) -> np.nd
         raise ValueError(f"require 0 <= p_bsa < p_opt <= 1, got p_bsa={p_bsa}, p_opt={p_opt}")
     if not 0 <= optimal < k:
         raise ValueError(f"optimal arm {optimal} outside [0, {k})")
-    return _arm_means(k, optimal, p_opt, p_bsa)
+    return np.where(np.arange(k) == optimal, p_opt, p_bsa)
 
 
-def hybrid_policy(prior: TwoLevelPrior, strength: float = DEFAULT_PRIOR_STRENGTH) -> tuple:
+def hybrid_policy(prior: TwoLevelPrior, strength: float) -> tuple:
     """Encode the two-level prior as Beta pseudo-counts (alpha0, beta0).
 
     Arm j starts at Beta(1 + s*k*max(w_j - 1/k, 0), 1 + s*k*max(1/k - w_j, 0)),
-    which is exactly Beta(1, 1) everywhere for the uniform prior or s = 0:
-    uninformed Thompson sampling is this encoding at strength 0.
+    which is exactly Beta(1, 1) everywhere for the uniform prior (level 0)
+    or s = 0: uninformed Thompson sampling is this encoding at level 0.
     """
-    w = np.asarray(prior.weights())
     k = prior.k
-    excess = np.maximum(w - 1.0 / k, 0.0)
-    deficit = np.maximum(1.0 / k - w, 0.0)
-    return 1.0 + strength * k * excess, 1.0 + strength * k * deficit
+    tilt = np.asarray(prior.weights()) - 1.0 / k
+    return 1.0 + strength * k * np.maximum(tilt, 0.0), 1.0 + strength * k * np.maximum(-tilt, 0.0)
 
 
 def _thompson_rounds(alpha: np.ndarray, beta: np.ndarray, means: np.ndarray, n: int,
@@ -164,7 +154,7 @@ def _block_regrets(seed: int, strength: float, prior: TwoLevelPrior, horizons,
     its recommended arm at an offset drawn from `prior` (centred on arm 0),
     which gives the same joint law as drawing the recommendation first.
     The policy stream drives the Thompson rounds. Both are keyed by (seed,
-    block) only, so every cell of a block faces the same optimal arms.
+    block) only, so every level of a block faces the same optimal arms.
     """
     env_seq, policy_seq = np.random.SeedSequence(entropy=seed, spawn_key=(block,)).spawn(2)
     env_rng = np.random.Generator(np.random.Philox(env_seq))
@@ -175,21 +165,21 @@ def _block_regrets(seed: int, strength: float, prior: TwoLevelPrior, horizons,
     alpha0, beta0 = hybrid_policy(prior, strength)
     # row i takes the arm-0-centred pseudo-counts rotated to its recommended arm
     rotation = (np.arange(K) - recommended[:, None]) % K
+    means = np.where(np.arange(K) == optimal[:, None], P_OPT, P_BSA)
     policy_rng = np.random.Generator(np.random.Philox(policy_seq))
-    return _thompson_rounds(alpha0[rotation], beta0[rotation], _arm_means(K, optimal, P_OPT, P_BSA),
-                            max(horizons), policy_rng)[:, list(horizons)]
+    return _thompson_rounds(alpha0[rotation], beta0[rotation], means, max(horizons),
+                            policy_rng)[:, list(horizons)]
 
 
-def regret_curves(config: ExperimentConfig, cells, horizons) -> np.ndarray:
-    """Cumulative pseudo-regret of each trial of each cell at each horizon.
+def regret_curves(config: ExperimentConfig, levels, horizons) -> np.ndarray:
+    """Cumulative pseudo-regret of each trial of each level at each horizon.
 
-    A cell is a (strength, r_mech) pair: Thompson sampling from the hybrid
-    prior at pseudo-count scale `strength` (0 is uninformed) on information
-    level r_mech. Returns a (len(cells), config.trials, len(horizons))
-    array. Trial t is row t % BLOCK_SIZE of block t // BLOCK_SIZE. A flat
-    policy (strength 0 or r_mech 0) follows the same path at every r_mech,
-    so all flat cells are keyed (0, 0), and each distinct key is simulated
-    once and copied to its cells. Every (key, block) pair is one job; with
+    A level r_mech is Thompson sampling from the hybrid prior at scale
+    config.prior_strength; level 0 is uninformed. Returns a (len(levels),
+    config.trials, len(horizons)) array; trial t is row t % BLOCK_SIZE of
+    block t // BLOCK_SIZE. Each level's prior is solved once. At strength 0
+    every level is keyed 0, and each distinct key is simulated once and
+    copied to its levels. Every (key, block) pair is one job; with
     workers > 1 the jobs are split into contiguous chunks over one process
     pool of at most the CPU count, which changes nothing but the wall time.
     """
@@ -197,13 +187,12 @@ def regret_curves(config: ExperimentConfig, cells, horizons) -> np.ndarray:
     horizons = tuple(horizons)
     if min(horizons) < 1:
         raise ValueError(f"horizon must be >= 1, got {min(horizons)}")
-    # one solve per level; it also rejects a bad r_mech in a merged flat cell
-    priors = {r: solve_prior_for_r_mech(K, r) for r in {0.0, *(r for _, r in cells)}}
-    keys = [(0.0, 0.0) if strength == 0 or r_mech == 0 else (strength, r_mech)
-            for strength, r_mech in cells]
+    # one solve per level; it also rejects a bad level keyed to 0 at strength 0
+    priors = {r: solve_prior_for_r_mech(K, r) for r in {0.0, *levels}}
+    keys = [r if config.prior_strength else 0.0 for r in levels]
     distinct = {key: i for i, key in enumerate(dict.fromkeys(keys))}
-    jobs = [(config.seed, strength, priors[r_mech], horizons, b)
-            for strength, r_mech in distinct for b in range(blocks)]
+    jobs = [(config.seed, config.prior_strength, priors[r], horizons, b)
+            for r in distinct for b in range(blocks)]
     workers = min(config.workers, len(jobs), os.cpu_count() or 1)
     if workers == 1:
         parts = list(map(_block_regrets, *zip(*jobs)))
@@ -223,12 +212,13 @@ def run_monte_carlo(config: ExperimentConfig, algorithm: str, r_mech: float,
     """Mean cumulative pseudo-regret with a 96% CI over config.trials trials.
 
     `algorithm` is "hybrid" or "uninformed" (the hybrid encoding at
-    strength 0).
+    strength 0, which still rejects an r_mech outside [0, ln K]).
     """
     strengths = {"hybrid": config.prior_strength, "uninformed": 0.0}
     if algorithm not in strengths:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    return _summarize(regret_curves(config, [(strengths[algorithm], r_mech)], (n,))[0, :, 0])
+    config = replace(config, prior_strength=strengths[algorithm])
+    return _summarize(regret_curves(config, [r_mech], (n,))[0, :, 0])
 
 
 TABLE1_HEADER = ("r_mech,h_mech,hyb_mean,hyb_ci,uninf_mean,uninf_ci,"
@@ -258,16 +248,14 @@ class Table2Row:
 
 def table1_experiment(config: ExperimentConfig) -> list[Table1Row]:
     """Fixed horizon, sweep the information level of the hybrid prior."""
-    cells = [(strength, r_mech) for r_mech in R_MECH_GRID
-             for strength in (config.prior_strength, 0.0)]
-    curves = regret_curves(config, cells, (HORIZON,)).reshape(len(R_MECH_GRID), 2, -1)
+    hybs = list(map(_summarize, regret_curves(config, R_MECH_GRID, (HORIZON,))[:, :, 0]))
+    uninf = hybs[R_MECH_GRID.index(0.0)]  # uninformed Thompson sampling is the level 0
     # the baseline dose has the regret HORIZON*(P_OPT - P_BSA) in every trial
     bsa = RegretSummary(HORIZON * (P_OPT - P_BSA), 0.0)
     h_mu = math.log(K)
     rows = []
-    for r_mech, (hyb_regrets, uninf_regrets) in zip(R_MECH_GRID, curves):
+    for r_mech, hyb in zip(R_MECH_GRID, hybs):
         h_mech = residual_entropy(h_mu, r_mech)
-        hyb, uninf = _summarize(hyb_regrets), _summarize(uninf_regrets)
         rows.append(Table1Row(
             r_mech=r_mech, h_mech=h_mech, hyb=hyb, uninf=uninf, bsa=bsa,
             ratio_uninf_hyb=uninf.mean / hyb.mean if hyb.mean > 0 else math.inf,
@@ -284,8 +272,7 @@ def table2_experiment(config: ExperimentConfig) -> list[Table2Row]:
     algorithms face the same optimal-arm draws within each trial index
     (shared environment streams).
     """
-    hyb, uninf = regret_curves(config, [(config.prior_strength, TABLE2_R_MECH),
-                                        (0.0, TABLE2_R_MECH)], TABLE2_HORIZONS)
+    hyb, uninf = regret_curves(config, (TABLE2_R_MECH, 0.0), TABLE2_HORIZONS)
     rows = []
     for col, n in enumerate(TABLE2_HORIZONS):
         h, u = _summarize(hyb[:, col]), _summarize(uninf[:, col])

@@ -126,7 +126,7 @@ def sweep_2d(x_spec: SweepSpec, y_spec: SweepSpec) -> list[Sweep2DRow]:
     data-efficient and baseline regimes. Two axes that set the same
     quantity (b_mu twice, or sigma and p_opt) raise ValueError.
     """
-    if x_spec.base is not y_spec.base and x_spec.base != y_spec.base:
+    if x_spec.base != y_spec.base:
         raise ValueError("both sweep axes must share the same base parameters")
     x_param, y_param = x_spec.parameter, y_spec.parameter
     if {x_param, y_param} <= {"sigma", "p_opt"} or x_param == y_param:

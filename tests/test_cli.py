@@ -301,6 +301,42 @@ def test_list_flags_from_config_take_effect(capsys, tmp_path):
             == (tmp_path / "b" / "sweep1d.csv").read_bytes())
 
 
+@pytest.mark.parametrize("argv,message,config", [
+    (("shift", "--joint", "joint.csv", "--r-train", "1", "--delta-pi", "0.1"),
+     "argument --r-train: not allowed with argument --joint", None),
+    (("shift", "--r-train", "1.6", "--delta-pi", "0.005", "--subset", "0,1"),
+     "argument --subset: not allowed without argument --joint", None),
+    (("sweep", "--grid", "kappa_mu", "b_mu", "--values", "1,2"),
+     "argument --values: not allowed with argument --grid", None),
+    (("sweep", "--grid", "kappa_mu", "b_mu", "--min", "0", "--max", "9"),
+     "argument --min: not allowed with argument --grid", None),
+    (("sweep", "--param", "b_mu", "--values", "0.2,0.3", "--min", "0", "--max", "1"),
+     "argument --min: not allowed with argument --values", None),
+    (("sweep", "--param", "b_mu", "--values", "0.2,0.3", "--steps", "5"),
+     "argument --steps: not allowed with argument --values", None),
+    (("sweep", "--grid", "kappa_mu", "b_mu"),
+     "argument --values: not allowed with argument --grid", "values = 1,2\n"),
+], ids=["shift-joint-r-train", "shift-subset-without-joint", "sweep-grid-values",
+        "sweep-grid-range", "sweep-values-range", "sweep-values-steps", "sweep-grid-config-values"])
+def test_flag_the_mode_never_reads_exit_1(capsys, monkeypatch, tmp_path, argv, message, config):
+    # a config-file value counts as given; nothing is written, the CSV's directory included
+    monkeypatch.chdir(tmp_path)
+    joint = joint_from_channel(np.full(8, 1 / 8), two_level_channel(8, 0.972))
+    (tmp_path / "joint.csv").write_text("8\n" + "".join(
+        ",".join(map(str, row)) + "\n" for row in joint.probs))
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        argv = (*argv, "--config", "run.cfg")
+    if argv[0] == "sweep":
+        argv = (*argv, "--out", "sweeps")
+    before = sorted(tmp_path.iterdir())
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert err == f"error: {message}\n"
+    assert out == ""
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_import_skips_scipy_and_process_pool():
     """Closed-form commands start without numpy, scipy or multiprocessing, and
     the bare package loads none of its modules."""

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -106,8 +107,8 @@ class TestMonteCarlo:
         assert serial == parallel
 
     def test_trial_regret_independent_of_trial_count(self):
-        few = regret_curves(FAST, [(2.0, 1.4)], (12,))[0]
-        many = regret_curves(ExperimentConfig(trials=1000, seed=42), [(2.0, 1.4)], (12,))[0]
+        few = regret_curves(FAST, [1.4], (12,))[0]
+        many = regret_curves(ExperimentConfig(trials=1000, seed=42), [1.4], (12,))[0]
         assert few.shape == (400, 1)
         assert np.array_equal(few, many[:400])
         prior = solve_prior_for_r_mech(8, 1.4)
@@ -118,42 +119,48 @@ class TestMonteCarlo:
     def test_short_horizon_is_prefix_of_long_run(self):
         # Table 2 reads every horizon off one run, so its arms still
         # share optimal-arm draws and the n = 5 column is a prefix
-        curves = regret_curves(FAST, [(0.0, 1.9)], (5, 200))[0]
-        short = regret_curves(FAST, [(0.0, 1.9)], (5,))[0]
+        curves = regret_curves(FAST, [0.0], (5, 200))[0]
+        short = regret_curves(FAST, [0.0], (5,))[0]
         assert np.array_equal(curves[:, 0], short[:, 0])
         assert np.all(curves[:, 0] <= curves[:, 1])
         assert run_monte_carlo(FAST, "uninformed", 1.9, n=5) == table2_experiment(FAST)[0].uninf
 
     def test_unordered_and_repeated_horizons(self):
-        cells = [(2.0, 1.4), (0.0, 0.8)]
-        curves = regret_curves(FAST, cells, (12, 5, 12))
-        twelve = regret_curves(FAST, cells, (12,))[:, :, 0]
+        levels = [1.4, 0.0]
+        curves = regret_curves(FAST, levels, (12, 5, 12))
+        twelve = regret_curves(FAST, levels, (12,))[:, :, 0]
         assert np.array_equal(curves[:, :, 0], twelve)
-        assert np.array_equal(curves[:, :, 1], regret_curves(FAST, cells, (5,))[:, :, 0])
+        assert np.array_equal(curves[:, :, 1], regret_curves(FAST, levels, (5,))[:, :, 0])
         assert np.array_equal(curves[:, :, 2], twelve)
 
     def test_regret_curves_rejects_horizon_below_one(self):
         with pytest.raises(ValueError, match="horizon must be >= 1, got 0"):
-            regret_curves(FAST, [(2.0, 1.4)], (12, 0))
+            regret_curves(FAST, [1.4], (12, 0))
 
     def test_cell_independent_of_its_companions(self):
         config = ExperimentConfig(trials=300, seed=11, workers=2)
-        # the second list repeats a cell and has flat cells, which share one simulation
-        for cells in ([(2.0, 1.9), (0.0, 0.3), (5.0, 0.8)],
-                      [(2, 1.9), (0, 0.3), (2, 1.9), (5, 0), (0, 1.4)]):
-            together = regret_curves(config, cells, (3, 12))
-            assert together.shape == (len(cells), 300, 2)
-            for i, cell in enumerate(cells):
-                assert np.array_equal(together[i], regret_curves(config, [cell], (3, 12))[0])
+        strong = replace(config, prior_strength=5.0)
+        flat = replace(config, prior_strength=0.0)
+        # the third list repeats a level, and at strength 0 every level is one simulation
+        for cfg, levels in ((config, [1.9, 0.0]), (strong, [0.8]), (config, [1.9, 0.0, 1.9]),
+                            (strong, [0.0]), (flat, [0.3, 1.4])):
+            together = regret_curves(cfg, levels, (3, 12))
+            assert together.shape == (len(levels), 300, 2)
+            for i, level in enumerate(levels):
+                assert np.array_equal(together[i], regret_curves(cfg, [level], (3, 12))[0])
+        # the uninformed level is one path whatever the strength
+        uninformed = regret_curves(config, [0.0], (3, 12))[0]
+        for cfg, level in ((strong, 0.0), (flat, 0.3), (flat, 1.4)):
+            assert np.array_equal(regret_curves(cfg, [level], (3, 12))[0], uninformed)
 
     @pytest.mark.parametrize("block", [0, 1])
     def test_flat_block_independent_of_strength_and_r_mech(self, block):
         # the optimum is drawn before the recommendation, so a policy whose
         # pseudo-counts are all 1 follows one path at every strength and r_mech:
-        # what lets regret_curves simulate every flat cell once
+        # what makes uninformed Thompson sampling the level r_mech = 0
         flat = _block_regrets(7, 0.0, solve_prior_for_r_mech(8, 0.0), (1, 12, 200), block)
-        cells = [(s, 0.0) for s in (0.0, 2.0, 5.0)] + [(0.0, r) for r in R_MECH_GRID]
-        for strength, r_mech in cells:
+        pairs = [(s, 0.0) for s in (0.0, 2.0, 5.0)] + [(0.0, r) for r in R_MECH_GRID]
+        for strength, r_mech in pairs:
             got = _block_regrets(7, strength, solve_prior_for_r_mech(8, r_mech), (1, 12, 200),
                                  block)
             assert np.array_equal(got, flat), (strength, r_mech)
@@ -195,7 +202,16 @@ class TestMonteCarlo:
 
     def test_rejects_bad_r_mech_in_flat_cell(self):
         with pytest.raises(ValueError, match="r_mech must lie in"):
-            regret_curves(FAST, [(0.0, 0.3), (0.0, 5.0)], (12,))
+            regret_curves(replace(FAST, prior_strength=0.0), [0.3, 5.0], (12,))
+        with pytest.raises(ValueError, match="r_mech must lie in"):
+            run_monte_carlo(FAST, "uninformed", 5.0)
+
+    @pytest.mark.parametrize("strength", [0.0, 2.0])
+    @pytest.mark.parametrize("level", [math.nan, -0.01])
+    def test_rejects_bad_level(self, strength, level):
+        # at strength 0 the level keys to the uninformed one, and is still checked
+        with pytest.raises(ValueError, match="r_mech must lie in"):
+            regret_curves(replace(FAST, prior_strength=strength), [0.3, level], (12,))
 
     @pytest.mark.parametrize("experiment", [table1_experiment, table2_experiment])
     def test_one_pool_per_table(self, monkeypatch, experiment):
@@ -268,8 +284,12 @@ class TestMonteCarlo:
             ExperimentConfig(trials=0)
         with pytest.raises(ValueError):
             ExperimentConfig(workers=0)
-        with pytest.raises(ValueError):
-            ExperimentConfig(prior_strength=-1.0)
+
+    # the strength is checked here only, so none of these reaches the kernel
+    @pytest.mark.parametrize("strength", [-1.0, math.nan, math.inf, -0.01, 1e308])
+    def test_config_rejects_strength(self, strength):
+        with pytest.raises(ValueError, match="prior_strength must be finite and non-negative"):
+            ExperimentConfig(prior_strength=strength)
 
 
 class TestTables:
@@ -300,7 +320,7 @@ class TestTables:
     def test_table2_shared_optimal_draws(self):
         # within a trial index both algorithms face the same optimum,
         # so the hybrid can never do worse than the shared regret cap
-        regrets = regret_curves(FAST, [(2.0, 1.9), (0.0, 1.9)], (5,))[:, :50]
+        regrets = regret_curves(FAST, [1.9, 0.0], (5,))[:, :50]
         assert np.all((0.0 <= regrets) & (regrets <= 5 * 0.65 + 1e-12))
 
     def test_table1_uninformed_column_is_one_estimate(self):
@@ -502,7 +522,7 @@ class TestHybridSecondRoundOracle:
 
     def test_two_round_regret_matches_oracle(self):
         config = ExperimentConfig(trials=ORACLE2_TRIALS, seed=ORACLE_SEED)
-        curves = regret_curves(config, [(config.prior_strength, r) for r in R_MECH_GRID], (2,))
+        curves = regret_curves(config, R_MECH_GRID, (2,))
         for r_mech, regrets in zip(R_MECH_GRID, curves[:, :, 0]):
             exact, sd, quad_err = hybrid_second_round_oracle(r_mech, config.prior_strength)
             tol = 4 * sd / math.sqrt(ORACLE2_TRIALS) + quad_err
