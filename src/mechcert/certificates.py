@@ -18,30 +18,16 @@ class Regime(Enum):
     BASELINE = "Baseline"
 
 
-def canonical_sigma_f2(sigma: float, h_mu: float, kappa_mu: float, d_f: float) -> float:
-    """Residual marginal variance tying channel capacity to prior entropy.
-
-    Returns 2*sigma^2*h_mu / (kappa_mu^2 * d_f), the normalization under
-    which a perfect model's capacity approaches the prior entropy.
-    """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if kappa_mu <= 0:
-        raise ValueError(f"kappa_mu must be positive, got {kappa_mu}")
-    if d_f <= 0:
-        raise ValueError(f"d_f must be positive, got {d_f}")
-    if h_mu < 0:
-        raise ValueError(f"h_mu must be non-negative, got {h_mu}")
-    return 2.0 * sigma**2 * h_mu / (kappa_mu**2 * d_f)
-
-
 @dataclass(frozen=True)
 class CalibrationParams:
-    """Full parameter vector of the certificate.
+    """Full parameter vector of the certificate, checked once here.
 
     The prior entropy h_mu is the uniform-prior entropy ln k. sigma_f2
-    defaults to the canonical residual variance; pass it to override it
-    (sigma_f2 >= 0). k is checked before ln k is taken.
+    defaults to the canonical residual variance 2*sigma^2*h_mu /
+    (kappa_mu^2 * d_f), the normalization under which a perfect model's
+    capacity approaches the prior entropy; pass it to override it
+    (sigma_f2 >= 0). k must be an integer of at least 2; an integral
+    float is stored as an int.
     """
 
     k: int
@@ -53,6 +39,10 @@ class CalibrationParams:
     sigma_f2: float | None = None
 
     def __post_init__(self):
+        if not isinstance(self.k, int):
+            if not float(self.k).is_integer():
+                raise ValueError(f"k must be an integer, got {self.k}")
+            object.__setattr__(self, "k", int(self.k))
         if self.k < 2:
             raise ValueError(f"k must be >= 2, got {self.k}")
         if self.n < 1:
@@ -62,9 +52,14 @@ class CalibrationParams:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.b_mu < 0:
             raise ValueError(f"b_mu must be non-negative, got {self.b_mu}")
-        # canonical_sigma_f2 range-checks sigma, kappa_mu and d_f
-        canonical = canonical_sigma_f2(self.sigma, self.h_mu, self.kappa_mu, self.d_f)
+        if self.sigma <= 0:
+            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if self.kappa_mu <= 0:
+            raise ValueError(f"kappa_mu must be positive, got {self.kappa_mu}")
+        if self.d_f <= 0:
+            raise ValueError(f"d_f must be positive, got {self.d_f}")
         if self.sigma_f2 is None:
+            canonical = 2.0 * self.sigma**2 * self.h_mu / (self.kappa_mu**2 * self.d_f)
             if not math.isfinite(canonical):
                 raise OverflowError(f"canonical sigma_f2 overflows: {canonical}")
             object.__setattr__(self, "sigma_f2", canonical)

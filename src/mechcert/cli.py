@@ -135,9 +135,9 @@ def cmd_certify(args) -> None:
     if report.lb_envelope > report.ub_envelope:
         lines.append("warning = lb_envelope exceeds ub_envelope "
                      "(constant-free envelopes cross when ln k < 1)")
-    print("\n".join(lines))
     if args.out is not None:
         (_outdir(args) / "certify.txt").write_text("\n".join(lines) + "\n")
+    print("\n".join(lines))
 
 
 def cmd_simulate(args) -> None:
@@ -166,7 +166,8 @@ def cmd_burnin(args) -> None:
 
 def cmd_shift(args) -> None:
     if args.joint is not None:
-        _reject_given(args, ("--r-train", "--delta-pi"), "not allowed with argument --joint")
+        _reject_given(args, ("--r-train", "--delta-pi", "--k"),
+                      "not allowed with argument --joint")
         joint = JointDistribution.from_csv(args.joint)
         subset = args.subset if args.subset is not None else range(joint.k // 2)
         report = sh.verify_impossibility(joint, subset)
@@ -179,7 +180,7 @@ def cmd_shift(args) -> None:
     _reject_given(args, ("--subset",), "not allowed without argument --joint")
     if args.r_train is None or args.delta_pi is None:
         raise UsageError("shift requires --r-train and --delta-pi (or --joint)")
-    report = sh.check_retention(args.r_train, args.k, args.delta_pi)
+    report = sh.check_retention(args.r_train, 8 if args.k is None else args.k, args.delta_pi)
     print(f"threshold = {_info(args, report.threshold)}")
     print(f"retained = {report.retained.value}")
 
@@ -269,7 +270,7 @@ def build_parser() -> _Parser:
 
     p = command("shift", cmd_shift, "distribution-shift retention and impossibility")
     p.add_argument("--r-train", type=float, default=None)
-    p.add_argument("--k", type=int, default=8)
+    p.add_argument("--k", type=int, default=None)
     p.add_argument("--delta-pi", type=float, default=None)
     p.add_argument("--joint", default=None, help="joint-distribution CSV file")
     p.add_argument("--subset", type=_comma_list(int, "integers"), default=None,

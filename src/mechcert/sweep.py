@@ -66,11 +66,7 @@ def _cell(base: CalibrationParams, overrides: dict) -> CalibrationParams:
     values = dict(k=base.k, n=base.n, sigma=base.sigma, kappa_mu=base.kappa_mu,
                   d_f=base.d_f, b_mu=base.b_mu)
     for name, value in overrides.items():
-        if name == "k":
-            if not float(value).is_integer():
-                raise ValueError(f"k must be an integer, got {value}")
-            value = int(value)
-        elif name == "p_opt":
+        if name == "p_opt":
             if not 0.0 < value < 1.0:
                 raise ValueError(f"p_opt must lie in (0, 1), got {value}")
             name, value = "sigma", math.sqrt(value * (1.0 - value))

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from mechcert.certificates import (
     CalibrationParams,
     Regime,
-    canonical_sigma_f2,
     certificate_report,
     channel_capacity,
     critical_bias,
@@ -34,20 +33,32 @@ params_st = st.builds(
 
 
 class TestCanonicalSigmaF2:
-    def test_working_values(self):
-        assert canonical_sigma_f2(0.40, math.log(8), 1.8, 3.0) == pytest.approx(0.0685, abs=1e-4)
+    """The constructor's default sigma_f2, 2*sigma^2*ln k / (kappa_mu^2 * d_f)."""
 
-    def test_zero_entropy(self):
-        assert canonical_sigma_f2(0.40, 0.0, 1.8, 3.0) == 0.0
+    def test_working_values(self):
+        assert WORKING.sigma_f2 == pytest.approx(0.0685, abs=1e-4)
 
     def test_direct_formula(self):
         # 2 * 0.25 * ln 4 / (1 * 2)
-        assert canonical_sigma_f2(0.5, math.log(4), 1.0, 2.0) == pytest.approx(0.34657, abs=1e-5)
+        p = CalibrationParams(k=4, n=12, sigma=0.5, kappa_mu=1.0, d_f=2.0, b_mu=0.22)
+        assert p.sigma_f2 == pytest.approx(0.34657, abs=1e-5)
 
     @pytest.mark.parametrize("sigma,kappa,d", [(0.0, 1.8, 3.0), (0.4, 0.0, 3.0), (0.4, 1.8, 0.0)])
     def test_domain_errors(self, sigma, kappa, d):
-        with pytest.raises(ValueError):
-            canonical_sigma_f2(sigma, 1.0, kappa, d)
+        # checked whether or not sigma_f2 overrides the canonical value
+        name = ("sigma", "kappa_mu", "d_f")[(sigma, kappa, d).index(0.0)]
+        for sigma_f2 in (None, 0.5):
+            with pytest.raises(ValueError, match=f"{name} must be positive, got 0.0"):
+                CalibrationParams(k=8, n=12, sigma=sigma, kappa_mu=kappa, d_f=d, b_mu=0.22,
+                                  sigma_f2=sigma_f2)
+
+    def test_override_skips_the_canonical_formula(self):
+        # kappa_mu**2 underflows to 0: only the canonical value divides by it
+        p = CalibrationParams(k=8, n=12, sigma=0.4, kappa_mu=1e-200, d_f=3.0, b_mu=0.22,
+                              sigma_f2=0.1)
+        assert p.sigma_f2 == 0.1
+        with pytest.raises(ZeroDivisionError):
+            CalibrationParams(k=8, n=12, sigma=0.4, kappa_mu=1e-200, d_f=3.0, b_mu=0.22)
 
 
 class TestChannelCapacity:
@@ -261,7 +272,7 @@ class TestReport:
         p = CalibrationParams(k=8, n=12, sigma=0.40, kappa_mu=1.8, d_f=3.0, b_mu=0.22)
         assert p == WORKING
         assert p.h_mu == math.log(8)
-        assert p.sigma_f2 == canonical_sigma_f2(0.40, math.log(8), 1.8, 3.0)
+        assert p.sigma_f2 == 2.0 * 0.40**2 * math.log(8) / (1.8**2 * 3.0)
         q = CalibrationParams(k=8, n=12, sigma=0.40, kappa_mu=1.8, d_f=3.0, b_mu=0.22,
                               sigma_f2=0.5)
         assert q.h_mu == math.log(8) and q.sigma_f2 == 0.5
@@ -272,6 +283,17 @@ class TestReport:
             with pytest.raises(ValueError, match=f"k must be >= 2, got {k}"):
                 CalibrationParams(k=k, n=12, sigma=0.4, kappa_mu=1.8, d_f=3.0, b_mu=0.22,
                                   sigma_f2=sigma_f2)
+
+    @pytest.mark.parametrize("k", [8.5, math.inf, math.nan])
+    def test_non_integer_k_rejected(self, k):
+        for sigma_f2 in (None, 0.5):
+            with pytest.raises(ValueError, match=f"k must be an integer, got {k}"):
+                CalibrationParams(k=k, n=12, sigma=0.4, kappa_mu=1.8, d_f=3.0, b_mu=0.22,
+                                  sigma_f2=sigma_f2)
+
+    def test_integral_float_k_stored_as_int(self):
+        p = CalibrationParams(k=8.0, n=12, sigma=0.40, kappa_mu=1.8, d_f=3.0, b_mu=0.22)
+        assert type(p.k) is int and p == WORKING
 
     @pytest.mark.parametrize("sigma_f2", [-1.0, math.nan, math.inf])
     def test_bad_sigma_f2_rejected(self, sigma_f2):

@@ -58,6 +58,24 @@ class TestCertify:
                            "zero-bias capacity 1.30461 nats\n")
             assert not (tmp_path / "certify.txt").exists()
 
+    def test_override_unreachable_exit_2(self, capsys):
+        # the canonical sigma_f2 would divide by kappa_mu**2 == 0; the override never needs it
+        code, out, err = run(capsys, "certify", "--sigma-f2", "0.1", "--kappa-mu", "1e-200")
+        assert code == 2
+        assert out == ""
+        assert err == ("error: target unreachable: target 0.173287 nats exceeds "
+                       "zero-bias capacity 0 nats\n")
+
+    def test_capacity_exceeds_entropy_warns(self, capsys):
+        code, out, err = run(capsys, "certify", "--b-mu", "0", "--sigma-f2", "50")
+        assert code == 0
+        assert out == ("sigma_f2 = 50\ncapacity = 10.3817 nats\nh_mech_floor = 0 nats\n"
+                       "critical_bias = 20.205\nbias_ratio_crit_over_b = inf\n"
+                       "regime = DataEfficient\nsample_ratio = inf\nlb_envelope = 0\n"
+                       "ub_envelope = 0\n"
+                       "warning = capacity exceeds prior entropy (non-canonical sigma_f2)\n")
+        assert err == ""
+
     def test_bits_display(self, capsys):
         _, nats_out, _ = run(capsys, "certify")
         _, bits_out, _ = run(capsys, "certify", "--bits")
@@ -316,8 +334,13 @@ def test_list_flags_from_config_take_effect(capsys, tmp_path):
      "argument --steps: not allowed with argument --values", None),
     (("sweep", "--grid", "kappa_mu", "b_mu"),
      "argument --values: not allowed with argument --grid", "values = 1,2\n"),
+    (("shift", "--joint", "joint.csv", "--k", "12"),
+     "argument --k: not allowed with argument --joint", None),
+    (("shift", "--joint", "joint.csv"),
+     "argument --k: not allowed with argument --joint", "k = 12\n"),
 ], ids=["shift-joint-r-train", "shift-subset-without-joint", "sweep-grid-values",
-        "sweep-grid-range", "sweep-values-range", "sweep-values-steps", "sweep-grid-config-values"])
+        "sweep-grid-range", "sweep-values-range", "sweep-values-steps", "sweep-grid-config-values",
+        "shift-joint-k", "shift-joint-config-k"])
 def test_flag_the_mode_never_reads_exit_1(capsys, monkeypatch, tmp_path, argv, message, config):
     # a config-file value counts as given; nothing is written, the CSV's directory included
     monkeypatch.chdir(tmp_path)
@@ -335,6 +358,22 @@ def test_flag_the_mode_never_reads_exit_1(capsys, monkeypatch, tmp_path, argv, m
     assert err == f"error: {message}\n"
     assert out == ""
     assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("argv", [
+    ("certify",),
+    ("simulate", "--table", "1", "--trials", "3"),
+    ("sweep", "--param", "b_mu", "--values", "0.2"),
+], ids=lambda argv: argv[0])
+def test_out_not_a_directory_exit_1(capsys, tmp_path, argv):
+    # checked before anything is printed
+    blocker = tmp_path / "taken"
+    blocker.write_text("a file\n")
+    code, out, err = run(capsys, *argv, "--out", str(blocker))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot create output directory {blocker}: ")
+    assert blocker.read_text() == "a file\n"
 
 
 def test_import_skips_scipy_and_process_pool():

@@ -37,7 +37,7 @@ def expected_cell(base, overrides):
         if name == "p_opt":
             fields["sigma"] = math.sqrt(value * (1.0 - value))
         else:
-            fields[name] = int(value) if name == "k" else value
+            fields[name] = value
     return CalibrationParams.canonical(**fields)
 
 
@@ -189,6 +189,12 @@ class TestSweep2D:
     def test_axes_setting_the_same_quantity_rejected(self, x_param, y_param):
         with pytest.raises(ValueError, match="same quantity"):
             sweep_2d(grid_axis(x_param, BASE, 3), grid_axis(y_param, BASE, 3))
+
+    def test_axes_on_different_bases_rejected(self):
+        other = CalibrationParams.canonical(k=8, n=24, sigma=0.40, kappa_mu=1.8,
+                                           d_f=3.0, b_mu=0.22)
+        with pytest.raises(ValueError, match="both sweep axes must share the same base"):
+            sweep_2d(grid_axis("kappa_mu", BASE, 3), grid_axis("b_mu", other, 3))
 
 
 class TestGridAxis:
