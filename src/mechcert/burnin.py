@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .certificates import whole
+
 
 @dataclass(frozen=True)
 class BurnInParams:
@@ -28,8 +30,7 @@ class BurnInParams:
             raise ValueError(f"delta must lie in (0, 1/2), got {self.delta}")
         if not (math.isfinite(self.gap) and self.gap >= 0):
             raise ValueError(f"gap must be finite and non-negative, got {self.gap}")
-        if self.k < 2:
-            raise ValueError(f"k must be >= 2, got {self.k}")
+        object.__setattr__(self, "k", whole("k", self.k, 2))
 
     @property
     def assumption_violated(self) -> bool:
@@ -55,8 +56,7 @@ def effective_prior_weight(epsilon: float, k: int) -> float:
     """Prior weight on the optimum once spread across all k arms."""
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+    k = whole("k", k, 2)
     return epsilon / (1.0 - epsilon + epsilon * k)
 
 

@@ -9,6 +9,7 @@ envelopes. All entropies and information quantities are in nats.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -16,6 +17,21 @@ from enum import Enum
 class Regime(Enum):
     DATA_EFFICIENT = "DataEfficient"
     BASELINE = "Baseline"
+    UNREACHABLE = "Unreachable"  # no bias meets the target, so there is no critical bias
+
+
+def whole(name: str, value, minimum: int) -> int:
+    """The one rule for every count: an integer (8.0 passes; 8.5, nan and inf
+    do not) of at least `minimum`, returned as an int; otherwise ValueError."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value}") from None
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -26,8 +42,8 @@ class CalibrationParams:
     defaults to the canonical residual variance 2*sigma^2*h_mu /
     (kappa_mu^2 * d_f), the normalization under which a perfect model's
     capacity approaches the prior entropy; pass it to override it
-    (sigma_f2 >= 0). k must be an integer of at least 2; an integral
-    float is stored as an int.
+    (sigma_f2 >= 0). Every count is an integer of at least its minimum
+    (k >= 2, n >= 1) and is stored as an int.
     """
 
     k: int
@@ -39,14 +55,8 @@ class CalibrationParams:
     sigma_f2: float | None = None
 
     def __post_init__(self):
-        if not isinstance(self.k, int):
-            if not float(self.k).is_integer():
-                raise ValueError(f"k must be an integer, got {self.k}")
-            object.__setattr__(self, "k", int(self.k))
-        if self.k < 2:
-            raise ValueError(f"k must be >= 2, got {self.k}")
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+        object.__setattr__(self, "k", whole("k", self.k, 2))
+        object.__setattr__(self, "n", whole("n", self.n, 1))
         for name in ("sigma", "kappa_mu", "d_f", "b_mu"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -144,10 +154,8 @@ def critical_bias(p: CalibrationParams) -> float | None:
 
 
 def _check_envelope_args(k: int, n: int, h_mech: float) -> None:
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    whole("k", k, 2)
+    whole("n", n, 1)
     if h_mech < 0:
         raise ValueError(f"h_mech must be non-negative, got {h_mech}")
 
@@ -188,7 +196,7 @@ def certificate_report(p: CalibrationParams, target: float | None = None) -> Cer
     floor = residual_entropy(p.h_mu, cap)
     b_crit = solve_bias_for_capacity(target, p)
     if b_crit is None:
-        ratio, regime = None, Regime.BASELINE
+        ratio, regime = None, Regime.UNREACHABLE
     else:
         ratio = b_crit / p.b_mu if p.b_mu > 0 else math.inf
         regime = Regime.DATA_EFFICIENT if p.b_mu < b_crit else Regime.BASELINE

@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .certificates import whole
+
 # Pseudo-count scale for encoding the hybrid prior into Beta posteriors,
 # frozen after a one-time grid search over s in {1..40} against the
 # published hybrid regret column (see README).
@@ -38,10 +40,8 @@ class TwoLevelPrior:
     beta: float
 
     def __post_init__(self):
-        if self.k < 2:
-            raise ValueError(f"k must be >= 2, got {self.k}")
-        if not 1.0 / self.k - 1e-12 <= self.beta <= 1.0 + 1e-12:
-            raise ValueError(f"beta must lie in [1/k, 1], got {self.beta}")
+        object.__setattr__(self, "k", whole("k", self.k, 2))
+        self.entropy()  # two_level_entropy holds the one check that beta lies in [1/k, 1]
 
     @property
     def alpha(self) -> float:
@@ -56,8 +56,7 @@ class TwoLevelPrior:
 
 def two_level_entropy(k: int, beta: float) -> float:
     """Entropy of the two-level prior, in nats; 0 at beta = 1."""
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+    k = whole("k", k, 2)
     if not 1.0 / k - 1e-12 <= beta <= 1.0 + 1e-12:
         raise ValueError(f"beta must lie in [1/k, 1], got {beta}")
     if beta >= 1.0:
@@ -73,8 +72,7 @@ def solve_prior_for_r_mech(k: int, r_mech: float) -> TwoLevelPrior:
     endpoints r_mech = 0 and r_mech = ln k short-circuit to the exact
     uniform and point-mass priors.
     """
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+    k = whole("k", k, 2)
     h_max = math.log(k)
     if not 0.0 <= r_mech <= h_max + 1e-12:
         raise ValueError(f"r_mech must lie in [0, ln k] = [0, {h_max:.6g}], got {r_mech}")
@@ -166,6 +164,7 @@ class JointDistribution:
 
 def two_level_channel(k: int, beta: float) -> tuple[tuple[float, ...], ...]:
     """Symmetric conditional P(recommended=j | optimal=i): beta on the diagonal."""
+    k = whole("k", k, 2)
     alpha = (1.0 - beta) / (k - 1)
     return tuple(tuple(beta if i == j else alpha for j in range(k)) for i in range(k))
 

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from .certificates import whole
 from .prior import JointDistribution, conditional_entropy, kl_divergence, mutual_information
 
 _MIN_ARMS = 12  # the retention guarantee is proved for k >= 12 only
@@ -35,13 +36,13 @@ def retention_threshold(r_train: float, k: int) -> float:
     """Largest KL shift under which half the information survives."""
     if not (math.isfinite(r_train) and r_train >= 0):
         raise ValueError(f"r_train must be finite and non-negative, got {r_train}")
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+    k = whole("k", k, 2)
     return r_train**2 / (2.0 * k**2 * math.log(k) ** 2)
 
 
 def r_min(k: int) -> float:
     """Minimum training information for the retention guarantee: 2*k^(4-k/2)*ln k."""
+    k = whole("k", k, 2)
     if k < _MIN_ARMS:
         raise ValueError(f"retention guarantee requires k >= {_MIN_ARMS}, got {k}")
     return 2.0 * k ** (4.0 - k / 2.0) * math.log(k)
@@ -75,8 +76,8 @@ def impossibility_construction(p: JointDistribution, s) -> JointDistribution:
     k = p.k
     if k % 2 != 0:
         raise ValueError(f"construction requires an even arm count, got k={k}")
-    s = sorted(set(int(i) for i in s))
-    if len(s) != k // 2 or s[0] < 0 or s[-1] >= k:
+    s = sorted({whole("subset entry", i, 0) for i in s})
+    if len(s) != k // 2 or s[-1] >= k:
         raise ValueError(f"subset must contain k/2 = {k // 2} distinct arm indices in [0, {k})")
     if max(abs(m - 1.0 / k) for m in p.row_marginal()) > 1e-9:
         raise ValueError("construction requires a uniform row marginal")

@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .certificates import residual_entropy, sample_complexity_ratio
+from .certificates import residual_entropy, sample_complexity_ratio, whole
 from .prior import DEFAULT_PRIOR_STRENGTH, TwoLevelPrior, solve_prior_for_r_mech
 from .sweep import write_csv
 
@@ -57,11 +57,10 @@ TABLE2_HORIZONS = (5, 10, 20, 50, 200)
 
 def build_environment(k: int, optimal: int, p_opt: float, p_bsa: float) -> np.ndarray:
     """The arm means of one environment: p_opt at `optimal`, p_bsa elsewhere."""
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+    k = whole("k", k, 2)
     if not 0.0 <= p_bsa < p_opt <= 1.0:
         raise ValueError(f"require 0 <= p_bsa < p_opt <= 1, got p_bsa={p_bsa}, p_opt={p_opt}")
-    if not 0 <= optimal < k:
+    if whole("optimal", optimal, 0) >= k:
         raise ValueError(f"optimal arm {optimal} outside [0, {k})")
     return np.where(np.arange(k) == optimal, p_opt, p_bsa)
 
@@ -107,8 +106,7 @@ def _thompson_rounds(alpha: np.ndarray, beta: np.ndarray, means: np.ndarray, n: 
 
 def run_trial(policy: tuple, means: np.ndarray, n: int, rng: np.random.Generator) -> float:
     """Cumulative pseudo-regret of one trial of n rounds: the block kernel on one row."""
-    if n < 1:
-        raise ValueError(f"horizon must be >= 1, got {n}")
+    n = whole("horizon", n, 1)
     alpha0, beta0 = policy
     return float(_thompson_rounds(alpha0[None, :], beta0[None, :], means[None, :], n, rng)[0, n])
 
@@ -121,16 +119,13 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "trials", whole("trials", self.trials, 1))
+        object.__setattr__(self, "seed", whole("seed", self.seed, 0))
         # the pseudo-counts scale with strength * K, which must stay finite too
         if not (math.isfinite(self.prior_strength * K) and self.prior_strength >= 0):
             raise ValueError(f"prior_strength must be finite and non-negative, "
                              f"got {self.prior_strength}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        object.__setattr__(self, "workers", whole("workers", self.workers, 1))
 
 
 @dataclass(frozen=True)
@@ -184,9 +179,7 @@ def regret_curves(config: ExperimentConfig, levels, horizons) -> np.ndarray:
     pool of at most the CPU count, which changes nothing but the wall time.
     """
     blocks = -(-config.trials // BLOCK_SIZE)
-    horizons = tuple(horizons)
-    if min(horizons) < 1:
-        raise ValueError(f"horizon must be >= 1, got {min(horizons)}")
+    horizons = tuple(whole("horizon", n, 1) for n in horizons)
     # one solve per level; it also rejects a bad level keyed to 0 at strength 0
     priors = {r: solve_prior_for_r_mech(K, r) for r in {0.0, *levels}}
     keys = [r if config.prior_strength else 0.0 for r in levels]

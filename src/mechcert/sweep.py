@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .certificates import CalibrationParams, certificate_report, critical_bias
+from .certificates import CalibrationParams, certificate_report, critical_bias, whole
 
 # Axis range of each sweep parameter in a 2-D grid; the keys are the parameters.
 GRID_RANGES = {"sigma": (0.357, 0.50), "kappa_mu": (0.6, 3.0), "d_f": (2.0, 5.0),
@@ -27,8 +27,7 @@ SWEEP2D_HEADER = "x_param,y_param,x,y,ratio"
 
 def linear_grid(lo: float, hi: float, steps: int) -> list[float]:
     """`steps` evenly spaced points from lo to hi, bit for bit numpy's linspace."""
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    steps = whole("steps", steps, 1)
     if steps == 1:
         return [float(lo)]
     step = (hi - lo) / (steps - 1)
@@ -86,7 +85,7 @@ class Sweep1DRow:
     capacity: float
     critical_bias: float | None
     ratio: float
-    regime: str  # Regime value or "Unreachable"
+    regime: str  # a Regime value
 
 
 def sweep_1d(spec: SweepSpec) -> list[Sweep1DRow]:
@@ -98,11 +97,10 @@ def sweep_1d(spec: SweepSpec) -> list[Sweep1DRow]:
     for value in spec.values:
         params = _cell(spec.base, {spec.parameter: value})
         report = certificate_report(params)
-        b_crit = report.critical_bias
         rows.append(Sweep1DRow(
             param=spec.parameter, value=value, capacity=report.capacity_at_bias,
-            critical_bias=b_crit, ratio=_ratio(params.b_mu, b_crit),
-            regime="Unreachable" if b_crit is None else report.regime.value))
+            critical_bias=report.critical_bias, ratio=_ratio(params.b_mu, report.critical_bias),
+            regime=report.regime.value))
     return rows
 
 

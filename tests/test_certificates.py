@@ -1,10 +1,12 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mechcert.burnin import BurnInParams, effective_prior_weight
 from mechcert.certificates import (
     CalibrationParams,
     Regime,
@@ -17,6 +19,15 @@ from mechcert.certificates import (
     solve_bias_for_capacity,
     ub_envelope,
 )
+from mechcert.prior import (
+    TwoLevelPrior,
+    solve_prior_for_r_mech,
+    two_level_channel,
+    two_level_entropy,
+)
+from mechcert.shift import r_min, retention_threshold
+from mechcert.sim import ExperimentConfig, build_environment, regret_curves, run_trial
+from mechcert.sweep import linear_grid
 
 WORKING = CalibrationParams.canonical(k=8, n=12, sigma=0.40, kappa_mu=1.8,
                                       d_f=3.0, b_mu=0.22)
@@ -189,10 +200,10 @@ class TestRegime:
     def test_sweep_point(self):
         assert regime_at(WORKING, 0.40) is Regime.DATA_EFFICIENT
 
-    def test_unreachable_is_baseline(self):
+    def test_unreachable_is_its_own_regime(self):
         p = CalibrationParams.canonical(k=8, n=1, sigma=0.40, kappa_mu=1.8,
                                         d_f=3.0, b_mu=0.22)
-        assert regime_at(p, 0.0) is Regime.BASELINE
+        assert regime_at(p, 0.0) is Regime.UNREACHABLE
 
 
 class TestEnvelopes:
@@ -251,7 +262,7 @@ class TestReport:
     def test_unreachable_target(self):
         rep = certificate_report(WORKING, 10.0)
         assert rep.critical_bias is None and rep.bias_ratio is None
-        assert rep.regime is Regime.BASELINE
+        assert rep.regime is Regime.UNREACHABLE
         assert solve_bias_for_capacity(10.0, WORKING) is None
 
     def test_non_canonical_flag(self):
@@ -300,3 +311,54 @@ class TestReport:
         with pytest.raises(ValueError, match="sigma_f2"):
             CalibrationParams(k=8, n=12, sigma=0.4, kappa_mu=1.8, d_f=3.0, b_mu=0.22,
                               sigma_f2=sigma_f2)
+
+
+def _params(**count):
+    return CalibrationParams(**{**dict(k=8, n=12, sigma=0.4, kappa_mu=1.8, d_f=3.0, b_mu=0.22),
+                                **count})
+
+
+_ARM_MEANS = build_environment(8, 0, 0.85, 0.20)
+_FLAT = (np.ones(8), np.ones(8))
+
+# entry point: (count name, minimum, an accepted value, a call returning the stored count
+# or the result)
+COUNT_SITES = {
+    "CalibrationParams.k": ("k", 2, 8, lambda v: _params(k=v).k),
+    "CalibrationParams.n": ("n", 1, 8, lambda v: _params(n=v).n),
+    "lb_envelope.k": ("k", 2, 8, lambda v: lb_envelope(v, 12, 1.0)),
+    "lb_envelope.n": ("n", 1, 8, lambda v: lb_envelope(8, v, 1.0)),
+    "ub_envelope.k": ("k", 2, 8, lambda v: ub_envelope(v, 12, 1.0)),
+    "ub_envelope.n": ("n", 1, 8, lambda v: ub_envelope(8, v, 1.0)),
+    "BurnInParams.k": ("k", 2, 8, lambda v: BurnInParams(0.2, 0.01, 0.2, k=v).k),
+    "effective_prior_weight.k": ("k", 2, 8, lambda v: effective_prior_weight(0.2, v)),
+    "TwoLevelPrior.k": ("k", 2, 8, lambda v: TwoLevelPrior(k=v, beta=0.5).k),
+    "two_level_entropy.k": ("k", 2, 8, lambda v: two_level_entropy(v, 0.5)),
+    "two_level_channel.k": ("k", 2, 8, lambda v: two_level_channel(v, 0.5)),
+    "solve_prior_for_r_mech.k": ("k", 2, 8, lambda v: solve_prior_for_r_mech(v, 0.5).k),
+    "retention_threshold.k": ("k", 2, 8, lambda v: retention_threshold(1.6, v)),
+    "r_min.k": ("k", 2, 12, r_min),
+    "build_environment.k": ("k", 2, 8, lambda v: build_environment(v, 0, 0.85, 0.2).tolist()),
+    "build_environment.optimal": ("optimal", 0, 8,
+                                  lambda v: build_environment(10, v, 0.85, 0.2).tolist()),
+    "run_trial.horizon": ("horizon", 1, 8,
+                          lambda v: run_trial(_FLAT, _ARM_MEANS, v, np.random.default_rng(0))),
+    "regret_curves.horizon": ("horizon", 1, 8, lambda v: regret_curves(
+        ExperimentConfig(trials=2), [0.0], (12, v)).tolist()),
+    "ExperimentConfig.trials": ("trials", 1, 8, lambda v: ExperimentConfig(trials=v).trials),
+    "ExperimentConfig.seed": ("seed", 0, 8, lambda v: ExperimentConfig(seed=v).seed),
+    "ExperimentConfig.workers": ("workers", 1, 8, lambda v: ExperimentConfig(workers=v).workers),
+    "linear_grid.steps": ("steps", 1, 8, lambda v: linear_grid(0.0, 1.0, v)),
+}
+
+
+@pytest.mark.parametrize("name,minimum,good,call", COUNT_SITES.values(), ids=COUNT_SITES)
+def test_every_count_follows_one_rule(name, minimum, good, call):
+    for bad in (good + 0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad}$"):
+            call(bad)
+    with pytest.raises(ValueError, match=f"^{name} must be >= {minimum}, got {minimum - 1}$"):
+        call(minimum - 1)
+    # an integral float is the same count, stored as an int
+    result = call(float(good))
+    assert result == call(good) and type(result) is type(call(good))

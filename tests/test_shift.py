@@ -118,6 +118,18 @@ class TestConstruction:
         with pytest.raises(ValueError):
             impossibility_construction(p, [0, 1, 2])
 
+    @pytest.mark.parametrize("entry,message", [
+        (1.5, "subset entry must be an integer, got 1.5"),
+        (math.nan, "subset entry must be an integer, got nan"),
+        (-1, "subset entry must be >= 0, got -1"),
+    ])
+    def test_subset_entries_follow_the_count_rule(self, entry, message):
+        p = cyclic_joint(np.random.default_rng(2), 8)
+        with pytest.raises(ValueError, match=message):
+            verify_impossibility(p, [0, entry, 2, 3])
+        assert impossibility_construction(p, [0, 1.0, 2, 3]) == impossibility_construction(
+            p, [0, 1, 2, 3])
+
     def test_nonuniform_marginal_rejected(self):
         probs = np.full((4, 4), 1 / 16)
         probs[0] += 0.01
