@@ -7,7 +7,9 @@ Monte Carlo bandit experiments that validate them.
 Import each name from the module that defines it, e.g.
 `from mechcert.certificates import certificate_report`. `sim`, the Monte
 Carlo engine, is the only module that imports numpy, so the closed-form
-calculator needs the standard library only.
+calculator needs the standard library only. Records are namedtuples:
+results are `typing.NamedTuple`s, and the validated inputs check their
+fields on every construction, `_replace` and `_make` included.
 """
 
 __version__ = "0.1.0"

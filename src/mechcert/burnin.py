@@ -8,29 +8,25 @@ via a sequential-testing argument. Pure arithmetic only; no simulator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .certificates import whole
+from .certificates import checked_record, whole
 
 
-@dataclass(frozen=True)
-class BurnInParams:
+class BurnInParams(checked_record("BurnInParams", "epsilon delta gap k")):
     """epsilon: prior mass on the true optimum; delta: allowed failure
     probability of identification; gap: per-cycle sub-optimality cost."""
 
-    epsilon: float
-    delta: float
-    gap: float
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 < self.epsilon < 1:
-            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if not 0 < self.delta < 0.5:
-            raise ValueError(f"delta must lie in (0, 1/2), got {self.delta}")
-        if not (math.isfinite(self.gap) and self.gap >= 0):
-            raise ValueError(f"gap must be finite and non-negative, got {self.gap}")
-        object.__setattr__(self, "k", whole("k", self.k, 2))
+    def __new__(cls, epsilon: float, delta: float, gap: float, k: int):
+        if not 0 < epsilon < 1:
+            raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+        if not 0 < delta < 0.5:
+            raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
+        if not (math.isfinite(gap) and gap >= 0):
+            raise ValueError(f"gap must be finite and non-negative, got {gap}")
+        return super().__new__(cls, epsilon, delta, gap, whole("k", k, 2))
 
     @property
     def assumption_violated(self) -> bool:
@@ -38,8 +34,7 @@ class BurnInParams:
         return self.epsilon > self.delta
 
 
-@dataclass(frozen=True)
-class BurnInResult:
+class BurnInResult(NamedTuple):
     cycles: float
     effective_prior_weight: float  # eps_k, the prior weight spread over k arms
     binary_kl: float | None     # kl(eps_k, 1 - eps_k) in nats; None when degenerate

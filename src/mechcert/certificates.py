@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
+from typing import NamedTuple
 
 
 class Regime(Enum):
@@ -34,8 +35,19 @@ def whole(name: str, value, minimum: int) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class CalibrationParams:
+def checked_record(name: str, fields: str):
+    """A namedtuple base for an immutable type that checks its fields in `__new__`.
+
+    `_make`, and `_replace` through it, build by calling the subclass, so
+    no way of making an instance skips the checks.
+    """
+    base = namedtuple(name, fields)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
+
+
+class CalibrationParams(checked_record("CalibrationParams",
+                                       "k n sigma kappa_mu d_f b_mu sigma_f2")):
     """Full parameter vector of the certificate, checked once here.
 
     The prior entropy h_mu is the uniform-prior entropy ln k. sigma_f2
@@ -46,35 +58,29 @@ class CalibrationParams:
     (k >= 2, n >= 1) and is stored as an int.
     """
 
-    k: int
-    n: int
-    sigma: float
-    kappa_mu: float
-    d_f: float
-    b_mu: float
-    sigma_f2: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "k", whole("k", self.k, 2))
-        object.__setattr__(self, "n", whole("n", self.n, 1))
-        for name in ("sigma", "kappa_mu", "d_f", "b_mu"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.b_mu < 0:
-            raise ValueError(f"b_mu must be non-negative, got {self.b_mu}")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.kappa_mu <= 0:
-            raise ValueError(f"kappa_mu must be positive, got {self.kappa_mu}")
-        if self.d_f <= 0:
-            raise ValueError(f"d_f must be positive, got {self.d_f}")
-        if self.sigma_f2 is None:
-            canonical = 2.0 * self.sigma**2 * self.h_mu / (self.kappa_mu**2 * self.d_f)
-            if not math.isfinite(canonical):
-                raise OverflowError(f"canonical sigma_f2 overflows: {canonical}")
-            object.__setattr__(self, "sigma_f2", canonical)
-        elif not (math.isfinite(self.sigma_f2) and self.sigma_f2 >= 0):
-            raise ValueError(f"sigma_f2 must be finite and non-negative, got {self.sigma_f2}")
+    def __new__(cls, k: int, n: int, sigma: float, kappa_mu: float, d_f: float, b_mu: float,
+                sigma_f2: float | None = None):
+        k, n = whole("k", k, 2), whole("n", n, 1)
+        for name, value in zip(("sigma", "kappa_mu", "d_f", "b_mu"), (sigma, kappa_mu, d_f, b_mu)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if b_mu < 0:
+            raise ValueError(f"b_mu must be non-negative, got {b_mu}")
+        if sigma <= 0:
+            raise ValueError(f"sigma must be positive, got {sigma}")
+        if kappa_mu <= 0:
+            raise ValueError(f"kappa_mu must be positive, got {kappa_mu}")
+        if d_f <= 0:
+            raise ValueError(f"d_f must be positive, got {d_f}")
+        if sigma_f2 is None:
+            sigma_f2 = 2.0 * sigma**2 * math.log(k) / (kappa_mu**2 * d_f)
+            if not math.isfinite(sigma_f2):
+                raise OverflowError(f"canonical sigma_f2 overflows: {sigma_f2}")
+        elif not (math.isfinite(sigma_f2) and sigma_f2 >= 0):
+            raise ValueError(f"sigma_f2 must be finite and non-negative, got {sigma_f2}")
+        return super().__new__(cls, k, n, sigma, kappa_mu, d_f, b_mu, sigma_f2)
 
     @property
     def h_mu(self) -> float:
@@ -88,8 +94,7 @@ class CalibrationParams:
         return cls(k=k, n=n, sigma=sigma, kappa_mu=kappa_mu, d_f=d_f, b_mu=b_mu)
 
 
-@dataclass(frozen=True)
-class CertificateReport:
+class CertificateReport(NamedTuple):
     """Composite certificate evaluated at a working point."""
 
     target: float                # information target of the critical bias, nats

@@ -5,6 +5,10 @@ Exit codes: 0 success, 1 usage or I/O error, 2 domain error. Results go
 to stdout, diagnostics to stderr. A flat ``key = value`` config file
 (``--config``) supplies defaults for the subcommand's own single-value
 flags (key ``b_mu`` for ``--b-mu``); explicit flags override it.
+
+A call loads the standard library and the modules its command runs:
+`certificates`, `prior` and `sweep` (whose parameter names the parser
+lists) always, and `burnin`, `shift` or `sim` only inside its own command.
 """
 
 from __future__ import annotations
@@ -15,10 +19,8 @@ import sys
 from pathlib import Path
 
 from . import certificates as cert
-from . import burnin as bi
-from . import shift as sh
 from . import sweep as sw
-from .prior import DEFAULT_PRIOR_STRENGTH, JointDistribution, solve_prior_for_r_mech
+from .prior import DEFAULT_PRIOR_STRENGTH, solve_prior_for_r_mech
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -152,6 +154,8 @@ def cmd_simulate(args) -> None:
 
 
 def cmd_burnin(args) -> None:
+    from . import burnin as bi
+
     params = bi.BurnInParams(epsilon=args.eps, delta=args.delta, gap=args.gap, k=args.k)
     result = bi.burn_in_lower_bound(params)
     print(f"effective_prior_weight = {result.effective_prior_weight:.6g}")
@@ -165,6 +169,9 @@ def cmd_burnin(args) -> None:
 
 
 def cmd_shift(args) -> None:
+    from . import shift as sh
+    from .prior import JointDistribution
+
     if args.joint is not None:
         _reject_given(args, ("--r-train", "--delta-pi", "--k"),
                       "not allowed with argument --joint")

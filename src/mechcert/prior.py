@@ -13,9 +13,8 @@ probability tables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .certificates import whole
+from .certificates import checked_record, whole
 
 # Pseudo-count scale for encoding the hybrid prior into Beta posteriors,
 # frozen after a one-time grid search over s in {1..40} against the
@@ -28,20 +27,19 @@ def _entropy(p) -> float:
     return -math.fsum(x * math.log(x) for x in p if x > 0)
 
 
-@dataclass(frozen=True)
-class TwoLevelPrior:
+class TwoLevelPrior(checked_record("TwoLevelPrior", "k beta")):
     """Mass beta on the recommended arm, alpha on each of the others.
 
     The recommended arm is arm 0; the simulation rotates the weights to
     each trial's recommended arm.
     """
 
-    k: int
-    beta: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "k", whole("k", self.k, 2))
-        self.entropy()  # two_level_entropy holds the one check that beta lies in [1/k, 1]
+    def __new__(cls, k: int, beta: float):
+        k = whole("k", k, 2)
+        two_level_entropy(k, beta)  # it holds the one check that beta lies in [1/k, 1]
+        return super().__new__(cls, k, beta)
 
     @property
     def alpha(self) -> float:
@@ -111,18 +109,17 @@ def _solve_beta(k: int, r_mech: float) -> float:
     return b
 
 
-@dataclass(frozen=True)
-class JointDistribution:
+class JointDistribution(checked_record("JointDistribution", "probs")):
     """k x k probability table, entry (i, j) = P(optimal=i, recommended=j).
 
     `probs` accepts any square nested sequence of numbers and is stored
     as a tuple of row tuples of floats.
     """
 
-    probs: tuple[tuple[float, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        rows = tuple(tuple(float(x) for x in row) for row in self.probs)
+    def __new__(cls, probs):
+        rows = tuple(tuple(float(x) for x in row) for row in probs)
         if any(len(row) != len(rows) for row in rows):
             raise ValueError(f"probs must be a square matrix, got {len(rows)} rows of "
                              f"lengths {sorted({len(row) for row in rows})}")
@@ -132,7 +129,7 @@ class JointDistribution:
         total = math.fsum(x for row in rows for x in row)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"probabilities must sum to 1, got {total}")
-        object.__setattr__(self, "probs", rows)
+        return super().__new__(cls, rows)
 
     @property
     def k(self) -> int:

@@ -11,8 +11,8 @@ replaces it by the uniform conditional on the rest.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .certificates import whole
 from .prior import JointDistribution, conditional_entropy, kl_divergence, mutual_information
@@ -26,8 +26,7 @@ class Retention(Enum):
     OUT_OF_SCOPE = "OutOfScope"
 
 
-@dataclass(frozen=True)
-class ShiftReport:
+class ShiftReport(NamedTuple):
     threshold: float
     retained: Retention
 
@@ -85,8 +84,7 @@ def impossibility_construction(p: JointDistribution, s) -> JointDistribution:
     return JointDistribution(probs=[p.probs[i] if i in s else scrambled for i in range(k)])
 
 
-@dataclass(frozen=True)
-class ImpossibilityReport:
+class ImpossibilityReport(NamedTuple):
     """Residuals of the three verifiable identities of the construction.
 
     cond_entropy_residual: |H_q(rec|opt) - (H_p(rec|opt)/2 + ln(k)/2)|

@@ -28,11 +28,11 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .certificates import residual_entropy, sample_complexity_ratio, whole
+from .certificates import checked_record, residual_entropy, sample_complexity_ratio, whole
 from .prior import DEFAULT_PRIOR_STRENGTH, TwoLevelPrior, solve_prior_for_r_mech
 from .sweep import write_csv
 
@@ -111,25 +111,20 @@ def run_trial(policy: tuple, means: np.ndarray, n: int, rng: np.random.Generator
     return float(_thompson_rounds(alpha0[None, :], beta0[None, :], means[None, :], n, rng)[0, n])
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    trials: int = 10_000
-    seed: int = 0
-    prior_strength: float = DEFAULT_PRIOR_STRENGTH
-    workers: int = 1
+class ExperimentConfig(checked_record("ExperimentConfig", "trials seed prior_strength workers")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "trials", whole("trials", self.trials, 1))
-        object.__setattr__(self, "seed", whole("seed", self.seed, 0))
+    def __new__(cls, trials: int = 10_000, seed: int = 0,
+                prior_strength: float = DEFAULT_PRIOR_STRENGTH, workers: int = 1):
+        trials, seed = whole("trials", trials, 1), whole("seed", seed, 0)
         # the pseudo-counts scale with strength * K, which must stay finite too
-        if not (math.isfinite(self.prior_strength * K) and self.prior_strength >= 0):
+        if not (math.isfinite(prior_strength * K) and prior_strength >= 0):
             raise ValueError(f"prior_strength must be finite and non-negative, "
-                             f"got {self.prior_strength}")
-        object.__setattr__(self, "workers", whole("workers", self.workers, 1))
+                             f"got {prior_strength}")
+        return super().__new__(cls, trials, seed, prior_strength, whole("workers", workers, 1))
 
 
-@dataclass(frozen=True)
-class RegretSummary:
+class RegretSummary(NamedTuple):
     mean: float
     ci96_halfwidth: float
 
@@ -210,7 +205,7 @@ def run_monte_carlo(config: ExperimentConfig, algorithm: str, r_mech: float,
     strengths = {"hybrid": config.prior_strength, "uninformed": 0.0}
     if algorithm not in strengths:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    config = replace(config, prior_strength=strengths[algorithm])
+    config = config._replace(prior_strength=strengths[algorithm])
     return _summarize(regret_curves(config, [r_mech], (n,))[0, :, 0])
 
 
@@ -219,8 +214,7 @@ TABLE1_HEADER = ("r_mech,h_mech,hyb_mean,hyb_ci,uninf_mean,uninf_ci,"
 TABLE2_HEADER = "n,hyb_mean,hyb_ci,uninf_mean,uninf_ci,ratio"
 
 
-@dataclass(frozen=True)
-class Table1Row:
+class Table1Row(NamedTuple):
     r_mech: float
     h_mech: float
     hyb: RegretSummary
@@ -231,8 +225,7 @@ class Table1Row:
     ratio_bsa_hyb: float
 
 
-@dataclass(frozen=True)
-class Table2Row:
+class Table2Row(NamedTuple):
     n: int
     hyb: RegretSummary
     uninf: RegretSummary

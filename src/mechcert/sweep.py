@@ -10,9 +10,10 @@ in every cell. Output is CSV rows; plotting is left to external tools.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .certificates import CalibrationParams, certificate_report, critical_bias, whole
+from .certificates import (CalibrationParams, certificate_report, checked_record, critical_bias,
+                           whole)
 
 # Axis range of each sweep parameter in a 2-D grid; the keys are the parameters.
 GRID_RANGES = {"sigma": (0.357, 0.50), "kappa_mu": (0.6, 3.0), "d_f": (2.0, 5.0),
@@ -34,18 +35,16 @@ def linear_grid(lo: float, hi: float, steps: int) -> list[float]:
     return [lo + i * step for i in range(steps - 1)] + [float(hi)]
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    parameter: str
-    values: list
-    base: CalibrationParams
+class SweepSpec(checked_record("SweepSpec", "parameter values base")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.parameter not in SWEEP_PARAMETERS:
-            raise ValueError(f"unknown sweep parameter {self.parameter!r}; "
+    def __new__(cls, parameter: str, values: list, base: CalibrationParams):
+        if parameter not in SWEEP_PARAMETERS:
+            raise ValueError(f"unknown sweep parameter {parameter!r}; "
                              f"choose from {SWEEP_PARAMETERS}")
-        if not self.values:
+        if not values:
             raise ValueError("sweep values must be non-empty")
+        return super().__new__(cls, parameter, values, base)
 
 
 def grid_axis(parameter: str, base: CalibrationParams, steps: int = GRID_STEPS) -> SweepSpec:
@@ -62,15 +61,14 @@ def grid_axis(parameter: str, base: CalibrationParams, steps: int = GRID_STEPS) 
 
 def _cell(base: CalibrationParams, overrides: dict) -> CalibrationParams:
     """One sweep cell: the base params with every {parameter: value} override applied."""
-    values = dict(k=base.k, n=base.n, sigma=base.sigma, kappa_mu=base.kappa_mu,
-                  d_f=base.d_f, b_mu=base.b_mu)
+    values = {}
     for name, value in overrides.items():
         if name == "p_opt":
             if not 0.0 < value < 1.0:
                 raise ValueError(f"p_opt must lie in (0, 1), got {value}")
             name, value = "sigma", math.sqrt(value * (1.0 - value))
         values[name] = value
-    return CalibrationParams(**values)
+    return base._replace(**values, sigma_f2=None)  # None: the cell's canonical sigma_f2
 
 
 def _ratio(b_mu: float, b_crit: float | None) -> float:
@@ -78,8 +76,7 @@ def _ratio(b_mu: float, b_crit: float | None) -> float:
     return b_mu / b_crit if b_crit else math.inf
 
 
-@dataclass(frozen=True)
-class Sweep1DRow:
+class Sweep1DRow(NamedTuple):
     param: str
     value: float
     capacity: float
@@ -104,8 +101,7 @@ def sweep_1d(spec: SweepSpec) -> list[Sweep1DRow]:
     return rows
 
 
-@dataclass(frozen=True)
-class Sweep2DRow:
+class Sweep2DRow(NamedTuple):
     x_param: str
     y_param: str
     x: float
@@ -150,9 +146,8 @@ def write_csv(path, header: str, rows) -> str:
 
 
 def write_sweep1d_csv(rows: list[Sweep1DRow], path) -> None:
-    write_csv(path, SWEEP1D_HEADER, ((r.param, r.value, r.capacity, r.critical_bias,
-                                      r.ratio, r.regime) for r in rows))
+    write_csv(path, SWEEP1D_HEADER, rows)  # a row's fields are its columns, in order
 
 
 def write_sweep2d_csv(rows: list[Sweep2DRow], path) -> None:
-    write_csv(path, SWEEP2D_HEADER, ((r.x_param, r.y_param, r.x, r.y, r.ratio) for r in rows))
+    write_csv(path, SWEEP2D_HEADER, rows)

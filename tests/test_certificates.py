@@ -1,5 +1,5 @@
-import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -20,6 +20,7 @@ from mechcert.certificates import (
     ub_envelope,
 )
 from mechcert.prior import (
+    JointDistribution,
     TwoLevelPrior,
     solve_prior_for_r_mech,
     two_level_channel,
@@ -27,7 +28,7 @@ from mechcert.prior import (
 )
 from mechcert.shift import r_min, retention_threshold
 from mechcert.sim import ExperimentConfig, build_environment, regret_curves, run_trial
-from mechcert.sweep import linear_grid
+from mechcert.sweep import SweepSpec, linear_grid
 
 WORKING = CalibrationParams.canonical(k=8, n=12, sigma=0.40, kappa_mu=1.8,
                                       d_f=3.0, b_mu=0.22)
@@ -184,7 +185,7 @@ class TestCriticalBias:
 
 
 def regime_at(p, b_mu):
-    return certificate_report(dataclasses.replace(p, b_mu=b_mu)).regime
+    return certificate_report(p._replace(b_mu=b_mu)).regime
 
 
 class TestRegime:
@@ -362,3 +363,39 @@ def test_every_count_follows_one_rule(name, minimum, good, call):
     # an integral float is the same count, stored as an int
     result = call(float(good))
     assert result == call(good) and type(result) is type(call(good))
+
+
+# each validated type: its valid fields, one bad field and the message it raises
+VALIDATED = [
+    (CalibrationParams, dict(k=8, n=12, sigma=0.40, kappa_mu=1.8, d_f=3.0, b_mu=0.22),
+     {"b_mu": -0.1}, "b_mu must be non-negative"),
+    (BurnInParams, dict(epsilon=0.2, delta=0.01, gap=0.2, k=8), {"gap": math.nan},
+     "gap must be finite and non-negative"),
+    (SweepSpec, dict(parameter="b_mu", values=[0.1, 0.2], base=WORKING), {"values": []},
+     "sweep values must be non-empty"),
+    (TwoLevelPrior, dict(k=8, beta=0.5), {"beta": 0.01}, r"beta must lie in \[1/k, 1\]"),
+    (JointDistribution, dict(probs=((0.5, 0.0), (0.0, 0.5))), {"probs": ((0.5, 0.5), (0.5, 0.5))},
+     "probabilities must sum to 1"),
+    (ExperimentConfig, dict(trials=10, seed=3, prior_strength=2.0, workers=1),
+     {"workers": 0}, "workers must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("cls, fields, bad, message", VALIDATED,
+                         ids=[case[0].__name__ for case in VALIDATED])
+def test_every_construction_path_is_checked(cls, fields, bad, message):
+    good = cls(**fields)
+    broken = {**fields, **bad}
+    builds = [lambda: cls(**broken), lambda: cls(*broken.values()),
+              lambda: good._replace(**bad), lambda: cls._make(broken.values())]
+    for build in builds:
+        with pytest.raises(ValueError, match=message):
+            build()
+    name = next(iter(bad))
+    with pytest.raises(AttributeError):
+        setattr(good, name, bad[name])
+    with pytest.raises(AttributeError):
+        good.extra = 1
+    assert cls._make(good) == good
+    copy = pickle.loads(pickle.dumps(good))
+    assert (type(copy), copy) == (cls, good)

@@ -376,16 +376,21 @@ def test_out_not_a_directory_exit_1(capsys, tmp_path, argv):
     assert blocker.read_text() == "a file\n"
 
 
-def test_import_skips_scipy_and_process_pool():
-    """Closed-form commands start without numpy, scipy or multiprocessing, and
-    the bare package loads none of its modules."""
+def test_import_loads_only_what_the_command_runs():
+    """Closed-form commands start without numpy, scipy, multiprocessing or
+    dataclasses, and `cli` leaves `burnin` and `shift` to their commands; the
+    bare package loads none of its modules; the Monte Carlo engine needs no
+    dataclasses either."""
     import mechcert
     src = str(Path(mechcert.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    heavy = "m.split('.')[0] in ('numpy', 'scipy') or m == 'concurrent.futures.process'"
+    heavy = ("m.split('.')[0] in ('numpy', 'scipy') or m in ('concurrent.futures.process', "
+             "'dataclasses')")
     for module, unwanted in (("mechcert", f"{heavy} or m.startswith('mechcert.')"),
-                             ("mechcert.cli", heavy)):
+                             ("mechcert.cli", f"{heavy} or m in ('mechcert.burnin', "
+                                              "'mechcert.shift')"),
+                             ("mechcert.sim", "m == 'dataclasses'")):
         probe = f"import sys, {module}; print(sorted(m for m in sys.modules if {unwanted}))"
         result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                                 text=True, timeout=60, check=True)

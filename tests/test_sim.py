@@ -1,6 +1,5 @@
 import hashlib
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -139,8 +138,8 @@ class TestMonteCarlo:
 
     def test_cell_independent_of_its_companions(self):
         config = ExperimentConfig(trials=300, seed=11, workers=2)
-        strong = replace(config, prior_strength=5.0)
-        flat = replace(config, prior_strength=0.0)
+        strong = config._replace(prior_strength=5.0)
+        flat = config._replace(prior_strength=0.0)
         # the third list repeats a level, and at strength 0 every level is one simulation
         for cfg, levels in ((config, [1.9, 0.0]), (strong, [0.8]), (config, [1.9, 0.0, 1.9]),
                             (strong, [0.0]), (flat, [0.3, 1.4])):
@@ -202,7 +201,7 @@ class TestMonteCarlo:
 
     def test_rejects_bad_r_mech_in_flat_cell(self):
         with pytest.raises(ValueError, match="r_mech must lie in"):
-            regret_curves(replace(FAST, prior_strength=0.0), [0.3, 5.0], (12,))
+            regret_curves(FAST._replace(prior_strength=0.0), [0.3, 5.0], (12,))
         with pytest.raises(ValueError, match="r_mech must lie in"):
             run_monte_carlo(FAST, "uninformed", 5.0)
 
@@ -211,7 +210,7 @@ class TestMonteCarlo:
     def test_rejects_bad_level(self, strength, level):
         # at strength 0 the level keys to the uninformed one, and is still checked
         with pytest.raises(ValueError, match="r_mech must lie in"):
-            regret_curves(replace(FAST, prior_strength=strength), [0.3, level], (12,))
+            regret_curves(FAST._replace(prior_strength=strength), [0.3, level], (12,))
 
     @pytest.mark.parametrize("experiment", [table1_experiment, table2_experiment])
     def test_one_pool_per_table(self, monkeypatch, experiment):
