@@ -35,6 +35,11 @@ def whole(name: str, value, minimum: int) -> int:
     return value
 
 
+def ratio(a: float, b: float | None) -> float:
+    """The one ratio rule: a / b, or inf when there is nothing to divide by (b is 0 or None)."""
+    return a / b if b else math.inf
+
+
 def checked_record(name: str, fields: str):
     """A namedtuple base for an immutable type that checks its fields in `__new__`.
 
@@ -201,16 +206,16 @@ def certificate_report(p: CalibrationParams, target: float | None = None) -> Cer
     floor = residual_entropy(p.h_mu, cap)
     b_crit = solve_bias_for_capacity(target, p)
     if b_crit is None:
-        ratio, regime = None, Regime.UNREACHABLE
+        bias_ratio, regime = None, Regime.UNREACHABLE
     else:
-        ratio = b_crit / p.b_mu if p.b_mu > 0 else math.inf
+        bias_ratio = ratio(b_crit, p.b_mu)
         regime = Regime.DATA_EFFICIENT if p.b_mu < b_crit else Regime.BASELINE
     return CertificateReport(
         target=target,
         capacity_at_bias=cap,
         residual_entropy_floor=floor,
         critical_bias=b_crit,
-        bias_ratio=ratio,
+        bias_ratio=bias_ratio,
         regime=regime,
         sample_ratio=sample_complexity_ratio(p.h_mu, floor),
         lb_envelope=lb_envelope(p.k, p.n, floor),

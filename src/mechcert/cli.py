@@ -58,7 +58,7 @@ def _read_config(path: str) -> dict:
     values = {}
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -147,10 +147,10 @@ def cmd_simulate(args) -> None:
 
     config = sim.ExperimentConfig(trials=args.trials, seed=args.seed,
                                   workers=args.workers, prior_strength=args.strength)
-    experiment, write = {1: (sim.table1_experiment, sim.write_table1_csv),
-                         2: (sim.table2_experiment, sim.write_table2_csv)}[args.table]
+    experiment, header = {1: (sim.table1_experiment, sim.TABLE1_HEADER),
+                          2: (sim.table2_experiment, sim.TABLE2_HEADER)}[args.table]
     path = _outdir(args) / f"table{args.table}.csv"
-    sys.stdout.write(write(experiment(config), path))
+    sys.stdout.write(sw.write_csv(path, header, experiment(config)))
 
 
 def cmd_burnin(args) -> None:
@@ -204,7 +204,7 @@ def cmd_sweep(args) -> None:
         _reject_given(args, ("--values", "--min", "--max"), "not allowed with argument --grid")
         steps = sw.GRID_STEPS if args.steps is None else args.steps
         rows = sw.sweep_2d(*(sw.grid_axis(param, base, steps) for param in args.grid))
-        name, write = "sweep2d.csv", sw.write_sweep2d_csv
+        name, header = "sweep2d.csv", sw.SWEEP2D_HEADER
     elif args.param:
         if args.values is not None:
             _reject_given(args, ("--min", "--max", "--steps"), "not allowed with argument --values")
@@ -215,11 +215,11 @@ def cmd_sweep(args) -> None:
             steps = sw.PARAM_STEPS if args.steps is None else args.steps
             values = sw.linear_grid(args.min, args.max, steps)
         rows = sw.sweep_1d(sw.SweepSpec(parameter=args.param, values=values, base=base))
-        name, write = "sweep1d.csv", sw.write_sweep1d_csv
+        name, header = "sweep1d.csv", sw.SWEEP1D_HEADER
     else:
         raise UsageError("sweep requires --param or --grid")
     path = _outdir(args) / name
-    write(rows, path)
+    sw.write_csv(path, header, rows)
     print(f"wrote {path} ({len(rows)} rows)")
 
 

@@ -2,10 +2,8 @@
 
 The hybrid prior places mass beta on the model-recommended arm and
 equal mass alpha on every other arm. Its entropy is strictly
-decreasing and concave in beta on [1/k, 1], with the closed-form
-derivative ln((1 - beta) / ((k - 1) * beta)), so the prior matching a
-requested information level is found by Newton steps kept inside a
-shrinking bisection bracket rather than a black-box search. Joint
+decreasing in beta on [1/k, 1], so the prior matching a requested
+information level is found by plain bisection on beta. Joint
 distributions over (optimal arm, recommended arm) are plain k x k
 probability tables.
 """
@@ -84,29 +82,17 @@ def solve_prior_for_r_mech(k: int, r_mech: float) -> TwoLevelPrior:
 def _solve_beta(k: int, r_mech: float) -> float:
     """Root of two_level_entropy(k, b) = ln k - r_mech for b in [1/k, 1 - 1e-15].
 
-    Safeguarded Newton: every iterate stays inside a bracket [lo, hi] around
-    the root that shrinks with each evaluation, and a step that would leave
-    it, or a zero slope, falls back to bisection.
+    Plain bisection; it stops when the midpoint is no longer strictly inside
+    the bracket, that is when lo and hi are adjacent floats (about 55 steps).
     """
     target = math.log(k) - r_mech
     lo, hi = 1.0 / k, 1.0 - 1e-15
-    b = 0.5 * (lo + hi)
-    for _ in range(100):  # bisection alone reaches one ulp in about 55 steps
-        g = two_level_entropy(k, b) - target
-        if g > 0.0:
-            lo = b
-        elif g < 0.0:
-            hi = b
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if two_level_entropy(k, mid) > target:
+            lo = mid
         else:
-            return b
-        slope = math.log((1.0 - b) / ((k - 1) * b))  # 0 only where b rounds to 1/k
-        nxt = b - g / slope if slope < 0.0 else lo
-        if abs(nxt - b) <= 2.0 * math.ulp(b):
-            return nxt
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
-        b = nxt
-    return b
+            hi = mid
+    return mid
 
 
 class JointDistribution(checked_record("JointDistribution", "probs")):
@@ -157,13 +143,6 @@ class JointDistribution(checked_record("JointDistribution", "probs")):
             raise ValueError(f"{layout}; got k = {k} and {len(rows)} rows of "
                              f"lengths {sorted({len(row) for row in rows})}")
         return cls(probs=rows)
-
-
-def two_level_channel(k: int, beta: float) -> tuple[tuple[float, ...], ...]:
-    """Symmetric conditional P(recommended=j | optimal=i): beta on the diagonal."""
-    k = whole("k", k, 2)
-    alpha = (1.0 - beta) / (k - 1)
-    return tuple(tuple(beta if i == j else alpha for j in range(k)) for i in range(k))
 
 
 def joint_from_channel(marginal, conditional) -> JointDistribution:

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .certificates import checked_record, residual_entropy, sample_complexity_ratio, whole
+from .certificates import checked_record, ratio, residual_entropy, sample_complexity_ratio, whole
 from .prior import DEFAULT_PRIOR_STRENGTH, TwoLevelPrior, solve_prior_for_r_mech
 from .sweep import write_csv
 
@@ -173,8 +173,11 @@ def regret_curves(config: ExperimentConfig, levels, horizons) -> np.ndarray:
     workers > 1 the jobs are split into contiguous chunks over one process
     pool of at most the CPU count, which changes nothing but the wall time.
     """
+    levels, horizons = tuple(levels), tuple(whole("horizon", n, 1) for n in horizons)
+    if not (levels and horizons):
+        raise ValueError(f"regret_curves needs at least one level and one horizon, "
+                         f"got {len(levels)} and {len(horizons)}")
     blocks = -(-config.trials // BLOCK_SIZE)
-    horizons = tuple(whole("horizon", n, 1) for n in horizons)
     # one solve per level; it also rejects a bad level keyed to 0 at strength 0
     priors = {r: solve_prior_for_r_mech(K, r) for r in {0.0, *levels}}
     keys = [r if config.prior_strength else 0.0 for r in levels]
@@ -244,9 +247,9 @@ def table1_experiment(config: ExperimentConfig) -> list[Table1Row]:
         h_mech = residual_entropy(h_mu, r_mech)
         rows.append(Table1Row(
             r_mech=r_mech, h_mech=h_mech, hyb=hyb, uninf=uninf, bsa=bsa,
-            ratio_uninf_hyb=uninf.mean / hyb.mean if hyb.mean > 0 else math.inf,
+            ratio_uninf_hyb=ratio(uninf.mean, hyb.mean),
             lb_prediction=math.sqrt(sample_complexity_ratio(h_mu, h_mech)),
-            ratio_bsa_hyb=bsa.mean / hyb.mean if hyb.mean > 0 else math.inf,
+            ratio_bsa_hyb=ratio(bsa.mean, hyb.mean),
         ))
     return rows
 
@@ -262,18 +265,9 @@ def table2_experiment(config: ExperimentConfig) -> list[Table2Row]:
     rows = []
     for col, n in enumerate(TABLE2_HORIZONS):
         h, u = _summarize(hyb[:, col]), _summarize(uninf[:, col])
-        rows.append(Table2Row(n=n, hyb=h, uninf=u,
-                              ratio=u.mean / h.mean if h.mean > 0 else math.inf))
+        rows.append(Table2Row(n=n, hyb=h, uninf=u, ratio=ratio(u.mean, h.mean)))
     return rows
 
 
 def write_table1_csv(rows: list[Table1Row], path) -> str:
-    return write_csv(path, TABLE1_HEADER, (
-        (r.r_mech, r.h_mech, r.hyb.mean, r.hyb.ci96_halfwidth, r.uninf.mean,
-         r.uninf.ci96_halfwidth, r.bsa.mean, r.bsa.ci96_halfwidth,
-         r.ratio_uninf_hyb, r.lb_prediction, r.ratio_bsa_hyb) for r in rows))
-
-
-def write_table2_csv(rows: list[Table2Row], path) -> str:
-    return write_csv(path, TABLE2_HEADER, ((r.n, r.hyb.mean, r.hyb.ci96_halfwidth, r.uninf.mean,
-                                            r.uninf.ci96_halfwidth, r.ratio) for r in rows))
+    return write_csv(path, TABLE1_HEADER, rows)

@@ -13,7 +13,7 @@ import math
 from typing import NamedTuple
 
 from .certificates import (CalibrationParams, certificate_report, checked_record, critical_bias,
-                           whole)
+                           ratio, whole)
 
 # Axis range of each sweep parameter in a 2-D grid; the keys are the parameters.
 GRID_RANGES = {"sigma": (0.357, 0.50), "kappa_mu": (0.6, 3.0), "d_f": (2.0, 5.0),
@@ -71,11 +71,6 @@ def _cell(base: CalibrationParams, overrides: dict) -> CalibrationParams:
     return base._replace(**values, sigma_f2=None)  # None: the cell's canonical sigma_f2
 
 
-def _ratio(b_mu: float, b_crit: float | None) -> float:
-    """b_mu / b_crit; inf when there is no critical bias or it is 0."""
-    return b_mu / b_crit if b_crit else math.inf
-
-
 class Sweep1DRow(NamedTuple):
     param: str
     value: float
@@ -96,7 +91,7 @@ def sweep_1d(spec: SweepSpec) -> list[Sweep1DRow]:
         report = certificate_report(params)
         rows.append(Sweep1DRow(
             param=spec.parameter, value=value, capacity=report.capacity_at_bias,
-            critical_bias=report.critical_bias, ratio=_ratio(params.b_mu, report.critical_bias),
+            critical_bias=report.critical_bias, ratio=ratio(params.b_mu, report.critical_bias),
             regime=report.regime.value))
     return rows
 
@@ -126,28 +121,28 @@ def sweep_2d(x_spec: SweepSpec, y_spec: SweepSpec) -> list[Sweep2DRow]:
         for y in y_spec.values:
             params = _cell(x_spec.base, {x_param: x, y_param: y})
             rows.append(Sweep2DRow(x_param=x_param, y_param=y_param, x=x, y=y,
-                                   ratio=_ratio(params.b_mu, critical_bias(params))))
+                                   ratio=ratio(params.b_mu, critical_bias(params))))
     return rows
 
 
 def _fmt(x) -> str:
-    """One CSV field: strings pass through, None is nan, numbers take 6 significant digits."""
+    """CSV text of a value: strings pass through, None is nan, numbers take 6
+    significant digits, and a record (a row, or a summary nested in one) is
+    its fields in order."""
+    if isinstance(x, tuple):
+        return ",".join(map(_fmt, x))
     if isinstance(x, str):
         return x
     return "nan" if x is None else f"{x:.6g}"
 
 
 def write_csv(path, header: str, rows) -> str:
-    """Write the header line, then one line per sequence of fields; return the text."""
-    text = "\n".join([header, *(",".join(map(_fmt, fields)) for fields in rows)]) + "\n"
+    """Write the header line, then one line per row record; return the text.
+
+    A row's fields, with a nested summary's fields in its place, are its
+    columns in order.
+    """
+    text = "\n".join([header, *map(_fmt, rows)]) + "\n"
     with open(path, "w") as fh:
         fh.write(text)
     return text
-
-
-def write_sweep1d_csv(rows: list[Sweep1DRow], path) -> None:
-    write_csv(path, SWEEP1D_HEADER, rows)  # a row's fields are its columns, in order
-
-
-def write_sweep2d_csv(rows: list[Sweep2DRow], path) -> None:
-    write_csv(path, SWEEP2D_HEADER, rows)

@@ -23,7 +23,6 @@ from mechcert.prior import (
     JointDistribution,
     TwoLevelPrior,
     solve_prior_for_r_mech,
-    two_level_channel,
     two_level_entropy,
 )
 from mechcert.shift import r_min, retention_threshold
@@ -335,7 +334,6 @@ COUNT_SITES = {
     "effective_prior_weight.k": ("k", 2, 8, lambda v: effective_prior_weight(0.2, v)),
     "TwoLevelPrior.k": ("k", 2, 8, lambda v: TwoLevelPrior(k=v, beta=0.5).k),
     "two_level_entropy.k": ("k", 2, 8, lambda v: two_level_entropy(v, 0.5)),
-    "two_level_channel.k": ("k", 2, 8, lambda v: two_level_channel(v, 0.5)),
     "solve_prior_for_r_mech.k": ("k", 2, 8, lambda v: solve_prior_for_r_mech(v, 0.5).k),
     "retention_threshold.k": ("k", 2, 8, lambda v: retention_threshold(1.6, v)),
     "r_min.k": ("k", 2, 12, r_min),

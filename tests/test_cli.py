@@ -5,11 +5,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from mechcert.cli import build_parser, main
-from mechcert.prior import JointDistribution, joint_from_channel, two_level_channel
 
 
 def run(capsys, *argv):
@@ -126,6 +124,14 @@ class TestCertify:
     def test_missing_config_file(self, capsys):
         code, _, err = run(capsys, "certify", "--config", "/no/such/file.cfg")
         assert code == 1
+
+    def test_undecodable_config_file(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"b_mu = 0.8\xff\n")
+        code, out, err = run(capsys, "certify", "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot read config file {cfg}: ")
+        assert "codec can't decode byte 0xff" in err
 
 
 class TestSimulate:
@@ -341,10 +347,11 @@ def test_list_flags_from_config_take_effect(capsys, tmp_path):
 ], ids=["shift-joint-r-train", "shift-subset-without-joint", "sweep-grid-values",
         "sweep-grid-range", "sweep-values-range", "sweep-values-steps", "sweep-grid-config-values",
         "shift-joint-k", "shift-joint-config-k"])
-def test_flag_the_mode_never_reads_exit_1(capsys, monkeypatch, tmp_path, argv, message, config):
+def test_flag_the_mode_never_reads_exit_1(capsys, monkeypatch, tmp_path, two_level_joint, argv,
+                                          message, config):
     # a config-file value counts as given; nothing is written, the CSV's directory included
     monkeypatch.chdir(tmp_path)
-    joint = joint_from_channel(np.full(8, 1 / 8), two_level_channel(8, 0.972))
+    joint = two_level_joint(8, 0.972)
     (tmp_path / "joint.csv").write_text("8\n" + "".join(
         ",".join(map(str, row)) + "\n" for row in joint.probs))
     if config is not None:
@@ -397,6 +404,26 @@ def test_import_loads_only_what_the_command_runs():
         assert result.stdout.strip() == "[]", module
 
 
+def test_closed_form_commands_run_without_site_packages(tmp_path, two_level_joint):
+    """Every closed-form command, `burnin` and `shift` (loaded inside their commands)
+    included, exits 0 under `python -S`: no site-packages, so no numpy."""
+    import mechcert
+    src = str(Path(mechcert.__file__).resolve().parents[1])
+    joint = two_level_joint(8, 0.972)
+    (tmp_path / "joint.csv").write_text("8\n" + "".join(
+        ",".join(map(str, row)) + "\n" for row in joint.probs))
+    for argv in (["certify"], ["prior", "--r-mech", "1.9"],
+                 ["burnin", "--eps", "0.05", "--delta", "0.1", "--gap", "0.3"],
+                 ["shift", "--r-train", "1.6", "--delta-pi", "0.5"],
+                 ["shift", "--joint", "joint.csv"],
+                 ["sweep", "--grid", "kappa_mu", "b_mu", "--steps", "3"],
+                 ["sweep", "--param", "k", "--min", "2", "--max", "20", "--steps", "19"]):
+        result = subprocess.run([sys.executable, "-S", "-m", "mechcert.cli", *argv],
+                                env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path,
+                                capture_output=True, text=True, timeout=60)
+        assert (result.returncode, result.stderr) == (0, ""), argv
+
+
 class TestShift:
     def test_retention_report(self, capsys):
         code, out, _ = run(capsys, "shift", "--r-train", "1.6", "--k", "8",
@@ -415,8 +442,8 @@ class TestShift:
         code, _, err = run(capsys, "shift", "--r-train", "1.6")
         assert code == 1
 
-    def test_impossibility_mode(self, capsys, tmp_path):
-        joint = joint_from_channel(np.full(8, 1 / 8), two_level_channel(8, 0.972))
+    def test_impossibility_mode(self, capsys, tmp_path, two_level_joint):
+        joint = two_level_joint(8, 0.972)
         path = tmp_path / "joint.csv"
         path.write_text("8\n" + "".join(",".join(str(float(x)) for x in row) + "\n"
                                         for row in joint.probs))
@@ -550,7 +577,7 @@ def test_config_k_takes_effect(capsys, tmp_path, argv):
     assert from_config != default
 
 
-def test_readme_cli_lines_parse(capsys, monkeypatch, tmp_path):
+def test_readme_cli_lines_parse(capsys, monkeypatch, tmp_path, two_level_joint):
     """Every `mechcert ...` line of the README's CLI block parses, and all but
     `simulate` (the acceptance gate runs its 10,000-trial tables) exit 0."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -558,7 +585,7 @@ def test_readme_cli_lines_parse(capsys, monkeypatch, tmp_path):
     lines = [line for line in block.splitlines() if line.startswith("mechcert ")]
     assert len(lines) >= 6
     monkeypatch.chdir(tmp_path)
-    joint = joint_from_channel(np.full(8, 1 / 8), two_level_channel(8, 0.972))
+    joint = two_level_joint(8, 0.972)
     (tmp_path / "joint.csv").write_text("8\n" + "".join(
         ",".join(map(str, row)) + "\n" for row in joint.probs))
     (tmp_path / "run.cfg").write_text("# working point\nn = 24\nb_mu = 0.5\n")

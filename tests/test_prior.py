@@ -9,11 +9,9 @@ from mechcert.prior import (
     JointDistribution,
     TwoLevelPrior,
     conditional_entropy,
-    joint_from_channel,
     kl_divergence,
     mutual_information,
     solve_prior_for_r_mech,
-    two_level_channel,
     two_level_entropy,
 )
 
@@ -148,8 +146,8 @@ class TestInformationMeasures:
         j = JointDistribution(probs=np.eye(8) / 8)
         assert mutual_information(j) == pytest.approx(math.log(8), rel=1e-12)
 
-    def test_mi_two_level_channel(self):
-        j = joint_from_channel(np.full(8, 1 / 8), two_level_channel(8, 0.972))
+    def test_mi_two_level_channel(self, two_level_joint):
+        j = two_level_joint(8, 0.972)
         assert mutual_information(j) == pytest.approx(1.9, abs=0.01)
         # symmetric-channel MI equals ln k - two-level entropy at beta
         assert mutual_information(j) == pytest.approx(
@@ -164,8 +162,8 @@ class TestInformationMeasures:
         j = JointDistribution(probs=np.outer(u, u))
         assert conditional_entropy(j) == pytest.approx(math.log(8), rel=1e-12)
 
-    def test_cond_entropy_two_level(self):
-        j = joint_from_channel(np.full(8, 1 / 8), two_level_channel(8, 0.665))
+    def test_cond_entropy_two_level(self, two_level_joint):
+        j = two_level_joint(8, 0.665)
         assert conditional_entropy(j) == pytest.approx(1.283, abs=0.02)
 
     def test_kl_self(self):

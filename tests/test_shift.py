@@ -9,7 +9,6 @@ from mechcert.prior import (
     joint_from_channel,
     kl_divergence,
     mutual_information,
-    two_level_channel,
 )
 from mechcert.shift import (
     Retention,
@@ -148,8 +147,8 @@ class TestConstruction:
 
 
 class TestVerifyImpossibility:
-    def test_two_level_channel(self):
-        p = joint_from_channel(np.full(8, 1 / 8), two_level_channel(8, 0.972))
+    def test_two_level_channel(self, two_level_joint):
+        p = two_level_joint(8, 0.972)
         report = verify_impossibility(p, [0, 1, 2, 3])
         assert report.cond_entropy_residual < 1e-9
         assert report.kl_residual < 1e-9

@@ -23,8 +23,8 @@ from mechcert.sim import (
     table1_experiment,
     table2_experiment,
     write_table1_csv,
-    write_table2_csv,
 )
+from mechcert.sweep import write_csv
 
 FAST = ExperimentConfig(trials=400, seed=42)
 UNINFORMED = hybrid_policy(solve_prior_for_r_mech(8, 0.0), strength=0.0)
@@ -135,6 +135,19 @@ class TestMonteCarlo:
     def test_regret_curves_rejects_horizon_below_one(self):
         with pytest.raises(ValueError, match="horizon must be >= 1, got 0"):
             regret_curves(FAST, [1.4], (12, 0))
+
+    def test_levels_and_horizons_are_read_once(self):
+        # a generator gives the same curves as a tuple
+        levels = (1.4, 0.0)
+        assert np.array_equal(regret_curves(FAST, (r for r in levels), iter((12, 5))),
+                              regret_curves(FAST, levels, (12, 5)))
+
+    @pytest.mark.parametrize("levels,horizons", [([], (12,)), (iter(()), (12,)), ([0.3], ())],
+                             ids=["no-levels", "empty-generator", "no-horizons"])
+    def test_regret_curves_rejects_empty_levels_or_horizons(self, levels, horizons):
+        with pytest.raises(ValueError, match="^regret_curves needs at least one level and one "
+                                             "horizon, got [01] and [01]$"):
+            regret_curves(FAST, levels, horizons)
 
     def test_cell_independent_of_its_companions(self):
         config = ExperimentConfig(trials=300, seed=11, workers=2)
@@ -310,7 +323,7 @@ class TestTables:
         rows = table2_experiment(ExperimentConfig(trials=50, seed=1))
         assert [r.n for r in rows] == [5, 10, 20, 50, 200]
         path = tmp_path / "table2.csv"
-        write_table2_csv(rows, path)
+        write_csv(path, TABLE2_HEADER, rows)
         lines = path.read_text().splitlines()
         assert lines[0] == TABLE2_HEADER
         assert len(lines) == 6
@@ -332,21 +345,21 @@ class TestTables:
 
     # The random streams, pinned. A new value here is a declared stream
     # change: list the old and new hashes and the moved values in CHANGES.md.
-    @pytest.mark.parametrize("experiment,write,digest", [
-        (table1_experiment, write_table1_csv,
+    @pytest.mark.parametrize("experiment,header,digest", [
+        (table1_experiment, TABLE1_HEADER,
          "fdfdd3c57975c5ade048a8b67ba8ab1a17111f41af870d26deeeb2919dda9e43"),
-        (table2_experiment, write_table2_csv,
+        (table2_experiment, TABLE2_HEADER,
          "eb676b811ee2954efd29ffede8b941f49a0e6a2e7d4d85566b42401516fe41a3"),
     ], ids=["table1", "table2"])
-    def test_stream_pinned(self, tmp_path, experiment, write, digest):
+    def test_stream_pinned(self, tmp_path, experiment, header, digest):
         path = tmp_path / "table.csv"
-        write(experiment(ExperimentConfig(trials=300, seed=5)), path)
+        write_csv(path, header, experiment(ExperimentConfig(trials=300, seed=5)))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_csv_six_significant_digits(self, tmp_path):
         rows = table2_experiment(ExperimentConfig(trials=30, seed=3))
         path = tmp_path / "t2.csv"
-        write_table2_csv(rows, path)
+        write_csv(path, TABLE2_HEADER, rows)
         body = path.read_text().splitlines()[1]
         for token in body.split(",")[1:]:
             mantissa = token.replace("-", "").replace(".", "").split("e")[0].lstrip("0")

@@ -17,8 +17,7 @@ from mechcert.sweep import (
     linear_grid,
     sweep_1d,
     sweep_2d,
-    write_sweep1d_csv,
-    write_sweep2d_csv,
+    write_csv,
 )
 
 BASE = CalibrationParams.canonical(k=8, n=12, sigma=0.40, kappa_mu=1.8,
@@ -248,7 +247,7 @@ class TestCsvWriters:
     def test_sweep1d_csv(self, tmp_path):
         rows = one_param("kappa_mu", [0.6, 3.0])
         path = tmp_path / "sweep1d.csv"
-        write_sweep1d_csv(rows, path)
+        write_csv(path, SWEEP1D_HEADER, rows)
         lines = path.read_text().splitlines()
         assert lines[0] == SWEEP1D_HEADER
         assert len(lines) == 3
@@ -258,7 +257,7 @@ class TestCsvWriters:
         rows = sweep_2d(SweepSpec(parameter="kappa_mu", values=[1.8], base=BASE),
                         SweepSpec(parameter="b_mu", values=[0.22], base=BASE))
         path = tmp_path / "sweep2d.csv"
-        write_sweep2d_csv(rows, path)
+        write_csv(path, SWEEP2D_HEADER, rows)
         lines = path.read_text().splitlines()
         assert lines[0] == SWEEP2D_HEADER
         assert lines[1].split(",")[:2] == ["kappa_mu", "b_mu"]
