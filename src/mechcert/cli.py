@@ -27,6 +27,8 @@ EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 
 LN2 = math.log(2.0)
+# the 5-FU working values of the calibration flags, used where a flag is not given
+WORKING_VALUES = {"k": 8, "n": 12, "sigma": 0.40, "kappa_mu": 1.8, "d_f": 3.0, "b_mu": 0.22}
 
 
 class UsageError(Exception):
@@ -95,8 +97,9 @@ def _info(args, x: float) -> str:
 
 
 def _build_params(args, **extra) -> cert.CalibrationParams:
-    return cert.CalibrationParams(**{name: getattr(args, name) for name in (
-        "k", "n", "sigma", "kappa_mu", "d_f", "b_mu")}, **extra)
+    return cert.CalibrationParams(**{
+        name: working if getattr(args, name) is None else getattr(args, name)
+        for name, working in WORKING_VALUES.items()}, **extra)
 
 
 def _reject_given(args, flags, reason: str) -> None:
@@ -199,6 +202,10 @@ def cmd_prior(args) -> None:
 
 
 def cmd_sweep(args) -> None:
+    # a swept parameter's own flag is never read; p_opt sets sigma
+    for param in args.grid or filter(None, [args.param]):
+        flag = "--sigma" if param == "p_opt" else "--" + param.replace("_", "-")
+        _reject_given(args, (flag,), f"not allowed with a sweep over {param}")
     base = _build_params(args)
     if args.grid:
         _reject_given(args, ("--values", "--min", "--max"), "not allowed with argument --grid")
@@ -229,13 +236,13 @@ def _add_bits(p: _Parser) -> None:
 
 
 def _add_calibration_flags(p: _Parser) -> None:
-    # the 5-FU working values
-    p.add_argument("--k", type=int, default=8, help="number of arms")
-    p.add_argument("--n", type=int, default=12, help="horizon in cycles")
-    p.add_argument("--sigma", type=float, default=0.40, help="reward-noise std")
-    p.add_argument("--kappa-mu", type=float, default=1.8, help="occupancy sensitivity")
-    p.add_argument("--d-f", type=float, default=3.0, help="effective residual dimension")
-    p.add_argument("--b-mu", type=float, default=0.22, help="occupancy-weighted bias")
+    # None: not given, so _build_params takes the working value
+    p.add_argument("--k", type=int, default=None, help="number of arms")
+    p.add_argument("--n", type=int, default=None, help="horizon in cycles")
+    p.add_argument("--sigma", type=float, default=None, help="reward-noise std")
+    p.add_argument("--kappa-mu", type=float, default=None, help="occupancy sensitivity")
+    p.add_argument("--d-f", type=float, default=None, help="effective residual dimension")
+    p.add_argument("--b-mu", type=float, default=None, help="occupancy-weighted bias")
 
 
 def build_parser() -> _Parser:

@@ -1,9 +1,12 @@
 """Sensitivity sweeps of the certificate over calibration parameters.
 
-Each swept cell rebuilds the parameter vector from scratch: the prior
-entropy tracks k, the noise scale tracks p_opt through the Bernoulli
-standard deviation, and the canonical residual variance is recomputed
-in every cell. Output is CSV rows; plotting is left to external tools.
+Each swept cell is the base parameter vector with the swept values
+applied: the prior entropy tracks k, the noise scale tracks p_opt
+through the Bernoulli standard deviation, and the canonical residual
+variance is recomputed in every cell. The critical bias never reads
+b_mu, so a grid with a b_mu axis solves it once per value of the other
+axis; every swept value is still checked. Output is CSV rows; plotting
+is left to external tools.
 `write_csv` is the one CSV writer, shared with the simulation tables.
 """
 
@@ -109,31 +112,43 @@ def sweep_2d(x_spec: SweepSpec, y_spec: SweepSpec) -> list[Sweep2DRow]:
 
     The ratio-equals-one contour is the boundary between the
     data-efficient and baseline regimes. Two axes that set the same
-    quantity (b_mu twice, or sigma and p_opt) raise ValueError.
+    quantity (b_mu twice, or sigma and p_opt) raise ValueError, as does
+    an invalid value. The critical bias never reads b_mu, so it is
+    solved once per distinct cell of the other values (60 solves, not
+    3,600, on the default kappa_mu x b_mu grid); each b_mu value is
+    checked once, before any solve.
     """
     if x_spec.base != y_spec.base:
         raise ValueError("both sweep axes must share the same base parameters")
     x_param, y_param = x_spec.parameter, y_spec.parameter
     if {x_param, y_param} <= {"sigma", "p_opt"} or x_param == y_param:
         raise ValueError(f"grid axes {x_param} and {y_param} set the same quantity")
+    base = x_spec.base
+    # Check each b_mu value once; _replace keeps the base's checked sigma_f2, so only
+    # b_mu is new. The other values are checked in the solve cells below.
+    for spec in (x_spec, y_spec):
+        if spec.parameter == "b_mu":
+            for value in spec.values:
+                base._replace(b_mu=value)
+    solved = {}  # critical bias by the cell's values other than b_mu, which it never reads
     rows = []
     for x in x_spec.values:
         for y in y_spec.values:
-            params = _cell(x_spec.base, {x_param: x, y_param: y})
-            rows.append(Sweep2DRow(x_param=x_param, y_param=y_param, x=x, y=y,
-                                   ratio=ratio(params.b_mu, critical_bias(params))))
+            others = {x_param: x, y_param: y}
+            b_mu = others.pop("b_mu", base.b_mu)
+            key = tuple(others.values())
+            if key not in solved:
+                solved[key] = critical_bias(_cell(base, others))
+            rows.append(Sweep2DRow(x_param, y_param, x, y, ratio(b_mu, solved[key])))
     return rows
 
 
-def _fmt(x) -> str:
-    """CSV text of a value: strings pass through, None is nan, numbers take 6
-    significant digits, and a record (a row, or a summary nested in one) is
-    its fields in order."""
-    if isinstance(x, tuple):
-        return ",".join(map(_fmt, x))
-    if isinstance(x, str):
-        return x
-    return "nan" if x is None else f"{x:.6g}"
+def _fmt(record) -> str:
+    """CSV text of a record (a row, or a summary nested in one): its fields in
+    order, where strings pass through, None is nan, a nested record is its own
+    fields, and numbers take 6 significant digits."""
+    return ",".join([x if isinstance(x, str) else "nan" if x is None
+                     else _fmt(x) if isinstance(x, tuple) else f"{x:.6g}" for x in record])
 
 
 def write_csv(path, header: str, rows) -> str:

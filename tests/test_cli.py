@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import shlex
@@ -344,9 +345,24 @@ def test_list_flags_from_config_take_effect(capsys, tmp_path):
      "argument --k: not allowed with argument --joint", None),
     (("shift", "--joint", "joint.csv"),
      "argument --k: not allowed with argument --joint", "k = 12\n"),
+    (("sweep", "--grid", "kappa_mu", "b_mu", "--steps", "5", "--b-mu", "0.35"),
+     "argument --b-mu: not allowed with a sweep over b_mu", None),
+    (("sweep", "--grid", "kappa_mu", "b_mu", "--steps", "5", "--b-mu", "0.35",
+      "--kappa-mu", "0.7"),
+     "argument --kappa-mu: not allowed with a sweep over kappa_mu", None),
+    (("sweep", "--grid", "p_opt", "b_mu", "--sigma", "0.3"),
+     "argument --sigma: not allowed with a sweep over p_opt", None),
+    (("sweep", "--param", "k", "--min", "2", "--max", "5", "--steps", "4", "--k", "30"),
+     "argument --k: not allowed with a sweep over k", None),
+    (("sweep", "--grid", "b_mu", "k"),
+     "argument --b-mu: not allowed with a sweep over b_mu", "b_mu = 0.35\n"),
+    (("sweep", "--param", "p_opt", "--values", "0.6"),
+     "argument --sigma: not allowed with a sweep over p_opt", "sigma = 0.3\n"),
 ], ids=["shift-joint-r-train", "shift-subset-without-joint", "sweep-grid-values",
         "sweep-grid-range", "sweep-values-range", "sweep-values-steps", "sweep-grid-config-values",
-        "shift-joint-k", "shift-joint-config-k"])
+        "shift-joint-k", "shift-joint-config-k", "sweep-grid-own-flag", "sweep-grid-x-flag-first",
+        "sweep-p-opt-sigma", "sweep-param-own-flag", "sweep-grid-config-own-key",
+        "sweep-param-config-sigma"])
 def test_flag_the_mode_never_reads_exit_1(capsys, monkeypatch, tmp_path, two_level_joint, argv,
                                           message, config):
     # a config-file value counts as given; nothing is written, the CSV's directory included
@@ -530,6 +546,16 @@ class TestSweepCommand:
                          "--steps", "2", "--out", str(out))
         assert code == 0
         assert sorted(f.name for f in out.iterdir()) == ["sweep2d.csv"]
+
+    @pytest.mark.parametrize("grid,digest", [
+        (("kappa_mu", "b_mu"), "eefc77cc7ff83cbf5be9214c883e9bb6861c4be52209eae5b09e1ab4f07078f8"),
+        (("b_mu", "k"), "5f572f8ff781e03e31158c6aba703055dcbab94464e7898fb1ffcb78ffd6e233"),
+    ], ids="-".join)
+    def test_grid_csv_bytes_pinned(self, capsys, tmp_path, grid, digest):
+        # b_mu as the inner and as the outer axis, at the default 60 steps
+        code, _, _ = run(capsys, "sweep", "--grid", *grid, "--out", str(tmp_path))
+        assert code == 0
+        assert hashlib.sha256((tmp_path / "sweep2d.csv").read_bytes()).hexdigest() == digest
 
     def test_grid_k_axis_is_integral(self, capsys, tmp_path):
         code, _, _ = run(capsys, "sweep", "--grid", "k", "b_mu", "--out", str(tmp_path))

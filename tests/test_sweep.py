@@ -1,11 +1,13 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mechcert import sweep
 from mechcert.certificates import CalibrationParams, certificate_report, critical_bias
 from mechcert.sweep import (
     GRID_RANGES,
@@ -188,6 +190,44 @@ class TestSweep2D:
     def test_axes_setting_the_same_quantity_rejected(self, x_param, y_param):
         with pytest.raises(ValueError, match="same quantity"):
             sweep_2d(grid_axis(x_param, BASE, 3), grid_axis(y_param, BASE, 3))
+
+    @pytest.mark.parametrize("x_param,y_param,solves", [
+        ("kappa_mu", "b_mu", 60), ("b_mu", "k", 13), ("kappa_mu", "d_f", 3600),
+    ], ids=["kappa_mu-b_mu", "b_mu-k", "kappa_mu-d_f"])
+    def test_grid_solves_each_critical_bias_once(self, monkeypatch, x_param, y_param, solves):
+        # the critical bias never reads b_mu, so a b_mu axis adds no solves
+        solved = []
+        monkeypatch.setattr(sweep, "critical_bias",
+                            lambda params: solved.append(params) or critical_bias(params))
+        sweep_2d(grid_axis(x_param, BASE), grid_axis(y_param, BASE))
+        assert len(solved) == solves
+        assert len(set(solved)) == solves
+
+    @pytest.mark.parametrize("bad,message", [(-0.1, "b_mu must be non-negative, got -0.1"),
+                                             (math.nan, "b_mu must be finite, got nan")])
+    @pytest.mark.parametrize("b_mu_axis", ["x", "y"])
+    def test_invalid_b_mu_value_rejected(self, bad, message, b_mu_axis):
+        b_mu = SweepSpec(parameter="b_mu", values=[0.2, bad], base=BASE)
+        other = grid_axis("kappa_mu", BASE, 3)
+        axes = (b_mu, other) if b_mu_axis == "x" else (other, b_mu)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sweep_2d(*axes)
+
+    def test_b_mu_checked_before_any_solve(self):
+        # both axes hold an invalid value: the b_mu one is reported
+        with pytest.raises(ValueError, match="^b_mu must be non-negative, got -0.1$"):
+            sweep_2d(SweepSpec(parameter="kappa_mu", values=[-1.0], base=BASE),
+                     SweepSpec(parameter="b_mu", values=[0.2, -0.1], base=BASE))
+
+    def test_b_mu_check_keeps_the_base_sigma_f2(self):
+        # the base's own canonical sigma_f2 would divide by zero at kappa_mu = 1e-200,
+        # but every cell takes kappa_mu from its axis
+        base = CalibrationParams(k=8, n=12, sigma=0.40, kappa_mu=1e-200, d_f=3.0, b_mu=0.22,
+                                 sigma_f2=1.0)
+        rows = sweep_2d(grid_axis("kappa_mu", base, 3), grid_axis("b_mu", base, 3))
+        assert [row.ratio for row in rows] == [
+            row.ratio for row in sweep_2d(grid_axis("kappa_mu", BASE, 3),
+                                          grid_axis("b_mu", BASE, 3))]
 
     def test_axes_on_different_bases_rejected(self):
         other = CalibrationParams.canonical(k=8, n=24, sigma=0.40, kappa_mu=1.8,
