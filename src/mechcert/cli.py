@@ -6,9 +6,10 @@ to stdout, diagnostics to stderr. A flat ``key = value`` config file
 (``--config``) supplies defaults for the subcommand's own single-value
 flags (key ``b_mu`` for ``--b-mu``); explicit flags override it.
 
-A call loads the standard library and the modules its command runs:
-`certificates`, `prior` and `sweep` (whose parameter names the parser
-lists) always, and `burnin`, `shift` or `sim` only inside its own command.
+A call builds only its own command's parser (all six for help, no
+arguments or an unknown command) and loads the standard library plus
+`certificates`, `prior` and the modules its command runs: `sweep` in
+`sweep` and `simulate`, and `burnin`, `shift` or `sim` in their own.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import sys
 from pathlib import Path
 
 from . import certificates as cert
-from . import sweep as sw
 from .prior import DEFAULT_PRIOR_STRENGTH, solve_prior_for_r_mech
 
 EXIT_OK = 0
@@ -147,13 +147,14 @@ def cmd_certify(args) -> None:
 
 def cmd_simulate(args) -> None:
     from . import sim  # the only command that needs numpy
+    from .sweep import write_csv
 
     config = sim.ExperimentConfig(trials=args.trials, seed=args.seed,
                                   workers=args.workers, prior_strength=args.strength)
     experiment, header = {1: (sim.table1_experiment, sim.TABLE1_HEADER),
                           2: (sim.table2_experiment, sim.TABLE2_HEADER)}[args.table]
     path = _outdir(args) / f"table{args.table}.csv"
-    sys.stdout.write(sw.write_csv(path, header, experiment(config)))
+    sys.stdout.write(write_csv(path, header, experiment(config)))
 
 
 def cmd_burnin(args) -> None:
@@ -202,6 +203,8 @@ def cmd_prior(args) -> None:
 
 
 def cmd_sweep(args) -> None:
+    from . import sweep as sw
+
     # a swept parameter's own flag is never read; p_opt sets sigma
     for param in args.grid or filter(None, [args.param]):
         flag = "--sigma" if param == "p_opt" else "--" + param.replace("_", "-")
@@ -245,19 +248,7 @@ def _add_calibration_flags(p: _Parser) -> None:
     p.add_argument("--b-mu", type=float, default=None, help="occupancy-weighted bias")
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="mechcert",
-                     description="Mechanistic-information certificates and "
-                                 "calibrated dosing-bandit simulations.")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, func, summary: str) -> _Parser:
-        p = subs.add_parser(name, help=summary)
-        p.add_argument("--config", help="flat key = value file of flag defaults")
-        p.set_defaults(func=func)
-        return p
-
-    p = command("certify", cmd_certify, "composite certificate")
+def _certify_flags(p: _Parser) -> None:
     _add_calibration_flags(p)
     p.add_argument("--sigma-f2", type=float, default=None,
                    help="residual variance (overrides the canonical value)")
@@ -266,7 +257,8 @@ def build_parser() -> _Parser:
     _add_bits(p)
     p.add_argument("--out", default=None, help="also write certify.txt here")
 
-    p = command("simulate", cmd_simulate, "Monte Carlo regret tables")
+
+def _simulate_flags(p: _Parser) -> None:
     p.add_argument("--table", type=int, choices=(1, 2), required=True)
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0, help="master RNG seed")
@@ -275,14 +267,16 @@ def build_parser() -> _Parser:
                    help="hybrid prior pseudo-count scale")
     p.add_argument("--out", default=".", help="output directory")
 
-    p = command("burnin", cmd_burnin, "burn-in lower bound")
+
+def _burnin_flags(p: _Parser) -> None:
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--gap", type=float, required=True)
     p.add_argument("--k", type=int, default=8)
     _add_bits(p)
 
-    p = command("shift", cmd_shift, "distribution-shift retention and impossibility")
+
+def _shift_flags(p: _Parser) -> None:
     p.add_argument("--r-train", type=float, default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--delta-pi", type=float, default=None)
@@ -291,11 +285,15 @@ def build_parser() -> _Parser:
                    help="comma-separated kept arm indices")
     _add_bits(p)
 
-    p = command("prior", cmd_prior, "two-level prior for an information level")
+
+def _prior_flags(p: _Parser) -> None:
     p.add_argument("--k", type=int, default=8)
     p.add_argument("--r-mech", type=float, required=True)
 
-    p = command("sweep", cmd_sweep, "sensitivity sweeps to CSV")
+
+def _sweep_flags(p: _Parser) -> None:
+    from . import sweep as sw
+
     _add_calibration_flags(p)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--param", choices=sw.SWEEP_PARAMETERS, default=None)
@@ -310,12 +308,36 @@ def build_parser() -> _Parser:
                       help="two parameters for a 2-D ratio grid")
     p.add_argument("--out", default=".", help="output directory")
 
+
+COMMANDS = {  # name: (command, summary, flags), in the order the help lists them
+    "certify": (cmd_certify, "composite certificate", _certify_flags),
+    "simulate": (cmd_simulate, "Monte Carlo regret tables", _simulate_flags),
+    "burnin": (cmd_burnin, "burn-in lower bound", _burnin_flags),
+    "shift": (cmd_shift, "distribution-shift retention and impossibility", _shift_flags),
+    "prior": (cmd_prior, "two-level prior for an information level", _prior_flags),
+    "sweep": (cmd_sweep, "sensitivity sweeps to CSV", _sweep_flags),
+}
+
+
+def build_parser(names=tuple(COMMANDS)) -> _Parser:
+    """The parser with the subcommands `names` of COMMANDS, by default all six."""
+    parser = _Parser(prog="mechcert",
+                     description="Mechanistic-information certificates and "
+                                 "calibrated dosing-bandit simulations.")
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name in names:
+        func, summary, add_flags = COMMANDS[name]
+        p = subs.add_parser(name, help=summary)
+        p.add_argument("--config", help="flat key = value file of flag defaults")
+        p.set_defaults(func=func)
+        add_flags(p)
     parser.commands = subs.choices
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser([argv[0]] if argv and argv[0] in COMMANDS else COMMANDS)
     try:
         args = parser.parse_args(argv)
         if args.config:

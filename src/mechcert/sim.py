@@ -8,17 +8,18 @@ rest at the baseline attainment. Regret is pseudo-regret on means.
 Reproducibility contract: trials run in blocks of BLOCK_SIZE, a frozen
 constant. Block b holds trials b*BLOCK_SIZE .. (b+1)*BLOCK_SIZE - 1 and
 draws from its own counter-based Philox environment and policy streams,
-keyed by (master seed, b). Whole blocks are always simulated and the
-surplus rows dropped, so a trial's regret depends only on (seed, trial
-index, prior strength, r_mech): never on the trial count, the worker
-count or the execution order. Each Thompson round makes the same draws
-whatever the horizon, so the regret at a shorter horizon is the prefix
-of the longer run. The environment stream draws each trial's optimal arm
-first and its recommended arm second, so the path of a flat policy
-(every pseudo-count 1) depends on neither the strength nor r_mech: a
-cell is one information level, uninformed Thompson sampling is the
-level r_mech = 0, and at strength 0 every level is that level.
-The baseline dose is a constant and is computed in closed form.
+keyed by (master seed, b); every level of a block restarts the policy
+stream. Whole blocks are always simulated and the surplus rows dropped,
+so a trial's regret depends only on (seed, trial index, prior strength,
+r_mech): never on the trial count, the worker count, the execution order
+or the other levels. Each Thompson round makes the same draws whatever
+the horizon, so a shorter horizon's regret is the longer run's prefix.
+The environment stream draws each trial's optimal arm first and its
+recommended arm second, so the path of a flat policy (every pseudo-count
+1) depends on neither the strength nor r_mech: a cell is one information
+level, uninformed Thompson sampling is the level r_mech = 0, and at
+strength 0 every level is that level. The baseline dose is a constant
+and is computed in closed form.
 
 This is the only module that imports numpy: the closed-form calculator
 and the CLI's other commands run on the standard library alone.
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import math
 import os
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -136,29 +138,32 @@ def _summarize(regrets: np.ndarray) -> RegretSummary:
     return RegretSummary(mean=float(np.mean(regrets)), ci96_halfwidth=half)
 
 
-def _block_regrets(seed: int, strength: float, prior: TwoLevelPrior, horizons,
-                   block: int) -> np.ndarray:
-    """Regrets of the BLOCK_SIZE trials of one block, shape (BLOCK_SIZE, len(horizons)).
+def _block_regrets(seed: int, strength: float, priors, horizons, block: int) -> np.ndarray:
+    """Regrets of one block's BLOCK_SIZE trials under each prior, shape
+    (len(priors), BLOCK_SIZE, len(horizons)).
 
     The environment stream draws each trial's optimal arm uniformly, then
-    its recommended arm at an offset drawn from `prior` (centred on arm 0),
-    which gives the same joint law as drawing the recommendation first.
-    The policy stream drives the Thompson rounds. Both are keyed by (seed,
-    block) only, so every level of a block faces the same optimal arms.
+    one uniform per trial that sets its recommended arm at an offset drawn
+    from each prior (centred on arm 0): the same joint law as drawing the
+    recommendation first. Both draws serve every prior, and each prior's
+    Thompson rounds restart the policy stream from its key.
     """
     env_seq, policy_seq = np.random.SeedSequence(entropy=seed, spawn_key=(block,)).spawn(2)
     env_rng = np.random.Generator(np.random.Philox(env_seq))
     optimal = env_rng.integers(K, size=BLOCK_SIZE)
-    offset = np.searchsorted(np.cumsum(prior.weights()), env_rng.random(BLOCK_SIZE),
-                             side="right")
-    recommended = (optimal - np.minimum(offset, K - 1)) % K
-    alpha0, beta0 = hybrid_policy(prior, strength)
-    # row i takes the arm-0-centred pseudo-counts rotated to its recommended arm
-    rotation = (np.arange(K) - recommended[:, None]) % K
+    uniforms = env_rng.random(BLOCK_SIZE)
     means = np.where(np.arange(K) == optimal[:, None], P_OPT, P_BSA)
-    policy_rng = np.random.Generator(np.random.Philox(policy_seq))
-    return _thompson_rounds(alpha0[rotation], beta0[rotation], means, max(horizons),
-                            policy_rng)[:, list(horizons)]
+    parts = []
+    for prior in priors:
+        offset = np.searchsorted(np.cumsum(prior.weights()), uniforms, side="right")
+        recommended = (optimal - np.minimum(offset, K - 1)) % K
+        alpha0, beta0 = hybrid_policy(prior, strength)
+        # row i takes the arm-0-centred pseudo-counts rotated to its recommended arm
+        rotation = (np.arange(K) - recommended[:, None]) % K
+        policy_rng = np.random.Generator(np.random.Philox(policy_seq))
+        parts.append(_thompson_rounds(alpha0[rotation], beta0[rotation], means,
+                                      max(horizons), policy_rng)[:, list(horizons)])
+    return np.stack(parts)
 
 
 def regret_curves(config: ExperimentConfig, levels, horizons) -> np.ndarray:
@@ -169,7 +174,7 @@ def regret_curves(config: ExperimentConfig, levels, horizons) -> np.ndarray:
     config.trials, len(horizons)) array; trial t is row t % BLOCK_SIZE of
     block t // BLOCK_SIZE. Each level's prior is solved once. At strength 0
     every level is keyed 0, and each distinct key is simulated once and
-    copied to its levels. Every (key, block) pair is one job; with
+    copied to its levels. One job runs every key on one block; with
     workers > 1 the jobs are split into contiguous chunks over one process
     pool of at most the CPU count, which changes nothing but the wall time.
     """
@@ -182,20 +187,18 @@ def regret_curves(config: ExperimentConfig, levels, horizons) -> np.ndarray:
     priors = {r: solve_prior_for_r_mech(K, r) for r in {0.0, *levels}}
     keys = [r if config.prior_strength else 0.0 for r in levels]
     distinct = {key: i for i, key in enumerate(dict.fromkeys(keys))}
-    jobs = [(config.seed, config.prior_strength, priors[r], horizons, b)
-            for r in distinct for b in range(blocks)]
-    workers = min(config.workers, len(jobs), os.cpu_count() or 1)
+    job = partial(_block_regrets, config.seed, config.prior_strength,
+                  tuple(priors[r] for r in distinct), horizons)
+    workers = min(config.workers, blocks, os.cpu_count() or 1)
     if workers == 1:
-        parts = list(map(_block_regrets, *zip(*jobs)))
+        parts = list(map(job, range(blocks)))
     else:
         # imported here so that the serial and closed-form paths skip multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_block_regrets, *zip(*jobs),
-                                  chunksize=-(-len(jobs) // workers)))
-    curves = np.stack(parts).reshape(len(distinct), blocks * BLOCK_SIZE, len(horizons))
-    return curves[[distinct[key] for key in keys], :config.trials]
+            parts = list(pool.map(job, range(blocks), chunksize=-(-blocks // workers)))
+    return np.concatenate(parts, axis=1)[[distinct[key] for key in keys], :config.trials]
 
 
 def run_monte_carlo(config: ExperimentConfig, algorithm: str, r_mech: float,

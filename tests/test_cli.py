@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from mechcert.cli import build_parser, main
+from mechcert import cli
+from mechcert.cli import COMMANDS, build_parser, main
 
 
 def run(capsys, *argv):
@@ -401,9 +402,10 @@ def test_out_not_a_directory_exit_1(capsys, tmp_path, argv):
 
 def test_import_loads_only_what_the_command_runs():
     """Closed-form commands start without numpy, scipy, multiprocessing or
-    dataclasses, and `cli` leaves `burnin` and `shift` to their commands; the
-    bare package loads none of its modules; the Monte Carlo engine needs no
-    dataclasses either."""
+    dataclasses, and `cli` leaves `burnin`, `shift` and `sweep` to their
+    commands; the bare package loads none of its modules; the Monte Carlo
+    engine needs no dataclasses either; the commands that neither sweep nor
+    write a CSV never load `sweep`."""
     import mechcert
     src = str(Path(mechcert.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -412,12 +414,41 @@ def test_import_loads_only_what_the_command_runs():
              "'dataclasses')")
     for module, unwanted in (("mechcert", f"{heavy} or m.startswith('mechcert.')"),
                              ("mechcert.cli", f"{heavy} or m in ('mechcert.burnin', "
-                                              "'mechcert.shift')"),
+                                              "'mechcert.shift', 'mechcert.sweep')"),
                              ("mechcert.sim", "m == 'dataclasses'")):
         probe = f"import sys, {module}; print(sorted(m for m in sys.modules if {unwanted}))"
         result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                                 text=True, timeout=60, check=True)
         assert result.stdout.strip() == "[]", module
+    probe = ("import contextlib, io, sys\nfrom mechcert.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n    main(sys.argv[1:])\n"
+             "print('mechcert.sweep' in sys.modules)")
+    for argv in (["certify"], ["prior", "--r-mech", "1.9"],
+                 ["burnin", "--eps", "0.05", "--delta", "0.1", "--gap", "0.3"],
+                 ["shift", "--r-train", "1.6", "--delta-pi", "0.5"]):
+        result = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
+                                capture_output=True, text=True, timeout=60, check=True)
+        assert result.stdout.strip() == "False", argv
+
+
+@pytest.mark.parametrize("argv", [("-h",), (), *((name, "-h") for name in COMMANDS),
+                                  ("certfy",), ("certify", "extra"), ("simulate",)],
+                         ids=lambda argv: " ".join(argv) or "no-args")
+def test_help_and_usage_errors_match_the_full_parser(capsys, monkeypatch, argv):
+    """`main` builds only the named command's parser; its help, usage errors
+    and exit codes read exactly as those of the parser with all six."""
+
+    def call():
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # -h exits from inside argparse
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    own = call()
+    monkeypatch.setattr(cli, "build_parser", lambda names: build_parser())
+    assert call() == own
 
 
 def test_closed_form_commands_run_without_site_packages(tmp_path, two_level_joint):

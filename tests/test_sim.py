@@ -113,7 +113,7 @@ class TestMonteCarlo:
         prior = solve_prior_for_r_mech(8, 1.4)
         for t in (0, 255, 256, 399):
             block, row = divmod(t, BLOCK_SIZE)
-            assert _block_regrets(42, 2.0, prior, (12,), block)[row, 0] == few[t, 0]
+            assert _block_regrets(42, 2.0, (prior,), (12,), block)[0, row, 0] == few[t, 0]
 
     def test_short_horizon_is_prefix_of_long_run(self):
         # Table 2 reads every horizon off one run, so its arms still
@@ -170,21 +170,34 @@ class TestMonteCarlo:
         # the optimum is drawn before the recommendation, so a policy whose
         # pseudo-counts are all 1 follows one path at every strength and r_mech:
         # what makes uninformed Thompson sampling the level r_mech = 0
-        flat = _block_regrets(7, 0.0, solve_prior_for_r_mech(8, 0.0), (1, 12, 200), block)
-        pairs = [(s, 0.0) for s in (0.0, 2.0, 5.0)] + [(0.0, r) for r in R_MECH_GRID]
-        for strength, r_mech in pairs:
-            got = _block_regrets(7, strength, solve_prior_for_r_mech(8, r_mech), (1, 12, 200),
+        flat = _block_regrets(7, 0.0, (solve_prior_for_r_mech(8, 0.0),), (1, 12, 200), block)[0]
+        for strength in (0.0, 2.0, 5.0):
+            got = _block_regrets(7, strength, (solve_prior_for_r_mech(8, 0.0),), (1, 12, 200),
                                  block)
-            assert np.array_equal(got, flat), (strength, r_mech)
+            assert np.array_equal(got[0], flat), strength
+        every_level = tuple(solve_prior_for_r_mech(8, r) for r in R_MECH_GRID)
+        for r_mech, got in zip(R_MECH_GRID, _block_regrets(7, 0.0, every_level, (1, 12, 200),
+                                                           block)):
+            assert np.array_equal(got, flat), r_mech
 
-    @pytest.mark.parametrize("experiment,strength,calls", [
+    def test_block_of_levels_equals_one_call_per_level(self):
+        # every level of a block restarts the policy stream, so sharing a
+        # block with other levels changes none of a level's draws
+        priors = tuple(solve_prior_for_r_mech(8, r) for r in (0.0, 0.8, 1.9))
+        together = _block_regrets(9, 2.0, priors, (1, 12, 30), 1)
+        assert together.shape == (3, BLOCK_SIZE, 3)
+        for prior, got in zip(priors, together):
+            assert np.array_equal(got, _block_regrets(9, 2.0, (prior,), (1, 12, 30), 1)[0])
+
+    @pytest.mark.parametrize("experiment,strength,cells", [
         (table1_experiment, 2.0, 10), (table1_experiment, 0.0, 2),
         (table2_experiment, 2.0, 4), (table2_experiment, 0.0, 2),
     ])
     def test_each_distinct_cell_simulated_once(self, monkeypatch, experiment, strength,
-                                               calls):
-        # 300 trials are two blocks; Table 1 has four informed cells and one
-        # flat one, Table 2 one of each, and at strength 0 every cell is flat
+                                               cells):
+        # 300 trials are two blocks, one call each; Table 1 has four informed
+        # cells and one flat one, Table 2 one of each, and at strength 0 every
+        # cell is flat
         seen = []
 
         def counting(*job):
@@ -193,8 +206,9 @@ class TestMonteCarlo:
 
         monkeypatch.setattr(sim, "_block_regrets", counting)
         experiment(ExperimentConfig(trials=300, seed=5, prior_strength=strength))
-        assert len(seen) == calls
-        assert len(set(seen)) == calls
+        assert [block for *_, block in seen] == [0, 1]
+        assert all(len(set(priors)) == len(priors) for _, _, priors, _, _ in seen)
+        assert sum(len(priors) for _, _, priors, _, _ in seen) == cells
 
     @pytest.mark.parametrize("experiment,levels", [
         (table1_experiment, {0.0, 0.3, 0.8, 1.4, 1.9}), (table2_experiment, {0.0, 1.9}),
@@ -265,8 +279,9 @@ class TestMonteCarlo:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(sim.os, "cpu_count", lambda: 3)
-        serial = table1_experiment(ExperimentConfig(trials=300, seed=5))
-        assert table1_experiment(ExperimentConfig(trials=300, seed=5, workers=10**6)) == serial
+        # 1,000 trials are four blocks, so the CPU count, not the block count, binds
+        serial = table1_experiment(ExperimentConfig(trials=1000, seed=5))
+        assert table1_experiment(ExperimentConfig(trials=1000, seed=5, workers=10**6)) == serial
         assert started == [3]
 
     def test_bsa_constant(self):
