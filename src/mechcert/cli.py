@@ -1,10 +1,13 @@
 """Command-line front end.
 
-Subcommands: certify, simulate, burnin, shift, prior, sweep.
+Subcommands: certify, simulate, burnin, shift, prior, sweep; `COMMANDS`
+declares each one's function, summary and flags.
 Exit codes: 0 success, 1 usage or I/O error, 2 domain error. Results go
 to stdout, diagnostics to stderr. A flat ``key = value`` config file
 (``--config``) supplies defaults for the subcommand's own single-value
-flags (key ``b_mu`` for ``--b-mu``); explicit flags override it.
+flags (key ``b_mu`` for ``--b-mu``); explicit flags override it. `main`
+then parses again: argparse converts a string default by its flag's type
+only during a parse.
 
 A call builds only its own command's parser (all six for help, no
 arguments or an unknown command) and loads the standard library plus
@@ -27,8 +30,12 @@ EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 
 LN2 = math.log(2.0)
-# the 5-FU working values of the calibration flags, used where a flag is not given
-WORKING_VALUES = {"k": 8, "n": 12, "sigma": 0.40, "kappa_mu": 1.8, "d_f": 3.0, "b_mu": 0.22}
+# dest: (type, 5-FU working value, help); a calibration flag not given takes its working value
+CALIBRATION = {"k": (int, 8, "number of arms"), "n": (int, 12, "horizon in cycles"),
+               "sigma": (float, 0.40, "reward-noise std"),
+               "kappa_mu": (float, 1.8, "occupancy sensitivity"),
+               "d_f": (float, 3.0, "effective residual dimension"),
+               "b_mu": (float, 0.22, "occupancy-weighted bias")}
 
 
 class UsageError(Exception):
@@ -55,39 +62,35 @@ def _comma_list(convert, what: str):
     return parse
 
 
-def _read_config(path: str) -> dict:
-    """Flat key = value lines, # comments; values stay strings."""
-    values = {}
+def _load_config(command: argparse.ArgumentParser, path: str) -> None:
+    """Make a file of flat key = value lines (# comments) the defaults of the subcommand's flags.
+
+    Keys are the dests of the subcommand's single-value flags, each set once, a
+    value must be among its flag's choices, and argparse converts it with its type.
+    """
+    actions = {a.dest: a for a in command._actions
+               if a.option_strings and a.nargs is None and a.dest != "config"}
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
+    values, first = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
-    return values
-
-
-def _load_config(command: argparse.ArgumentParser, path: str) -> None:
-    """Make the file's values the defaults of the subcommand's flags.
-
-    Keys are the dests of the subcommand's single-value flags, a value must
-    be among its flag's choices, and argparse converts it with its type.
-    """
-    actions = {a.dest: a for a in command._actions
-               if a.option_strings and a.nargs is None and a.dest != "config"}
-    values = _read_config(path)
-    for key, value in values.items():
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in first:
+            raise UsageError(f"{path}:{lineno}: duplicate config key {key!r} "
+                             f"(first set on line {first[key]})")
         if key not in actions:
             raise UsageError(f"unknown config key {key!r}")
         choices = actions[key].choices
         if choices is not None and value not in map(str, choices):
             raise UsageError(f"config {key} = {value}: choose from {', '.join(map(str, choices))}")
+        values[key], first[key] = value, lineno
     command.set_defaults(**values)
 
 
@@ -96,17 +99,21 @@ def _info(args, x: float) -> str:
     return f"{x / LN2:.6g} bits" if args.bits else f"{x:.6g} nats"
 
 
-def _build_params(args, **extra) -> cert.CalibrationParams:
-    return cert.CalibrationParams(**{
-        name: working if getattr(args, name) is None else getattr(args, name)
-        for name, working in WORKING_VALUES.items()}, **extra)
+def _calibration(args) -> dict:
+    """The command's calibration flags, each at its working value when not given."""
+    return {name: working if getattr(args, name) is None else getattr(args, name)
+            for name, (_, working, _) in CALIBRATION.items() if hasattr(args, name)}
 
 
-def _reject_given(args, flags, reason: str) -> None:
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _reject_given(args, dests, reason: str) -> None:
     """A flag the chosen mode never reads is a usage error; a config value counts as given."""
-    for flag in flags:
-        if getattr(args, flag[2:].replace("-", "_")) is not None:
-            raise UsageError(f"argument {flag}: {reason}")
+    for dest in dests:
+        if getattr(args, dest) is not None:
+            raise UsageError(f"argument {_flag(dest)}: {reason}")
 
 
 def _outdir(args) -> Path:
@@ -119,7 +126,7 @@ def _outdir(args) -> Path:
 
 
 def cmd_certify(args) -> None:
-    params = _build_params(args, sigma_f2=args.sigma_f2)
+    params = cert.CalibrationParams(**_calibration(args), sigma_f2=args.sigma_f2)
     report = cert.certificate_report(params, args.target)
     if report.critical_bias is None:
         raise ValueError(f"target unreachable: target {report.target:.6g} nats exceeds "
@@ -177,8 +184,7 @@ def cmd_shift(args) -> None:
     from .prior import JointDistribution
 
     if args.joint is not None:
-        _reject_given(args, ("--r-train", "--delta-pi", "--k"),
-                      "not allowed with argument --joint")
+        _reject_given(args, ("r_train", "delta_pi", "k"), "not allowed with argument --joint")
         joint = JointDistribution.from_csv(args.joint)
         subset = args.subset if args.subset is not None else range(joint.k // 2)
         report = sh.verify_impossibility(joint, subset)
@@ -188,10 +194,10 @@ def cmd_shift(args) -> None:
         print(f"shift_divergence = {_info(args, report.shift_divergence)}")
         print(f"mutual_information_test = {_info(args, report.mutual_information_test)}")
         return
-    _reject_given(args, ("--subset",), "not allowed without argument --joint")
+    _reject_given(args, ("subset",), "not allowed without argument --joint")
     if args.r_train is None or args.delta_pi is None:
         raise UsageError("shift requires --r-train and --delta-pi (or --joint)")
-    report = sh.check_retention(args.r_train, 8 if args.k is None else args.k, args.delta_pi)
+    report = sh.check_retention(args.r_train, _calibration(args)["k"], args.delta_pi)
     print(f"threshold = {_info(args, report.threshold)}")
     print(f"retained = {report.retained.value}")
 
@@ -207,17 +213,17 @@ def cmd_sweep(args) -> None:
 
     # a swept parameter's own flag is never read; p_opt sets sigma
     for param in args.grid or filter(None, [args.param]):
-        flag = "--sigma" if param == "p_opt" else "--" + param.replace("_", "-")
-        _reject_given(args, (flag,), f"not allowed with a sweep over {param}")
-    base = _build_params(args)
+        _reject_given(args, ("sigma" if param == "p_opt" else param,),
+                      f"not allowed with a sweep over {param}")
+    base = cert.CalibrationParams(**_calibration(args))
     if args.grid:
-        _reject_given(args, ("--values", "--min", "--max"), "not allowed with argument --grid")
+        _reject_given(args, ("values", "min", "max"), "not allowed with argument --grid")
         steps = sw.GRID_STEPS if args.steps is None else args.steps
         rows = sw.sweep_2d(*(sw.grid_axis(param, base, steps) for param in args.grid))
         name, header = "sweep2d.csv", sw.SWEEP2D_HEADER
     elif args.param:
         if args.values is not None:
-            _reject_given(args, ("--min", "--max", "--steps"), "not allowed with argument --values")
+            _reject_given(args, ("min", "max", "steps"), "not allowed with argument --values")
             values = args.values
         elif args.min is None or args.max is None:
             raise UsageError("sweep needs --values or --min/--max")
@@ -233,89 +239,51 @@ def cmd_sweep(args) -> None:
     print(f"wrote {path} ({len(rows)} rows)")
 
 
-def _add_bits(p: _Parser) -> None:
-    p.add_argument("--bits", action="store_true",
-                   help="display entropies and information in bits")
-
-
-def _add_calibration_flags(p: _Parser) -> None:
-    # None: not given, so _build_params takes the working value
-    p.add_argument("--k", type=int, default=None, help="number of arms")
-    p.add_argument("--n", type=int, default=None, help="horizon in cycles")
-    p.add_argument("--sigma", type=float, default=None, help="reward-noise std")
-    p.add_argument("--kappa-mu", type=float, default=None, help="occupancy sensitivity")
-    p.add_argument("--d-f", type=float, default=None, help="effective residual dimension")
-    p.add_argument("--b-mu", type=float, default=None, help="occupancy-weighted bias")
-
-
-def _certify_flags(p: _Parser) -> None:
-    _add_calibration_flags(p)
-    p.add_argument("--sigma-f2", type=float, default=None,
-                   help="residual variance (overrides the canonical value)")
-    p.add_argument("--target", type=float, default=None,
-                   help="working-point information target in nats (default h_mu/n)")
-    _add_bits(p)
-    p.add_argument("--out", default=None, help="also write certify.txt here")
-
-
-def _simulate_flags(p: _Parser) -> None:
-    p.add_argument("--table", type=int, choices=(1, 2), required=True)
-    p.add_argument("--trials", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--strength", type=float, default=DEFAULT_PRIOR_STRENGTH,
-                   help="hybrid prior pseudo-count scale")
-    p.add_argument("--out", default=".", help="output directory")
-
-
-def _burnin_flags(p: _Parser) -> None:
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--gap", type=float, required=True)
-    p.add_argument("--k", type=int, default=8)
-    _add_bits(p)
-
-
-def _shift_flags(p: _Parser) -> None:
-    p.add_argument("--r-train", type=float, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--delta-pi", type=float, default=None)
-    p.add_argument("--joint", default=None, help="joint-distribution CSV file")
-    p.add_argument("--subset", type=_comma_list(int, "integers"), default=None,
-                   help="comma-separated kept arm indices")
-    _add_bits(p)
-
-
-def _prior_flags(p: _Parser) -> None:
-    p.add_argument("--k", type=int, default=8)
-    p.add_argument("--r-mech", type=float, required=True)
-
-
-def _sweep_flags(p: _Parser) -> None:
-    from . import sweep as sw
-
-    _add_calibration_flags(p)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--param", choices=sw.SWEEP_PARAMETERS, default=None)
-    p.add_argument("--min", type=float, default=None)
-    p.add_argument("--max", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None,
-                   help="grid points per axis (default 60 with --grid, 50 with --param)")
-    p.add_argument("--values", type=_comma_list(float, "numbers"), default=None,
-                   help="explicit comma-separated values")
-    mode.add_argument("--grid", nargs=2, metavar=("X", "Y"),
-                      choices=sw.SWEEP_PARAMETERS, default=None,
-                      help="two parameters for a 2-D ratio grid")
-    p.add_argument("--out", default=".", help="output directory")
-
+# flag specs: (dest, add_argument keywords[, "exclusive"]); argparse's own default is None
+BITS = ("bits", dict(action="store_true", help="display entropies and information in bits"))
+OUT = ("out", dict(default=".", help="output directory"))
+WORKING_K = ("k", dict(type=int, default=CALIBRATION["k"][1]))
+CALIBRATION_FLAGS = tuple((dest, dict(type=type_, help=help_))
+                          for dest, (type_, _, help_) in CALIBRATION.items())
 
 COMMANDS = {  # name: (command, summary, flags), in the order the help lists them
-    "certify": (cmd_certify, "composite certificate", _certify_flags),
-    "simulate": (cmd_simulate, "Monte Carlo regret tables", _simulate_flags),
-    "burnin": (cmd_burnin, "burn-in lower bound", _burnin_flags),
-    "shift": (cmd_shift, "distribution-shift retention and impossibility", _shift_flags),
-    "prior": (cmd_prior, "two-level prior for an information level", _prior_flags),
-    "sweep": (cmd_sweep, "sensitivity sweeps to CSV", _sweep_flags),
+    "certify": (cmd_certify, "composite certificate", (
+        *CALIBRATION_FLAGS,
+        ("sigma_f2", dict(type=float, help="residual variance (overrides the canonical value)")),
+        ("target", dict(type=float,
+                        help="working-point information target in nats (default h_mu/n)")),
+        BITS, ("out", dict(help="also write certify.txt here")))),
+    "simulate": (cmd_simulate, "Monte Carlo regret tables", (
+        ("table", dict(type=int, choices=(1, 2), required=True)),
+        ("trials", dict(type=int, default=10_000)),
+        ("seed", dict(type=int, default=0, help="master RNG seed")),
+        ("workers", dict(type=int, default=1)),
+        ("strength", dict(type=float, default=DEFAULT_PRIOR_STRENGTH,
+                          help="hybrid prior pseudo-count scale")),
+        OUT)),
+    "burnin": (cmd_burnin, "burn-in lower bound", (
+        *((dest, dict(type=float, required=True)) for dest in ("eps", "delta", "gap")),
+        WORKING_K, BITS)),
+    "shift": (cmd_shift, "distribution-shift retention and impossibility", (
+        ("r_train", dict(type=float)), ("k", dict(type=int)), ("delta_pi", dict(type=float)),
+        ("joint", dict(help="joint-distribution CSV file")),
+        ("subset", dict(type=_comma_list(int, "integers"),
+                        help="comma-separated kept arm indices")),
+        BITS)),
+    "prior": (cmd_prior, "two-level prior for an information level", (
+        WORKING_K, ("r_mech", dict(type=float, required=True)))),
+    # a function of the sweep module, which loads only when the sweep parser is built
+    "sweep": (cmd_sweep, "sensitivity sweeps to CSV", lambda sw: (
+        *CALIBRATION_FLAGS,
+        ("param", dict(choices=sw.SWEEP_PARAMETERS), "exclusive"),
+        ("min", dict(type=float)), ("max", dict(type=float)),
+        ("steps", dict(type=int, help=f"grid points per axis (default {sw.GRID_STEPS} with "
+                                      f"--grid, {sw.PARAM_STEPS} with --param)")),
+        ("values", dict(type=_comma_list(float, "numbers"),
+                        help="explicit comma-separated values")),
+        ("grid", dict(nargs=2, metavar=("X", "Y"), choices=sw.SWEEP_PARAMETERS,
+                      help="two parameters for a 2-D ratio grid"), "exclusive"),
+        OUT)),
 }
 
 
@@ -326,11 +294,18 @@ def build_parser(names=tuple(COMMANDS)) -> _Parser:
                                  "calibrated dosing-bandit simulations.")
     subs = parser.add_subparsers(dest="command", required=True)
     for name in names:
-        func, summary, add_flags = COMMANDS[name]
+        func, summary, flags = COMMANDS[name]
+        if callable(flags):
+            from . import sweep
+            flags = flags(sweep)
         p = subs.add_parser(name, help=summary)
         p.add_argument("--config", help="flat key = value file of flag defaults")
         p.set_defaults(func=func)
-        add_flags(p)
+        mode = None  # made with the first "exclusive" flag: argparse rejects an empty group
+        for dest, kwargs, *exclusive in flags:
+            if exclusive:
+                mode = mode or p.add_mutually_exclusive_group()
+            (mode if exclusive else p).add_argument(_flag(dest), **kwargs)
     parser.commands = subs.choices
     return parser
 

@@ -123,6 +123,14 @@ class TestCertify:
         assert code == 1
         assert "--k" in err
 
+    def test_duplicate_config_key_exit_1(self, capsys, tmp_path):
+        # one value per key: a later line does not silently replace an earlier one
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("b_mu = 0.9\n# a second value\nb_mu = 0.1\n")
+        code, out, err = run(capsys, "certify", "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert err == f"error: {cfg}:3: duplicate config key 'b_mu' (first set on line 1)\n"
+
     def test_missing_config_file(self, capsys):
         code, _, err = run(capsys, "certify", "--config", "/no/such/file.cfg")
         assert code == 1
@@ -449,6 +457,24 @@ def test_help_and_usage_errors_match_the_full_parser(capsys, monkeypatch, argv):
     own = call()
     monkeypatch.setattr(cli, "build_parser", lambda names: build_parser())
     assert call() == own
+
+
+def test_action_table_pinned():
+    """No flag, default, choice or help text of the six subcommands moves: a
+    hash of every flag's attributes and mutually exclusive group."""
+    rows = []
+    for command, parser in build_parser().commands.items():
+        groups = parser._mutually_exclusive_groups
+        for a in parser._actions:
+            if a.dest == "help":
+                continue
+            group = next((i for i, g in enumerate(groups) if a in g._group_actions), None)
+            rows.append((command, tuple(a.option_strings), a.dest,
+                         getattr(a.type, "__name__", None), a.default, a.choices, a.required,
+                         a.nargs, a.metavar, a.help, group))
+    assert len(rows) == 48
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "674f0dec9168718bdb7f14e98c35da93d1b5443bd306dcb4f116ec1f027f4667")
 
 
 def test_closed_form_commands_run_without_site_packages(tmp_path, two_level_joint):
