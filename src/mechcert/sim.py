@@ -7,9 +7,9 @@ rest at the baseline attainment. Regret is pseudo-regret on means.
 
 Reproducibility contract: trials run in blocks of BLOCK_SIZE, a frozen
 constant. Block b holds trials b*BLOCK_SIZE .. (b+1)*BLOCK_SIZE - 1 and
-draws from its own counter-based Philox environment and policy streams,
-keyed by (master seed, b); every level of a block restarts the policy
-stream. Whole blocks are always simulated and the surplus rows dropped,
+draws from its own SFC64 environment and policy streams, spawned from
+a SeedSequence keyed by (master seed, b); every level of a block
+restarts the policy stream. Whole blocks are simulated, surplus rows dropped,
 so a trial's regret depends only on (seed, trial index, prior strength,
 r_mech): never on the trial count, the worker count, the execution order
 or the other levels. Each Thompson round makes the same draws whatever
@@ -84,21 +84,21 @@ def _thompson_rounds(alpha: np.ndarray, beta: np.ndarray, means: np.ndarray, n: 
     """Run n rounds of Thompson sampling on every row at once; the block kernel.
 
     alpha, beta and means are (rows, k) arrays; alpha and beta are the
-    initial pseudo-counts. Each round makes one `beta` draw over all rows
-    and one uniform draw per row. Returns the cumulative pseudo-regret of
-    every row after each round t = 0..n, shape (rows, n + 1).
+    initial pseudo-counts. Each round makes one `standard_gamma` draw over
+    the (2, rows, k) counts, whose ratio G_a / (G_a + G_b) is Beta(a, b) as
+    in numpy's `beta` unless a, b <= 1, and one uniform draw per row.
+    Returns every row's cumulative pseudo-regret after rounds 0..n, shape (rows, n + 1).
     """
     rows, k = means.shape
     gaps = (means.max(axis=1, keepdims=True) - means).ravel()
     means = means.ravel()
-    alpha = np.array(alpha, dtype=float)
-    beta = np.array(beta, dtype=float)
-    alpha_flat = alpha.reshape(-1)  # views: updates reach the arrays `beta` draws from
-    beta_flat = beta.reshape(-1)
+    counts = np.array((alpha, beta), dtype=float)
+    alpha_flat, beta_flat = counts.reshape(2, -1)  # views: updates reach the drawn counts
     base = np.arange(rows) * k
     path = np.zeros((rows, n + 1))
     for t in range(1, n + 1):
-        pulled = base + rng.beta(alpha, beta).argmax(axis=1)  # ties go to the lowest arm
+        g = rng.standard_gamma(counts)
+        pulled = base + (g[0] / (g[0] + g[1])).argmax(axis=1)  # ties go to the lowest arm
         path[:, t] = path[:, t - 1] + gaps[pulled]
         success = rng.random(rows) < means[pulled]
         alpha_flat[pulled] += success
@@ -149,7 +149,7 @@ def _block_regrets(seed: int, strength: float, priors, horizons, block: int) -> 
     Thompson rounds restart the policy stream from its key.
     """
     env_seq, policy_seq = np.random.SeedSequence(entropy=seed, spawn_key=(block,)).spawn(2)
-    env_rng = np.random.Generator(np.random.Philox(env_seq))
+    env_rng = np.random.Generator(np.random.SFC64(env_seq))
     optimal = env_rng.integers(K, size=BLOCK_SIZE)
     uniforms = env_rng.random(BLOCK_SIZE)
     means = np.where(np.arange(K) == optimal[:, None], P_OPT, P_BSA)
@@ -160,7 +160,7 @@ def _block_regrets(seed: int, strength: float, priors, horizons, block: int) -> 
         alpha0, beta0 = hybrid_policy(prior, strength)
         # row i takes the arm-0-centred pseudo-counts rotated to its recommended arm
         rotation = (np.arange(K) - recommended[:, None]) % K
-        policy_rng = np.random.Generator(np.random.Philox(policy_seq))
+        policy_rng = np.random.Generator(np.random.SFC64(policy_seq))
         parts.append(_thompson_rounds(alpha0[rotation], beta0[rotation], means,
                                       max(horizons), policy_rng)[:, list(horizons)])
     return np.stack(parts)

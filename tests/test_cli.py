@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -190,6 +191,20 @@ class TestSimulate:
         run(capsys, "simulate", "--table", "1", "--trials", "60", "--seed", "5",
             "--workers", "2", "--out", str(b))
         assert (a / "table1.csv").read_bytes() == (b / "table1.csv").read_bytes()
+
+    # the largest strength whose pseudo-counts s * K stay finite: each arm's
+    # pair has at most one shape near 1e308, so G_a + G_b cannot overflow
+    @pytest.mark.parametrize("table", ["1", "2"])
+    def test_largest_accepted_strength(self, capsys, tmp_path, table):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run(capsys, "simulate", "--table", table, "--trials", "40",
+                                 "--seed", "3", "--strength", "2e307", "--out", str(tmp_path))
+        assert (code, err) == (0, "")
+        header, *rows = out.splitlines()
+        means = [i for i, name in enumerate(header.split(",")) if name.endswith("_mean")]
+        assert len(rows) == 5 and len(means) >= 2
+        assert all(math.isfinite(float(row.split(",")[i])) for row in rows for i in means)
 
 
 class TestBurnin:

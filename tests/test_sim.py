@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mechcert import sim
-from mechcert.prior import solve_prior_for_r_mech
+from mechcert.prior import DEFAULT_PRIOR_STRENGTH, solve_prior_for_r_mech
 from mechcert.sim import (
     BLOCK_SIZE,
     P_BSA,
@@ -179,6 +179,21 @@ class TestMonteCarlo:
         for r_mech, got in zip(R_MECH_GRID, _block_regrets(7, 0.0, every_level, (1, 12, 200),
                                                            block)):
             assert np.array_equal(got, flat), r_mech
+
+    def test_blocks_and_streams_are_distinct(self, monkeypatch):
+        # each stream is seeded from its own spawned SeedSequence, not from the
+        # raw seed, which would give every block and both streams one sequence
+        seeds, sfc64 = [], np.random.SFC64
+
+        def recording(seed):
+            seeds.append(seed)
+            return sfc64(seed)
+
+        monkeypatch.setattr(np.random, "SFC64", recording)
+        curves = regret_curves(ExperimentConfig(trials=2 * BLOCK_SIZE, seed=3), [0.0], (12,))
+        assert not np.array_equal(curves[0, :BLOCK_SIZE], curves[0, BLOCK_SIZE:])
+        env, policy = (np.random.Generator(sfc64(seed)).random() for seed in seeds[:2])
+        assert len(seeds) == 4 and env != policy
 
     def test_block_of_levels_equals_one_call_per_level(self):
         # every level of a block restarts the policy stream, so sharing a
@@ -362,9 +377,9 @@ class TestTables:
     # change: list the old and new hashes and the moved values in CHANGES.md.
     @pytest.mark.parametrize("experiment,header,digest", [
         (table1_experiment, TABLE1_HEADER,
-         "fdfdd3c57975c5ade048a8b67ba8ab1a17111f41af870d26deeeb2919dda9e43"),
+         "1eaa0aec5aebb2bddfccd3a0e72d0beabf33a6d0f8e27dab2c448246f0afb11a"),
         (table2_experiment, TABLE2_HEADER,
-         "eb676b811ee2954efd29ffede8b941f49a0e6a2e7d4d85566b42401516fe41a3"),
+         "3d18442440f5ff95dc02b7c4d15f201bf8552427148798ed29a3da3d6daa4b7e"),
     ], ids=["table1", "table2"])
     def test_stream_pinned(self, tmp_path, experiment, header, digest):
         path = tmp_path / "table.csv"
@@ -422,10 +437,12 @@ class TestExactOracle:
             uninformed, quad_err, _ = first_round_oracle(r_mech, 0.0)
             assert abs(uninformed - GAP * 7 / 8) <= quad_err
 
-    @pytest.mark.parametrize("algorithm", ["hybrid", "uninformed"])
-    def test_one_round_regret_matches_oracle(self, algorithm):
-        config = ExperimentConfig(trials=ORACLE_TRIALS, seed=ORACLE_SEED)
-        strength = config.prior_strength if algorithm == "hybrid" else 0.0
+    # at strength 5 the recommended arm's gamma shape reaches about 35
+    @pytest.mark.parametrize("algorithm,strength", [
+        ("hybrid", DEFAULT_PRIOR_STRENGTH), ("hybrid", 5.0), ("uninformed", 0.0),
+    ], ids=["hybrid", "hybrid-strength-5", "uninformed"])
+    def test_one_round_regret_matches_oracle(self, algorithm, strength):
+        config = ExperimentConfig(trials=ORACLE_TRIALS, seed=ORACLE_SEED, prior_strength=strength)
         for r_mech in R_MECH_GRID:
             exact, quad_err, p = first_round_oracle(r_mech, strength)
             tol = 4 * GAP * math.sqrt(p * (1 - p) / ORACLE_TRIALS) + quad_err
