@@ -1,9 +1,12 @@
 """Closed-form certificate quantities for hybrid mechanistic priors.
 
-Everything here is a pure function of a calibration parameter vector:
+The certificate is a pure function of a calibration parameter vector:
 channel capacity of the model-to-policy channel, the residual entropy
 left for the learner, the critical bias threshold, and the regret
 envelopes. All entropies and information quantities are in nats.
+
+It also holds the record helpers the other modules share: the count rule
+`whole`, the `ratio` rule, `checked_record` and the table writer `write_csv`.
 """
 
 from __future__ import annotations
@@ -51,16 +54,38 @@ def checked_record(name: str, fields: str):
     return base
 
 
+def _fmt(record) -> str:
+    """CSV text of a record (a row, or a summary nested in one): its fields in
+    order, where strings pass through, None is nan, a nested record is its own
+    fields, and numbers take 6 significant digits."""
+    return ",".join([x if isinstance(x, str) else "nan" if x is None
+                     else _fmt(x) if isinstance(x, tuple) else f"{x:.6g}" for x in record])
+
+
+def _header(record, prefix: str = "") -> str:
+    """Column names in `_fmt`'s order: a nested record's are `<field>_<subfield>`."""
+    return ",".join([_header(x, f"{prefix}{name}_") if isinstance(x, tuple) else prefix + name
+                     for name, x in zip(record._fields, record)])
+
+
+def write_csv(path, rows) -> str:
+    """Write the first row's column names, then one line per row record; return the text."""
+    text = "\n".join([_header(rows[0]), *map(_fmt, rows)]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(text)
+    return text
+
+
 class CalibrationParams(checked_record("CalibrationParams",
                                        "k n sigma kappa_mu d_f b_mu sigma_f2")):
     """Full parameter vector of the certificate, checked once here.
 
-    The prior entropy h_mu is the uniform-prior entropy ln k. sigma_f2
-    defaults to the canonical residual variance 2*sigma^2*h_mu /
-    (kappa_mu^2 * d_f), the normalization under which a perfect model's
-    capacity approaches the prior entropy; pass it to override it
-    (sigma_f2 >= 0). Every count is an integer of at least its minimum
-    (k >= 2, n >= 1) and is stored as an int.
+    The prior entropy h_mu is the uniform-prior entropy ln k. The field
+    sigma_f2 stores an override (>= 0), or None for the canonical residual
+    variance 2*sigma^2*h_mu / (kappa_mu^2 * d_f), under which a perfect
+    model's capacity approaches the prior entropy; the property reads
+    either, so `_replace` rederives a canonical value. Every count is an
+    integer of at least its minimum (k >= 2, n >= 1) and is stored as an int.
     """
 
     __slots__ = ()
@@ -79,18 +104,24 @@ class CalibrationParams(checked_record("CalibrationParams",
             raise ValueError(f"kappa_mu must be positive, got {kappa_mu}")
         if d_f <= 0:
             raise ValueError(f"d_f must be positive, got {d_f}")
-        if sigma_f2 is None:
-            sigma_f2 = 2.0 * sigma**2 * math.log(k) / (kappa_mu**2 * d_f)
-            if not math.isfinite(sigma_f2):
-                raise OverflowError(f"canonical sigma_f2 overflows: {sigma_f2}")
-        elif not (math.isfinite(sigma_f2) and sigma_f2 >= 0):
+        if sigma_f2 is not None and not (math.isfinite(sigma_f2) and sigma_f2 >= 0):
             raise ValueError(f"sigma_f2 must be finite and non-negative, got {sigma_f2}")
-        return super().__new__(cls, k, n, sigma, kappa_mu, d_f, b_mu, sigma_f2)
+        self = super().__new__(cls, k, n, sigma, kappa_mu, d_f, b_mu, sigma_f2)
+        if not math.isfinite(self.sigma_f2):  # only a canonical value can overflow
+            raise OverflowError(f"canonical sigma_f2 overflows: {self.sigma_f2}")
+        return self
 
     @property
     def h_mu(self) -> float:
         """Prior entropy of the optimal arm, ln k."""
         return math.log(self.k)
+
+    @property
+    def sigma_f2(self) -> float:
+        """Residual variance: the stored override, or the canonical value when it is None."""
+        override = super().sigma_f2
+        return (2.0 * self.sigma**2 * self.h_mu / (self.kappa_mu**2 * self.d_f)
+                if override is None else override)
 
     @classmethod
     def canonical(cls, k: int, n: int, sigma: float, kappa_mu: float,

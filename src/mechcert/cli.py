@@ -11,8 +11,8 @@ only during a parse.
 
 A call builds only its own command's parser (all six for help, no
 arguments or an unknown command) and loads the standard library plus
-`certificates`, `prior` and the modules its command runs: `sweep` in
-`sweep` and `simulate`, and `burnin`, `shift` or `sim` in their own.
+`certificates`, `prior` and the module its command runs: `sweep`,
+`burnin`, `shift` or `sim`, each in its own command only.
 """
 
 from __future__ import annotations
@@ -154,14 +154,12 @@ def cmd_certify(args) -> None:
 
 def cmd_simulate(args) -> None:
     from . import sim  # the only command that needs numpy
-    from .sweep import write_csv
 
     config = sim.ExperimentConfig(trials=args.trials, seed=args.seed,
                                   workers=args.workers, prior_strength=args.strength)
-    experiment, header = {1: (sim.table1_experiment, sim.TABLE1_HEADER),
-                          2: (sim.table2_experiment, sim.TABLE2_HEADER)}[args.table]
+    experiment = {1: sim.table1_experiment, 2: sim.table2_experiment}[args.table]
     path = _outdir(args) / f"table{args.table}.csv"
-    sys.stdout.write(write_csv(path, header, experiment(config)))
+    sys.stdout.write(cert.write_csv(path, experiment(config)))
 
 
 def cmd_burnin(args) -> None:
@@ -220,7 +218,7 @@ def cmd_sweep(args) -> None:
         _reject_given(args, ("values", "min", "max"), "not allowed with argument --grid")
         steps = sw.GRID_STEPS if args.steps is None else args.steps
         rows = sw.sweep_2d(*(sw.grid_axis(param, base, steps) for param in args.grid))
-        name, header = "sweep2d.csv", sw.SWEEP2D_HEADER
+        name = "sweep2d.csv"
     elif args.param:
         if args.values is not None:
             _reject_given(args, ("min", "max", "steps"), "not allowed with argument --values")
@@ -231,11 +229,11 @@ def cmd_sweep(args) -> None:
             steps = sw.PARAM_STEPS if args.steps is None else args.steps
             values = sw.linear_grid(args.min, args.max, steps)
         rows = sw.sweep_1d(sw.SweepSpec(parameter=args.param, values=values, base=base))
-        name, header = "sweep1d.csv", sw.SWEEP1D_HEADER
+        name = "sweep1d.csv"
     else:
         raise UsageError("sweep requires --param or --grid")
     path = _outdir(args) / name
-    sw.write_csv(path, header, rows)
+    cert.write_csv(path, rows)
     print(f"wrote {path} ({len(rows)} rows)")
 
 

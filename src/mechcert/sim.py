@@ -36,7 +36,6 @@ import numpy as np
 
 from .certificates import checked_record, ratio, residual_entropy, sample_complexity_ratio, whole
 from .prior import DEFAULT_PRIOR_STRENGTH, TwoLevelPrior, solve_prior_for_r_mech
-from .sweep import write_csv
 
 # Two-sided normal quantile for a 96% confidence interval.
 Z_96 = 2.0537
@@ -128,14 +127,14 @@ class ExperimentConfig(checked_record("ExperimentConfig", "trials seed prior_str
 
 class RegretSummary(NamedTuple):
     mean: float
-    ci96_halfwidth: float
+    ci: float  # 96% CI half-width
 
 
 def _summarize(regrets: np.ndarray) -> RegretSummary:
     """Mean and 96% CI half-width; one trial bounds nothing, so its half-width is inf."""
     m = regrets.size
     half = Z_96 * float(np.std(regrets, ddof=1)) / math.sqrt(m) if m > 1 else math.inf
-    return RegretSummary(mean=float(np.mean(regrets)), ci96_halfwidth=half)
+    return RegretSummary(mean=float(np.mean(regrets)), ci=half)
 
 
 def _block_regrets(seed: int, strength: float, priors, horizons, block: int) -> np.ndarray:
@@ -215,11 +214,6 @@ def run_monte_carlo(config: ExperimentConfig, algorithm: str, r_mech: float,
     return _summarize(regret_curves(config, [r_mech], (n,))[0, :, 0])
 
 
-TABLE1_HEADER = ("r_mech,h_mech,hyb_mean,hyb_ci,uninf_mean,uninf_ci,"
-                 "bsa_mean,bsa_ci,ratio_uninf_hyb,lb_prediction,ratio_bsa_hyb")
-TABLE2_HEADER = "n,hyb_mean,hyb_ci,uninf_mean,uninf_ci,ratio"
-
-
 class Table1Row(NamedTuple):
     r_mech: float
     h_mech: float
@@ -270,7 +264,3 @@ def table2_experiment(config: ExperimentConfig) -> list[Table2Row]:
         h, u = _summarize(hyb[:, col]), _summarize(uninf[:, col])
         rows.append(Table2Row(n=n, hyb=h, uninf=u, ratio=ratio(u.mean, h.mean)))
     return rows
-
-
-def write_table1_csv(rows: list[Table1Row], path) -> str:
-    return write_csv(path, TABLE1_HEADER, rows)

@@ -6,8 +6,8 @@ through the Bernoulli standard deviation, and the canonical residual
 variance is recomputed in every cell. The critical bias never reads
 b_mu, so a grid with a b_mu axis solves it once per value of the other
 axis; every swept value is still checked. Output is CSV rows; plotting
-is left to external tools.
-`write_csv` is the one CSV writer, shared with the simulation tables.
+is left to external tools: `certificates.write_csv` writes the rows,
+whose fields are the columns.
 """
 
 from __future__ import annotations
@@ -24,9 +24,6 @@ GRID_RANGES = {"sigma": (0.357, 0.50), "kappa_mu": (0.6, 3.0), "d_f": (2.0, 5.0)
 SWEEP_PARAMETERS = tuple(GRID_RANGES)
 GRID_STEPS = 60    # points per 2-D grid axis
 PARAM_STEPS = 50   # points of a 1-D sweep over a range
-
-SWEEP1D_HEADER = "param,value,capacity_nats,critical_bias,ratio,regime"
-SWEEP2D_HEADER = "x_param,y_param,x,y,ratio"
 
 
 def linear_grid(lo: float, hi: float, steps: int) -> list[float]:
@@ -77,7 +74,7 @@ def _cell(base: CalibrationParams, overrides: dict) -> CalibrationParams:
 class Sweep1DRow(NamedTuple):
     param: str
     value: float
-    capacity: float
+    capacity_nats: float
     critical_bias: float | None
     ratio: float
     regime: str  # a Regime value
@@ -93,7 +90,7 @@ def sweep_1d(spec: SweepSpec) -> list[Sweep1DRow]:
         params = _cell(spec.base, {spec.parameter: value})
         report = certificate_report(params)
         rows.append(Sweep1DRow(
-            param=spec.parameter, value=value, capacity=report.capacity_at_bias,
+            param=spec.parameter, value=value, capacity_nats=report.capacity_at_bias,
             critical_bias=report.critical_bias, ratio=ratio(params.b_mu, report.critical_bias),
             regime=report.regime.value))
     return rows
@@ -141,23 +138,3 @@ def sweep_2d(x_spec: SweepSpec, y_spec: SweepSpec) -> list[Sweep2DRow]:
                 solved[key] = critical_bias(_cell(base, others))
             rows.append(Sweep2DRow(x_param, y_param, x, y, ratio(b_mu, solved[key])))
     return rows
-
-
-def _fmt(record) -> str:
-    """CSV text of a record (a row, or a summary nested in one): its fields in
-    order, where strings pass through, None is nan, a nested record is its own
-    fields, and numbers take 6 significant digits."""
-    return ",".join([x if isinstance(x, str) else "nan" if x is None
-                     else _fmt(x) if isinstance(x, tuple) else f"{x:.6g}" for x in record])
-
-
-def write_csv(path, header: str, rows) -> str:
-    """Write the header line, then one line per row record; return the text.
-
-    A row's fields, with a nested summary's fields in its place, are its
-    columns in order.
-    """
-    text = "\n".join([header, *map(_fmt, rows)]) + "\n"
-    with open(path, "w") as fh:
-        fh.write(text)
-    return text

@@ -19,6 +19,7 @@ from mechcert.certificates import (
     critical_bias,
     lb_envelope,
     ub_envelope,
+    write_csv,
 )
 from mechcert.burnin import BurnInParams, binary_kl, burn_in_lower_bound, effective_prior_weight
 from mechcert.prior import joint_from_channel, solve_prior_for_r_mech
@@ -27,7 +28,6 @@ from mechcert.sim import (
     ExperimentConfig,
     table1_experiment,
     table2_experiment,
-    write_table1_csv,
 )
 from mechcert.sweep import SweepSpec, linear_grid, sweep_1d
 
@@ -109,8 +109,8 @@ def test_criterion_3_sensitivity_table():
     for param, ((lo, hi), (c_lo, c_hi), (b_lo, b_hi)) in published.items():
         row_lo, row_hi = sweep_1d(SweepSpec(parameter=param, values=[lo, hi],
                                             base=WORKING))
-        check(failures, f"C({param}={lo})", row_lo.capacity, c_lo, 0.01)
-        check(failures, f"C({param}={hi})", row_hi.capacity, c_hi, 0.01)
+        check(failures, f"C({param}={lo})", row_lo.capacity_nats, c_lo, 0.01)
+        check(failures, f"C({param}={hi})", row_hi.capacity_nats, c_hi, 0.01)
         check(failures, f"B_crit({param}={lo})", row_lo.critical_bias, b_lo, 0.01)
         check(failures, f"B_crit({param}={hi})", row_hi.critical_bias, b_hi, 0.01)
     # classification invariance over the full swept grids
@@ -220,13 +220,13 @@ def test_criterion_9_determinism(tmp_path):
     failures = []
     config = ExperimentConfig(trials=300, seed=SIM_SEED)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_table1_csv(table1_experiment(config), a)
-    write_table1_csv(table1_experiment(config), b)
+    write_csv(a, table1_experiment(config))
+    write_csv(b, table1_experiment(config))
     if a.read_bytes() != b.read_bytes():
         failures.append("repeated runs produce different CSV bytes")
     parallel = ExperimentConfig(trials=300, seed=SIM_SEED, workers=4)
     c = tmp_path / "c.csv"
-    write_table1_csv(table1_experiment(parallel), c)
+    write_csv(c, table1_experiment(parallel))
     if a.read_bytes() != c.read_bytes():
         failures.append("serial vs parallel CSV bytes differ")
     record(9, "byte-identical determinism, serial == parallel", failures)

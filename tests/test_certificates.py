@@ -1,5 +1,6 @@
 import math
 import pickle
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from mechcert.certificates import (
     sample_complexity_ratio,
     solve_bias_for_capacity,
     ub_envelope,
+    write_csv,
 )
 from mechcert.prior import (
     JointDistribution,
@@ -70,6 +72,22 @@ class TestCanonicalSigmaF2:
         assert p.sigma_f2 == 0.1
         with pytest.raises(ZeroDivisionError):
             CalibrationParams(k=8, n=12, sigma=0.4, kappa_mu=1e-200, d_f=3.0, b_mu=0.22)
+
+    @pytest.mark.parametrize("field,value", [("k", 16), ("sigma", 0.45), ("kappa_mu", 2.4),
+                                             ("d_f", 4.0)])
+    def test_replace_rederives_the_canonical_value(self, field, value):
+        # a copy's canonical sigma_f2 follows its own k, sigma, kappa_mu and d_f
+        fields = dict(k=8, n=12, sigma=0.40, kappa_mu=1.8, d_f=3.0, b_mu=0.22)
+        copy = CalibrationParams(**fields)._replace(**{field: value})
+        direct = CalibrationParams(**{**fields, field: value})
+        assert copy == direct and copy.sigma_f2 == direct.sigma_f2
+        assert critical_bias(copy) == critical_bias(direct)
+
+    def test_override_survives_replace(self):
+        p = CalibrationParams(k=8, n=12, sigma=0.40, kappa_mu=1.8, d_f=3.0, b_mu=0.22,
+                              sigma_f2=0.5)
+        assert p._replace(b_mu=0.30).sigma_f2 == 0.5
+        assert p._replace(k=16).sigma_f2 == 0.5
 
 
 class TestChannelCapacity:
@@ -397,3 +415,24 @@ def test_every_construction_path_is_checked(cls, fields, bad, message):
     assert cls._make(good) == good
     copy = pickle.loads(pickle.dumps(good))
     assert (type(copy), copy) == (cls, good)
+
+
+class _Summary(NamedTuple):
+    mean: float
+    ci: float
+
+
+class _Row(NamedTuple):
+    a: str
+    b: _Summary
+    c: float | None
+
+
+def test_write_csv_names_columns_from_the_row_fields(tmp_path):
+    """The header is the first row's field names, a nested record's fields under its
+    own name; a string passes through, None is nan and a number takes 6 digits."""
+    path = tmp_path / "rows.csv"
+    rows = [_Row("x", _Summary(1 / 3, 0.0), None), _Row("y", _Summary(2.0, math.inf), 1e-7)]
+    text = write_csv(path, rows)
+    assert text == "a,b_mean,b_ci,c\nx,0.333333,0,nan\ny,2,inf,1e-07\n"
+    assert path.read_text() == text

@@ -423,12 +423,11 @@ def test_out_not_a_directory_exit_1(capsys, tmp_path, argv):
     assert blocker.read_text() == "a file\n"
 
 
-def test_import_loads_only_what_the_command_runs():
+def test_import_loads_only_what_the_command_runs(tmp_path):
     """Closed-form commands start without numpy, scipy, multiprocessing or
     dataclasses, and `cli` leaves `burnin`, `shift` and `sweep` to their
     commands; the bare package loads none of its modules; the Monte Carlo
-    engine needs no dataclasses either; the commands that neither sweep nor
-    write a CSV never load `sweep`."""
+    engine needs neither dataclasses nor `sweep`; only `sweep` loads `sweep`."""
     import mechcert
     src = str(Path(mechcert.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -438,7 +437,7 @@ def test_import_loads_only_what_the_command_runs():
     for module, unwanted in (("mechcert", f"{heavy} or m.startswith('mechcert.')"),
                              ("mechcert.cli", f"{heavy} or m in ('mechcert.burnin', "
                                               "'mechcert.shift', 'mechcert.sweep')"),
-                             ("mechcert.sim", "m == 'dataclasses'")):
+                             ("mechcert.sim", "m in ('dataclasses', 'mechcert.sweep')")):
         probe = f"import sys, {module}; print(sorted(m for m in sys.modules if {unwanted}))"
         result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                                 text=True, timeout=60, check=True)
@@ -448,7 +447,8 @@ def test_import_loads_only_what_the_command_runs():
              "print('mechcert.sweep' in sys.modules)")
     for argv in (["certify"], ["prior", "--r-mech", "1.9"],
                  ["burnin", "--eps", "0.05", "--delta", "0.1", "--gap", "0.3"],
-                 ["shift", "--r-train", "1.6", "--delta-pi", "0.5"]):
+                 ["shift", "--r-train", "1.6", "--delta-pi", "0.5"],
+                 ["simulate", "--table", "1", "--trials", "1", "--out", str(tmp_path)]):
         result = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
                                 capture_output=True, text=True, timeout=60, check=True)
         assert result.stdout.strip() == "False", argv

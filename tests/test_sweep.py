@@ -8,18 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mechcert import sweep
-from mechcert.certificates import CalibrationParams, certificate_report, critical_bias
+from mechcert.certificates import CalibrationParams, certificate_report, critical_bias, write_csv
 from mechcert.sweep import (
     GRID_RANGES,
-    SWEEP1D_HEADER,
-    SWEEP2D_HEADER,
     SWEEP_PARAMETERS,
     SweepSpec,
     grid_axis,
     linear_grid,
     sweep_1d,
     sweep_2d,
-    write_csv,
 )
 
 BASE = CalibrationParams.canonical(k=8, n=12, sigma=0.40, kappa_mu=1.8,
@@ -75,7 +72,7 @@ class TestSingleRule:
         for row in rows:
             cell = expected_cell(spec.base, {spec.parameter: row.value})
             rep = certificate_report(cell)
-            assert row.capacity == rep.capacity_at_bias
+            assert row.capacity_nats == rep.capacity_at_bias
             assert row.critical_bias == rep.critical_bias
             if rep.critical_bias is None:
                 assert row.regime == "Unreachable"
@@ -103,15 +100,15 @@ class TestSingleRule:
 class TestSweep1D:
     def test_kappa_endpoints(self):
         lo, hi = one_param("kappa_mu", [0.6, 3.0])
-        assert lo.capacity == pytest.approx(1.22, abs=0.01)
+        assert lo.capacity_nats == pytest.approx(1.22, abs=0.01)
         assert lo.critical_bias == pytest.approx(2.14, abs=0.01)
-        assert hi.capacity == pytest.approx(0.47, abs=0.01)
+        assert hi.capacity_nats == pytest.approx(0.47, abs=0.01)
         assert hi.critical_bias == pytest.approx(0.43, abs=0.01)
 
     def test_d_f_endpoints(self):
         lo, hi = one_param("d_f", [2.0, 5.0])
-        assert lo.capacity == pytest.approx(0.72, abs=0.01)
-        assert hi.capacity == pytest.approx(0.88, abs=0.01)
+        assert lo.capacity_nats == pytest.approx(0.72, abs=0.01)
+        assert hi.capacity_nats == pytest.approx(0.88, abs=0.01)
 
     def test_b_mu_leaves_critical_bias_constant(self):
         rows = one_param("b_mu", linear_grid(0.10, 0.40, 7))
@@ -125,8 +122,8 @@ class TestSweep1D:
 
     def test_p_opt_couples_through_sigma(self):
         lo, hi = one_param("p_opt", [0.50, 0.95])
-        assert lo.capacity == pytest.approx(0.92, abs=0.01)
-        assert hi.capacity == pytest.approx(0.42, abs=0.01)
+        assert lo.capacity_nats == pytest.approx(0.92, abs=0.01)
+        assert hi.capacity_nats == pytest.approx(0.42, abs=0.01)
         assert lo.critical_bias == pytest.approx(0.89, abs=0.01)
         assert hi.critical_bias == pytest.approx(0.39, abs=0.01)
 
@@ -274,7 +271,7 @@ class TestKSweep:
         by_k = {r.value: r for r in rows}
         assert by_k[8].critical_bias == pytest.approx(0.714, abs=1e-3)
         assert by_k[16].critical_bias == pytest.approx(0.706, abs=5e-3)
-        assert by_k[4].capacity == pytest.approx(0.57, abs=0.01)
+        assert by_k[4].capacity_nats == pytest.approx(0.57, abs=0.01)
 
     def test_flat_across_small_k(self):
         rows = one_param("k", linear_grid(2, 20, 19))
@@ -287,9 +284,10 @@ class TestCsvWriters:
     def test_sweep1d_csv(self, tmp_path):
         rows = one_param("kappa_mu", [0.6, 3.0])
         path = tmp_path / "sweep1d.csv"
-        write_csv(path, SWEEP1D_HEADER, rows)
+        write_csv(path, rows)
         lines = path.read_text().splitlines()
-        assert lines[0] == SWEEP1D_HEADER
+        assert lines[0].split(",") == ["param", "value", "capacity_nats", "critical_bias", "ratio",
+                                       "regime"]
         assert len(lines) == 3
         assert lines[1].startswith("kappa_mu,0.6,")
 
@@ -297,7 +295,7 @@ class TestCsvWriters:
         rows = sweep_2d(SweepSpec(parameter="kappa_mu", values=[1.8], base=BASE),
                         SweepSpec(parameter="b_mu", values=[0.22], base=BASE))
         path = tmp_path / "sweep2d.csv"
-        write_csv(path, SWEEP2D_HEADER, rows)
+        write_csv(path, rows)
         lines = path.read_text().splitlines()
-        assert lines[0] == SWEEP2D_HEADER
+        assert lines[0].split(",") == ["x_param", "y_param", "x", "y", "ratio"]
         assert lines[1].split(",")[:2] == ["kappa_mu", "b_mu"]
