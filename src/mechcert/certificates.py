@@ -173,11 +173,11 @@ def solve_bias_for_capacity(target: float, p: CalibrationParams) -> float | None
     if not (math.isfinite(target) and target > 0):
         raise ValueError(f"target must be positive and finite, got {target}")
     denom = math.expm1(2.0 * target / p.d_f)
-    ratio = (p.kappa_mu**2 * p.sigma_f2 / p.sigma**2) / denom
-    if not math.isfinite(ratio):
-        raise OverflowError(f"capacity inversion overflows: ratio {ratio}")
-    radicand = ratio - 1.0
-    if -1e-12 * (1.0 + ratio) <= radicand < 0.0:
+    snr_ratio = (p.kappa_mu**2 * p.sigma_f2 / p.sigma**2) / denom
+    if not math.isfinite(snr_ratio):
+        raise OverflowError(f"capacity inversion overflows: ratio {snr_ratio}")
+    radicand = snr_ratio - 1.0
+    if -1e-12 * (1.0 + snr_ratio) <= radicand < 0.0:
         radicand = 0.0  # roundoff at the zero-bias endpoint
     if radicand < 0:
         return None
@@ -220,9 +220,7 @@ def sample_complexity_ratio(h_mu: float, h_mech: float) -> float:
     """
     if h_mech < 0 or h_mu < h_mech:
         raise ValueError("require 0 <= h_mech <= h_mu")
-    if h_mech == 0:
-        return math.inf
-    return h_mu / h_mech
+    return ratio(h_mu, h_mech)
 
 
 def certificate_report(p: CalibrationParams, target: float | None = None) -> CertificateReport:

@@ -12,7 +12,7 @@ only during a parse.
 A call builds only its own command's parser (all six for help, no
 arguments or an unknown command) and loads the standard library plus
 `certificates`, `prior` and the module its command runs: `sweep`,
-`burnin`, `shift` or `sim`, each in its own command only.
+`misspec` (for `burnin` and `shift`) or `sim`, each only inside the commands that run it.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 from . import certificates as cert
-from .prior import DEFAULT_PRIOR_STRENGTH, solve_prior_for_r_mech
+from .prior import DEFAULT_PRIOR_STRENGTH, JointDistribution, solve_prior_for_r_mech
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -163,10 +163,10 @@ def cmd_simulate(args) -> None:
 
 
 def cmd_burnin(args) -> None:
-    from . import burnin as bi
+    from . import misspec
 
-    params = bi.BurnInParams(epsilon=args.eps, delta=args.delta, gap=args.gap, k=args.k)
-    result = bi.burn_in_lower_bound(params)
+    params = misspec.BurnInParams(epsilon=args.eps, delta=args.delta, gap=args.gap, k=args.k)
+    result = misspec.burn_in_lower_bound(params)
     print(f"effective_prior_weight = {result.effective_prior_weight:.6g}")
     if result.binary_kl is not None:
         print(f"binary_kl = {_info(args, result.binary_kl)}")
@@ -178,14 +178,13 @@ def cmd_burnin(args) -> None:
 
 
 def cmd_shift(args) -> None:
-    from . import shift as sh
-    from .prior import JointDistribution
+    from . import misspec
 
     if args.joint is not None:
         _reject_given(args, ("r_train", "delta_pi", "k"), "not allowed with argument --joint")
         joint = JointDistribution.from_csv(args.joint)
         subset = args.subset if args.subset is not None else range(joint.k // 2)
-        report = sh.verify_impossibility(joint, subset)
+        report = misspec.verify_impossibility(joint, subset)
         print(f"cond_entropy_residual = {report.cond_entropy_residual:.6g}")
         print(f"kl_residual = {report.kl_residual:.6g}")
         print(f"mi_excess = {report.mi_excess:.6g}")
@@ -195,7 +194,7 @@ def cmd_shift(args) -> None:
     _reject_given(args, ("subset",), "not allowed without argument --joint")
     if args.r_train is None or args.delta_pi is None:
         raise UsageError("shift requires --r-train and --delta-pi (or --joint)")
-    report = sh.check_retention(args.r_train, _calibration(args)["k"], args.delta_pi)
+    report = misspec.check_retention(args.r_train, _calibration(args)["k"], args.delta_pi)
     print(f"threshold = {_info(args, report.threshold)}")
     print(f"retained = {report.retained.value}")
 

@@ -145,18 +145,17 @@ class JointDistribution(checked_record("JointDistribution", "probs")):
         return cls(probs=rows)
 
 
-def joint_from_channel(marginal, conditional) -> JointDistribution:
-    """Joint table from a row marginal and a row-stochastic conditional."""
-    return JointDistribution(probs=[[float(m) * float(c) for c in row]
-                                    for m, row in zip(marginal, conditional, strict=True)])
+def relative_entropy(pairs) -> float:
+    """The sum of a*ln(a/b) over (a, b) pairs with a > 0, in nats; it is never below 0,
+    so a negative sum, which only roundoff makes, reads 0."""
+    return max(math.fsum(a * math.log(a / b) for a, b in pairs if a > 0), 0.0)
 
 
 def mutual_information(j: JointDistribution) -> float:
     """I(row; col) in nats, always >= 0."""
     cols = j.col_marginal()
-    return math.fsum(p * math.log(p / (r * c))
-                     for r, row in zip(j.row_marginal(), j.probs)
-                     for p, c in zip(row, cols) if p > 0)
+    return relative_entropy((p, r * c) for r, row in zip(j.row_marginal(), j.probs)
+                            for p, c in zip(row, cols))
 
 
 def conditional_entropy(j: JointDistribution) -> float:
@@ -171,4 +170,4 @@ def kl_divergence(p: JointDistribution, q: JointDistribution) -> float:
     pairs = [(a, b) for pr, qr in zip(p.probs, q.probs) for a, b in zip(pr, qr) if a > 0]
     if any(b == 0 for _, b in pairs):
         return math.inf
-    return math.fsum(a * math.log(a / b) for a, b in pairs)
+    return relative_entropy(pairs)

@@ -1,6 +1,6 @@
 import pytest
 
-from mechcert.prior import TwoLevelPrior, joint_from_channel
+from mechcert.prior import JointDistribution, TwoLevelPrior
 
 ACCEPTANCE_RESULTS = []
 
@@ -11,6 +11,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line("acceptance criteria:")
         for line in ACCEPTANCE_RESULTS:
             terminalreporter.write_line(line)
+
+
+def joint_from_channel(marginal, conditional) -> JointDistribution:
+    """Joint table from a row marginal and a row-stochastic conditional."""
+    return JointDistribution(probs=[[float(m) * float(c) for c in row]
+                                    for m, row in zip(marginal, conditional, strict=True)])
 
 
 @pytest.fixture

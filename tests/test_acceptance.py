@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import ACCEPTANCE_RESULTS
+from conftest import ACCEPTANCE_RESULTS, joint_from_channel
 from mechcert.certificates import (
     CalibrationParams,
     Regime,
@@ -21,9 +21,16 @@ from mechcert.certificates import (
     ub_envelope,
     write_csv,
 )
-from mechcert.burnin import BurnInParams, binary_kl, burn_in_lower_bound, effective_prior_weight
-from mechcert.prior import joint_from_channel, solve_prior_for_r_mech
-from mechcert.shift import r_min, retention_threshold, verify_impossibility
+from mechcert.misspec import (
+    BurnInParams,
+    binary_kl,
+    burn_in_lower_bound,
+    effective_prior_weight,
+    r_min,
+    retention_threshold,
+    verify_impossibility,
+)
+from mechcert.prior import solve_prior_for_r_mech
 from mechcert.sim import (
     ExperimentConfig,
     table1_experiment,

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mechcert.burnin import (
+from mechcert.misspec import (
     BurnInParams,
     binary_kl,
     burn_in_lower_bound,
@@ -32,6 +32,9 @@ class TestBinaryKL:
         for p, q in [(0.0, 0.5), (1.0, 0.5), (0.5, 0.0), (0.5, 1.0)]:
             with pytest.raises(ValueError):
                 binary_kl(p, q)
+
+    def test_roundoff_never_reads_below_zero(self):
+        assert binary_kl(1e-06, 1.0000000000000002e-06) >= 0.0
 
     @given(st.floats(1e-6, 1 - 1e-6), st.floats(1e-6, 1 - 1e-6))
     def test_nonnegative(self, p, q):

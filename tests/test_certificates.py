@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mechcert.burnin import BurnInParams, effective_prior_weight
 from mechcert.certificates import (
     CalibrationParams,
     Regime,
@@ -21,13 +20,13 @@ from mechcert.certificates import (
     ub_envelope,
     write_csv,
 )
+from mechcert.misspec import BurnInParams, effective_prior_weight, r_min, retention_threshold
 from mechcert.prior import (
     JointDistribution,
     TwoLevelPrior,
     solve_prior_for_r_mech,
     two_level_entropy,
 )
-from mechcert.shift import r_min, retention_threshold
 from mechcert.sim import ExperimentConfig, build_environment, regret_curves, run_trial
 from mechcert.sweep import SweepSpec, linear_grid
 

@@ -425,9 +425,9 @@ def test_out_not_a_directory_exit_1(capsys, tmp_path, argv):
 
 def test_import_loads_only_what_the_command_runs(tmp_path):
     """Closed-form commands start without numpy, scipy, multiprocessing or
-    dataclasses, and `cli` leaves `burnin`, `shift` and `sweep` to their
-    commands; the bare package loads none of its modules; the Monte Carlo
-    engine needs neither dataclasses nor `sweep`; only `sweep` loads `sweep`."""
+    dataclasses; `cli` leaves `misspec` to `burnin` and `shift`, and `sweep` to
+    its own command; the bare package loads none of its modules; the Monte Carlo
+    engine needs neither dataclasses nor `sweep`, and only `simulate` loads numpy."""
     import mechcert
     src = str(Path(mechcert.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -435,8 +435,8 @@ def test_import_loads_only_what_the_command_runs(tmp_path):
     heavy = ("m.split('.')[0] in ('numpy', 'scipy') or m in ('concurrent.futures.process', "
              "'dataclasses')")
     for module, unwanted in (("mechcert", f"{heavy} or m.startswith('mechcert.')"),
-                             ("mechcert.cli", f"{heavy} or m in ('mechcert.burnin', "
-                                              "'mechcert.shift', 'mechcert.sweep')"),
+                             ("mechcert.cli", f"{heavy} or m in ('mechcert.misspec', "
+                                              "'mechcert.sweep')"),
                              ("mechcert.sim", "m in ('dataclasses', 'mechcert.sweep')")):
         probe = f"import sys, {module}; print(sorted(m for m in sys.modules if {unwanted}))"
         result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
@@ -444,14 +444,18 @@ def test_import_loads_only_what_the_command_runs(tmp_path):
         assert result.stdout.strip() == "[]", module
     probe = ("import contextlib, io, sys\nfrom mechcert.cli import main\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n    main(sys.argv[1:])\n"
-             "print('mechcert.sweep' in sys.modules)")
-    for argv in (["certify"], ["prior", "--r-mech", "1.9"],
-                 ["burnin", "--eps", "0.05", "--delta", "0.1", "--gap", "0.3"],
-                 ["shift", "--r-train", "1.6", "--delta-pi", "0.5"],
-                 ["simulate", "--table", "1", "--trials", "1", "--out", str(tmp_path)]):
+             "print(sorted(m for m in sys.modules if m in "
+             "('mechcert.misspec', 'mechcert.sweep', 'numpy')))")
+    for argv, loaded in ((["certify"], []), (["prior", "--r-mech", "1.9"], []),
+                         (["burnin", "--eps", "0.05", "--delta", "0.1", "--gap", "0.3"],
+                          ["mechcert.misspec"]),
+                         (["shift", "--r-train", "1.6", "--delta-pi", "0.5"],
+                          ["mechcert.misspec"]),
+                         (["simulate", "--table", "1", "--trials", "1", "--out", str(tmp_path)],
+                          ["numpy"])):
         result = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
                                 capture_output=True, text=True, timeout=60, check=True)
-        assert result.stdout.strip() == "False", argv
+        assert result.stdout.strip() == str(loaded), argv
 
 
 @pytest.mark.parametrize("argv", [("-h",), (), *((name, "-h") for name in COMMANDS),
@@ -493,8 +497,8 @@ def test_action_table_pinned():
 
 
 def test_closed_form_commands_run_without_site_packages(tmp_path, two_level_joint):
-    """Every closed-form command, `burnin` and `shift` (loaded inside their commands)
-    included, exits 0 under `python -S`: no site-packages, so no numpy."""
+    """Every closed-form command, `burnin` and `shift` (whose `misspec` loads inside
+    them) included, exits 0 under `python -S`: no site-packages, so no numpy."""
     import mechcert
     src = str(Path(mechcert.__file__).resolve().parents[1])
     joint = two_level_joint(8, 0.972)
@@ -541,6 +545,13 @@ class TestShift:
         for key in ("cond_entropy_residual", "kl_residual", "mi_excess"):
             line = next(l for l in out.splitlines() if l.startswith(key))
             assert float(line.split("=")[1].split()[0]) < 1e-9
+
+    def test_independent_joint_prints_zero_information(self, capsys, tmp_path):
+        path = tmp_path / "uniform.joint"
+        path.write_text("10\n" + (",".join(["0.01"] * 10) + "\n") * 10)
+        code, out, _ = run(capsys, "shift", "--joint", str(path))
+        assert code == 0
+        assert "mutual_information_test = 0 nats" in out.splitlines()
 
 
 class TestPrior:

@@ -197,6 +197,14 @@ class TestInformationMeasures:
             assert mutual_information(j) == pytest.approx(expected, abs=1e-10)
             assert mutual_information(j) >= -1e-12
 
+    def test_roundoff_never_reads_below_zero(self):
+        # each sum comes out about -1e-16 or less by roundoff unless read as 0
+        independent = JointDistribution(probs=[[0.04, 0.16], [0.16, 0.64]])
+        assert mutual_information(independent) >= 0.0
+        p = JointDistribution(probs=[[0.1, 0.2], [0.3, 0.4]])
+        q = JointDistribution(probs=[[0.1 + 1e-12, 0.2 - 1e-12], [0.3, 0.4]])
+        assert kl_divergence(p, q) >= 0.0
+
     def test_kl_nonnegative(self):
         rng = np.random.default_rng(11)
         for _ in range(50):

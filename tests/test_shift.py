@@ -3,20 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from mechcert.prior import (
-    JointDistribution,
-    conditional_entropy,
-    joint_from_channel,
-    kl_divergence,
-    mutual_information,
-)
-from mechcert.shift import (
+from conftest import joint_from_channel
+from mechcert.misspec import (
     Retention,
     check_retention,
     impossibility_construction,
     r_min,
     retention_threshold,
     verify_impossibility,
+)
+from mechcert.prior import (
+    JointDistribution,
+    conditional_entropy,
+    kl_divergence,
+    mutual_information,
 )
 
 
