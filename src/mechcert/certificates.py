@@ -76,22 +76,18 @@ def write_csv(path, rows) -> str:
     return text
 
 
-class CalibrationParams(checked_record("CalibrationParams",
-                                       "k n sigma kappa_mu d_f b_mu sigma_f2")):
+class CalibrationParams(checked_record("CalibrationParams", "k n sigma kappa_mu d_f b_mu")):
     """Full parameter vector of the certificate, checked once here.
 
-    The prior entropy h_mu is the uniform-prior entropy ln k. The field
-    sigma_f2 stores an override (>= 0), or None for the canonical residual
-    variance 2*sigma^2*h_mu / (kappa_mu^2 * d_f), under which a perfect
-    model's capacity approaches the prior entropy; the property reads
-    either, so `_replace` rederives a canonical value. Every count is an
-    integer of at least its minimum (k >= 2, n >= 1) and is stored as an int.
+    The prior entropy h_mu is the uniform-prior entropy ln k, and the
+    residual variance sigma_f2 is derived from the fields, so `_replace`
+    rederives both. Every count is an integer of at least its minimum
+    (k >= 2, n >= 1) and is stored as an int.
     """
 
     __slots__ = ()
 
-    def __new__(cls, k: int, n: int, sigma: float, kappa_mu: float, d_f: float, b_mu: float,
-                sigma_f2: float | None = None):
+    def __new__(cls, k: int, n: int, sigma: float, kappa_mu: float, d_f: float, b_mu: float):
         k, n = whole("k", k, 2), whole("n", n, 1)
         for name, value in zip(("sigma", "kappa_mu", "d_f", "b_mu"), (sigma, kappa_mu, d_f, b_mu)):
             if not math.isfinite(value):
@@ -104,10 +100,8 @@ class CalibrationParams(checked_record("CalibrationParams",
             raise ValueError(f"kappa_mu must be positive, got {kappa_mu}")
         if d_f <= 0:
             raise ValueError(f"d_f must be positive, got {d_f}")
-        if sigma_f2 is not None and not (math.isfinite(sigma_f2) and sigma_f2 >= 0):
-            raise ValueError(f"sigma_f2 must be finite and non-negative, got {sigma_f2}")
-        self = super().__new__(cls, k, n, sigma, kappa_mu, d_f, b_mu, sigma_f2)
-        if not math.isfinite(self.sigma_f2):  # only a canonical value can overflow
+        self = super().__new__(cls, k, n, sigma, kappa_mu, d_f, b_mu)
+        if not math.isfinite(self.sigma_f2):
             raise OverflowError(f"canonical sigma_f2 overflows: {self.sigma_f2}")
         return self
 
@@ -118,15 +112,14 @@ class CalibrationParams(checked_record("CalibrationParams",
 
     @property
     def sigma_f2(self) -> float:
-        """Residual variance: the stored override, or the canonical value when it is None."""
-        override = super().sigma_f2
-        return (2.0 * self.sigma**2 * self.h_mu / (self.kappa_mu**2 * self.d_f)
-                if override is None else override)
+        """Canonical residual variance 2*sigma^2*h_mu / (kappa_mu^2 * d_f), under which
+        a perfect model's capacity approaches the prior entropy."""
+        return 2.0 * self.sigma**2 * self.h_mu / (self.kappa_mu**2 * self.d_f)
 
     @classmethod
     def canonical(cls, k: int, n: int, sigma: float, kappa_mu: float,
                   d_f: float, b_mu: float) -> "CalibrationParams":
-        """Uniform-prior entropy ln k and canonical residual variance."""
+        """The plain constructor by a second name: ln k and the canonical sigma_f2."""
         return cls(k=k, n=n, sigma=sigma, kappa_mu=kappa_mu, d_f=d_f, b_mu=b_mu)
 
 
@@ -142,7 +135,6 @@ class CertificateReport(NamedTuple):
     sample_ratio: float
     lb_envelope: float
     ub_envelope: float
-    capacity_exceeds_entropy: bool  # flags non-canonical sigma_f2 with C > H
 
 
 def channel_capacity(b_mu: float, p: CalibrationParams) -> float:
@@ -249,5 +241,4 @@ def certificate_report(p: CalibrationParams, target: float | None = None) -> Cer
         sample_ratio=sample_complexity_ratio(p.h_mu, floor),
         lb_envelope=lb_envelope(p.k, p.n, floor),
         ub_envelope=ub_envelope(p.k, p.n, floor),
-        capacity_exceeds_entropy=cap > p.h_mu + 1e-12,
     )

@@ -126,7 +126,7 @@ def _outdir(args) -> Path:
 
 
 def cmd_certify(args) -> None:
-    params = cert.CalibrationParams(**_calibration(args), sigma_f2=args.sigma_f2)
+    params = cert.CalibrationParams(**_calibration(args))
     report = cert.certificate_report(params, args.target)
     if report.critical_bias is None:
         raise ValueError(f"target unreachable: target {report.target:.6g} nats exceeds "
@@ -142,8 +142,6 @@ def cmd_certify(args) -> None:
         f"lb_envelope = {report.lb_envelope:.6g}",
         f"ub_envelope = {report.ub_envelope:.6g}",
     ]
-    if report.capacity_exceeds_entropy:
-        lines.append("warning = capacity exceeds prior entropy (non-canonical sigma_f2)")
     if report.lb_envelope > report.ub_envelope:
         lines.append("warning = lb_envelope exceeds ub_envelope "
                      "(constant-free envelopes cross when ln k < 1)")
@@ -246,7 +244,6 @@ CALIBRATION_FLAGS = tuple((dest, dict(type=type_, help=help_))
 COMMANDS = {  # name: (command, summary, flags), in the order the help lists them
     "certify": (cmd_certify, "composite certificate", (
         *CALIBRATION_FLAGS,
-        ("sigma_f2", dict(type=float, help="residual variance (overrides the canonical value)")),
         ("target", dict(type=float,
                         help="working-point information target in nats (default h_mu/n)")),
         BITS, ("out", dict(help="also write certify.txt here")))),

@@ -71,16 +71,19 @@ def burn_in_lower_bound(p: BurnInParams) -> BurnInResult:
 
     (1-delta)(1-epsilon) * gap * ln((1-epsilon)/delta) / kl(eps_k, 1-eps_k).
     When delta >= 1 - epsilon the log term is non-positive and the bound
-    degenerates to zero. Raises OverflowError when 1 - eps_k rounds to 1 or the bound is inf.
+    degenerates to zero. kl is taken from epsilon and k, not from the rounded
+    eps_k: kl(eps_k, 1-eps_k) = (1 - 2 eps_k) ln((1-eps_k)/eps_k), where
+    1 - 2 eps_k = (1 + eps(k-3)) / (1 + eps(k-1)) and (1-eps_k)/eps_k = (1 + eps(k-2)) / eps.
+    So kl is positive and finite; raises OverflowError when the bound is inf.
     """
-    eps_k = effective_prior_weight(p.epsilon, p.k)
-    log_term = math.log((1.0 - p.epsilon) / p.delta)
+    eps, k = p.epsilon, p.k
+    eps_k = effective_prior_weight(eps, k)
+    log_term = math.log((1.0 - eps) / p.delta)
     if log_term <= 0:
         return BurnInResult(cycles=0.0, effective_prior_weight=eps_k, binary_kl=None)
-    if 1.0 - eps_k == 1.0:
-        raise OverflowError(f"1 - eps_k rounds to 1 at eps_k = {eps_k}")
-    kl = binary_kl(eps_k, 1.0 - eps_k)
-    cycles = (1.0 - p.delta) * (1.0 - p.epsilon) * p.gap * log_term / kl
+    kl = ((1.0 + eps * (k - 3)) / (1.0 + eps * (k - 1))
+          * (math.log1p(eps * (k - 2)) - math.log(eps)))
+    cycles = (1.0 - p.delta) * (1.0 - eps) * p.gap * log_term / kl
     if not math.isfinite(cycles):
         raise OverflowError(f"burn-in bound is not finite: {cycles}")
     return BurnInResult(cycles=cycles, effective_prior_weight=eps_k, binary_kl=kl)

@@ -68,7 +68,7 @@ def _cell(base: CalibrationParams, overrides: dict) -> CalibrationParams:
                 raise ValueError(f"p_opt must lie in (0, 1), got {value}")
             name, value = "sigma", math.sqrt(value * (1.0 - value))
         values[name] = value
-    return base._replace(**values, sigma_f2=None)  # None: the cell's canonical sigma_f2
+    return base._replace(**values)
 
 
 class Sweep1DRow(NamedTuple):
@@ -121,8 +121,7 @@ def sweep_2d(x_spec: SweepSpec, y_spec: SweepSpec) -> list[Sweep2DRow]:
     if {x_param, y_param} <= {"sigma", "p_opt"} or x_param == y_param:
         raise ValueError(f"grid axes {x_param} and {y_param} set the same quantity")
     base = x_spec.base
-    # Check each b_mu value once; _replace keeps the base's checked sigma_f2, so only
-    # b_mu is new. The other values are checked in the solve cells below.
+    # Check each b_mu value once; the other values are checked in the solve cells below.
     for spec in (x_spec, y_spec):
         if spec.parameter == "b_mu":
             for value in spec.values:

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given
@@ -70,8 +71,10 @@ class TestBurnInBound:
         # epsilon = 0.2 > delta = 0.01 sits outside the proposition's premise
         assert params.assumption_violated
         assert result.effective_prior_weight == effective_prior_weight(0.2, 8)
+        # unrounded effective weight 1/12
+        assert result.binary_kl == pytest.approx(1.998, abs=0.005)
         eps_k = result.effective_prior_weight
-        assert result.binary_kl == binary_kl(eps_k, 1 - eps_k)
+        assert result.binary_kl == pytest.approx(binary_kl(eps_k, 1 - eps_k), rel=1e-15)
 
     def test_zero_gap(self):
         result = burn_in_lower_bound(BurnInParams(epsilon=0.2, delta=0.01, gap=0.0, k=8))
@@ -101,6 +104,21 @@ class TestBurnInBound:
             BurnInParams(epsilon=0.2, delta=0.01, gap=-0.1, k=8)
         with pytest.raises(ValueError):
             BurnInParams(epsilon=0.2, delta=0.01, gap=0.2, k=1)
+
+    @pytest.mark.parametrize("k", [2, 3, 8, 10**20])
+    @pytest.mark.parametrize("eps", [1e-300, 1e-9, 1e-3, 0.5, 1 - 1e-3, 1 - 1e-9,
+                                     1 - 2**-52])
+    def test_kl_matches_exact_arithmetic(self, eps, k):
+        # kl(eps_k, 1 - eps_k) at 60 digits from the same eps and k: no cancellation
+        # when eps_k is near 1/2 (eps near 1, k = 2) and no 1 - eps_k == 1 near 0
+        with localcontext() as ctx:
+            ctx.prec = 60
+            e = Decimal(eps)
+            w = e / (1 + e * (k - 1))
+            exact = (1 - 2 * w) * ((1 - w) / w).ln()
+        kl = burn_in_lower_bound(BurnInParams(epsilon=eps, delta=1e-300, gap=1.0, k=k)).binary_kl
+        assert 0 < kl < math.inf
+        assert abs(Decimal(kl) - exact) <= Decimal(1e-15) * exact
 
     @given(st.floats(0.01, 0.4), st.floats(0.001, 0.2), st.floats(0.01, 0.2),
            st.floats(0.01, 1.0), st.integers(2, 32))

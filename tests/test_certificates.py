@@ -45,7 +45,7 @@ params_st = st.builds(
 
 
 class TestCanonicalSigmaF2:
-    """The constructor's default sigma_f2, 2*sigma^2*ln k / (kappa_mu^2 * d_f)."""
+    """The derived sigma_f2, 2*sigma^2*ln k / (kappa_mu^2 * d_f)."""
 
     def test_working_values(self):
         assert WORKING.sigma_f2 == pytest.approx(0.0685, abs=1e-4)
@@ -57,20 +57,9 @@ class TestCanonicalSigmaF2:
 
     @pytest.mark.parametrize("sigma,kappa,d", [(0.0, 1.8, 3.0), (0.4, 0.0, 3.0), (0.4, 1.8, 0.0)])
     def test_domain_errors(self, sigma, kappa, d):
-        # checked whether or not sigma_f2 overrides the canonical value
         name = ("sigma", "kappa_mu", "d_f")[(sigma, kappa, d).index(0.0)]
-        for sigma_f2 in (None, 0.5):
-            with pytest.raises(ValueError, match=f"{name} must be positive, got 0.0"):
-                CalibrationParams(k=8, n=12, sigma=sigma, kappa_mu=kappa, d_f=d, b_mu=0.22,
-                                  sigma_f2=sigma_f2)
-
-    def test_override_skips_the_canonical_formula(self):
-        # kappa_mu**2 underflows to 0: only the canonical value divides by it
-        p = CalibrationParams(k=8, n=12, sigma=0.4, kappa_mu=1e-200, d_f=3.0, b_mu=0.22,
-                              sigma_f2=0.1)
-        assert p.sigma_f2 == 0.1
-        with pytest.raises(ZeroDivisionError):
-            CalibrationParams(k=8, n=12, sigma=0.4, kappa_mu=1e-200, d_f=3.0, b_mu=0.22)
+        with pytest.raises(ValueError, match=f"{name} must be positive, got 0.0"):
+            CalibrationParams(k=8, n=12, sigma=sigma, kappa_mu=kappa, d_f=d, b_mu=0.22)
 
     @pytest.mark.parametrize("field,value", [("k", 16), ("sigma", 0.45), ("kappa_mu", 2.4),
                                              ("d_f", 4.0)])
@@ -82,11 +71,11 @@ class TestCanonicalSigmaF2:
         assert copy == direct and copy.sigma_f2 == direct.sigma_f2
         assert critical_bias(copy) == critical_bias(direct)
 
-    def test_override_survives_replace(self):
-        p = CalibrationParams(k=8, n=12, sigma=0.40, kappa_mu=1.8, d_f=3.0, b_mu=0.22,
-                              sigma_f2=0.5)
-        assert p._replace(b_mu=0.30).sigma_f2 == 0.5
-        assert p._replace(k=16).sigma_f2 == 0.5
+    @pytest.mark.parametrize("field,value", [("kappa_mu", 1e-160), ("d_f", 1e-320)])
+    def test_overflow_rejected(self, field, value):
+        fields = dict(k=8, n=12, sigma=0.40, kappa_mu=1.8, d_f=3.0, b_mu=0.22)
+        with pytest.raises(OverflowError, match="^canonical sigma_f2 overflows: inf$"):
+            CalibrationParams(**{**fields, field: value})
 
 
 class TestChannelCapacity:
@@ -264,7 +253,6 @@ class TestReport:
         assert rep.regime is Regime.DATA_EFFICIENT
         assert rep.critical_bias == pytest.approx(0.714, abs=1e-3)
         assert 0.0 <= rep.residual_entropy_floor <= WORKING.h_mu
-        assert not rep.capacity_exceeds_entropy
 
     @pytest.mark.parametrize("target", [0.05, 0.1, 0.5, WORKING.h_mu / WORKING.n])
     def test_target_matches_solver(self, target):
@@ -282,12 +270,6 @@ class TestReport:
         assert rep.regime is Regime.UNREACHABLE
         assert solve_bias_for_capacity(10.0, WORKING) is None
 
-    def test_non_canonical_flag(self):
-        p = CalibrationParams(k=8, n=12, sigma=0.40, kappa_mu=1.8, d_f=3.0,
-                              b_mu=0.0, sigma_f2=50.0)
-        rep = certificate_report(p)
-        assert rep.capacity_exceeds_entropy
-
     def test_params_validation(self):
         with pytest.raises(ValueError):
             CalibrationParams.canonical(k=1, n=12, sigma=0.4, kappa_mu=1.8,
@@ -301,33 +283,23 @@ class TestReport:
         assert p == WORKING
         assert p.h_mu == math.log(8)
         assert p.sigma_f2 == 2.0 * 0.40**2 * math.log(8) / (1.8**2 * 3.0)
-        q = CalibrationParams(k=8, n=12, sigma=0.40, kappa_mu=1.8, d_f=3.0, b_mu=0.22,
-                              sigma_f2=0.5)
-        assert q.h_mu == math.log(8) and q.sigma_f2 == 0.5
+        # sigma_f2 is derived, never stored, and the report has no flag for an override
+        assert p._fields == ("k", "n", "sigma", "kappa_mu", "d_f", "b_mu")
+        assert "capacity_exceeds_entropy" not in certificate_report(p)._fields
 
     @pytest.mark.parametrize("k", [0, -3])
     def test_k_checked_before_log(self, k):
-        for sigma_f2 in (None, 0.5):
-            with pytest.raises(ValueError, match=f"k must be >= 2, got {k}"):
-                CalibrationParams(k=k, n=12, sigma=0.4, kappa_mu=1.8, d_f=3.0, b_mu=0.22,
-                                  sigma_f2=sigma_f2)
+        with pytest.raises(ValueError, match=f"k must be >= 2, got {k}"):
+            CalibrationParams(k=k, n=12, sigma=0.4, kappa_mu=1.8, d_f=3.0, b_mu=0.22)
 
     @pytest.mark.parametrize("k", [8.5, math.inf, math.nan])
     def test_non_integer_k_rejected(self, k):
-        for sigma_f2 in (None, 0.5):
-            with pytest.raises(ValueError, match=f"k must be an integer, got {k}"):
-                CalibrationParams(k=k, n=12, sigma=0.4, kappa_mu=1.8, d_f=3.0, b_mu=0.22,
-                                  sigma_f2=sigma_f2)
+        with pytest.raises(ValueError, match=f"k must be an integer, got {k}"):
+            CalibrationParams(k=k, n=12, sigma=0.4, kappa_mu=1.8, d_f=3.0, b_mu=0.22)
 
     def test_integral_float_k_stored_as_int(self):
         p = CalibrationParams(k=8.0, n=12, sigma=0.40, kappa_mu=1.8, d_f=3.0, b_mu=0.22)
         assert type(p.k) is int and p == WORKING
-
-    @pytest.mark.parametrize("sigma_f2", [-1.0, math.nan, math.inf])
-    def test_bad_sigma_f2_rejected(self, sigma_f2):
-        with pytest.raises(ValueError, match="sigma_f2"):
-            CalibrationParams(k=8, n=12, sigma=0.4, kappa_mu=1.8, d_f=3.0, b_mu=0.22,
-                              sigma_f2=sigma_f2)
 
 
 def _params(**count):

@@ -59,23 +59,14 @@ class TestCertify:
                            "zero-bias capacity 1.30461 nats\n")
             assert not (tmp_path / "certify.txt").exists()
 
-    def test_override_unreachable_exit_2(self, capsys):
-        # the canonical sigma_f2 would divide by kappa_mu**2 == 0; the override never needs it
-        code, out, err = run(capsys, "certify", "--sigma-f2", "0.1", "--kappa-mu", "1e-200")
-        assert code == 2
-        assert out == ""
-        assert err == ("error: target unreachable: target 0.173287 nats exceeds "
-                       "zero-bias capacity 0 nats\n")
-
-    def test_capacity_exceeds_entropy_warns(self, capsys):
-        code, out, err = run(capsys, "certify", "--b-mu", "0", "--sigma-f2", "50")
-        assert code == 0
-        assert out == ("sigma_f2 = 50\ncapacity = 10.3817 nats\nh_mech_floor = 0 nats\n"
-                       "critical_bias = 20.205\nbias_ratio_crit_over_b = inf\n"
-                       "regime = DataEfficient\nsample_ratio = inf\nlb_envelope = 0\n"
-                       "ub_envelope = 0\n"
-                       "warning = capacity exceeds prior entropy (non-canonical sigma_f2)\n")
-        assert err == ""
+    def test_sigma_f2_is_derived_not_an_input(self, capsys, tmp_path):
+        code, out, err = run(capsys, "certify", "--sigma-f2", "1")
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments: --sigma-f2 1" in err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("sigma_f2 = 1\n")
+        code, out, err = run(capsys, "certify", "--config", str(cfg))
+        assert (code, out, err) == (1, "", "error: unknown config key 'sigma_f2'\n")
 
     def test_bits_display(self, capsys):
         _, nats_out, _ = run(capsys, "certify")
@@ -229,6 +220,22 @@ class TestBurnin:
         assert "burn_in_cycles = 0" in out
         assert "degenerate" in out
 
+    @pytest.mark.parametrize("argv,kl,cycles", [
+        (("--eps", "1e-300", "--delta", "0.01", "--gap", "0.2"), "690.776", "0.00132"),
+        (("--eps", "0.2", "--delta", "0.01", "--gap", "0.2", "--k", "1" + "0" * 20),
+         "46.0517", "0.0150725"),
+        (("--eps", "0.999999998", "--delta", "1e-12", "--gap", "1", "--k", "2"),
+         "2e-18", "7.6009e+09"),
+        (("--eps", "0.9999999998", "--delta", "1e-12", "--gap", "1", "--k", "2"),
+         "2e-20", "5.29832e+10"),
+    ], ids=["burnin-eps-underflow", "burnin-k-overflow", "burnin-eps-near-1",
+            "burnin-eps-nearer-1"])
+    def test_finite_bound_at_extreme_inputs(self, capsys, argv, kl, cycles):
+        # kl(eps_k, 1 - eps_k) is taken from eps and k: eps_k near 0 or 1/2 keeps its digits
+        code, out, err = run(capsys, "burnin", *argv)
+        assert (code, err) == (0, "")
+        assert f"\nbinary_kl = {kl} nats\nburn_in_cycles = {cycles}\n" in out
+
 
 # --joint files read by the exit-2 cases below
 BAD_JOINTS = {"nan.joint": "2\nnan,0.5\n0.25,0.25\n", "empty.joint": "",
@@ -287,9 +294,6 @@ OUT_OF_RANGE = "a parameter is out of numeric range"
     (("sweep", "--param", "d_f", "--values", "1e-320"), OUT_OF_RANGE),
     (("certify", "--target", "1e-320"), OUT_OF_RANGE),
     (("burnin", "--eps", "0.45", "--delta", "1e-300", "--gap", "1e308"), OUT_OF_RANGE),
-    (("burnin", "--eps", "0.2", "--delta", "0.01", "--gap", "0.2", "--k", "1" + "0" * 20),
-     OUT_OF_RANGE),
-    (("burnin", "--eps", "1e-300", "--delta", "0.01", "--gap", "0.2"), OUT_OF_RANGE),
 ], ids=["burnin-eps", "certify-b-mu-nan", "certify-sigma-nan", "certify-kappa-mu-nan",
         "certify-d-f-nan", "certify-target-nan", "simulate-strength-nan",
         "simulate-strength-negative", "simulate-workers-negative", "simulate-workers-zero",
@@ -302,7 +306,7 @@ OUT_OF_RANGE = "a parameter is out of numeric range"
         "certify-sigma-overflow", "certify-sigma-underflow", "certify-d-f-underflow",
         "shift-r-train-overflow", "sweep-sigma-underflow", "simulate-strength-overflow",
         "certify-d-f-overflow", "sweep-d-f-overflow", "certify-target-overflow",
-        "burnin-cycles-overflow", "burnin-k-overflow", "burnin-eps-underflow"])
+        "burnin-cycles-overflow"])
 def test_domain_error_exit_2(capsys, monkeypatch, tmp_path, argv, message):
     monkeypatch.chdir(tmp_path)
     for name, text in BAD_JOINTS.items():
@@ -491,9 +495,9 @@ def test_action_table_pinned():
             rows.append((command, tuple(a.option_strings), a.dest,
                          getattr(a.type, "__name__", None), a.default, a.choices, a.required,
                          a.nargs, a.metavar, a.help, group))
-    assert len(rows) == 48
+    assert len(rows) == 47
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
-        "674f0dec9168718bdb7f14e98c35da93d1b5443bd306dcb4f116ec1f027f4667")
+        "2c2b314ccbac614a07afec2a584b5a7260596130a2c4187523617b702a8ce2ce")
 
 
 def test_closed_form_commands_run_without_site_packages(tmp_path, two_level_joint):

@@ -216,16 +216,6 @@ class TestSweep2D:
             sweep_2d(SweepSpec(parameter="kappa_mu", values=[-1.0], base=BASE),
                      SweepSpec(parameter="b_mu", values=[0.2, -0.1], base=BASE))
 
-    def test_b_mu_check_keeps_the_base_sigma_f2(self):
-        # the base's own canonical sigma_f2 would divide by zero at kappa_mu = 1e-200,
-        # but every cell takes kappa_mu from its axis
-        base = CalibrationParams(k=8, n=12, sigma=0.40, kappa_mu=1e-200, d_f=3.0, b_mu=0.22,
-                                 sigma_f2=1.0)
-        rows = sweep_2d(grid_axis("kappa_mu", base, 3), grid_axis("b_mu", base, 3))
-        assert [row.ratio for row in rows] == [
-            row.ratio for row in sweep_2d(grid_axis("kappa_mu", BASE, 3),
-                                          grid_axis("b_mu", BASE, 3))]
-
     def test_axes_on_different_bases_rejected(self):
         other = CalibrationParams.canonical(k=8, n=24, sigma=0.40, kappa_mu=1.8,
                                            d_f=3.0, b_mu=0.22)
