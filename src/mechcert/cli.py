@@ -2,8 +2,9 @@
 
 Subcommands: certify, simulate, burnin, shift, prior, sweep; `COMMANDS`
 declares each one's function, summary and flags.
-Exit codes: 0 success, 1 usage or I/O error, 2 domain error. Results go
-to stdout, diagnostics to stderr. A flat ``key = value`` config file
+Exit codes: 0 success, 1 usage or I/O error, 2 domain error; a reader
+that closes stdout early is not an error. Results go to stdout,
+diagnostics to stderr. A flat ``key = value`` config file
 (``--config``) supplies defaults for the subcommand's own single-value
 flags (key ``b_mu`` for ``--b-mu``); explicit flags override it. `main`
 then parses again: argparse converts a string default by its flag's type
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -313,6 +315,13 @@ def main(argv=None) -> int:
             _load_config(parser.commands[args.command], args.config)
             args = parser.parse_args(argv)
         args.func(args)
+        sys.stdout.flush()  # so a closed stdout raises here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader closed stdout early, as `grep -q` and `head` do: not an error.
+        # Point stdout at devnull, as Python's signal docs advise, so that the
+        # exit-time flush of what is left unwritten cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

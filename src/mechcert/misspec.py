@@ -18,8 +18,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .certificates import checked_record, whole
-from .prior import (JointDistribution, conditional_entropy, kl_divergence, mutual_information,
-                    relative_entropy)
+from .prior import JointDistribution, conditional_entropy, kl_divergence, mutual_information
 
 _MIN_ARMS = 12  # the retention guarantee is proved for k >= 12 only
 
@@ -49,13 +48,6 @@ class BurnInResult(NamedTuple):
     cycles: float
     effective_prior_weight: float  # eps_k, the prior weight spread over k arms
     binary_kl: float | None     # kl(eps_k, 1 - eps_k) in nats; None when degenerate
-
-
-def binary_kl(p: float, q: float) -> float:
-    """Binary KL divergence p*ln(p/q) + (1-p)*ln((1-p)/(1-q)), in nats."""
-    if not 0 < p < 1 or not 0 < q < 1:
-        raise ValueError("binary_kl arguments must lie strictly in (0, 1)")
-    return relative_entropy(((p, q), (1.0 - p, 1.0 - q)))
 
 
 def effective_prior_weight(epsilon: float, k: int) -> float:

@@ -1,6 +1,12 @@
+import functools
+import math
+from collections import Counter, defaultdict
+
+import numpy as np
 import pytest
 
-from mechcert.prior import JointDistribution, TwoLevelPrior
+from mechcert.prior import JointDistribution, TwoLevelPrior, solve_prior_for_r_mech
+from mechcert.sim import K, P_BSA, P_OPT
 
 ACCEPTANCE_RESULTS = []
 
@@ -29,3 +35,105 @@ def two_level_joint():
         return joint_from_channel([1 / k] * k, [w[k - i:] + w[:k - i] for i in range(k)])
 
     return joint
+
+
+@functools.cache
+def _gauss_legendre(nodes):
+    """Gauss-Legendre nodes and weights on [0, 1].
+
+    Three Newton steps from the asymptotic roots reach float precision;
+    numpy's leggauss takes an eigendecomposition instead, which a
+    multithreaded BLAS can stretch to half a second at 256 nodes.
+    """
+    p = np.polynomial.Legendre.basis(nodes)
+    dp = p.deriv()
+    x = np.cos(np.pi * (np.arange(nodes) + 0.75) / (nodes + 0.5))
+    for _ in range(3):
+        x = x - p(x) / dp(x)
+    return (x + 1) / 2, 1 / ((1 - x * x) * dp(x) ** 2)
+
+
+def _cdf_sum(x, y, a, m):
+    """x^a * sum_{j<m} Gamma(a+j)/(Gamma(a) j!) y^j: the Beta(a, m) CDF at x when y = 1 - x."""
+    coef = np.cumprod([1.0] + [(a + j) / (j + 1) for j in range(m - 1)])
+    return x ** a * np.polynomial.polynomial.polyval(y, coef)
+
+
+@functools.cache
+def _beta_law(a0, b0, s, f, nodes):
+    """Density and CDF of Beta(a0 + s, b0 + f) on the nodes, for a0 = 1 or b0 = 1.
+
+    One shape is then a whole number, so the CDF is a finite sum.
+    """
+    x = _gauss_legendre(nodes)[0]
+    a, b = a0 + s, b0 + f
+    pdf = np.exp((a - 1) * np.log(x) + (b - 1) * np.log1p(-x)
+                 + math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b))
+    cdf = _cdf_sum(x, 1 - x, a, 1 + f) if b0 == 1 else 1 - _cdf_sum(1 - x, x, b, 1 + s)
+    return pdf, cdf
+
+
+@functools.cache
+def _pull_probabilities(laws, nodes):
+    """{law: P(a given arm of that law draws the largest sample)} for a tuple of (law, count).
+
+    P(X_j is the largest) = int f_j prod_{i != j} F_i dx, one quadrature per law.
+    """
+    w = _gauss_legendre(nodes)[1]
+    pulls = {}
+    for law, _ in laws:
+        integrand = _beta_law(*law, nodes)[0]
+        for other, count in laws:
+            integrand = integrand * _beta_law(*other, nodes)[1] ** (count - (other == law))
+        pulls[law] = float(w @ integrand)
+    return pulls
+
+
+@functools.cache
+def exact_beta_regret(r_mech, strength, n, nodes=128):
+    """Exact mean and standard deviation of the engine's pseudo-regret after rounds 1..n.
+
+    The engine's policy: the recommended arm starts at Beta(A, 1) and the
+    other K - 1 arms at Beta(1, B), with A = 1 + s*K*(beta - 1/K) and
+    B = 1 + s*K*(1/K - alpha) for the two-level prior of r_mech; the optimum
+    is the recommended arm with probability beta and another arm otherwise.
+    A state is the sorted tuple of arms (a0, b0, successes, failures,
+    is_optimal), and one forward pass carries each state's probability and
+    the first two moments of the regret accrued on the way to it. Each
+    pull probability is a Gauss-Legendre sum over `nodes` nodes.
+    """
+    beta = solve_prior_for_r_mech(K, r_mech).beta
+    rec = (1 + strength * K * (beta - 1 / K), 1.0, 0, 0)
+    other = (1.0, 1 + strength * K * (1 / K - (1 - beta) / (K - 1)), 0, 0)
+    layer = defaultdict(lambda: [0.0, 0.0, 0.0])  # state: P, E[regret; state], E[regret^2; state]
+    for mass, arms in ((beta, [rec + (True,)] + [other + (False,)] * (K - 1)),
+                       (1 - beta, [rec + (False,), other + (True,)] + [other + (False,)] * (K - 2))):
+        layer[tuple(sorted(arms))][0] += mass
+    means, sds = [], []
+    for t in range(n):
+        children = defaultdict(lambda: [0.0, 0.0, 0.0])
+        m1_sum = m2_sum = 0.0
+        for state, (p, m1, m2) in layer.items():
+            laws = Counter(arm[:4] for arm in state)
+            pulls = _pull_probabilities(tuple(sorted(laws.items())), nodes)
+            for arm, count in Counter(state).items():
+                a0, b0, s, f, optimal = arm
+                g = 0.0 if optimal else P_OPT - P_BSA
+                q = count * pulls[arm[:4]]
+                moved = (p * q, (m1 + g * p) * q, (m2 + 2 * g * m1 + g * g * p) * q)
+                m1_sum += moved[1]
+                m2_sum += moved[2]
+                if t == n - 1:  # the last round's states are never read
+                    continue
+                rest = list(state)
+                rest.remove(arm)
+                mean = P_OPT if optimal else P_BSA
+                for child, chance in (((a0, b0, s + 1, f, optimal), mean),
+                                      ((a0, b0, s, f + 1, optimal), 1 - mean)):
+                    acc = children[tuple(sorted(rest + [child]))]
+                    for i in range(3):
+                        acc[i] += chance * moved[i]
+        layer = children
+        means.append(m1_sum)
+        sds.append(math.sqrt(max(m2_sum - m1_sum * m1_sum, 0.0)))
+    return tuple(means), tuple(sds)

@@ -23,7 +23,6 @@ from mechcert.certificates import (
 )
 from mechcert.misspec import (
     BurnInParams,
-    binary_kl,
     burn_in_lower_bound,
     effective_prior_weight,
     r_min,
@@ -138,8 +137,8 @@ def test_criterion_4_burn_in():
     failures = []
     eps_k = effective_prior_weight(0.2, 8)
     check(failures, "eps_K", eps_k, 0.0833, 1e-3)
-    check(failures, "binary_kl", binary_kl(eps_k, 1 - eps_k), 1.998, 0.005)
     bound = burn_in_lower_bound(BurnInParams(epsilon=0.2, delta=0.01, gap=0.2, k=8))
+    check(failures, "binary_kl", bound.binary_kl, 1.998, 0.005)
     check(failures, "burn-in cycles", bound.cycles, 0.347, 0.005)
     record(4, "burn-in lower bound", failures)
 

@@ -5,41 +5,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mechcert.misspec import (
-    BurnInParams,
-    binary_kl,
-    burn_in_lower_bound,
-    effective_prior_weight,
-)
+from mechcert.misspec import BurnInParams, burn_in_lower_bound, effective_prior_weight
 
 
 class TestBinaryKL:
-    def test_running_example(self):
-        assert binary_kl(0.083, 0.917) == pytest.approx(2.0, abs=0.01)
-        # unrounded effective weight 1/12
-        assert binary_kl(1 / 12, 11 / 12) == pytest.approx(1.998, abs=0.005)
+    """kl(eps_k, 1 - eps_k), as burn_in_lower_bound reports it."""
 
-    def test_zero_at_equal(self):
-        assert binary_kl(0.37, 0.37) == 0.0
+    def test_running_example(self):
+        # epsilon = 0.2 spreads to the effective weight 1/12, which rounds to 0.083
+        result = burn_in_lower_bound(BurnInParams(epsilon=0.2, delta=0.01, gap=0.2, k=8))
+        assert result.binary_kl == pytest.approx(1.998, abs=0.005)
 
     def test_symmetric_case(self):
-        assert binary_kl(0.0732, 0.9268) == pytest.approx(2.168, abs=0.005)
-        # symmetric arguments collapse to (1 - 2p) ln((1-p)/p)
-        p = 0.0732
-        assert binary_kl(p, 1 - p) == pytest.approx(
-            (1 - 2 * p) * math.log((1 - p) / p), rel=1e-12)
-
-    def test_endpoints_rejected(self):
-        for p, q in [(0.0, 0.5), (1.0, 0.5), (0.5, 0.0), (0.5, 1.0)]:
-            with pytest.raises(ValueError):
-                binary_kl(p, q)
-
-    def test_roundoff_never_reads_below_zero(self):
-        assert binary_kl(1e-06, 1.0000000000000002e-06) >= 0.0
-
-    @given(st.floats(1e-6, 1 - 1e-6), st.floats(1e-6, 1 - 1e-6))
-    def test_nonnegative(self, p, q):
-        assert binary_kl(p, q) >= 0.0
+        # symmetric arguments collapse to (1 - 2p) ln((1-p)/p); epsilon = 0.15 spreads to 0.0732
+        result = burn_in_lower_bound(BurnInParams(epsilon=0.15, delta=0.01, gap=0.2, k=8))
+        p = result.effective_prior_weight
+        assert result.binary_kl == pytest.approx(2.168, abs=0.005)
+        assert result.binary_kl == pytest.approx((1 - 2 * p) * math.log((1 - p) / p), rel=1e-12)
 
 
 class TestEffectiveWeight:
@@ -71,10 +53,6 @@ class TestBurnInBound:
         # epsilon = 0.2 > delta = 0.01 sits outside the proposition's premise
         assert params.assumption_violated
         assert result.effective_prior_weight == effective_prior_weight(0.2, 8)
-        # unrounded effective weight 1/12
-        assert result.binary_kl == pytest.approx(1.998, abs=0.005)
-        eps_k = result.effective_prior_weight
-        assert result.binary_kl == pytest.approx(binary_kl(eps_k, 1 - eps_k), rel=1e-15)
 
     def test_zero_gap(self):
         result = burn_in_lower_bound(BurnInParams(epsilon=0.2, delta=0.01, gap=0.0, k=8))

@@ -520,6 +520,26 @@ def test_closed_form_commands_run_without_site_packages(tmp_path, two_level_join
         assert (result.returncode, result.stderr) == (0, ""), argv
 
 
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_is_not_an_error(unbuffered):
+    """A reader that closes the pipe before mechcert writes, as `grep -q` may after
+    its match: exit 0 and nothing on stderr, whether stdout is buffered or not."""
+    import mechcert
+    src = str(Path(mechcert.__file__).resolve().parents[1])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run([sys.executable, "-m", "mechcert.cli", "burnin", "--eps",
+                                 "0.9999999998", "--delta", "1e-12", "--gap", "1", "--k", "2"],
+                                env={**os.environ, "PYTHONPATH": src,
+                                     "PYTHONUNBUFFERED": unbuffered},
+                                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (0, "")
+
+
 class TestShift:
     def test_retention_report(self, capsys):
         code, out, _ = run(capsys, "shift", "--r-train", "1.6", "--k", "8",

@@ -4,12 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from conftest import exact_beta_regret
 from mechcert import sim
 from mechcert.prior import DEFAULT_PRIOR_STRENGTH, solve_prior_for_r_mech
 from mechcert.sim import (
     BLOCK_SIZE,
-    P_BSA,
-    P_OPT,
     R_MECH_GRID,
     ExperimentConfig,
     _block_regrets,
@@ -396,179 +395,34 @@ class TestTables:
             assert len(mantissa) <= 6
 
 
-# Fixed before the first run: seed, trial count, and a tolerance of four
-# standard errors of the exact Bernoulli regret plus the quadrature error.
+# Fixed before the first run: seed, trial count, and a tolerance of four exact
+# standard errors of the mean plus the quadrature error that
+# test_quadrature_converges bounds.
 ORACLE_SEED = 0
 ORACLE_TRIALS = 20_000
-GAP = P_OPT - P_BSA
+QUADRATURE_ERROR = 1e-6
+ORACLE_HORIZONS = range(1, 7)
 
 
-def first_round_oracle(r_mech: float, strength: float, k: int = 8, points: int = 200_000):
-    """Exact expected regret of one round: (regret, quadrature error, P(correct pull)).
+class TestExactBetaRegret:
+    def test_uninformed_two_rounds(self):
+        # with the success/failure update swapped the value is 132223/115200
+        assert exact_beta_regret(0.0, 0.0, 2)[0][1] == pytest.approx(129857 / 115200, abs=1e-9)
 
-    The optimum is the recommended arm with probability beta and each
-    other arm with probability alpha. The encoding starts the recommended
-    arm at Beta(a, 1) and the others at Beta(1, b), so the first pull is
-    the recommended arm with probability q = int f_rec * F_other^(k-1)
-    and each other arm with probability (1 - q)/(k - 1). q is a midpoint
-    sum; its error is bounded by the change from points/2 to points.
-    """
-    beta = solve_prior_for_r_mech(k, r_mech).beta
-    alpha = (1 - beta) / (k - 1)
-    a = 1 + strength * k * (beta - 1 / k)
-    b = 1 + strength * k * (1 / k - alpha)
+    def test_quadrature_converges(self):
+        # r = 0.3 has the least smooth integrand: B - 1 is about 0.72 at strength 2
+        coarse = exact_beta_regret(0.3, DEFAULT_PRIOR_STRENGTH, 6)[0]
+        fine = exact_beta_regret(0.3, DEFAULT_PRIOR_STRENGTH, 6, nodes=256)[0]
+        assert np.max(np.abs(np.subtract(coarse, fine))) <= QUADRATURE_ERROR
 
-    def q(m):
-        x = (np.arange(m) + 0.5) / m
-        f_rec = np.exp(math.lgamma(a + 1) - math.lgamma(a) + (a - 1) * np.log(x))
-        f_other_cdf = 1 - (1 - x) ** b
-        return float(np.mean(f_rec * f_other_cdf ** (k - 1)))
-
-    q_fine = q(points)
-    p_correct = beta * q_fine + (1 - beta) * (1 - q_fine) / (k - 1)
-    return GAP * (1 - p_correct), GAP * abs(q_fine - q(points // 2)), p_correct
-
-
-class TestExactOracle:
-    def test_oracle_values(self):
-        # the exact one-round regrets of Table 1's hybrid prior, to five decimals
-        for r_mech, value in zip(R_MECH_GRID, (0.56875, 0.42186, 0.24177, 0.10237, 0.02405)):
-            assert first_round_oracle(r_mech, 2.0)[0] == pytest.approx(value, abs=5e-6)
-            uninformed, quad_err, _ = first_round_oracle(r_mech, 0.0)
-            assert abs(uninformed - GAP * 7 / 8) <= quad_err
-
-    # at strength 5 the recommended arm's gamma shape reaches about 35
-    @pytest.mark.parametrize("algorithm,strength", [
-        ("hybrid", DEFAULT_PRIOR_STRENGTH), ("hybrid", 5.0), ("uninformed", 0.0),
-    ], ids=["hybrid", "hybrid-strength-5", "uninformed"])
-    def test_one_round_regret_matches_oracle(self, algorithm, strength):
+    # at strength 5 the recommended arm's first shape reaches about 35
+    @pytest.mark.parametrize("strength", [DEFAULT_PRIOR_STRENGTH, 5.0, 0.0],
+                             ids=["hybrid", "hybrid-strength-5", "uninformed"])
+    def test_regret_curves_match_oracle(self, strength):
         config = ExperimentConfig(trials=ORACLE_TRIALS, seed=ORACLE_SEED, prior_strength=strength)
-        for r_mech in R_MECH_GRID:
-            exact, quad_err, p = first_round_oracle(r_mech, strength)
-            tol = 4 * GAP * math.sqrt(p * (1 - p) / ORACLE_TRIALS) + quad_err
-            got = run_monte_carlo(config, algorithm, r_mech, n=1).mean
-            assert abs(got - exact) <= tol, (r_mech, got, exact, tol)
-
-
-# Fixed before the first run, like the n = 1 oracle's: seed, trial count,
-# and a tolerance of four exact standard errors of the mean.
-ORACLE2_TRIALS = 50_000
-
-
-def second_round_oracle(k: int = 8):
-    """Exact mean and standard deviation of uninformed Thompson regret at n = 2.
-
-    The first pull is uniform. Against k - 1 Beta(1, 1) arms, the second
-    round picks the pulled arm with probability 2/(k+1) after a success
-    (Beta(2, 1)) and 2/(k(k+1)) after a failure (Beta(1, 2)), and each
-    other arm with an equal share of the rest. The uninformed policy is
-    blind to where the optimum sits, so the value holds at every r_mech.
-    """
-    win, loss = 2 / (k + 1), 2 / (k * (k + 1))
-    # P(second pull optimal | first pull optimal), and | first pull not optimal
-    after_opt = P_OPT * win + (1 - P_OPT) * loss
-    after_sub = (P_BSA * (1 - win) + (1 - P_BSA) * (1 - loss)) / (k - 1)
-    miss1 = (k - 1) / k
-    miss2 = 1 - (after_opt / k + miss1 * after_sub)
-    both = miss1 * (1 - after_sub)
-    var = miss1 + miss2 + 2 * both - (miss1 + miss2) ** 2
-    return GAP * (miss1 + miss2), GAP * math.sqrt(var)
-
-
-class TestSecondRoundOracle:
-    def test_oracle_value(self):
-        # 129857/115200; the value with the alpha/beta update swapped is 132223/115200
-        assert second_round_oracle()[0] == pytest.approx(129857 / 115200, abs=1e-12)
-
-    def test_two_round_regret_matches_oracle(self):
-        config = ExperimentConfig(trials=ORACLE2_TRIALS, seed=ORACLE_SEED)
-        exact, sd = second_round_oracle()
-        tol = 4 * sd / math.sqrt(ORACLE2_TRIALS)
-        for r_mech in R_MECH_GRID:
-            got = run_monte_carlo(config, "uninformed", r_mech, n=2).mean
-            assert abs(got - exact) <= tol, (r_mech, got, exact, tol)
-
-
-def hybrid_second_round_oracle(r_mech: float, strength: float, k: int = 8,
-                               points: int = 200_000):
-    """Exact mean and standard deviation of hybrid Thompson regret at n = 2, and
-    the quadrature error of the mean.
-
-    The recommended arm starts at Beta(a, 1) and the others at Beta(1, b),
-    as in `first_round_oracle`. The branches are the optimum's position
-    (the recommended arm with probability beta, another arm otherwise),
-    the first pull (the recommended arm, the optimum, or another arm) and
-    its outcome; one success or failure moves the pulled arm to
-    Beta(a + 1, 1) or Beta(a, 2) when it is the recommended arm and to
-    Beta(2, b) or Beta(1, b + 1) otherwise. In each branch the second
-    pull's law is one more quadrature, P(arm wins) = int pdf * prod(rival
-    CDFs), and every arm that shares a law with another has an equal share.
-    """
-    beta = solve_prior_for_r_mech(k, r_mech).beta
-    a = 1 + strength * k * (beta - 1 / k)
-    b = 1 + strength * k * (1 / k - (1 - beta) / (k - 1))
-
-    def moments(m):
-        x = (np.arange(m) + 0.5) / m
-        y = 1 - x
-        law = {  # (density, CDF) on the midpoints
-            "rec": (a * x ** (a - 1), x ** a),
-            "rec+": ((a + 1) * x ** a, x ** (a + 1)),
-            "rec-": (a * (a + 1) * x ** (a - 1) * y, x ** a * (a + 1 - a * x)),
-            "arm": (b * y ** (b - 1), 1 - y ** b),
-            "arm+": (b * (b + 1) * x * y ** (b - 1), 1 - y ** b * (1 + b * x)),
-            "arm-": ((b + 1) * y ** b, 1 - y ** (b + 1)),
-        }
-
-        def wins(arm, rivals):
-            return float(np.mean(law[arm][0] * np.prod([law[r][1] for r in rivals], axis=0)))
-
-        q = wins("rec", ["arm"] * (k - 1))  # first pull is the recommended arm
-        branches = []  # (probability, first pull missed, P(second pull misses))
-        for outcome in "+-":
-            rec2 = wins("rec" + outcome, ["arm"] * (k - 1))
-            # the first pull was arm j != recommended; j and the recommended arm then
-            # win the second round with these probabilities, any other arm with `rest`
-            j2 = wins("arm" + outcome, ["rec"] + ["arm"] * (k - 2))
-            rec2_j = wins("rec", ["arm" + outcome] + ["arm"] * (k - 2))
-            rest = (1 - j2 - rec2_j) / (k - 2)
-            p_opt = P_OPT if outcome == "+" else 1 - P_OPT
-            p_bsa = P_BSA if outcome == "+" else 1 - P_BSA
-            branches += [
-                # optimum is the recommended arm
-                (beta * q * p_opt, 0, 1 - rec2),
-                (beta * (1 - q) * p_bsa, 1, 1 - rec2_j),
-                # optimum is another arm o
-                ((1 - beta) * q * p_bsa, 1, 1 - (1 - rec2) / (k - 1)),
-                ((1 - beta) * (1 - q) / (k - 1) * p_opt, 0, 1 - j2),
-                ((1 - beta) * (1 - q) * (k - 2) / (k - 1) * p_bsa, 1, 1 - rest),
-            ]
-        mean = sum(p * (m1 + m2) for p, m1, m2 in branches)
-        square = sum(p * (m1 + m2 + 2 * m1 * m2) for p, m1, m2 in branches)
-        return mean, square
-
-    mean, square = moments(points)
-    return (GAP * mean, GAP * math.sqrt(square - mean ** 2),
-            GAP * abs(mean - moments(points // 2)[0]))
-
-
-# Fixed before the first run, like the uninformed n = 2 oracle's: ORACLE_SEED,
-# ORACLE2_TRIALS, and a tolerance of four exact standard errors of the mean
-# plus the quadrature error.
-class TestHybridSecondRoundOracle:
-    def test_oracle_reduces_to_uninformed(self):
-        # at strength 0 every law is polynomial and the uninformed value is exact
-        exact, sd = second_round_oracle()
-        for r_mech in R_MECH_GRID:
-            mean, oracle_sd, quad_err = hybrid_second_round_oracle(r_mech, 0.0)
-            assert mean == pytest.approx(exact, abs=1e-9 + quad_err)
-            assert oracle_sd == pytest.approx(sd, abs=1e-6)
-
-    def test_two_round_regret_matches_oracle(self):
-        config = ExperimentConfig(trials=ORACLE2_TRIALS, seed=ORACLE_SEED)
-        curves = regret_curves(config, R_MECH_GRID, (2,))
-        for r_mech, regrets in zip(R_MECH_GRID, curves[:, :, 0]):
-            exact, sd, quad_err = hybrid_second_round_oracle(r_mech, config.prior_strength)
-            tol = 4 * sd / math.sqrt(ORACLE2_TRIALS) + quad_err
-            got = float(np.mean(regrets))
-            assert abs(got - exact) <= tol, (r_mech, got, exact, tol)
+        curves = regret_curves(config, R_MECH_GRID, ORACLE_HORIZONS)
+        for r_mech, regrets in zip(R_MECH_GRID, curves):
+            exact, sd = np.array(exact_beta_regret(r_mech, strength, max(ORACLE_HORIZONS)))
+            tol = 4 * sd / math.sqrt(ORACLE_TRIALS) + QUADRATURE_ERROR
+            got = regrets.mean(axis=0)
+            assert np.all(np.abs(got - exact) <= tol), (r_mech, got, exact, tol)
