@@ -9,6 +9,8 @@ from mechcert import sim
 from mechcert.prior import DEFAULT_PRIOR_STRENGTH, solve_prior_for_r_mech
 from mechcert.sim import (
     BLOCK_SIZE,
+    P_BSA,
+    P_OPT,
     R_MECH_GRID,
     ExperimentConfig,
     _block_regrets,
@@ -404,11 +406,67 @@ QUADRATURE_ERROR = 1e-6
 ORACLE_HORIZONS = range(1, 7)
 
 
-class TestExactBetaRegret:
-    def test_uninformed_two_rounds(self):
+GAP = P_OPT - P_BSA
+
+
+class TestExactOracle:
+    def test_oracle_values(self):
+        # the exact one-round regrets of Table 1's hybrid prior, to five decimals
+        for r_mech, value in zip(R_MECH_GRID, (0.56875, 0.42186, 0.24177, 0.10237, 0.02405)):
+            assert exact_beta_regret(r_mech, 2.0, 1)[0][0] == pytest.approx(value, abs=5e-6)
+            uninformed = exact_beta_regret(r_mech, 0.0, 1)[0][0]
+            assert uninformed == pytest.approx(GAP * 7 / 8, abs=QUADRATURE_ERROR)
+
+    # at strength 5 the recommended arm's first shape reaches about 35
+    @pytest.mark.parametrize("algorithm,strength", [
+        ("hybrid", DEFAULT_PRIOR_STRENGTH), ("hybrid", 5.0), ("uninformed", 0.0),
+    ], ids=["hybrid", "hybrid-strength-5", "uninformed"])
+    def test_one_round_regret_matches_oracle(self, algorithm, strength):
+        config = ExperimentConfig(trials=ORACLE_TRIALS, seed=ORACLE_SEED, prior_strength=strength)
+        for r_mech in R_MECH_GRID:
+            (exact,), (sd,) = exact_beta_regret(r_mech, strength, 1)
+            tol = 4 * sd / math.sqrt(ORACLE_TRIALS) + QUADRATURE_ERROR
+            got = run_monte_carlo(config, algorithm, r_mech, n=1).mean
+            assert abs(got - exact) <= tol, (r_mech, got, exact, tol)
+
+
+# The round-2 checks keep their own trial count, fixed before their first run.
+ORACLE2_TRIALS = 50_000
+
+
+class TestSecondRoundOracle:
+    def test_oracle_value(self):
         # with the success/failure update swapped the value is 132223/115200
         assert exact_beta_regret(0.0, 0.0, 2)[0][1] == pytest.approx(129857 / 115200, abs=1e-9)
 
+    def test_two_round_regret_matches_oracle(self):
+        config = ExperimentConfig(trials=ORACLE2_TRIALS, seed=ORACLE_SEED)
+        for r_mech in R_MECH_GRID:
+            (_, exact), (_, sd) = exact_beta_regret(r_mech, 0.0, 2)
+            tol = 4 * sd / math.sqrt(ORACLE2_TRIALS) + QUADRATURE_ERROR
+            got = run_monte_carlo(config, "uninformed", r_mech, n=2).mean
+            assert abs(got - exact) <= tol, (r_mech, got, exact, tol)
+
+
+class TestHybridSecondRoundOracle:
+    def test_oracle_reduces_to_uninformed(self):
+        # at strength 0 the policy is blind to where the optimum sits, so the
+        # law of the regret is the same at every r_mech
+        uninformed = exact_beta_regret(0.0, 0.0, 2)
+        for r_mech in R_MECH_GRID:
+            assert np.allclose(exact_beta_regret(r_mech, 0.0, 2), uninformed, rtol=0, atol=1e-9)
+
+    def test_two_round_regret_matches_oracle(self):
+        config = ExperimentConfig(trials=ORACLE2_TRIALS, seed=ORACLE_SEED)
+        curves = regret_curves(config, R_MECH_GRID, (2,))
+        for r_mech, regrets in zip(R_MECH_GRID, curves[:, :, 0]):
+            (_, exact), (_, sd) = exact_beta_regret(r_mech, config.prior_strength, 2)
+            tol = 4 * sd / math.sqrt(ORACLE2_TRIALS) + QUADRATURE_ERROR
+            got = float(np.mean(regrets))
+            assert abs(got - exact) <= tol, (r_mech, got, exact, tol)
+
+
+class TestExactBetaRegret:
     def test_quadrature_converges(self):
         # r = 0.3 has the least smooth integrand: B - 1 is about 0.72 at strength 2
         coarse = exact_beta_regret(0.3, DEFAULT_PRIOR_STRENGTH, 6)[0]
