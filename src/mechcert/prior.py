@@ -26,11 +26,7 @@ def _entropy(p) -> float:
 
 
 class TwoLevelPrior(checked_record("TwoLevelPrior", "k beta")):
-    """Mass beta on the recommended arm, alpha on each of the others.
-
-    The recommended arm is arm 0; the simulation rotates the weights to
-    each trial's recommended arm.
-    """
+    """Mass beta on the recommended arm (arm 0 in `weights`), alpha on each of the others."""
 
     __slots__ = ()
 
@@ -48,6 +44,18 @@ class TwoLevelPrior(checked_record("TwoLevelPrior", "k beta")):
 
     def entropy(self) -> float:
         return two_level_entropy(self.k, self.beta)
+
+    def pseudo_counts(self, strength: float) -> tuple[tuple[float, float], tuple[float, float]]:
+        """Beta pseudo-counts (alpha, beta) of the recommended arm, then of every other arm.
+
+        Weight w maps to (1 + s*k*max(w - 1/k, 0), 1 + s*k*max(1/k - w, 0)): Beta(1, 1)
+        at the uniform prior or s = 0, so uninformed Thompson sampling is this
+        encoding at level 0. Above 1/k the recommended arm's pair is (A, 1) and the
+        others' (1, B); a beta just below 1/k, which the domain check allows, swaps them.
+        """
+        scale, uniform = strength * self.k, 1.0 / self.k
+        return tuple((1.0 + scale * max(w - uniform, 0.0), 1.0 + scale * max(uniform - w, 0.0))
+                     for w in (self.beta, self.alpha))
 
 
 def two_level_entropy(k: int, beta: float) -> float:

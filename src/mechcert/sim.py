@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .certificates import checked_record, ratio, residual_entropy, sample_complexity_ratio, whole
-from .prior import DEFAULT_PRIOR_STRENGTH, TwoLevelPrior, solve_prior_for_r_mech
+from .prior import DEFAULT_PRIOR_STRENGTH, solve_prior_for_r_mech
 
 # Two-sided normal quantile for a 96% confidence interval.
 Z_96 = 2.0537
@@ -64,18 +64,6 @@ def build_environment(k: int, optimal: int, p_opt: float, p_bsa: float) -> np.nd
     if whole("optimal", optimal, 0) >= k:
         raise ValueError(f"optimal arm {optimal} outside [0, {k})")
     return np.where(np.arange(k) == optimal, p_opt, p_bsa)
-
-
-def hybrid_policy(prior: TwoLevelPrior, strength: float) -> tuple:
-    """Encode the two-level prior as Beta pseudo-counts (alpha0, beta0).
-
-    Arm j starts at Beta(1 + s*k*max(w_j - 1/k, 0), 1 + s*k*max(1/k - w_j, 0)),
-    which is exactly Beta(1, 1) everywhere for the uniform prior (level 0)
-    or s = 0: uninformed Thompson sampling is this encoding at level 0.
-    """
-    k = prior.k
-    tilt = np.asarray(prior.weights()) - 1.0 / k
-    return 1.0 + strength * k * np.maximum(tilt, 0.0), 1.0 + strength * k * np.maximum(-tilt, 0.0)
 
 
 def _thompson_rounds(alpha: np.ndarray, beta: np.ndarray, means: np.ndarray, n: int,
@@ -145,22 +133,24 @@ def _block_regrets(seed: int, strength: float, priors, horizons, block: int) -> 
     one uniform per trial that sets its recommended arm at an offset drawn
     from each prior (centred on arm 0): the same joint law as drawing the
     recommendation first. Both draws serve every prior, and each prior's
-    Thompson rounds restart the policy stream from its key.
+    Thompson rounds restart the policy stream from its key. A trial's
+    recommended arm starts at the prior's recommended pseudo-counts, the
+    other arms at the rest's.
     """
     env_seq, policy_seq = np.random.SeedSequence(entropy=seed, spawn_key=(block,)).spawn(2)
     env_rng = np.random.Generator(np.random.SFC64(env_seq))
     optimal = env_rng.integers(K, size=BLOCK_SIZE)
     uniforms = env_rng.random(BLOCK_SIZE)
-    means = np.where(np.arange(K) == optimal[:, None], P_OPT, P_BSA)
+    arms = np.arange(K)
+    means = np.where(arms == optimal[:, None], P_OPT, P_BSA)
     parts = []
     for prior in priors:
         offset = np.searchsorted(np.cumsum(prior.weights()), uniforms, side="right")
         recommended = (optimal - np.minimum(offset, K - 1)) % K
-        alpha0, beta0 = hybrid_policy(prior, strength)
-        # row i takes the arm-0-centred pseudo-counts rotated to its recommended arm
-        rotation = (np.arange(K) - recommended[:, None]) % K
+        rec, rest = np.array(prior.pseudo_counts(strength))[..., None, None]
+        alpha0, beta0 = np.where(arms == recommended[:, None], rec, rest)
         policy_rng = np.random.Generator(np.random.SFC64(policy_seq))
-        parts.append(_thompson_rounds(alpha0[rotation], beta0[rotation], means,
+        parts.append(_thompson_rounds(alpha0, beta0, means,
                                       max(horizons), policy_rng)[:, list(horizons)])
     return np.stack(parts)
 

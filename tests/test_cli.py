@@ -175,13 +175,27 @@ class TestSimulate:
             "--out", str(b))
         assert (a / "table1.csv").read_bytes() == (b / "table1.csv").read_bytes()
 
-    def test_workers_do_not_change_output(self, capsys, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        run(capsys, "simulate", "--table", "1", "--trials", "60", "--seed", "5",
-            "--out", str(a))
-        run(capsys, "simulate", "--table", "1", "--trials", "60", "--seed", "5",
-            "--workers", "2", "--out", str(b))
-        assert (a / "table1.csv").read_bytes() == (b / "table1.csv").read_bytes()
+    # 300 trials are two blocks, so two workers start one pool whatever the CPU count
+    @pytest.mark.parametrize("table", ["1", "2"])
+    def test_workers_do_not_change_output(self, capsys, tmp_path, monkeypatch, table):
+        import concurrent.futures
+
+        started = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        csv = f"table{table}.csv"
+        for workers, out in (("1", tmp_path / "a"), ("2", tmp_path / "b")):
+            code, _, _ = run(capsys, "simulate", "--table", table, "--trials", "300",
+                             "--seed", "5", "--workers", workers, "--out", str(out))
+            assert code == 0
+        assert started == [2]
+        assert (tmp_path / "a" / csv).read_bytes() == (tmp_path / "b" / csv).read_bytes()
 
     # the largest strength whose pseudo-counts s * K stay finite: each arm's
     # pair has at most one shape near 1e308, so G_a + G_b cannot overflow

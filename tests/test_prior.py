@@ -109,6 +109,35 @@ class TestTwoLevelPrior:
             TwoLevelPrior(k=8, beta=0.05)
 
 
+FLAT = ((1.0, 1.0), (1.0, 1.0))
+
+
+class TestPseudoCounts:
+    def test_uniform_prior_is_flat(self):
+        assert solve_prior_for_r_mech(8, 0.0).pseudo_counts(2.0) == FLAT
+
+    def test_informative_prior_tilts(self):
+        (a_rec, b_rec), (a_rest, b_rest) = solve_prior_for_r_mech(8, 1.9).pseudo_counts(2.0)
+        assert a_rec > 1.0
+        assert b_rec == 1.0
+        assert a_rest == 1.0
+        assert b_rest > 1.0
+
+    def test_zero_strength_is_uninformed(self):
+        for r_mech in (0.0, 1.9, math.log(8)):
+            assert solve_prior_for_r_mech(8, r_mech).pseudo_counts(0.0) == FLAT
+
+    def test_shapes_swap_just_below_uniform(self):
+        # the domain check lets beta sit 1e-12 below 1/k: the recommended arm's
+        # second shape and the others' first shape then exceed 1, by s*k*1e-12
+        # and s*k*1e-12/(k - 1)
+        (a_rec, b_rec), (a_rest, b_rest) = TwoLevelPrior(8, 1 / 8 - 1e-12).pseudo_counts(2.0)
+        assert a_rec == 1.0
+        assert b_rec - 1.0 == pytest.approx(16e-12, rel=1e-2)
+        assert a_rest - 1.0 == pytest.approx(16e-12 / 7, rel=1e-2)
+        assert b_rest == 1.0
+
+
 class TestJointDistribution:
     def test_validation(self):
         with pytest.raises(ValueError):

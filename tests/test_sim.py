@@ -6,7 +6,7 @@ import pytest
 
 from conftest import exact_beta_regret
 from mechcert import sim
-from mechcert.prior import DEFAULT_PRIOR_STRENGTH, solve_prior_for_r_mech
+from mechcert.prior import DEFAULT_PRIOR_STRENGTH, TwoLevelPrior, solve_prior_for_r_mech
 from mechcert.sim import (
     BLOCK_SIZE,
     P_BSA,
@@ -15,7 +15,6 @@ from mechcert.sim import (
     ExperimentConfig,
     _block_regrets,
     build_environment,
-    hybrid_policy,
     regret_curves,
     run_monte_carlo,
     run_trial,
@@ -25,7 +24,7 @@ from mechcert.sim import (
 from mechcert.certificates import write_csv
 
 FAST = ExperimentConfig(trials=400, seed=42)
-UNINFORMED = hybrid_policy(solve_prior_for_r_mech(8, 0.0), strength=0.0)
+UNINFORMED = (np.ones(8), np.ones(8))
 
 
 class TestEnvironment:
@@ -69,26 +68,6 @@ class TestRunTrial:
         for _ in range(50):
             r = run_trial(UNINFORMED, env, 12, rng)
             assert 0.0 <= r <= 12 * 0.65 + 1e-12
-
-
-class TestHybridEncoding:
-    def test_uniform_prior_is_flat(self):
-        alpha0, beta0 = hybrid_policy(solve_prior_for_r_mech(8, 0.0), strength=2.0)
-        assert np.array_equal(alpha0, np.ones(8))
-        assert np.array_equal(beta0, np.ones(8))
-
-    def test_informative_prior_tilts(self):
-        alpha0, beta0 = hybrid_policy(solve_prior_for_r_mech(8, 1.9), strength=2.0)
-        assert alpha0[0] > 1.0
-        assert beta0[0] == 1.0
-        assert np.all(alpha0[1:] == 1.0)
-        assert np.all(beta0[1:] > 1.0)
-
-    def test_zero_strength_is_uninformed(self):
-        for r_mech in (0.0, 1.9, math.log(8)):
-            alpha0, beta0 = hybrid_policy(solve_prior_for_r_mech(8, r_mech), strength=0.0)
-            assert np.array_equal(alpha0, np.ones(8))
-            assert np.array_equal(beta0, np.ones(8))
 
 
 class TestMonteCarlo:
@@ -177,6 +156,21 @@ class TestMonteCarlo:
         for r_mech, got in zip(R_MECH_GRID, _block_regrets(7, 0.0, every_level, (1, 12, 200),
                                                            block)):
             assert np.array_equal(got, flat), r_mech
+
+    # One block of six priors, pinned: the five Table 1 levels and a beta 1e-12
+    # below 1/8, where the recommended arm's and the others' shapes swap roles.
+    # A new value here is a declared stream change, as in test_stream_pinned.
+    @pytest.mark.parametrize("strength,digest", [
+        (0.0, "9f3ed2e53359fe81aed47f89c93a488d2ca9d745b6b9d8d6ecce5f5f12d77ed8"),
+        (5.0, "cdf03ba04918872ef94280cf9bacbfb9ebfa152a0afd4b265e514d62e4f009ec"),
+        (2e307, "276085b356e4af3d3ca1f0e24a349d6c450dfa1adf50831679c31a5b598966b9"),
+    ])
+    def test_block_pinned(self, strength, digest):
+        priors = tuple(solve_prior_for_r_mech(8, r) for r in R_MECH_GRID)
+        got = _block_regrets(7, strength, priors + (TwoLevelPrior(8, 1 / 8 - 1e-12),),
+                             (1, 12, 200), 0)
+        assert got.shape == (6, BLOCK_SIZE, 3)
+        assert hashlib.sha256(got.tobytes()).hexdigest() == digest
 
     def test_blocks_and_streams_are_distinct(self, monkeypatch):
         # each stream is seeded from its own spawned SeedSequence, not from the
@@ -403,7 +397,6 @@ class TestTables:
 ORACLE_SEED = 0
 ORACLE_TRIALS = 20_000
 QUADRATURE_ERROR = 1e-6
-ORACLE_HORIZONS = range(1, 7)
 
 
 GAP = P_OPT - P_BSA
@@ -473,14 +466,20 @@ class TestExactBetaRegret:
         fine = exact_beta_regret(0.3, DEFAULT_PRIOR_STRENGTH, 6, nodes=256)[0]
         assert np.max(np.abs(np.subtract(coarse, fine))) <= QUADRATURE_ERROR
 
-    # at strength 5 the recommended arm's first shape reaches about 35
-    @pytest.mark.parametrize("strength", [DEFAULT_PRIOR_STRENGTH, 5.0, 0.0],
-                             ids=["hybrid", "hybrid-strength-5", "uninformed"])
-    def test_regret_curves_match_oracle(self, strength):
+    def test_oracle_values_at_horizon_8(self):
+        for r_mech, value in zip(R_MECH_GRID, (4.18805, 3.19567, 1.91687, 0.84095, 0.21698)):
+            assert exact_beta_regret(r_mech, 2.0, 8)[0][-1] == pytest.approx(value, abs=5e-6)
+
+    # Table 1's strengths reach horizon 8; at strength 5 the recommended arm's
+    # first shape reaches about 35
+    @pytest.mark.parametrize("strength,horizon", [
+        (DEFAULT_PRIOR_STRENGTH, 8), (5.0, 6), (0.0, 8),
+    ], ids=["hybrid", "hybrid-strength-5", "uninformed"])
+    def test_regret_curves_match_oracle(self, strength, horizon):
         config = ExperimentConfig(trials=ORACLE_TRIALS, seed=ORACLE_SEED, prior_strength=strength)
-        curves = regret_curves(config, R_MECH_GRID, ORACLE_HORIZONS)
+        curves = regret_curves(config, R_MECH_GRID, range(1, horizon + 1))
         for r_mech, regrets in zip(R_MECH_GRID, curves):
-            exact, sd = np.array(exact_beta_regret(r_mech, strength, max(ORACLE_HORIZONS)))
+            exact, sd = np.array(exact_beta_regret(r_mech, strength, horizon))
             tol = 4 * sd / math.sqrt(ORACLE_TRIALS) + QUADRATURE_ERROR
             got = regrets.mean(axis=0)
             assert np.all(np.abs(got - exact) <= tol), (r_mech, got, exact, tol)
