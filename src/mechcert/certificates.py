@@ -6,7 +6,8 @@ left for the learner, the critical bias threshold, and the regret
 envelopes. All entropies and information quantities are in nats.
 
 It also holds the record helpers the other modules share: the count rule
-`whole`, the `ratio` rule, `checked_record` and the table writer `write_csv`.
+`whole`, the real-number rule `real`, the `ratio` rule, `checked_record` and
+the table writer `write_csv`.
 """
 
 from __future__ import annotations
@@ -36,6 +37,15 @@ def whole(name: str, value, minimum: int) -> int:
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
     return value
+
+
+def real(name: str, value, lo: float, hi: float = math.inf, open: bool = False) -> float:
+    """The one rule for every real-valued input: a finite number in [lo, hi], or in
+    (lo, hi) when `open` is set, returned as given; otherwise ValueError."""
+    if math.isfinite(value) and (lo < value < hi if open else lo <= value <= hi):
+        return value
+    left, right = ("(", ")") if open else ("[", ")" if hi == math.inf else "]")
+    raise ValueError(f"{name} must lie in {left}{lo:g}, {hi:g}{right}, got {value}")
 
 
 def ratio(a: float, b: float | None) -> float:
@@ -82,25 +92,17 @@ class CalibrationParams(checked_record("CalibrationParams", "k n sigma kappa_mu 
     The prior entropy h_mu is the uniform-prior entropy ln k, and the
     residual variance sigma_f2 is derived from the fields, so `_replace`
     rederives both. Every count is an integer of at least its minimum
-    (k >= 2, n >= 1) and is stored as an int.
+    (k >= 2, n >= 1) and is stored as an int; sigma, kappa_mu and d_f lie
+    in (0, inf) and b_mu in [0, inf).
     """
 
     __slots__ = ()
 
     def __new__(cls, k: int, n: int, sigma: float, kappa_mu: float, d_f: float, b_mu: float):
-        k, n = whole("k", k, 2), whole("n", n, 1)
-        for name, value in zip(("sigma", "kappa_mu", "d_f", "b_mu"), (sigma, kappa_mu, d_f, b_mu)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if b_mu < 0:
-            raise ValueError(f"b_mu must be non-negative, got {b_mu}")
-        if sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {sigma}")
-        if kappa_mu <= 0:
-            raise ValueError(f"kappa_mu must be positive, got {kappa_mu}")
-        if d_f <= 0:
-            raise ValueError(f"d_f must be positive, got {d_f}")
-        self = super().__new__(cls, k, n, sigma, kappa_mu, d_f, b_mu)
+        self = super().__new__(cls, whole("k", k, 2), whole("n", n, 1),
+                               real("sigma", sigma, 0, open=True),
+                               real("kappa_mu", kappa_mu, 0, open=True),
+                               real("d_f", d_f, 0, open=True), real("b_mu", b_mu, 0))
         if not math.isfinite(self.sigma_f2):
             raise OverflowError(f"canonical sigma_f2 overflows: {self.sigma_f2}")
         return self
@@ -143,17 +145,14 @@ def channel_capacity(b_mu: float, p: CalibrationParams) -> float:
     (d_f/2) * ln(1 + kappa^2*sigma_f2 / (kappa^2*b_mu^2 + sigma^2));
     strictly decreasing in b_mu with limit 0.
     """
-    if b_mu < 0:
-        raise ValueError(f"b_mu must be non-negative, got {b_mu}")
+    b_mu = real("b_mu", b_mu, 0)
     snr = p.kappa_mu**2 * p.sigma_f2 / (p.kappa_mu**2 * b_mu**2 + p.sigma**2)
     return 0.5 * p.d_f * math.log1p(snr)
 
 
 def residual_entropy(h_mu: float, r_mech: float) -> float:
     """Entropy left after the model's information, clamped at zero."""
-    if h_mu < 0 or r_mech < 0:
-        raise ValueError("entropies must be non-negative")
-    return max(h_mu - r_mech, 0.0)
+    return max(real("h_mu", h_mu, 0) - real("r_mech", r_mech, 0), 0.0)
 
 
 def solve_bias_for_capacity(target: float, p: CalibrationParams) -> float | None:
@@ -162,9 +161,7 @@ def solve_bias_for_capacity(target: float, p: CalibrationParams) -> float | None
     Returns None when target > capacity at zero bias, i.e. no model,
     however unbiased, can transmit that much information.
     """
-    if not (math.isfinite(target) and target > 0):
-        raise ValueError(f"target must be positive and finite, got {target}")
-    denom = math.expm1(2.0 * target / p.d_f)
+    denom = math.expm1(2.0 * real("target", target, 0, open=True) / p.d_f)
     snr_ratio = (p.kappa_mu**2 * p.sigma_f2 / p.sigma**2) / denom
     if not math.isfinite(snr_ratio):
         raise OverflowError(f"capacity inversion overflows: ratio {snr_ratio}")
@@ -186,23 +183,19 @@ def critical_bias(p: CalibrationParams) -> float | None:
     return solve_bias_for_capacity(p.h_mu / p.n, p)
 
 
-def _check_envelope_args(k: int, n: int, h_mech: float) -> None:
-    whole("k", k, 2)
-    whole("n", n, 1)
-    if h_mech < 0:
-        raise ValueError(f"h_mech must be non-negative, got {h_mech}")
+def _envelope_radicand(k: int, n: int, h_mech: float) -> float:
+    """k*n*h_mech, each input checked by its rule."""
+    return whole("k", k, 2) * whole("n", n, 1) * real("h_mech", h_mech, 0)
 
 
 def lb_envelope(k: int, n: int, h_mech: float) -> float:
     """Lower regret envelope sqrt(k*n*h_mech / ln k), constant-free."""
-    _check_envelope_args(k, n, h_mech)
-    return math.sqrt(k * n * h_mech / math.log(k))
+    return math.sqrt(_envelope_radicand(k, n, h_mech) / math.log(k))
 
 
 def ub_envelope(k: int, n: int, h_mech: float) -> float:
     """Upper regret envelope sqrt(k*n*h_mech), constant-free."""
-    _check_envelope_args(k, n, h_mech)
-    return math.sqrt(k * n * h_mech)
+    return math.sqrt(_envelope_radicand(k, n, h_mech))
 
 
 def sample_complexity_ratio(h_mu: float, h_mech: float) -> float:
@@ -210,9 +203,8 @@ def sample_complexity_ratio(h_mu: float, h_mech: float) -> float:
 
     Returns math.inf when h_mech == 0 (fully identified optimum).
     """
-    if h_mech < 0 or h_mu < h_mech:
-        raise ValueError("require 0 <= h_mech <= h_mu")
-    return ratio(h_mu, h_mech)
+    h_mu = real("h_mu", h_mu, 0)
+    return ratio(h_mu, real("h_mech", h_mech, 0, h_mu))
 
 
 def certificate_report(p: CalibrationParams, target: float | None = None) -> CertificateReport:

@@ -17,7 +17,7 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-from .certificates import checked_record, whole
+from .certificates import checked_record, real, whole
 from .prior import JointDistribution, conditional_entropy, kl_divergence, mutual_information
 
 _MIN_ARMS = 12  # the retention guarantee is proved for k >= 12 only
@@ -30,13 +30,9 @@ class BurnInParams(checked_record("BurnInParams", "epsilon delta gap k")):
     __slots__ = ()
 
     def __new__(cls, epsilon: float, delta: float, gap: float, k: int):
-        if not 0 < epsilon < 1:
-            raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-        if not 0 < delta < 0.5:
-            raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
-        if not (math.isfinite(gap) and gap >= 0):
-            raise ValueError(f"gap must be finite and non-negative, got {gap}")
-        return super().__new__(cls, epsilon, delta, gap, whole("k", k, 2))
+        return super().__new__(cls, real("epsilon", epsilon, 0, 1, open=True),
+                               real("delta", delta, 0, 0.5, open=True), real("gap", gap, 0),
+                               whole("k", k, 2))
 
     @property
     def assumption_violated(self) -> bool:
@@ -52,9 +48,7 @@ class BurnInResult(NamedTuple):
 
 def effective_prior_weight(epsilon: float, k: int) -> float:
     """Prior weight on the optimum once spread across all k arms."""
-    if not 0 < epsilon < 1:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    k = whole("k", k, 2)
+    epsilon, k = real("epsilon", epsilon, 0, 1, open=True), whole("k", k, 2)
     return epsilon / (1.0 - epsilon + epsilon * k)
 
 
@@ -94,9 +88,7 @@ class ShiftReport(NamedTuple):
 
 def retention_threshold(r_train: float, k: int) -> float:
     """Largest KL shift under which half the information survives."""
-    if not (math.isfinite(r_train) and r_train >= 0):
-        raise ValueError(f"r_train must be finite and non-negative, got {r_train}")
-    k = whole("k", k, 2)
+    r_train, k = real("r_train", r_train, 0), whole("k", k, 2)
     return r_train**2 / (2.0 * k**2 * math.log(k) ** 2)
 
 
@@ -115,8 +107,7 @@ def check_retention(r_train: float, k: int, delta_pi: float) -> ShiftReport:
     within retention_threshold; the proof's worst case sits exactly at
     r_min, so the floor is part of the guarantee's premise.
     """
-    if not (math.isfinite(delta_pi) and delta_pi >= 0):
-        raise ValueError(f"delta_pi must be finite and non-negative, got {delta_pi}")
+    delta_pi = real("delta_pi", delta_pi, 0)
     threshold = retention_threshold(r_train, k)
     if k < _MIN_ARMS:
         retained = Retention.OUT_OF_SCOPE

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .certificates import checked_record, whole
+from .certificates import checked_record, real, whole
 
 # Pseudo-count scale for encoding the hybrid prior into Beta posteriors,
 # frozen after a one-time grid search over s in {1..40} against the
@@ -32,8 +32,8 @@ class TwoLevelPrior(checked_record("TwoLevelPrior", "k beta")):
 
     def __new__(cls, k: int, beta: float):
         k = whole("k", k, 2)
-        two_level_entropy(k, beta)  # it holds the one check that beta lies in [1/k, 1]
-        return super().__new__(cls, k, beta)
+        # the one check of beta; 1e-12 of slack at each end absorbs the roundoff of 1/k and 1
+        return super().__new__(cls, k, real("beta", beta, 1.0 / k - 1e-12, 1.0 + 1e-12))
 
     @property
     def alpha(self) -> float:
@@ -43,7 +43,8 @@ class TwoLevelPrior(checked_record("TwoLevelPrior", "k beta")):
         return (self.beta,) + (self.alpha,) * (self.k - 1)
 
     def entropy(self) -> float:
-        return two_level_entropy(self.k, self.beta)
+        """Entropy in nats; 0 at beta = 1."""
+        return 0.0 if self.beta >= 1.0 else _level_entropy(self.k, self.beta)
 
     def pseudo_counts(self, strength: float) -> tuple[tuple[float, float], tuple[float, float]]:
         """Beta pseudo-counts (alpha, beta) of the recommended arm, then of every other arm.
@@ -58,15 +59,15 @@ class TwoLevelPrior(checked_record("TwoLevelPrior", "k beta")):
                      for w in (self.beta, self.alpha))
 
 
-def two_level_entropy(k: int, beta: float) -> float:
-    """Entropy of the two-level prior, in nats; 0 at beta = 1."""
-    k = whole("k", k, 2)
-    if not 1.0 / k - 1e-12 <= beta <= 1.0 + 1e-12:
-        raise ValueError(f"beta must lie in [1/k, 1], got {beta}")
-    if beta >= 1.0:
-        return 0.0
+def _level_entropy(k: int, beta: float) -> float:
+    """The two-level entropy formula for beta < 1, unchecked."""
     rest = 1.0 - beta
     return -beta * math.log(beta) - rest * math.log(rest / (k - 1))
+
+
+def two_level_entropy(k: int, beta: float) -> float:
+    """Entropy of the two-level prior, in nats; k and beta are checked as a TwoLevelPrior's."""
+    return TwoLevelPrior(k, beta).entropy()
 
 
 def solve_prior_for_r_mech(k: int, r_mech: float) -> TwoLevelPrior:
@@ -78,8 +79,7 @@ def solve_prior_for_r_mech(k: int, r_mech: float) -> TwoLevelPrior:
     """
     k = whole("k", k, 2)
     h_max = math.log(k)
-    if not 0.0 <= r_mech <= h_max + 1e-12:
-        raise ValueError(f"r_mech must lie in [0, ln k] = [0, {h_max:.6g}], got {r_mech}")
+    r_mech = real("r_mech", r_mech, 0, h_max + 1e-12)
     if r_mech <= 0.0:
         return TwoLevelPrior(k=k, beta=1.0 / k)
     if r_mech >= h_max - 1e-15:
@@ -92,11 +92,12 @@ def _solve_beta(k: int, r_mech: float) -> float:
 
     Plain bisection; it stops when the midpoint is no longer strictly inside
     the bracket, that is when lo and hi are adjacent floats (about 55 steps).
+    The caller has checked k and r_mech, so each step evaluates the formula unchecked.
     """
     target = math.log(k) - r_mech
     lo, hi = 1.0 / k, 1.0 - 1e-15
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if two_level_entropy(k, mid) > target:
+        if _level_entropy(k, mid) > target:
             lo = mid
         else:
             hi = mid
@@ -113,13 +114,10 @@ class JointDistribution(checked_record("JointDistribution", "probs")):
     __slots__ = ()
 
     def __new__(cls, probs):
-        rows = tuple(tuple(float(x) for x in row) for row in probs)
+        rows = tuple(tuple(real("probs entry", float(x), 0) for x in row) for row in probs)
         if any(len(row) != len(rows) for row in rows):
             raise ValueError(f"probs must be a square matrix, got {len(rows)} rows of "
                              f"lengths {sorted({len(row) for row in rows})}")
-        bad = next((x for row in rows for x in row if not (math.isfinite(x) and x >= 0)), None)
-        if bad is not None:
-            raise ValueError(f"probabilities must be finite and non-negative, got {bad}")
         total = math.fsum(x for row in rows for x in row)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"probabilities must sum to 1, got {total}")

@@ -29,12 +29,14 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-from .certificates import checked_record, ratio, residual_entropy, sample_complexity_ratio, whole
+from .certificates import (checked_record, ratio, real, residual_entropy, sample_complexity_ratio,
+                           whole)
 from .prior import DEFAULT_PRIOR_STRENGTH, solve_prior_for_r_mech
 
 # Two-sided normal quantile for a 96% confidence interval.
@@ -105,12 +107,10 @@ class ExperimentConfig(checked_record("ExperimentConfig", "trials seed prior_str
 
     def __new__(cls, trials: int = 10_000, seed: int = 0,
                 prior_strength: float = DEFAULT_PRIOR_STRENGTH, workers: int = 1):
-        trials, seed = whole("trials", trials, 1), whole("seed", seed, 0)
-        # the pseudo-counts scale with strength * K, which must stay finite too
-        if not (math.isfinite(prior_strength * K) and prior_strength >= 0):
-            raise ValueError(f"prior_strength must be finite and non-negative, "
-                             f"got {prior_strength}")
-        return super().__new__(cls, trials, seed, prior_strength, whole("workers", workers, 1))
+        # the pseudo-counts scale with strength * K, so its bound keeps that product finite
+        return super().__new__(cls, whole("trials", trials, 1), whole("seed", seed, 0),
+                               real("prior_strength", prior_strength, 0, sys.float_info.max / K),
+                               whole("workers", workers, 1))
 
 
 class RegretSummary(NamedTuple):

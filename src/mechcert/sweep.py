@@ -16,7 +16,7 @@ import math
 from typing import NamedTuple
 
 from .certificates import (CalibrationParams, certificate_report, checked_record, critical_bias,
-                           ratio, whole)
+                           ratio, real, whole)
 
 # Axis range of each sweep parameter in a 2-D grid; the keys are the parameters.
 GRID_RANGES = {"sigma": (0.357, 0.50), "kappa_mu": (0.6, 3.0), "d_f": (2.0, 5.0),
@@ -64,8 +64,7 @@ def _cell(base: CalibrationParams, overrides: dict) -> CalibrationParams:
     values = {}
     for name, value in overrides.items():
         if name == "p_opt":
-            if not 0.0 < value < 1.0:
-                raise ValueError(f"p_opt must lie in (0, 1), got {value}")
+            value = real("p_opt", value, 0, 1, open=True)
             name, value = "sigma", math.sqrt(value * (1.0 - value))
         values[name] = value
     return base._replace(**values)
@@ -125,7 +124,7 @@ def sweep_2d(x_spec: SweepSpec, y_spec: SweepSpec) -> list[Sweep2DRow]:
     for spec in (x_spec, y_spec):
         if spec.parameter == "b_mu":
             for value in spec.values:
-                base._replace(b_mu=value)
+                real("b_mu", value, 0)
     solved = {}  # critical bias by the cell's values other than b_mu, which it never reads
     rows = []
     for x in x_spec.values:

@@ -1,5 +1,7 @@
 import math
 import pickle
+import re
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -20,7 +22,13 @@ from mechcert.certificates import (
     ub_envelope,
     write_csv,
 )
-from mechcert.misspec import BurnInParams, effective_prior_weight, r_min, retention_threshold
+from mechcert.misspec import (
+    BurnInParams,
+    check_retention,
+    effective_prior_weight,
+    r_min,
+    retention_threshold,
+)
 from mechcert.prior import (
     JointDistribution,
     TwoLevelPrior,
@@ -28,7 +36,7 @@ from mechcert.prior import (
     two_level_entropy,
 )
 from mechcert.sim import ExperimentConfig, build_environment, regret_curves, run_trial
-from mechcert.sweep import SweepSpec, linear_grid
+from mechcert.sweep import SweepSpec, grid_axis, linear_grid, sweep_1d, sweep_2d
 
 WORKING = CalibrationParams.canonical(k=8, n=12, sigma=0.40, kappa_mu=1.8,
                                       d_f=3.0, b_mu=0.22)
@@ -54,12 +62,6 @@ class TestCanonicalSigmaF2:
         # 2 * 0.25 * ln 4 / (1 * 2)
         p = CalibrationParams(k=4, n=12, sigma=0.5, kappa_mu=1.0, d_f=2.0, b_mu=0.22)
         assert p.sigma_f2 == pytest.approx(0.34657, abs=1e-5)
-
-    @pytest.mark.parametrize("sigma,kappa,d", [(0.0, 1.8, 3.0), (0.4, 0.0, 3.0), (0.4, 1.8, 0.0)])
-    def test_domain_errors(self, sigma, kappa, d):
-        name = ("sigma", "kappa_mu", "d_f")[(sigma, kappa, d).index(0.0)]
-        with pytest.raises(ValueError, match=f"{name} must be positive, got 0.0"):
-            CalibrationParams(k=8, n=12, sigma=sigma, kappa_mu=kappa, d_f=d, b_mu=0.22)
 
     @pytest.mark.parametrize("field,value", [("k", 16), ("sigma", 0.45), ("kappa_mu", 2.4),
                                              ("d_f", 4.0)])
@@ -352,15 +354,95 @@ def test_every_count_follows_one_rule(name, minimum, good, call):
     assert result == call(good) and type(result) is type(call(good))
 
 
-# each validated type: its valid fields, one bad field and the message it raises
+# entry point: (input name, its interval as the message prints it, the interval's lower
+# and upper bound, an accepted value, a call returning the stored value or the result)
+REAL_SITES = {
+    "CalibrationParams.sigma": ("sigma", "(0, inf)", 0.0, math.inf, 0.4,
+                                lambda v: _params(sigma=v).sigma),
+    "CalibrationParams.kappa_mu": ("kappa_mu", "(0, inf)", 0.0, math.inf, 1.8,
+                                   lambda v: _params(kappa_mu=v).kappa_mu),
+    "CalibrationParams.d_f": ("d_f", "(0, inf)", 0.0, math.inf, 3.0, lambda v: _params(d_f=v).d_f),
+    "CalibrationParams.b_mu": ("b_mu", "[0, inf)", 0.0, math.inf, 0.22,
+                               lambda v: _params(b_mu=v).b_mu),
+    "channel_capacity.b_mu": ("b_mu", "[0, inf)", 0.0, math.inf, 0.22,
+                              lambda v: channel_capacity(v, WORKING)),
+    "residual_entropy.h_mu": ("h_mu", "[0, inf)", 0.0, math.inf, 2.0,
+                              lambda v: residual_entropy(v, 0.5)),
+    "residual_entropy.r_mech": ("r_mech", "[0, inf)", 0.0, math.inf, 0.5,
+                                lambda v: residual_entropy(2.0, v)),
+    "solve_bias_for_capacity.target": ("target", "(0, inf)", 0.0, math.inf, 0.1,
+                                       lambda v: solve_bias_for_capacity(v, WORKING)),
+    "lb_envelope.h_mech": ("h_mech", "[0, inf)", 0.0, math.inf, 1.0,
+                           lambda v: lb_envelope(8, 12, v)),
+    "ub_envelope.h_mech": ("h_mech", "[0, inf)", 0.0, math.inf, 1.0,
+                           lambda v: ub_envelope(8, 12, v)),
+    "sample_complexity_ratio.h_mu": ("h_mu", "[0, inf)", 0.0, math.inf, 2.0,
+                                     lambda v: sample_complexity_ratio(v, 0.0)),
+    "sample_complexity_ratio.h_mech": ("h_mech", "[0, 2]", 0.0, 2.0, 1.0,
+                                       lambda v: sample_complexity_ratio(2.0, v)),
+    "BurnInParams.epsilon": ("epsilon", "(0, 1)", 0.0, 1.0, 0.2,
+                             lambda v: BurnInParams(v, 0.01, 0.2, 8).epsilon),
+    "BurnInParams.delta": ("delta", "(0, 0.5)", 0.0, 0.5, 0.01,
+                           lambda v: BurnInParams(0.2, v, 0.2, 8).delta),
+    "BurnInParams.gap": ("gap", "[0, inf)", 0.0, math.inf, 0.2,
+                         lambda v: BurnInParams(0.2, 0.01, v, 8).gap),
+    "effective_prior_weight.epsilon": ("epsilon", "(0, 1)", 0.0, 1.0, 0.2,
+                                       lambda v: effective_prior_weight(v, 8)),
+    "retention_threshold.r_train": ("r_train", "[0, inf)", 0.0, math.inf, 1.6,
+                                    lambda v: retention_threshold(v, 12)),
+    "check_retention.delta_pi": ("delta_pi", "[0, inf)", 0.0, math.inf, 0.005,
+                                 lambda v: check_retention(1.6, 12, v)),
+    # beta's bounds carry 1e-12 of slack at each end
+    "TwoLevelPrior.beta": ("beta", "[0.125, 1]", 1 / 8 - 1e-12, 1 + 1e-12, 0.5,
+                           lambda v: TwoLevelPrior(8, v).beta),
+    "two_level_entropy.beta": ("beta", "[0.125, 1]", 1 / 8 - 1e-12, 1 + 1e-12, 0.5,
+                               lambda v: two_level_entropy(8, v)),
+    "solve_prior_for_r_mech.r_mech": ("r_mech", "[0, 2.07944]", 0.0, math.log(8) + 1e-12, 1.9,
+                                      lambda v: solve_prior_for_r_mech(8, v).beta),
+    "JointDistribution.probs": ("probs entry", "[0, inf)", 0.0, math.inf, 0.2,
+                                lambda v: JointDistribution([[v, 0.5 - v], [0.25, 0.25]]).probs),
+    # strength * K must stay finite, and K = 8
+    "ExperimentConfig.prior_strength": ("prior_strength", "[0, 2.24712e+307]", 0.0,
+                                        sys.float_info.max / 8, 2.0,
+                                        lambda v: ExperimentConfig(prior_strength=v)),
+    "sweep_1d.p_opt": ("p_opt", "(0, 1)", 0.0, 1.0, 0.85,
+                       lambda v: sweep_1d(SweepSpec("p_opt", [v], WORKING))),
+    # sweep_2d checks every b_mu value before its first solve, on either axis
+    "sweep_2d.b_mu.x": ("b_mu", "[0, inf)", 0.0, math.inf, 0.22, lambda v: sweep_2d(
+        SweepSpec("b_mu", [0.2, v], WORKING), grid_axis("kappa_mu", WORKING, 3))),
+    "sweep_2d.b_mu.y": ("b_mu", "[0, inf)", 0.0, math.inf, 0.22, lambda v: sweep_2d(
+        grid_axis("kappa_mu", WORKING, 3), SweepSpec("b_mu", [0.2, v], WORKING))),
+}
+
+
+@pytest.mark.parametrize("name,interval,lo,hi,good,call", REAL_SITES.values(), ids=REAL_SITES)
+def test_every_real_follows_one_rule(name, interval, lo, hi, good, call):
+    closed_lo, closed_hi = interval.startswith("["), interval.endswith("]")
+    outside = [math.nan, math.inf, -math.inf,
+               math.nextafter(lo, -math.inf) if closed_lo else lo]
+    if hi < math.inf:
+        outside.append(math.nextafter(hi, math.inf) if closed_hi else hi)
+    for bad in outside:
+        message = f"{name} must lie in {interval}, got {bad}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(bad)
+    call(good)
+    # a closed bound is itself accepted
+    if closed_lo:
+        call(lo)
+    if closed_hi:
+        call(hi)
+
+
+# each validated type: its valid fields, one bad field and the message it raises; the
+# count and real rules' messages are tested site by site above
 VALIDATED = [
     (CalibrationParams, dict(k=8, n=12, sigma=0.40, kappa_mu=1.8, d_f=3.0, b_mu=0.22),
-     {"b_mu": -0.1}, "b_mu must be non-negative"),
-    (BurnInParams, dict(epsilon=0.2, delta=0.01, gap=0.2, k=8), {"gap": math.nan},
-     "gap must be finite and non-negative"),
+     {"k": 1}, "k must be >= 2"),
+    (BurnInParams, dict(epsilon=0.2, delta=0.01, gap=0.2, k=8), {"k": 1}, "k must be >= 2"),
     (SweepSpec, dict(parameter="b_mu", values=[0.1, 0.2], base=WORKING), {"values": []},
      "sweep values must be non-empty"),
-    (TwoLevelPrior, dict(k=8, beta=0.5), {"beta": 0.01}, r"beta must lie in \[1/k, 1\]"),
+    (TwoLevelPrior, dict(k=8, beta=0.5), {"k": 1}, "k must be >= 2"),
     (JointDistribution, dict(probs=((0.5, 0.0), (0.0, 0.5))), {"probs": ((0.5, 0.5), (0.5, 0.5))},
      "probabilities must sum to 1"),
     (ExperimentConfig, dict(trials=10, seed=3, prior_strength=2.0, workers=1),

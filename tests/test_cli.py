@@ -260,25 +260,23 @@ OUT_OF_RANGE = "a parameter is out of numeric range"
 
 @pytest.mark.parametrize("argv,message", [
     (("burnin", "--eps", "1.5", "--delta", "0.01", "--gap", "0.2"), "epsilon must lie in (0, 1)"),
-    (("certify", "--b-mu", "nan"), "b_mu must be finite"),
-    (("certify", "--sigma", "nan"), "sigma must be finite"),
-    (("certify", "--kappa-mu", "nan"), "kappa_mu must be finite"),
-    (("certify", "--d-f", "nan"), "d_f must be finite"),
-    (("certify", "--target", "nan"), "target must be positive and finite"),
+    (("certify", "--b-mu", "nan"), "b_mu must lie in [0, inf), got nan"),
+    (("certify", "--sigma", "nan"), "sigma must lie in (0, inf), got nan"),
+    (("certify", "--kappa-mu", "nan"), "kappa_mu must lie in (0, inf), got nan"),
+    (("certify", "--d-f", "nan"), "d_f must lie in (0, inf), got nan"),
+    (("certify", "--target", "nan"), "target must lie in (0, inf), got nan"),
     (("simulate", "--table", "1", "--trials", "10", "--strength", "nan"),
-     "prior_strength must be finite and non-negative"),
+     "prior_strength must lie in [0, 2.24712e+307], got nan"),
     (("simulate", "--table", "1", "--trials", "10", "--strength", "-1"),
-     "prior_strength must be finite and non-negative"),
+     "prior_strength must lie in [0, 2.24712e+307], got -1.0"),
     (("simulate", "--table", "1", "--trials", "10", "--workers", "-3"), "workers must be >= 1"),
     (("simulate", "--table", "1", "--trials", "10", "--workers", "0"), "workers must be >= 1"),
     (("simulate", "--table", "1", "--trials", "0"), "trials must be >= 1, got 0"),
     (("simulate", "--table", "1", "--trials", "10", "--seed", "-1"), "seed must be >= 0, got -1"),
     (("burnin", "--eps", "0.2", "--delta", "0.01", "--gap", "nan"),
-     "gap must be finite and non-negative"),
-    (("shift", "--r-train", "nan", "--delta-pi", "0.005"),
-     "r_train must be finite and non-negative"),
-    (("shift", "--r-train", "1.6", "--delta-pi", "nan"),
-     "delta_pi must be finite and non-negative"),
+     "gap must lie in [0, inf), got nan"),
+    (("shift", "--r-train", "nan", "--delta-pi", "0.005"), "r_train must lie in [0, inf), got nan"),
+    (("shift", "--r-train", "1.6", "--delta-pi", "nan"), "delta_pi must lie in [0, inf), got nan"),
     (("burnin", "--eps", "0.2", "--delta", "0.01", "--gap", "0.2", "--k", "0"),
      "k must be >= 2, got 0"),
     (("shift", "--r-train", "1.6", "--delta-pi", "0.005", "--k", "0"), "k must be >= 2, got 0"),
@@ -292,7 +290,7 @@ OUT_OF_RANGE = "a parameter is out of numeric range"
     (("sweep", "--param", "k", "--values", "8,8.7"), "k must be an integer, got 8.7"),
     (("sweep", "--grid", "sigma", "p_opt", "--steps", "3"), "set the same quantity"),
     (("sweep", "--grid", "b_mu", "b_mu", "--steps", "3"), "set the same quantity"),
-    (("shift", "--joint", "nan.joint"), "probabilities must be finite and non-negative, got nan"),
+    (("shift", "--joint", "nan.joint"), "probs entry must lie in [0, inf), got nan"),
     (("shift", "--joint", "empty.joint"), "expected k on the first line, then k rows"),
     (("shift", "--joint", "malformed.joint"), "expected k on the first line, then k rows"),
     (("shift", "--joint", "ragged.joint"), "expected k on the first line, then k rows"),
@@ -303,11 +301,17 @@ OUT_OF_RANGE = "a parameter is out of numeric range"
     (("shift", "--r-train", "1e300", "--delta-pi", "0", "--k", "12"), OUT_OF_RANGE),
     (("sweep", "--param", "sigma", "--values", "1e-200"), OUT_OF_RANGE),
     (("simulate", "--table", "1", "--trials", "3", "--strength", "1e308"),
-     "prior_strength must be finite and non-negative"),
+     "prior_strength must lie in [0, 2.24712e+307], got 1e+308"),
     (("certify", "--d-f", "1e-320"), OUT_OF_RANGE),
     (("sweep", "--param", "d_f", "--values", "1e-320"), OUT_OF_RANGE),
     (("certify", "--target", "1e-320"), OUT_OF_RANGE),
     (("burnin", "--eps", "0.45", "--delta", "1e-300", "--gap", "1e308"), OUT_OF_RANGE),
+    (("prior", "--r-mech", "nan"), "r_mech must lie in [0, 2.07944], got nan"),
+    (("burnin", "--eps", "nan", "--delta", "0.01", "--gap", "0.2"),
+     "epsilon must lie in (0, 1), got nan"),
+    (("burnin", "--eps", "0.2", "--delta", "nan", "--gap", "0.2"),
+     "delta must lie in (0, 0.5), got nan"),
+    (("sweep", "--param", "p_opt", "--values", "1.5"), "p_opt must lie in (0, 1), got 1.5"),
 ], ids=["burnin-eps", "certify-b-mu-nan", "certify-sigma-nan", "certify-kappa-mu-nan",
         "certify-d-f-nan", "certify-target-nan", "simulate-strength-nan",
         "simulate-strength-negative", "simulate-workers-negative", "simulate-workers-zero",
@@ -320,7 +324,8 @@ OUT_OF_RANGE = "a parameter is out of numeric range"
         "certify-sigma-overflow", "certify-sigma-underflow", "certify-d-f-underflow",
         "shift-r-train-overflow", "sweep-sigma-underflow", "simulate-strength-overflow",
         "certify-d-f-overflow", "sweep-d-f-overflow", "certify-target-overflow",
-        "burnin-cycles-overflow"])
+        "burnin-cycles-overflow", "prior-r-mech-nan", "burnin-eps-nan", "burnin-delta-nan",
+        "sweep-p-opt-out-of-range"])
 def test_domain_error_exit_2(capsys, monkeypatch, tmp_path, argv, message):
     monkeypatch.chdir(tmp_path)
     for name, text in BAD_JOINTS.items():

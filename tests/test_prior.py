@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -147,7 +148,8 @@ class TestJointDistribution:
         with pytest.raises(ValueError):
             JointDistribution(probs=np.array([[1.2, -0.2], [0.0, 0.0]]))
         for bad in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="finite"):
+            message = f"probs entry must lie in [0, inf), got {bad}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 JointDistribution(probs=[[bad, 0.5], [0.25, 0.25]])
 
     def test_marginals(self):

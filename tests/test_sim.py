@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -322,7 +323,9 @@ class TestMonteCarlo:
     # the strength is checked here only, so none of these reaches the kernel
     @pytest.mark.parametrize("strength", [-1.0, math.nan, math.inf, -0.01, 1e308])
     def test_config_rejects_strength(self, strength):
-        with pytest.raises(ValueError, match="prior_strength must be finite and non-negative"):
+        # the bound float_max / K keeps strength * K finite
+        message = f"prior_strength must lie in [0, 2.24712e+307], got {strength}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ExperimentConfig(prior_strength=strength)
 
 
