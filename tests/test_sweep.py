@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -199,9 +200,24 @@ class TestSweep2D:
         assert len(solved) == solves
         assert len(set(solved)) == solves
 
+    # the case ids are kept stable across the change of message wording
+    @pytest.mark.parametrize("bad,message", [
+        pytest.param(-0.1, "b_mu must lie in [0, inf), got -0.1",
+                     id="-0.1-b_mu must be non-negative, got -0.1"),
+        pytest.param(math.nan, "b_mu must lie in [0, inf), got nan",
+                     id="nan-b_mu must be finite, got nan"),
+    ])
+    @pytest.mark.parametrize("b_mu_axis", ["x", "y"])
+    def test_invalid_b_mu_value_rejected(self, bad, message, b_mu_axis):
+        b_mu = SweepSpec(parameter="b_mu", values=[0.2, bad], base=BASE)
+        other = grid_axis("kappa_mu", BASE, 3)
+        axes = (b_mu, other) if b_mu_axis == "x" else (other, b_mu)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sweep_2d(*axes)
+
     def test_b_mu_checked_before_any_solve(self):
-        # both axes hold an invalid value: the b_mu one is reported; an invalid b_mu
-        # value on either axis is a case of tests/test_certificates.py's REAL_SITES
+        # both axes hold an invalid value: the b_mu one is reported; other invalid b_mu
+        # values on either axis are cases of tests/test_certificates.py's REAL_SITES
         with pytest.raises(ValueError, match=r"^b_mu must lie in \[0, inf\), got -0.1$"):
             sweep_2d(SweepSpec(parameter="kappa_mu", values=[-1.0], base=BASE),
                      SweepSpec(parameter="b_mu", values=[0.2, -0.1], base=BASE))
