@@ -5,9 +5,9 @@ channel capacity of the model-to-policy channel, the residual entropy
 left for the learner, the critical bias threshold, and the regret
 envelopes. All entropies and information quantities are in nats.
 
-It also holds the record helpers the other modules share: the count rule
-`whole`, the real-number rule `real`, the `ratio` rule, `checked_record` and
-the table writer `write_csv`.
+It also holds the regime rule `regime` and the helpers the other modules
+share: the count rule `whole`, the real-number rule `real`, the `ratio` rule,
+`checked_record` and the table writer `write_csv`.
 """
 
 from __future__ import annotations
@@ -183,6 +183,13 @@ def critical_bias(p: CalibrationParams) -> float | None:
     return solve_bias_for_capacity(p.h_mu / p.n, p)
 
 
+def regime(b_mu: float, b_crit: float | None) -> Regime:
+    """The one regime rule: DataEfficient below b_crit, Baseline at or above it."""
+    if b_crit is None:
+        return Regime.UNREACHABLE
+    return Regime.DATA_EFFICIENT if b_mu < b_crit else Regime.BASELINE
+
+
 def _envelope_radicand(k: int, n: int, h_mech: float) -> float:
     """k*n*h_mech, each input checked by its rule."""
     return whole("k", k, 2) * whole("n", n, 1) * real("h_mech", h_mech, 0)
@@ -218,18 +225,13 @@ def certificate_report(p: CalibrationParams, target: float | None = None) -> Cer
     cap = channel_capacity(p.b_mu, p)
     floor = residual_entropy(p.h_mu, cap)
     b_crit = solve_bias_for_capacity(target, p)
-    if b_crit is None:
-        bias_ratio, regime = None, Regime.UNREACHABLE
-    else:
-        bias_ratio = ratio(b_crit, p.b_mu)
-        regime = Regime.DATA_EFFICIENT if p.b_mu < b_crit else Regime.BASELINE
     return CertificateReport(
         target=target,
         capacity_at_bias=cap,
         residual_entropy_floor=floor,
         critical_bias=b_crit,
-        bias_ratio=bias_ratio,
-        regime=regime,
+        bias_ratio=None if b_crit is None else ratio(b_crit, p.b_mu),
+        regime=regime(p.b_mu, b_crit),
         sample_ratio=sample_complexity_ratio(p.h_mu, floor),
         lb_envelope=lb_envelope(p.k, p.n, floor),
         ub_envelope=ub_envelope(p.k, p.n, floor),

@@ -208,10 +208,9 @@ def cmd_prior(args) -> None:
 def cmd_sweep(args) -> None:
     from . import sweep as sw
 
-    # a swept parameter's own flag is never read; p_opt sets sigma
+    # the flag of the field a swept parameter sets is never read
     for param in args.grid or filter(None, [args.param]):
-        _reject_given(args, ("sigma" if param == "p_opt" else param,),
-                      f"not allowed with a sweep over {param}")
+        _reject_given(args, (sw.SETS[param][0],), f"not allowed with a sweep over {param}")
     base = cert.CalibrationParams(**_calibration(args))
     if args.grid:
         _reject_given(args, ("values", "min", "max"), "not allowed with argument --grid")

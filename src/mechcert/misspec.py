@@ -121,14 +121,16 @@ def check_retention(r_train: float, k: int, delta_pi: float) -> ShiftReport:
 def impossibility_construction(p: JointDistribution, s) -> JointDistribution:
     """Adversarial test joint: keep p's conditional on rows in s, scramble the rest.
 
-    Requires an even arm count, |s| = k/2, and a uniform row marginal,
-    which the construction preserves.
+    Requires an even arm count, k/2 distinct entries in s, and a uniform
+    row marginal, which the construction preserves.
     """
     k = p.k
     if k % 2 != 0:
         raise ValueError(f"construction requires an even arm count, got k={k}")
-    s = sorted({whole("subset entry", i, 0) for i in s})
-    if len(s) != k // 2 or s[-1] >= k:
+    s = [whole("subset entry", i, 0) for i in s]
+    if repeated := [i for n, i in enumerate(s) if i in s[:n]]:
+        raise ValueError(f"subset entry {repeated[0]} is repeated")
+    if len(s) != k // 2 or max(s) >= k:
         raise ValueError(f"subset must contain k/2 = {k // 2} distinct arm indices in [0, {k})")
     if max(abs(m - 1.0 / k) for m in p.row_marginal()) > 1e-9:
         raise ValueError("construction requires a uniform row marginal")

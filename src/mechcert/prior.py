@@ -65,11 +65,6 @@ def _level_entropy(k: int, beta: float) -> float:
     return -beta * math.log(beta) - rest * math.log(rest / (k - 1))
 
 
-def two_level_entropy(k: int, beta: float) -> float:
-    """Entropy of the two-level prior, in nats; k and beta are checked as a TwoLevelPrior's."""
-    return TwoLevelPrior(k, beta).entropy()
-
-
 def solve_prior_for_r_mech(k: int, r_mech: float) -> TwoLevelPrior:
     """Two-level prior whose entropy equals ln k - r_mech.
 
@@ -88,7 +83,7 @@ def solve_prior_for_r_mech(k: int, r_mech: float) -> TwoLevelPrior:
 
 
 def _solve_beta(k: int, r_mech: float) -> float:
-    """Root of two_level_entropy(k, b) = ln k - r_mech for b in [1/k, 1 - 1e-15].
+    """Root of TwoLevelPrior(k, b).entropy() = ln k - r_mech for b in [1/k, 1 - 1e-15].
 
     Plain bisection; it stops when the midpoint is no longer strictly inside
     the bracket, that is when lo and hi are adjacent floats (about 55 steps).

@@ -2,21 +2,23 @@
 
 Each swept cell is the base parameter vector with the swept values
 applied: the prior entropy tracks k, the noise scale tracks p_opt
-through the Bernoulli standard deviation, and the canonical residual
-variance is recomputed in every cell. The critical bias never reads
-b_mu, so a grid with a b_mu axis solves it once per value of the other
-axis; every swept value is still checked. Output is CSV rows; plotting
-is left to external tools: `certificates.write_csv` writes the rows,
-whose fields are the columns.
+through the Bernoulli standard deviation (`SETS`), and the canonical
+residual variance is recomputed in every cell. Both sweeps read one grid
+walk. The critical bias never reads b_mu, so any sweep solves it once per
+distinct cell of its values other than b_mu (once for a b_mu sweep, once
+per value of the other axis on a grid with a b_mu axis); every swept value
+is still checked. Output is CSV rows; plotting is left to external tools:
+`certificates.write_csv` writes the rows, whose fields are the columns.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import product
 from typing import NamedTuple
 
-from .certificates import (CalibrationParams, certificate_report, checked_record, critical_bias,
-                           ratio, real, whole)
+from .certificates import (CalibrationParams, channel_capacity, checked_record, critical_bias,
+                           ratio, real, regime, whole)
 
 # Axis range of each sweep parameter in a 2-D grid; the keys are the parameters.
 GRID_RANGES = {"sigma": (0.357, 0.50), "kappa_mu": (0.6, 3.0), "d_f": (2.0, 5.0),
@@ -24,6 +26,11 @@ GRID_RANGES = {"sigma": (0.357, 0.50), "kappa_mu": (0.6, 3.0), "d_f": (2.0, 5.0)
 SWEEP_PARAMETERS = tuple(GRID_RANGES)
 GRID_STEPS = 60    # points per 2-D grid axis
 PARAM_STEPS = 50   # points of a 1-D sweep over a range
+# What a swept value sets: (calibration field, the field's value at that swept value).
+# Each parameter sets its own field, except p_opt, the optimal arm's success
+# probability, which sets sigma to its Bernoulli standard deviation.
+SETS = {name: (name, lambda value: value) for name in SWEEP_PARAMETERS}
+SETS["p_opt"] = ("sigma", lambda p: math.sqrt(real("p_opt", p, 0, 1, open=True) * (1.0 - p)))
 
 
 def linear_grid(lo: float, hi: float, steps: int) -> list[float]:
@@ -59,17 +66,6 @@ def grid_axis(parameter: str, base: CalibrationParams, steps: int = GRID_STEPS) 
     return SweepSpec(parameter=parameter, values=values, base=base)
 
 
-def _cell(base: CalibrationParams, overrides: dict) -> CalibrationParams:
-    """One sweep cell: the base params with every {parameter: value} override applied."""
-    values = {}
-    for name, value in overrides.items():
-        if name == "p_opt":
-            value = real("p_opt", value, 0, 1, open=True)
-            name, value = "sigma", math.sqrt(value * (1.0 - value))
-        values[name] = value
-    return base._replace(**values)
-
-
 class Sweep1DRow(NamedTuple):
     param: str
     value: float
@@ -77,22 +73,6 @@ class Sweep1DRow(NamedTuple):
     critical_bias: float | None
     ratio: float
     regime: str  # a Regime value
-
-
-def sweep_1d(spec: SweepSpec) -> list[Sweep1DRow]:
-    """The certificate's capacity, critical bias and regime at each value.
-
-    An invalid value raises ValueError, as in sweep_2d.
-    """
-    rows = []
-    for value in spec.values:
-        params = _cell(spec.base, {spec.parameter: value})
-        report = certificate_report(params)
-        rows.append(Sweep1DRow(
-            param=spec.parameter, value=value, capacity_nats=report.capacity_at_bias,
-            critical_bias=report.critical_bias, ratio=ratio(params.b_mu, report.critical_bias),
-            regime=report.regime.value))
-    return rows
 
 
 class Sweep2DRow(NamedTuple):
@@ -103,36 +83,52 @@ class Sweep2DRow(NamedTuple):
     ratio: float  # b_mu / critical_bias; inf when the target is unreachable
 
 
+def _walk(*specs: SweepSpec):
+    """(values, b_mu, cell, critical bias) over the specs' Cartesian product, in row order.
+
+    The axes share one base and set distinct fields. Every b_mu value is checked before any
+    solve; the cell (at the base b_mu) and its critical bias, which never reads b_mu, are
+    made once per distinct tuple of the other values, when first met in row order.
+    """
+    base = specs[0].base
+    if any(spec.base != base for spec in specs):
+        raise ValueError("both sweep axes must share the same base parameters")
+    params = [spec.parameter for spec in specs]
+    if len({SETS[param][0] for param in params}) < len(params):
+        raise ValueError(f"grid axes {' and '.join(params)} set the same quantity")
+    at = params.index("b_mu") if "b_mu" in params else None
+    others = [SETS[param] for param in params if param != "b_mu"]
+    if at is not None:
+        for value in specs[at].values:
+            real("b_mu", value, 0)
+    solved = {}  # (cell, critical bias) by the values other than b_mu
+    for values in product(*(spec.values for spec in specs)):
+        if at is None:
+            b_mu, key = base.b_mu, values
+        else:
+            b_mu, key = values[at], values[:at] + values[at + 1:]
+        try:
+            cell, b_crit = solved[key]
+        except KeyError:
+            cell = base._replace(**{field: to(v) for (field, to), v in zip(others, key)})
+            cell, b_crit = solved[key] = cell, critical_bias(cell)
+        yield values, b_mu, cell, b_crit
+
+
+def sweep_1d(spec: SweepSpec) -> list[Sweep1DRow]:
+    """The capacity, critical bias, ratio and regime at each value; an invalid value
+    raises ValueError, as in sweep_2d."""
+    return [Sweep1DRow(spec.parameter, value, channel_capacity(b_mu, cell), b_crit,
+                       ratio(b_mu, b_crit), regime(b_mu, b_crit).value)
+            for (value,), b_mu, cell, b_crit in _walk(spec)]
+
+
 def sweep_2d(x_spec: SweepSpec, y_spec: SweepSpec) -> list[Sweep2DRow]:
     """Certificate ratio over the full Cartesian grid of two parameters.
 
-    The ratio-equals-one contour is the boundary between the
-    data-efficient and baseline regimes. Two axes that set the same
-    quantity (b_mu twice, or sigma and p_opt) raise ValueError, as does
-    an invalid value. The critical bias never reads b_mu, so it is
-    solved once per distinct cell of the other values (60 solves, not
-    3,600, on the default kappa_mu x b_mu grid); each b_mu value is
-    checked once, before any solve.
+    The ratio-equals-one contour is the boundary between the data-efficient and
+    baseline regimes. Two axes that set the same quantity (b_mu twice, or sigma and
+    p_opt) raise ValueError, as does an invalid value.
     """
-    if x_spec.base != y_spec.base:
-        raise ValueError("both sweep axes must share the same base parameters")
-    x_param, y_param = x_spec.parameter, y_spec.parameter
-    if {x_param, y_param} <= {"sigma", "p_opt"} or x_param == y_param:
-        raise ValueError(f"grid axes {x_param} and {y_param} set the same quantity")
-    base = x_spec.base
-    # Check each b_mu value once; the other values are checked in the solve cells below.
-    for spec in (x_spec, y_spec):
-        if spec.parameter == "b_mu":
-            for value in spec.values:
-                real("b_mu", value, 0)
-    solved = {}  # critical bias by the cell's values other than b_mu, which it never reads
-    rows = []
-    for x in x_spec.values:
-        for y in y_spec.values:
-            others = {x_param: x, y_param: y}
-            b_mu = others.pop("b_mu", base.b_mu)
-            key = tuple(others.values())
-            if key not in solved:
-                solved[key] = critical_bias(_cell(base, others))
-            rows.append(Sweep2DRow(x_param, y_param, x, y, ratio(b_mu, solved[key])))
-    return rows
+    return [Sweep2DRow(x_spec.parameter, y_spec.parameter, x, y, ratio(b_mu, b_crit))
+            for (x, y), b_mu, _, b_crit in _walk(x_spec, y_spec)]

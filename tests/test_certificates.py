@@ -33,7 +33,6 @@ from mechcert.prior import (
     JointDistribution,
     TwoLevelPrior,
     solve_prior_for_r_mech,
-    two_level_entropy,
 )
 from mechcert.sim import ExperimentConfig, build_environment, regret_curves, run_trial
 from mechcert.sweep import SweepSpec, grid_axis, linear_grid, sweep_1d, sweep_2d
@@ -324,7 +323,6 @@ COUNT_SITES = {
     "BurnInParams.k": ("k", 2, 8, lambda v: BurnInParams(0.2, 0.01, 0.2, k=v).k),
     "effective_prior_weight.k": ("k", 2, 8, lambda v: effective_prior_weight(0.2, v)),
     "TwoLevelPrior.k": ("k", 2, 8, lambda v: TwoLevelPrior(k=v, beta=0.5).k),
-    "two_level_entropy.k": ("k", 2, 8, lambda v: two_level_entropy(v, 0.5)),
     "solve_prior_for_r_mech.k": ("k", 2, 8, lambda v: solve_prior_for_r_mech(v, 0.5).k),
     "retention_threshold.k": ("k", 2, 8, lambda v: retention_threshold(1.6, v)),
     "r_min.k": ("k", 2, 12, r_min),
@@ -395,8 +393,6 @@ REAL_SITES = {
     # beta's bounds carry 1e-12 of slack at each end
     "TwoLevelPrior.beta": ("beta", "[0.125, 1]", 1 / 8 - 1e-12, 1 + 1e-12, 0.5,
                            lambda v: TwoLevelPrior(8, v).beta),
-    "two_level_entropy.beta": ("beta", "[0.125, 1]", 1 / 8 - 1e-12, 1 + 1e-12, 0.5,
-                               lambda v: two_level_entropy(8, v)),
     "solve_prior_for_r_mech.r_mech": ("r_mech", "[0, 2.07944]", 0.0, math.log(8) + 1e-12, 1.9,
                                       lambda v: solve_prior_for_r_mech(8, v).beta),
     "JointDistribution.probs": ("probs entry", "[0, inf)", 0.0, math.inf, 0.2,
@@ -407,7 +403,9 @@ REAL_SITES = {
                                         lambda v: ExperimentConfig(prior_strength=v)),
     "sweep_1d.p_opt": ("p_opt", "(0, 1)", 0.0, 1.0, 0.85,
                        lambda v: sweep_1d(SweepSpec("p_opt", [v], WORKING))),
-    # sweep_2d checks every b_mu value before its first solve, on either axis
+    # a sweep checks every b_mu value before its first solve, on either axis of a grid
+    "sweep_1d.b_mu": ("b_mu", "[0, inf)", 0.0, math.inf, 0.22,
+                      lambda v: sweep_1d(SweepSpec("b_mu", [0.2, v], WORKING))),
     "sweep_2d.b_mu.x": ("b_mu", "[0, inf)", 0.0, math.inf, 0.22, lambda v: sweep_2d(
         SweepSpec("b_mu", [0.2, v], WORKING), grid_axis("kappa_mu", WORKING, 3))),
     "sweep_2d.b_mu.y": ("b_mu", "[0, inf)", 0.0, math.inf, 0.22, lambda v: sweep_2d(

@@ -253,7 +253,10 @@ class TestBurnin:
 
 # --joint files read by the exit-2 cases below
 BAD_JOINTS = {"nan.joint": "2\nnan,0.5\n0.25,0.25\n", "empty.joint": "",
-              "malformed.joint": "two\n0.5,0\n0,0.5\n", "ragged.joint": "2\n0.5,0\n0,0.25,0.25\n"}
+              "malformed.joint": "two\n0.5,0\n0,0.5\n", "ragged.joint": "2\n0.5,0\n0,0.25,0.25\n",
+              # a valid 8x8 diagonal table, for a bad --subset
+              "diag8.joint": "8\n" + "".join(",".join("0.125" if i == j else "0" for j in range(8))
+                                             + "\n" for i in range(8))}
 # finite inputs whose arithmetic overflows, underflows or divides by zero
 OUT_OF_RANGE = "a parameter is out of numeric range"
 
@@ -312,6 +315,7 @@ OUT_OF_RANGE = "a parameter is out of numeric range"
     (("burnin", "--eps", "0.2", "--delta", "nan", "--gap", "0.2"),
      "delta must lie in (0, 0.5), got nan"),
     (("sweep", "--param", "p_opt", "--values", "1.5"), "p_opt must lie in (0, 1), got 1.5"),
+    (("shift", "--joint", "diag8.joint", "--subset", "0,0,1,2,3"), "subset entry 0 is repeated"),
 ], ids=["burnin-eps", "certify-b-mu-nan", "certify-sigma-nan", "certify-kappa-mu-nan",
         "certify-d-f-nan", "certify-target-nan", "simulate-strength-nan",
         "simulate-strength-negative", "simulate-workers-negative", "simulate-workers-zero",
@@ -325,7 +329,7 @@ OUT_OF_RANGE = "a parameter is out of numeric range"
         "shift-r-train-overflow", "sweep-sigma-underflow", "simulate-strength-overflow",
         "certify-d-f-overflow", "sweep-d-f-overflow", "certify-target-overflow",
         "burnin-cycles-overflow", "prior-r-mech-nan", "burnin-eps-nan", "burnin-delta-nan",
-        "sweep-p-opt-out-of-range"])
+        "sweep-p-opt-out-of-range", "shift-subset-repeated"])
 def test_domain_error_exit_2(capsys, monkeypatch, tmp_path, argv, message):
     monkeypatch.chdir(tmp_path)
     for name, text in BAD_JOINTS.items():
@@ -682,6 +686,20 @@ class TestSweepCommand:
         code, _, _ = run(capsys, "sweep", "--grid", *grid, "--out", str(tmp_path))
         assert code == 0
         assert hashlib.sha256((tmp_path / "sweep2d.csv").read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv,digest", [
+        (("b_mu", "--values", "0.1,0.2,0.9,2"),
+         "e6a6ce5a01f67702fa91f9e41ae48617ed0870b4c34b2af96d76a0b1cd8e7f4e"),
+        (("p_opt", "--min", "0.5", "--max", "0.95"),
+         "1ac9062dbf4f0849ffb60ed2b938ef14f71b3bdb336b212dc94da67f13350a3d"),
+        (("kappa_mu", "--values", "0.6,1.8,3", "--n", "1"),
+         "b8b1a1ceb523d45c4a77f2b608253e17bc0545645063e3786fe470f440245330"),
+    ], ids=["b_mu", "p_opt", "kappa_mu-unreachable"])
+    def test_1d_csv_bytes_pinned(self, capsys, tmp_path, argv, digest):
+        # both regimes, the p_opt -> sigma cells, and Unreachable rows at n = 1
+        code, _, _ = run(capsys, "sweep", "--param", *argv, "--out", str(tmp_path))
+        assert code == 0
+        assert hashlib.sha256((tmp_path / "sweep1d.csv").read_bytes()).hexdigest() == digest
 
     def test_grid_k_axis_is_integral(self, capsys, tmp_path):
         code, _, _ = run(capsys, "sweep", "--grid", "k", "b_mu", "--out", str(tmp_path))

@@ -13,7 +13,6 @@ from mechcert.prior import (
     kl_divergence,
     mutual_information,
     solve_prior_for_r_mech,
-    two_level_entropy,
 )
 
 
@@ -24,22 +23,22 @@ def random_joint(rng, k):
 
 class TestTwoLevelEntropy:
     def test_uniform(self):
-        assert two_level_entropy(8, 1 / 8) == pytest.approx(math.log(8), rel=1e-12)
+        assert TwoLevelPrior(8, 1 / 8).entropy() == pytest.approx(math.log(8), rel=1e-12)
 
     def test_point_mass(self):
-        assert two_level_entropy(8, 1.0) == 0.0
+        assert TwoLevelPrior(8, 1.0).entropy() == 0.0
 
     def test_information_level(self):
         # beta = 0.665 carries about 0.8 nats of information at k = 8
-        assert two_level_entropy(8, 0.665) == pytest.approx(1.283, abs=0.02)
+        assert TwoLevelPrior(8, 0.665).entropy() == pytest.approx(1.283, abs=0.02)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            two_level_entropy(8, 0.05)
+            TwoLevelPrior(8, 0.05)
         with pytest.raises(ValueError):
-            two_level_entropy(8, 1.1)
+            TwoLevelPrior(8, 1.1)
         with pytest.raises(ValueError):
-            two_level_entropy(1, 0.5)
+            TwoLevelPrior(1, 0.5)
 
     @given(st.integers(2, 64), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     def test_strictly_decreasing_in_beta(self, k, u1, u2):
@@ -48,7 +47,7 @@ class TestTwoLevelEntropy:
         if abs(b1 - b2) < 1e-9:
             return
         lo, hi = min(b1, b2), max(b1, b2)
-        assert two_level_entropy(k, lo) > two_level_entropy(k, hi)
+        assert TwoLevelPrior(k, lo).entropy() > TwoLevelPrior(k, hi).entropy()
 
 
 class TestPriorSolver:
@@ -61,7 +60,7 @@ class TestPriorSolver:
     def test_mid_level(self):
         prior = solve_prior_for_r_mech(8, 0.8)
         assert prior.beta == pytest.approx(0.665, abs=5e-3)
-        assert two_level_entropy(8, prior.beta) == pytest.approx(math.log(8) - 0.8, abs=1e-9)
+        assert TwoLevelPrior(8, prior.beta).entropy() == pytest.approx(math.log(8) - 0.8, abs=1e-9)
 
     def test_full_information(self):
         assert solve_prior_for_r_mech(8, math.log(8)).beta == 1.0
@@ -182,7 +181,7 @@ class TestInformationMeasures:
         assert mutual_information(j) == pytest.approx(1.9, abs=0.01)
         # symmetric-channel MI equals ln k - two-level entropy at beta
         assert mutual_information(j) == pytest.approx(
-            math.log(8) - two_level_entropy(8, 0.972), abs=1e-12)
+            math.log(8) - TwoLevelPrior(8, 0.972).entropy(), abs=1e-12)
 
     def test_cond_entropy_deterministic(self):
         j = JointDistribution(probs=np.eye(8) / 8)

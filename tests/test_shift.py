@@ -117,6 +117,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             impossibility_construction(p, [0, 1, 2])
 
+    @pytest.mark.parametrize("subset,repeated", [
+        ([0, 0, 1, 2, 3], 0), ([0, 0, 1, 2], 0), ([3, 1, 2.0, 2], 2),
+    ])
+    def test_repeated_subset_entry_rejected(self, subset, repeated):
+        # a repeat is not merged: five entries at k = 8 do not pass as the four distinct ones
+        p = cyclic_joint(np.random.default_rng(2), 8)
+        with pytest.raises(ValueError, match=f"^subset entry {repeated} is repeated$"):
+            impossibility_construction(p, subset)
+
     @pytest.mark.parametrize("entry,message", [
         (1.5, "subset entry must be an integer, got 1.5"),
         (math.nan, "subset entry must be an integer, got nan"),

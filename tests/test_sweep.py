@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mechcert import sweep
+from mechcert import certificates, sweep
 from mechcert.certificates import CalibrationParams, certificate_report, critical_bias, write_csv
 from mechcert.sweep import (
     GRID_RANGES,
@@ -143,6 +143,19 @@ class TestSweep1D:
         with pytest.raises(ValueError):
             one_param("k", [1.5, 8])
 
+    def test_invalid_b_mu_raises_before_any_solve(self, monkeypatch):
+        # every b_mu value is checked first, so no row is computed before the bad one is
+        # reported; the count is taken where every critical-bias solve passes
+        solved = []
+        solve = certificates.solve_bias_for_capacity
+        monkeypatch.setattr(certificates, "solve_bias_for_capacity",
+                            lambda target, params: solved.append(params) or solve(target, params))
+        with pytest.raises(ValueError, match=r"^b_mu must lie in \[0, inf\), got -0.1$"):
+            one_param("b_mu", [0.2, 0.3, -0.1])
+        assert solved == []
+        one_param("b_mu", [0.2, 0.3])
+        assert len(solved) == 1
+
     def test_non_integer_k_rejected(self):
         assert [r.value for r in one_param("k", [8, 8.0, 12])] == [8, 8.0, 12]
         for bad in (8.7, math.inf, math.nan):
@@ -188,15 +201,21 @@ class TestSweep2D:
         with pytest.raises(ValueError, match="same quantity"):
             sweep_2d(grid_axis(x_param, BASE, 3), grid_axis(y_param, BASE, 3))
 
-    @pytest.mark.parametrize("x_param,y_param,solves", [
-        ("kappa_mu", "b_mu", 60), ("b_mu", "k", 13), ("kappa_mu", "d_f", 3600),
-    ], ids=["kappa_mu-b_mu", "b_mu-k", "kappa_mu-d_f"])
-    def test_grid_solves_each_critical_bias_once(self, monkeypatch, x_param, y_param, solves):
-        # the critical bias never reads b_mu, so a b_mu axis adds no solves
+    @pytest.mark.parametrize("axes,solves", [
+        ((grid_axis("kappa_mu", BASE), grid_axis("b_mu", BASE)), 60),
+        ((grid_axis("b_mu", BASE), grid_axis("k", BASE)), 13),
+        ((grid_axis("kappa_mu", BASE), grid_axis("d_f", BASE)), 3600),
+        ((SweepSpec("b_mu", linear_grid(0.10, 0.40, 50), BASE),), 1),
+        ((SweepSpec("kappa_mu", linear_grid(0.6, 3.0, 50), BASE),), 50),
+        ((SweepSpec("k", [8, 8.0, 12], BASE),), 2),
+    ], ids=["kappa_mu-b_mu", "b_mu-k", "kappa_mu-d_f", "1d-b_mu", "1d-kappa_mu", "1d-k-8-8.0-12"])
+    def test_grid_solves_each_critical_bias_once(self, monkeypatch, axes, solves):
+        # the critical bias never reads b_mu, so a b_mu axis adds no solves, and equal
+        # values (k = 8 and 8.0) make one cell; sweep_1d reads the same walk as sweep_2d
         solved = []
         monkeypatch.setattr(sweep, "critical_bias",
                             lambda params: solved.append(params) or critical_bias(params))
-        sweep_2d(grid_axis(x_param, BASE), grid_axis(y_param, BASE))
+        (sweep_1d if len(axes) == 1 else sweep_2d)(*axes)
         assert len(solved) == solves
         assert len(set(solved)) == solves
 
