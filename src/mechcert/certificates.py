@@ -143,11 +143,15 @@ def channel_capacity(b_mu: float, p: CalibrationParams) -> float:
     """Capacity of the mechanistic channel at bias b_mu, in nats.
 
     (d_f/2) * ln(1 + kappa^2*sigma_f2 / (kappa^2*b_mu^2 + sigma^2));
-    strictly decreasing in b_mu with limit 0.
+    strictly decreasing in b_mu with limit 0. Raises OverflowError when it is
+    not finite.
     """
     b_mu = real("b_mu", b_mu, 0)
     snr = p.kappa_mu**2 * p.sigma_f2 / (p.kappa_mu**2 * b_mu**2 + p.sigma**2)
-    return 0.5 * p.d_f * math.log1p(snr)
+    capacity = 0.5 * p.d_f * math.log1p(snr)
+    if not math.isfinite(capacity):
+        raise OverflowError(f"capacity is not finite: {capacity}")
+    return capacity
 
 
 def residual_entropy(h_mu: float, r_mech: float) -> float:

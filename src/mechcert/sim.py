@@ -7,13 +7,16 @@ rest at the baseline attainment. Regret is pseudo-regret on means.
 
 Reproducibility contract: trials run in blocks of BLOCK_SIZE, a frozen
 constant. Block b holds trials b*BLOCK_SIZE .. (b+1)*BLOCK_SIZE - 1 and
-draws from its own SFC64 environment and policy streams, spawned from
-a SeedSequence keyed by (master seed, b); every level of a block
-restarts the policy stream. Whole blocks are simulated, surplus rows dropped,
-so a trial's regret depends only on (seed, trial index, prior strength,
-r_mech): never on the trial count, the worker count, the execution order
-or the other levels. Each Thompson round makes the same draws whatever
-the horizon, so a shorter horizon's regret is the longer run's prefix.
+draws from its own environment and policy streams, spawned from a
+SeedSequence keyed by (master seed, b). The policy stream gives each
+Thompson round its own SFC64 state, which every level of the block
+replays, and a round draws trial after trial, so a trial's draws never
+depend on the trials after it and the last block simulates only the
+trials asked for. A trial's regret depends only on (seed, trial index,
+prior strength, r_mech): never on the trial count, the worker count, the
+execution order or the other levels. Each Thompson round makes the same
+draws whatever the horizon, so a shorter horizon's regret is the longer
+run's prefix.
 The environment stream draws each trial's optimal arm first and its
 recommended arm second, so the path of a flat policy (every pseudo-count
 1) depends on neither the strength nor r_mech: a cell is one information
@@ -68,38 +71,76 @@ def build_environment(k: int, optimal: int, p_opt: float, p_bsa: float) -> np.nd
     return np.where(np.arange(k) == optimal, p_opt, p_bsa)
 
 
-def _thompson_rounds(alpha: np.ndarray, beta: np.ndarray, means: np.ndarray, n: int,
-                     rng: np.random.Generator) -> np.ndarray:
-    """Run n rounds of Thompson sampling on every row at once; the block kernel.
+def _policy_rounds(seq: np.random.SeedSequence, n: int):
+    """The policy stream of n Thompson rounds, which every level of a block
+    replays: each round's BLOCK_SIZE reward uniforms, the SFC64 state its
+    gamma draws start from, and a generator to set those states on.
 
-    alpha, beta and means are (rows, k) arrays; alpha and beta are the
-    initial pseudo-counts. Each round makes one `standard_gamma` draw over
-    the (2, rows, k) counts, whose ratio G_a / (G_a + G_b) is Beta(a, b) as
-    in numpy's `beta` unless a, b <= 1, and one uniform draw per row.
-    Returns every row's cumulative pseudo-regret after rounds 0..n, shape (rows, n + 1).
+    Round t is seeded the way numpy's SFC64 seeds itself from three words,
+    here words 3(t-1) .. 3t - 1 of `seq.generate_state`: the state
+    [w0, w1, w2, 1] advanced twelve steps. It draws its uniforms first, a
+    fixed amount, so its gamma draws start from a state that depends on
+    (seq, t) alone.
+    """
+    rng = np.random.Generator(np.random.SFC64(seq))
+    bit_generator = rng.bit_generator
+    words = seq.generate_state(3 * n, np.uint64).reshape(n, 3)
+    seed = {"bit_generator": "SFC64", "state": {}, "has_uint32": 0, "uinteger": 0}
+    uniforms, gamma_states = np.empty((n, BLOCK_SIZE)), []
+    for t, state in enumerate(np.column_stack((words, np.ones(n, np.uint64)))):
+        seed["state"]["state"] = state
+        bit_generator.state = seed
+        bit_generator.random_raw(12)
+        rng.random(out=uniforms[t])
+        gamma_states.append(bit_generator.state)
+    return uniforms, gamma_states, rng
+
+
+def _thompson_rounds(counts: np.ndarray, means: np.ndarray, horizons, uniforms: np.ndarray,
+                     gamma_states: list, rng: np.random.Generator) -> np.ndarray:
+    """Run Thompson sampling on every row at once; the block kernel.
+
+    counts is the (rows, k, 2) array of initial pseudo-counts (alpha, beta),
+    updated in place, and means the (rows, k) arm means; the rest is
+    `_policy_rounds`. Round t uses the first rows of its reward uniforms and
+    makes one `standard_gamma` draw over the counts, row by row, from its
+    gamma state; the ratio G_a / G_b orders the arms as the Beta(a, b) draw
+    G_a / (G_a + G_b) does (numpy's `beta` unless a, b <= 1). So a row's
+    draws never depend on the rows after it. Returns every row's cumulative
+    pseudo-regret at each horizon, shape (rows, len(horizons)).
     """
     rows, k = means.shape
     gaps = (means.max(axis=1, keepdims=True) - means).ravel()
     means = means.ravel()
-    counts = np.array((alpha, beta), dtype=float)
-    alpha_flat, beta_flat = counts.reshape(2, -1)  # views: updates reach the drawn counts
+    flat = counts.reshape(-1)  # a view: updates reach the drawn counts
     base = np.arange(rows) * k
-    path = np.zeros((rows, n + 1))
-    for t in range(1, n + 1):
-        g = rng.standard_gamma(counts)
-        pulled = base + (g[0] / (g[0] + g[1])).argmax(axis=1)  # ties go to the lowest arm
-        path[:, t] = path[:, t - 1] + gaps[pulled]
-        success = rng.random(rows) < means[pulled]
-        alpha_flat[pulled] += success
-        beta_flat[pulled] += ~success
-    return path
+    columns: dict[int, list[int]] = {}
+    for col, n in enumerate(horizons):
+        columns.setdefault(n, []).append(col)
+    regret = np.zeros(rows)
+    out = np.empty((len(horizons), rows))
+    bit_generator = rng.bit_generator
+    # a ratio that overflows (a shape near 1e308, or G_b = 0) is inf, which still ranks first
+    with np.errstate(over="ignore", divide="ignore"):
+        for t in range(1, max(columns) + 1):
+            bit_generator.state = gamma_states[t - 1]
+            g = rng.standard_gamma(counts)
+            pulled = base + (g[..., 0] / g[..., 1]).argmax(axis=1)  # ties go to the lowest arm
+            regret += gaps[pulled]
+            if t in columns:
+                out[columns[t]] = regret
+            failure = uniforms[t - 1, :rows] >= means[pulled]
+            flat[2 * pulled + failure] += 1  # alpha on a success, else beta
+    return out.T
 
 
 def run_trial(policy: tuple, means: np.ndarray, n: int, rng: np.random.Generator) -> float:
-    """Cumulative pseudo-regret of one trial of n rounds: the block kernel on one row."""
+    """Cumulative pseudo-regret of one trial of n rounds: the block kernel on one
+    row, its round states keyed by a seed drawn from rng."""
     n = whole("horizon", n, 1)
-    alpha0, beta0 = policy
-    return float(_thompson_rounds(alpha0[None, :], beta0[None, :], means[None, :], n, rng)[0, n])
+    counts = np.stack(policy, axis=-1)[None].astype(float)
+    rounds = _policy_rounds(np.random.SeedSequence(rng.integers(2**63)), n)
+    return float(_thompson_rounds(counts, means[None, :], (n,), *rounds)[0, 0])
 
 
 class ExperimentConfig(checked_record("ExperimentConfig", "trials seed prior_strength workers")):
@@ -125,33 +166,34 @@ def _summarize(regrets: np.ndarray) -> RegretSummary:
     return RegretSummary(mean=float(np.mean(regrets)), ci=half)
 
 
-def _block_regrets(seed: int, strength: float, priors, horizons, block: int) -> np.ndarray:
-    """Regrets of one block's BLOCK_SIZE trials under each prior, shape
-    (len(priors), BLOCK_SIZE, len(horizons)).
+def _block_regrets(seed: int, strength: float, priors, horizons, block: int,
+                   rows: int = BLOCK_SIZE) -> np.ndarray:
+    """Regrets of the first `rows` trials of one block under each prior, shape
+    (len(priors), rows, len(horizons)).
 
-    The environment stream draws each trial's optimal arm uniformly, then
+    The environment stream draws every trial's optimal arm uniformly, then
     one uniform per trial that sets its recommended arm at an offset drawn
     from each prior (centred on arm 0): the same joint law as drawing the
-    recommendation first. Both draws serve every prior, and each prior's
-    Thompson rounds restart the policy stream from its key. A trial's
-    recommended arm starts at the prior's recommended pseudo-counts, the
-    other arms at the rest's.
+    recommendation first. Both draws cover all BLOCK_SIZE trials and serve
+    every prior. The policy stream gives each Thompson round its own state,
+    which every prior replays. A trial's recommended arm starts at the
+    prior's recommended pseudo-counts, the other arms at the rest's.
     """
     env_seq, policy_seq = np.random.SeedSequence(entropy=seed, spawn_key=(block,)).spawn(2)
     env_rng = np.random.Generator(np.random.SFC64(env_seq))
-    optimal = env_rng.integers(K, size=BLOCK_SIZE)
-    uniforms = env_rng.random(BLOCK_SIZE)
+    optimal = env_rng.integers(K, size=BLOCK_SIZE)[:rows]
+    uniforms = env_rng.random(BLOCK_SIZE)[:rows]
     arms = np.arange(K)
     means = np.where(arms == optimal[:, None], P_OPT, P_BSA)
+    rounds = _policy_rounds(policy_seq, max(horizons))
     parts = []
     for prior in priors:
         offset = np.searchsorted(np.cumsum(prior.weights()), uniforms, side="right")
         recommended = (optimal - np.minimum(offset, K - 1)) % K
-        rec, rest = np.array(prior.pseudo_counts(strength))[..., None, None]
-        alpha0, beta0 = np.where(arms == recommended[:, None], rec, rest)
-        policy_rng = np.random.Generator(np.random.SFC64(policy_seq))
-        parts.append(_thompson_rounds(alpha0, beta0, means,
-                                      max(horizons), policy_rng)[:, list(horizons)])
+        rec, rest = prior.pseudo_counts(strength)
+        is_recommended = (arms == recommended[:, None]).astype(np.intp)
+        counts = np.array((rest, rec)).take(is_recommended, axis=0)  # (rows, k, 2)
+        parts.append(_thompson_rounds(counts, means, horizons, *rounds))
     return np.stack(parts)
 
 
@@ -178,16 +220,17 @@ def regret_curves(config: ExperimentConfig, levels, horizons) -> np.ndarray:
     distinct = {key: i for i, key in enumerate(dict.fromkeys(keys))}
     job = partial(_block_regrets, config.seed, config.prior_strength,
                   tuple(priors[r] for r in distinct), horizons)
+    rows = [min(BLOCK_SIZE, config.trials - b * BLOCK_SIZE) for b in range(blocks)]
     workers = min(config.workers, blocks, os.cpu_count() or 1)
     if workers == 1:
-        parts = list(map(job, range(blocks)))
+        parts = list(map(job, range(blocks), rows))
     else:
         # imported here so that the serial and closed-form paths skip multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(job, range(blocks), chunksize=-(-blocks // workers)))
-    return np.concatenate(parts, axis=1)[[distinct[key] for key in keys], :config.trials]
+            parts = list(pool.map(job, range(blocks), rows, chunksize=-(-blocks // workers)))
+    return np.concatenate(parts, axis=1)[[distinct[key] for key in keys]]
 
 
 def run_monte_carlo(config: ExperimentConfig, algorithm: str, r_mech: float,

@@ -198,7 +198,8 @@ class TestSimulate:
         assert (tmp_path / "a" / csv).read_bytes() == (tmp_path / "b" / csv).read_bytes()
 
     # the largest strength whose pseudo-counts s * K stay finite: each arm's
-    # pair has at most one shape near 1e308, so G_a + G_b cannot overflow
+    # pair has at most one shape near 1e308, and a ratio G_a / G_b that overflows
+    # is inf, which ranks its arm first without a warning
     @pytest.mark.parametrize("table", ["1", "2"])
     def test_largest_accepted_strength(self, capsys, tmp_path, table):
         with warnings.catch_warnings():
@@ -308,6 +309,8 @@ OUT_OF_RANGE = "a parameter is out of numeric range"
     (("certify", "--d-f", "1e-320"), OUT_OF_RANGE),
     (("sweep", "--param", "d_f", "--values", "1e-320"), OUT_OF_RANGE),
     (("certify", "--target", "1e-320"), OUT_OF_RANGE),
+    (("certify", "--d-f", "1e-308"), OUT_OF_RANGE),
+    (("certify", "--d-f", "5e-309"), OUT_OF_RANGE),
     (("burnin", "--eps", "0.45", "--delta", "1e-300", "--gap", "1e308"), OUT_OF_RANGE),
     (("prior", "--r-mech", "nan"), "r_mech must lie in [0, 2.07944], got nan"),
     (("burnin", "--eps", "nan", "--delta", "0.01", "--gap", "0.2"),
@@ -328,6 +331,7 @@ OUT_OF_RANGE = "a parameter is out of numeric range"
         "certify-sigma-overflow", "certify-sigma-underflow", "certify-d-f-underflow",
         "shift-r-train-overflow", "sweep-sigma-underflow", "simulate-strength-overflow",
         "certify-d-f-overflow", "sweep-d-f-overflow", "certify-target-overflow",
+        "certify-capacity-overflow", "certify-capacity-overflow-subnormal-d-f",
         "burnin-cycles-overflow", "prior-r-mech-nan", "burnin-eps-nan", "burnin-delta-nan",
         "sweep-p-opt-out-of-range", "shift-subset-repeated"])
 def test_domain_error_exit_2(capsys, monkeypatch, tmp_path, argv, message):

@@ -93,6 +93,68 @@ class TestMonteCarlo:
             block, row = divmod(t, BLOCK_SIZE)
             assert _block_regrets(42, 2.0, (prior,), (12,), block)[0, row, 0] == few[t, 0]
 
+    @pytest.mark.parametrize("rows", [1, 44, 150, 255])
+    def test_partial_block_is_prefix_of_full_block(self, rows):
+        # a row's draws never depend on the rows after it, so a partial block
+        # simulates only its own rows
+        priors = tuple(solve_prior_for_r_mech(8, r) for r in R_MECH_GRID)
+        full = _block_regrets(7, 2.0, priors, (1, 12, 200), 1)
+        part = _block_regrets(7, 2.0, priors, (1, 12, 200), 1, rows)
+        assert part.shape == (len(priors), rows, 3)
+        assert np.array_equal(part, full[:, :rows])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_first_trials_of_a_larger_run(self, workers):
+        # 600 trials are blocks of 256, 256 and 88 rows; each smaller count ends
+        # inside a block
+        config = ExperimentConfig(trials=600, seed=8, workers=workers)
+        many = regret_curves(config, [1.9, 0.0], (5, 200))
+        for trials in (1, 150, 300):
+            few = regret_curves(config._replace(trials=trials), [1.9, 0.0], (5, 200))
+            assert np.array_equal(few, many[:, :trials]), trials
+
+    def test_round_state_is_numpy_sfc64_seeding(self, monkeypatch):
+        # each round starts where np.random.SFC64 starts from the round's three words
+        class Words(np.random.bit_generator.ISeedSequence):
+            def __init__(self, words):
+                self.words = words
+
+            def generate_state(self, n_words, dtype=np.uint32):
+                assert (n_words, dtype) == (3, np.uint64)
+                return np.array(self.words, dtype=np.uint64)
+
+        starts = []
+
+        class Recording(np.random.Generator):
+            def random(self, *args, **kwargs):
+                starts.append(self.bit_generator.state)
+                return super().random(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Generator", Recording)
+        _block_regrets(11, 2.0, (solve_prior_for_r_mech(8, 1.4),), (5,), 2)
+        policy_seq = np.random.SeedSequence(entropy=11, spawn_key=(2,)).spawn(2)[1]
+        words = policy_seq.generate_state(15, np.uint64).reshape(5, 3)
+        assert len(starts) == 6  # the environment stream's uniforms, then one draw per round
+        for start, three in zip(starts[1:], words):
+            expected = np.random.SFC64(Words(three)).state
+            assert np.array_equal(start["state"]["state"], expected["state"]["state"])
+            assert (start["has_uint32"], start["uinteger"]) == (0, 0)
+
+    def test_partial_block_draws_only_its_gammas(self, monkeypatch):
+        # every round draws BLOCK_SIZE reward uniforms, a fixed amount, and
+        # one gamma per pseudo-count of the rows asked for
+        sizes = []
+
+        class Recording(np.random.Generator):
+            def standard_gamma(self, shape, *args, **kwargs):
+                sizes.append(np.shape(shape))
+                return super().standard_gamma(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Generator", Recording)
+        prior = solve_prior_for_r_mech(8, 1.4)
+        _block_regrets(3, 2.0, (prior,), (12,), 0, 44)
+        assert sizes == [(44, 8, 2)] * 12
+
     def test_short_horizon_is_prefix_of_long_run(self):
         # Table 2 reads every horizon off one run, so its arms still
         # share optimal-arm draws and the n = 5 column is a prefix
@@ -162,10 +224,10 @@ class TestMonteCarlo:
     # below 1/8, where the recommended arm's and the others' shapes swap roles.
     # A new value here is a declared stream change, as in test_stream_pinned.
     @pytest.mark.parametrize("strength,digest", [
-        (0.0, "9f3ed2e53359fe81aed47f89c93a488d2ca9d745b6b9d8d6ecce5f5f12d77ed8"),
-        (5.0, "cdf03ba04918872ef94280cf9bacbfb9ebfa152a0afd4b265e514d62e4f009ec"),
-        (2e307, "276085b356e4af3d3ca1f0e24a349d6c450dfa1adf50831679c31a5b598966b9"),
-    ])
+        (0.0, "8f5fa48b35ef0e56dc8c54e893805fefd3b687d82e9d8b56dfab45d3ea64745e"),
+        (5.0, "a337f86a3ad4ae706e668f0aad91e6f8bf34c9ee1b4eb00bdfa291658369acf2"),
+        (2e307, "517a7605d31c806a6d237ed632fcd98d294ff4823f08e1b2fcf2963b2350dbd9"),
+    ], ids=["0.0", "5.0", "2e+307"])
     def test_block_pinned(self, strength, digest):
         priors = tuple(solve_prior_for_r_mech(8, r) for r in R_MECH_GRID)
         got = _block_regrets(7, strength, priors + (TwoLevelPrior(8, 1 / 8 - 1e-12),),
@@ -189,7 +251,7 @@ class TestMonteCarlo:
         assert len(seeds) == 4 and env != policy
 
     def test_block_of_levels_equals_one_call_per_level(self):
-        # every level of a block restarts the policy stream, so sharing a
+        # every level of a block replays the same round states, so sharing a
         # block with other levels changes none of a level's draws
         priors = tuple(solve_prior_for_r_mech(8, r) for r in (0.0, 0.8, 1.9))
         together = _block_regrets(9, 2.0, priors, (1, 12, 30), 1)
@@ -203,9 +265,9 @@ class TestMonteCarlo:
     ])
     def test_each_distinct_cell_simulated_once(self, monkeypatch, experiment, strength,
                                                cells):
-        # 300 trials are two blocks, one call each; Table 1 has four informed
-        # cells and one flat one, Table 2 one of each, and at strength 0 every
-        # cell is flat
+        # 300 trials are two blocks, one call each, the second of 44 rows;
+        # Table 1 has four informed cells and one flat one, Table 2 one of
+        # each, and at strength 0 every cell is flat
         seen = []
 
         def counting(*job):
@@ -214,9 +276,9 @@ class TestMonteCarlo:
 
         monkeypatch.setattr(sim, "_block_regrets", counting)
         experiment(ExperimentConfig(trials=300, seed=5, prior_strength=strength))
-        assert [block for *_, block in seen] == [0, 1]
-        assert all(len(set(priors)) == len(priors) for _, _, priors, _, _ in seen)
-        assert sum(len(priors) for _, _, priors, _, _ in seen) == cells
+        assert [(block, rows) for *_, block, rows in seen] == [(0, BLOCK_SIZE), (1, 44)]
+        assert all(len(set(priors)) == len(priors) for _, _, priors, *_ in seen)
+        assert sum(len(priors) for _, _, priors, *_ in seen) == cells
 
     @pytest.mark.parametrize("experiment,levels", [
         (table1_experiment, {0.0, 0.3, 0.8, 1.4, 1.9}), (table2_experiment, {0.0, 1.9}),
@@ -375,9 +437,9 @@ class TestTables:
     # change: list the old and new hashes and the moved values in CHANGES.md.
     @pytest.mark.parametrize("experiment,digest", [
         (table1_experiment,
-         "1eaa0aec5aebb2bddfccd3a0e72d0beabf33a6d0f8e27dab2c448246f0afb11a"),
+         "22d3aab9c1af20575adf56100093842fe55e02440fde1cb885f109b7898b26a8"),
         (table2_experiment,
-         "3d18442440f5ff95dc02b7c4d15f201bf8552427148798ed29a3da3d6daa4b7e"),
+         "1df340a7b0b706b456561b3e0ecc43aa86c26a8b96a953cb49e058849ed35133"),
     ], ids=["table1", "table2"])
     def test_stream_pinned(self, tmp_path, experiment, digest):
         path = tmp_path / "table.csv"
