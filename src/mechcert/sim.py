@@ -8,15 +8,16 @@ rest at the baseline attainment. Regret is pseudo-regret on means.
 Reproducibility contract: trials run in blocks of BLOCK_SIZE, a frozen
 constant. Block b holds trials b*BLOCK_SIZE .. (b+1)*BLOCK_SIZE - 1 and
 draws from its own environment and policy streams, spawned from a
-SeedSequence keyed by (master seed, b). The policy stream gives each
-Thompson round its own SFC64 state, which every level of the block
-replays, and a round draws trial after trial, so a trial's draws never
-depend on the trials after it and the last block simulates only the
-trials asked for. A trial's regret depends only on (seed, trial index,
-prior strength, r_mech): never on the trial count, the worker count, the
-execution order or the other levels. Each Thompson round makes the same
-draws whatever the horizon, so a shorter horizon's regret is the longer
-run's prefix.
+SeedSequence keyed by (master seed, b). One pass over the Thompson rounds
+serves every level of the block: each round is seeded from the policy
+stream alone, draws BLOCK_SIZE reward uniforms, and then gives each level
+one gamma draw, trial after trial, from the state those uniforms leave.
+So a trial's draws never depend on the trials after it, and the last
+block simulates only the trials asked for. A trial's regret depends only
+on (seed, trial index, prior strength, r_mech): never on the trial count,
+the worker count, the execution order or the other levels. Each Thompson
+round makes the same draws whatever the horizon, so a shorter horizon's
+regret is the longer run's prefix.
 The environment stream draws each trial's optimal arm first and its
 recommended arm second, so the path of a flat policy (every pseudo-count
 1) depends on neither the strength nor r_mech: a cell is one information
@@ -71,76 +72,68 @@ def build_environment(k: int, optimal: int, p_opt: float, p_bsa: float) -> np.nd
     return np.where(np.arange(k) == optimal, p_opt, p_bsa)
 
 
-def _policy_rounds(seq: np.random.SeedSequence, n: int):
-    """The policy stream of n Thompson rounds, which every level of a block
-    replays: each round's BLOCK_SIZE reward uniforms, the SFC64 state its
-    gamma draws start from, and a generator to set those states on.
+def _thompson_rounds(seq: np.random.SeedSequence, counts: np.ndarray, means: np.ndarray,
+                     horizons) -> np.ndarray:
+    """Run Thompson sampling on every row of every level at once; the block kernel.
 
-    Round t is seeded the way numpy's SFC64 seeds itself from three words,
-    here words 3(t-1) .. 3t - 1 of `seq.generate_state`: the state
-    [w0, w1, w2, 1] advanced twelve steps. It draws its uniforms first, a
-    fixed amount, so its gamma draws start from a state that depends on
-    (seq, t) alone.
+    counts is the C-contiguous (levels, rows, k, 2) array of initial
+    pseudo-counts (alpha, beta), updated in place, and means the (rows, k)
+    arm means, which every level shares. Round t is seeded the way numpy's
+    SFC64 seeds itself from three words, here words 3(t-1) .. 3t - 1 of
+    `seq.generate_state`: the state [w0, w1, w2, 1] advanced twelve steps.
+    It draws BLOCK_SIZE reward uniforms, a fixed amount, of which the rows
+    use the first, and then gives each level one `standard_gamma` draw over
+    its counts, row by row, from the state those uniforms leave; the ratio
+    G_a / G_b orders the arms as the Beta(a, b) draw G_a / (G_a + G_b) does
+    (numpy's `beta` unless a, b <= 1). So a row's draws never depend on the
+    rows after it or on the other levels. Returns every row's cumulative
+    pseudo-regret at each horizon, shape (levels, rows, len(horizons)).
     """
+    levels, rows, k, _ = counts.shape
     rng = np.random.Generator(np.random.SFC64(seq))
     bit_generator = rng.bit_generator
-    words = seq.generate_state(3 * n, np.uint64).reshape(n, 3)
-    seed = {"bit_generator": "SFC64", "state": {}, "has_uint32": 0, "uinteger": 0}
-    uniforms, gamma_states = np.empty((n, BLOCK_SIZE)), []
-    for t, state in enumerate(np.column_stack((words, np.ones(n, np.uint64)))):
-        seed["state"]["state"] = state
-        bit_generator.state = seed
-        bit_generator.random_raw(12)
-        rng.random(out=uniforms[t])
-        gamma_states.append(bit_generator.state)
-    return uniforms, gamma_states, rng
-
-
-def _thompson_rounds(counts: np.ndarray, means: np.ndarray, horizons, uniforms: np.ndarray,
-                     gamma_states: list, rng: np.random.Generator) -> np.ndarray:
-    """Run Thompson sampling on every row at once; the block kernel.
-
-    counts is the (rows, k, 2) array of initial pseudo-counts (alpha, beta),
-    updated in place, and means the (rows, k) arm means; the rest is
-    `_policy_rounds`. Round t uses the first rows of its reward uniforms and
-    makes one `standard_gamma` draw over the counts, row by row, from its
-    gamma state; the ratio G_a / G_b orders the arms as the Beta(a, b) draw
-    G_a / (G_a + G_b) does (numpy's `beta` unless a, b <= 1). So a row's
-    draws never depend on the rows after it. Returns every row's cumulative
-    pseudo-regret at each horizon, shape (rows, len(horizons)).
-    """
-    rows, k = means.shape
     gaps = (means.max(axis=1, keepdims=True) - means).ravel()
     means = means.ravel()
-    flat = counts.reshape(-1)  # a view: updates reach the drawn counts
     base = np.arange(rows) * k
     columns: dict[int, list[int]] = {}
     for col, n in enumerate(horizons):
         columns.setdefault(n, []).append(col)
-    regret = np.zeros(rows)
-    out = np.empty((len(horizons), rows))
-    bit_generator = rng.bit_generator
+    n = max(columns)
+    words = seq.generate_state(3 * n, np.uint64).reshape(n, 3)
+    seed = {"bit_generator": "SFC64", "state": {}, "has_uint32": 0, "uinteger": 0}
+    uniforms = np.empty(BLOCK_SIZE)
+    drawn = uniforms[:rows]  # a view: each round's uniforms reach it
+    regret = np.zeros((levels, rows))
+    # views per level: its counts, the same counts flat, and its running regret
+    cells = list(zip(counts, counts.reshape(levels, -1), regret))
+    out = np.empty((len(horizons), levels, rows))
     # a ratio that overflows (a shape near 1e308, or G_b = 0) is inf, which still ranks first
     with np.errstate(over="ignore", divide="ignore"):
-        for t in range(1, max(columns) + 1):
-            bit_generator.state = gamma_states[t - 1]
-            g = rng.standard_gamma(counts)
-            pulled = base + (g[..., 0] / g[..., 1]).argmax(axis=1)  # ties go to the lowest arm
-            regret += gaps[pulled]
+        for t, state in enumerate(np.column_stack((words, np.ones(n, np.uint64))), 1):
+            seed["state"]["state"] = state
+            bit_generator.state = seed
+            bit_generator.random_raw(12)
+            rng.random(out=uniforms)
+            start = bit_generator.state
+            for level, (shapes, flat, path) in enumerate(cells):
+                if level:
+                    bit_generator.state = start
+                g = rng.standard_gamma(shapes)
+                pulled = base + (g[..., 0] / g[..., 1]).argmax(axis=1)  # ties go to the lowest arm
+                path += gaps[pulled]
+                flat[2 * pulled + (drawn >= means[pulled])] += 1  # alpha on a success, else beta
             if t in columns:
                 out[columns[t]] = regret
-            failure = uniforms[t - 1, :rows] >= means[pulled]
-            flat[2 * pulled + failure] += 1  # alpha on a success, else beta
-    return out.T
+    return out.transpose(1, 2, 0)
 
 
 def run_trial(policy: tuple, means: np.ndarray, n: int, rng: np.random.Generator) -> float:
     """Cumulative pseudo-regret of one trial of n rounds: the block kernel on one
-    row, its round states keyed by a seed drawn from rng."""
+    level of one row, its rounds seeded from a seed drawn from rng."""
     n = whole("horizon", n, 1)
-    counts = np.stack(policy, axis=-1)[None].astype(float)
-    rounds = _policy_rounds(np.random.SeedSequence(rng.integers(2**63)), n)
-    return float(_thompson_rounds(counts, means[None, :], (n,), *rounds)[0, 0])
+    counts = np.stack(policy, axis=-1)[None, None].astype(float)
+    seq = np.random.SeedSequence(rng.integers(2**63))
+    return float(_thompson_rounds(seq, counts, means[None, :], (n,))[0, 0, 0])
 
 
 class ExperimentConfig(checked_record("ExperimentConfig", "trials seed prior_strength workers")):
@@ -175,9 +168,10 @@ def _block_regrets(seed: int, strength: float, priors, horizons, block: int,
     one uniform per trial that sets its recommended arm at an offset drawn
     from each prior (centred on arm 0): the same joint law as drawing the
     recommendation first. Both draws cover all BLOCK_SIZE trials and serve
-    every prior. The policy stream gives each Thompson round its own state,
-    which every prior replays. A trial's recommended arm starts at the
-    prior's recommended pseudo-counts, the other arms at the rest's.
+    every prior. One kernel call runs the block's Thompson rounds for every
+    prior at once, each prior's draws the same as if it ran alone. A
+    trial's recommended arm starts at the prior's recommended pseudo-counts,
+    the other arms at the rest's.
     """
     env_seq, policy_seq = np.random.SeedSequence(entropy=seed, spawn_key=(block,)).spawn(2)
     env_rng = np.random.Generator(np.random.SFC64(env_seq))
@@ -185,16 +179,14 @@ def _block_regrets(seed: int, strength: float, priors, horizons, block: int,
     uniforms = env_rng.random(BLOCK_SIZE)[:rows]
     arms = np.arange(K)
     means = np.where(arms == optimal[:, None], P_OPT, P_BSA)
-    rounds = _policy_rounds(policy_seq, max(horizons))
-    parts = []
-    for prior in priors:
+    counts = np.empty((len(priors), rows, K, 2))
+    for prior, cell in zip(priors, counts):
         offset = np.searchsorted(np.cumsum(prior.weights()), uniforms, side="right")
         recommended = (optimal - np.minimum(offset, K - 1)) % K
         rec, rest = prior.pseudo_counts(strength)
         is_recommended = (arms == recommended[:, None]).astype(np.intp)
-        counts = np.array((rest, rec)).take(is_recommended, axis=0)  # (rows, k, 2)
-        parts.append(_thompson_rounds(counts, means, horizons, *rounds))
-    return np.stack(parts)
+        np.array((rest, rec)).take(is_recommended, axis=0, out=cell)
+    return _thompson_rounds(policy_seq, counts, means, horizons)
 
 
 def regret_curves(config: ExperimentConfig, levels, horizons) -> np.ndarray:

@@ -70,6 +70,16 @@ class TestRunTrial:
             r = run_trial(UNINFORMED, env, 12, rng)
             assert 0.0 <= r <= 12 * 0.65 + 1e-12
 
+    def test_stream_pinned(self):
+        # an informed policy over three horizons, five trials each, from one rng;
+        # a new value here is a declared stream change, as in the table stream pins
+        rng = np.random.default_rng(7)
+        policy = (np.array([5.0] + [1.0] * 7), np.array([1.0] + [2.0] * 7))
+        env = build_environment(8, 3, 0.85, 0.20)
+        got = np.array([run_trial(policy, env, n, rng) for n in (1, 12, 200) for _ in range(5)])
+        assert hashlib.sha256(got.tobytes()).hexdigest() == (
+            "a289204f4db8beff6bb71a3dea052b414a05f4b025623145f46c3ac679c86ee5")
+
 
 class TestMonteCarlo:
     def test_determinism(self):
@@ -142,7 +152,7 @@ class TestMonteCarlo:
 
     def test_partial_block_draws_only_its_gammas(self, monkeypatch):
         # every round draws BLOCK_SIZE reward uniforms, a fixed amount, and
-        # one gamma per pseudo-count of the rows asked for
+        # for each level one gamma per pseudo-count of the rows asked for
         sizes = []
 
         class Recording(np.random.Generator):
@@ -151,9 +161,10 @@ class TestMonteCarlo:
                 return super().standard_gamma(shape, *args, **kwargs)
 
         monkeypatch.setattr(np.random, "Generator", Recording)
-        prior = solve_prior_for_r_mech(8, 1.4)
-        _block_regrets(3, 2.0, (prior,), (12,), 0, 44)
-        assert sizes == [(44, 8, 2)] * 12
+        for levels in ((1.4,), R_MECH_GRID):
+            sizes.clear()
+            _block_regrets(3, 2.0, tuple(solve_prior_for_r_mech(8, r) for r in levels), (12,), 0, 44)
+            assert sizes == [(44, 8, 2)] * (12 * len(levels)), levels
 
     def test_short_horizon_is_prefix_of_long_run(self):
         # Table 2 reads every horizon off one run, so its arms still
@@ -251,8 +262,8 @@ class TestMonteCarlo:
         assert len(seeds) == 4 and env != policy
 
     def test_block_of_levels_equals_one_call_per_level(self):
-        # every level of a block replays the same round states, so sharing a
-        # block with other levels changes none of a level's draws
+        # every level's gamma draws in a round start from the same state, so
+        # sharing a block with other levels changes none of a level's draws
         priors = tuple(solve_prior_for_r_mech(8, r) for r in (0.0, 0.8, 1.9))
         together = _block_regrets(9, 2.0, priors, (1, 12, 30), 1)
         assert together.shape == (3, BLOCK_SIZE, 3)
@@ -265,18 +276,26 @@ class TestMonteCarlo:
     ])
     def test_each_distinct_cell_simulated_once(self, monkeypatch, experiment, strength,
                                                cells):
-        # 300 trials are two blocks, one call each, the second of 44 rows;
-        # Table 1 has four informed cells and one flat one, Table 2 one of
-        # each, and at strength 0 every cell is flat
-        seen = []
+        # 300 trials are two blocks, one call each, the second of 44 rows, and
+        # each block is one kernel pass over all its cells; Table 1 has four
+        # informed cells and one flat one, Table 2 one of each, and at
+        # strength 0 every cell is flat
+        seen, passes = [], []
 
         def counting(*job):
             seen.append(job)
             return _block_regrets(*job)
 
+        def kernel(seq, counts, *rest):
+            passes.append(counts.shape[:2])
+            return thompson_rounds(seq, counts, *rest)
+
+        thompson_rounds = sim._thompson_rounds
         monkeypatch.setattr(sim, "_block_regrets", counting)
+        monkeypatch.setattr(sim, "_thompson_rounds", kernel)
         experiment(ExperimentConfig(trials=300, seed=5, prior_strength=strength))
         assert [(block, rows) for *_, block, rows in seen] == [(0, BLOCK_SIZE), (1, 44)]
+        assert passes == [(len(priors), rows) for _, _, priors, _, _, rows in seen]
         assert all(len(set(priors)) == len(priors) for _, _, priors, *_ in seen)
         assert sum(len(priors) for _, _, priors, *_ in seen) == cells
 
