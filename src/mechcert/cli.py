@@ -11,9 +11,11 @@ then parses again: argparse converts a string default by its flag's type
 only during a parse.
 
 A call builds only its own command's parser (all six for help, no
-arguments or an unknown command) and loads the standard library plus
-`certificates`, `prior` and the module its command runs: `sweep`,
-`misspec` (for `burnin` and `shift`) or `sim`, each only inside the commands that run it.
+arguments or an unknown command). The closed-form modules load with the
+CLI. `sim`, whose numpy costs about 100 ms per process, loads only inside
+`simulate`, and its process pool (about 20 ms) only when a run uses more
+than one worker. Loading `misspec` and `sweep` with every call costs about
+2 ms (about 8 ms in a process that compiles them from source).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import certificates as cert
+from . import certificates as cert, misspec, sweep as sw
 from .prior import DEFAULT_PRIOR_STRENGTH, JointDistribution, solve_prior_for_r_mech
 
 EXIT_OK = 0
@@ -73,7 +75,7 @@ def _load_config(command: argparse.ArgumentParser, path: str) -> None:
     actions = {a.dest: a for a in command._actions
                if a.option_strings and a.nargs is None and a.dest != "config"}
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is not a key
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     values, first = {}, {}
@@ -163,9 +165,8 @@ def cmd_simulate(args) -> None:
 
 
 def cmd_burnin(args) -> None:
-    from . import misspec
-
-    params = misspec.BurnInParams(epsilon=args.eps, delta=args.delta, gap=args.gap, k=args.k)
+    params = misspec.BurnInParams(epsilon=args.eps, delta=args.delta, gap=args.gap,
+                                  k=_calibration(args)["k"])
     result = misspec.burn_in_lower_bound(params)
     print(f"effective_prior_weight = {result.effective_prior_weight:.6g}")
     if result.binary_kl is not None:
@@ -178,8 +179,6 @@ def cmd_burnin(args) -> None:
 
 
 def cmd_shift(args) -> None:
-    from . import misspec
-
     if args.joint is not None:
         _reject_given(args, ("r_train", "delta_pi", "k"), "not allowed with argument --joint")
         joint = JointDistribution.from_csv(args.joint)
@@ -200,14 +199,12 @@ def cmd_shift(args) -> None:
 
 
 def cmd_prior(args) -> None:
-    prior = solve_prior_for_r_mech(args.k, args.r_mech)
+    prior = solve_prior_for_r_mech(_calibration(args)["k"], args.r_mech)
     print(f"beta = {prior.beta:.6g}")
     print(f"alpha = {prior.alpha:.6g}")
 
 
 def cmd_sweep(args) -> None:
-    from . import sweep as sw
-
     # the flag of the field a swept parameter sets is never read
     for param in args.grid or filter(None, [args.param]):
         _reject_given(args, (sw.SETS[param][0],), f"not allowed with a sweep over {param}")
@@ -238,9 +235,9 @@ def cmd_sweep(args) -> None:
 # flag specs: (dest, add_argument keywords[, "exclusive"]); argparse's own default is None
 BITS = ("bits", dict(action="store_true", help="display entropies and information in bits"))
 OUT = ("out", dict(default=".", help="output directory"))
-WORKING_K = ("k", dict(type=int, default=CALIBRATION["k"][1]))
 CALIBRATION_FLAGS = tuple((dest, dict(type=type_, help=help_))
                           for dest, (type_, _, help_) in CALIBRATION.items())
+K = CALIBRATION_FLAGS[0]  # burnin, shift and prior take certify's --k
 
 COMMANDS = {  # name: (command, summary, flags), in the order the help lists them
     "certify": (cmd_certify, "composite certificate", (
@@ -258,17 +255,16 @@ COMMANDS = {  # name: (command, summary, flags), in the order the help lists the
         OUT)),
     "burnin": (cmd_burnin, "burn-in lower bound", (
         *((dest, dict(type=float, required=True)) for dest in ("eps", "delta", "gap")),
-        WORKING_K, BITS)),
+        K, BITS)),
     "shift": (cmd_shift, "distribution-shift retention and impossibility", (
-        ("r_train", dict(type=float)), ("k", dict(type=int)), ("delta_pi", dict(type=float)),
+        ("r_train", dict(type=float)), K, ("delta_pi", dict(type=float)),
         ("joint", dict(help="joint-distribution CSV file")),
         ("subset", dict(type=_comma_list(int, "integers"),
                         help="comma-separated kept arm indices")),
         BITS)),
     "prior": (cmd_prior, "two-level prior for an information level", (
-        WORKING_K, ("r_mech", dict(type=float, required=True)))),
-    # a function of the sweep module, which loads only when the sweep parser is built
-    "sweep": (cmd_sweep, "sensitivity sweeps to CSV", lambda sw: (
+        K, ("r_mech", dict(type=float, required=True)))),
+    "sweep": (cmd_sweep, "sensitivity sweeps to CSV", (
         *CALIBRATION_FLAGS,
         ("param", dict(choices=sw.SWEEP_PARAMETERS), "exclusive"),
         ("min", dict(type=float)), ("max", dict(type=float)),
@@ -290,9 +286,6 @@ def build_parser(names=tuple(COMMANDS)) -> _Parser:
     subs = parser.add_subparsers(dest="command", required=True)
     for name in names:
         func, summary, flags = COMMANDS[name]
-        if callable(flags):
-            from . import sweep
-            flags = flags(sweep)
         p = subs.add_parser(name, help=summary)
         p.add_argument("--config", help="flat key = value file of flag defaults")
         p.set_defaults(func=func)

@@ -133,7 +133,7 @@ class JointDistribution(checked_record("JointDistribution", "probs")):
         """k on the first line, then k rows of k comma-separated probabilities."""
         layout = (f"{path}: expected k on the first line, "
                   "then k rows of k comma-separated probabilities")
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a leading BOM is not part of k
             try:
                 k = int(fh.readline().strip())
                 rows = [[float(x) for x in line.strip().split(",")]

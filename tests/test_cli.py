@@ -135,6 +135,14 @@ class TestCertify:
         assert err.startswith(f"error: cannot read config file {cfg}: ")
         assert "codec can't decode byte 0xff" in err
 
+    def test_config_file_with_byte_order_mark(self, capsys, tmp_path):
+        # Excel's "CSV UTF-8" export and Windows Notepad start a file with one
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfb_mu = 0.8\n")
+        code, out, err = run(capsys, "certify", "--config", str(cfg))
+        assert (code, err) == (0, "")
+        assert "regime = Baseline" in out.splitlines()
+
 
 class TestSimulate:
     def test_table1_smoke(self, capsys, tmp_path):
@@ -455,33 +463,34 @@ def test_out_not_a_directory_exit_1(capsys, tmp_path, argv):
 
 
 def test_import_loads_only_what_the_command_runs(tmp_path):
-    """Closed-form commands start without numpy, scipy, multiprocessing or
-    dataclasses; `cli` leaves `misspec` to `burnin` and `shift`, and `sweep` to
-    its own command; the bare package loads none of its modules; the Monte Carlo
-    engine needs neither dataclasses nor `sweep`, and only `simulate` loads numpy."""
+    """`cli` loads the closed-form modules and none of numpy, scipy,
+    multiprocessing or dataclasses; the bare package loads none of its modules;
+    the Monte Carlo engine needs neither dataclasses nor `sweep`, and only
+    `simulate` loads numpy."""
     import mechcert
     src = str(Path(mechcert.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     heavy = ("m.split('.')[0] in ('numpy', 'scipy') or m in ('concurrent.futures.process', "
              "'dataclasses')")
-    for module, unwanted in (("mechcert", f"{heavy} or m.startswith('mechcert.')"),
-                             ("mechcert.cli", f"{heavy} or m in ('mechcert.misspec', "
-                                              "'mechcert.sweep')"),
-                             ("mechcert.sim", "m in ('dataclasses', 'mechcert.sweep')")):
-        probe = f"import sys, {module}; print(sorted(m for m in sys.modules if {unwanted}))"
+    cli_loads = sorted(["mechcert", *(f"mechcert.{m}" for m in ("certificates", "prior",
+                                                                 "misspec", "sweep", "cli"))])
+    for module, shown, loaded in (
+            ("mechcert", f"{heavy} or m.startswith('mechcert.')", []),
+            ("mechcert.cli", f"{heavy} or m.split('.')[0] == 'mechcert'", cli_loads),
+            ("mechcert.sim", "m in ('dataclasses', 'mechcert.sweep')", [])):
+        probe = f"import sys, {module}; print(sorted(m for m in sys.modules if {shown}))"
         result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                                 text=True, timeout=60, check=True)
-        assert result.stdout.strip() == "[]", module
+        assert result.stdout.strip() == str(loaded), module
     probe = ("import contextlib, io, sys\nfrom mechcert.cli import main\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n    main(sys.argv[1:])\n"
-             "print(sorted(m for m in sys.modules if m in "
-             "('mechcert.misspec', 'mechcert.sweep', 'numpy')))")
+             "print(sorted(m for m in sys.modules if m == 'numpy'))")
     for argv, loaded in ((["certify"], []), (["prior", "--r-mech", "1.9"], []),
-                         (["burnin", "--eps", "0.05", "--delta", "0.1", "--gap", "0.3"],
-                          ["mechcert.misspec"]),
-                         (["shift", "--r-train", "1.6", "--delta-pi", "0.5"],
-                          ["mechcert.misspec"]),
+                         (["burnin", "--eps", "0.05", "--delta", "0.1", "--gap", "0.3"], []),
+                         (["shift", "--r-train", "1.6", "--delta-pi", "0.5"], []),
+                         (["sweep", "--param", "b_mu", "--values", "0.2", "--out", str(tmp_path)],
+                          []),
                          (["simulate", "--table", "1", "--trials", "1", "--out", str(tmp_path)],
                           ["numpy"])):
         result = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
@@ -524,12 +533,12 @@ def test_action_table_pinned():
                          a.nargs, a.metavar, a.help, group))
     assert len(rows) == 47
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
-        "2c2b314ccbac614a07afec2a584b5a7260596130a2c4187523617b702a8ce2ce")
+        "f8c9346124c0426a1e2fbde72a5b5485c626dd2009a9439400764b66b2183fd6")
 
 
 def test_closed_form_commands_run_without_site_packages(tmp_path, two_level_joint):
-    """Every closed-form command, `burnin` and `shift` (whose `misspec` loads inside
-    them) included, exits 0 under `python -S`: no site-packages, so no numpy."""
+    """Every closed-form command exits 0 under `python -S`: no site-packages, so
+    no numpy."""
     import mechcert
     src = str(Path(mechcert.__file__).resolve().parents[1])
     joint = two_level_joint(8, 0.972)
@@ -603,6 +612,13 @@ class TestShift:
         code, out, _ = run(capsys, "shift", "--joint", str(path))
         assert code == 0
         assert "mutual_information_test = 0 nats" in out.splitlines()
+
+    def test_joint_file_with_byte_order_mark(self, capsys, tmp_path):
+        path = tmp_path / "diag.csv"
+        path.write_bytes(b"\xef\xbb\xbf2\n0.5,0\n0,0.5\n")
+        code, out, err = run(capsys, "shift", "--joint", str(path))
+        assert (code, err) == (0, "")
+        assert "shift_divergence = 0.346574 nats" in out.splitlines()
 
 
 class TestPrior:
