@@ -95,10 +95,7 @@ def _thompson_rounds(seq: np.random.SeedSequence, counts: np.ndarray, means: np.
     gaps = (means.max(axis=1, keepdims=True) - means).ravel()
     means = means.ravel()
     base = np.arange(rows) * k
-    columns: dict[int, list[int]] = {}
-    for col, n in enumerate(horizons):
-        columns.setdefault(n, []).append(col)
-    n = max(columns)
+    n = max(horizons)
     words = seq.generate_state(3 * n, np.uint64).reshape(n, 3)
     seed = {"bit_generator": "SFC64", "state": {}, "has_uint32": 0, "uinteger": 0}
     uniforms = np.empty(BLOCK_SIZE)
@@ -106,7 +103,7 @@ def _thompson_rounds(seq: np.random.SeedSequence, counts: np.ndarray, means: np.
     regret = np.zeros((levels, rows))
     # views per level: its counts, the same counts flat, and its running regret
     cells = list(zip(counts, counts.reshape(levels, -1), regret))
-    out = np.empty((len(horizons), levels, rows))
+    reached = {}
     # a ratio that overflows (a shape near 1e308, or G_b = 0) is inf, which still ranks first
     with np.errstate(over="ignore", divide="ignore"):
         for t, state in enumerate(np.column_stack((words, np.ones(n, np.uint64))), 1):
@@ -122,9 +119,9 @@ def _thompson_rounds(seq: np.random.SeedSequence, counts: np.ndarray, means: np.
                 pulled = base + (g[..., 0] / g[..., 1]).argmax(axis=1)  # ties go to the lowest arm
                 path += gaps[pulled]
                 flat[2 * pulled + (drawn >= means[pulled])] += 1  # alpha on a success, else beta
-            if t in columns:
-                out[columns[t]] = regret
-    return out.transpose(1, 2, 0)
+            if t in horizons:
+                reached[t] = regret.copy()
+    return np.stack([reached[t] for t in horizons], axis=-1)
 
 
 def run_trial(policy: tuple, means: np.ndarray, n: int, rng: np.random.Generator) -> float:

@@ -183,9 +183,12 @@ class TestSimulate:
             "--out", str(b))
         assert (a / "table1.csv").read_bytes() == (b / "table1.csv").read_bytes()
 
-    # 300 trials are two blocks, so two workers start one pool whatever the CPU count
-    @pytest.mark.parametrize("table", ["1", "2"])
-    def test_workers_do_not_change_output(self, capsys, tmp_path, monkeypatch, table):
+    # 300 trials are two blocks and 600 are three, the last one partial, so two
+    # workers start one pool whatever the CPU count
+    @pytest.mark.parametrize("table,trials", [
+        pytest.param("1", "300", id="1"), pytest.param("2", "300", id="2"),
+        pytest.param("1", "600", id="1-600"), pytest.param("2", "600", id="2-600")])
+    def test_workers_do_not_change_output(self, capsys, tmp_path, monkeypatch, table, trials):
         import concurrent.futures
 
         started = []
@@ -199,7 +202,7 @@ class TestSimulate:
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         csv = f"table{table}.csv"
         for workers, out in (("1", tmp_path / "a"), ("2", tmp_path / "b")):
-            code, _, _ = run(capsys, "simulate", "--table", table, "--trials", "300",
+            code, _, _ = run(capsys, "simulate", "--table", table, "--trials", trials,
                              "--seed", "5", "--workers", workers, "--out", str(out))
             assert code == 0
         assert started == [2]
@@ -421,11 +424,16 @@ def test_list_flags_from_config_take_effect(capsys, tmp_path):
      "argument --b-mu: not allowed with a sweep over b_mu", "b_mu = 0.35\n"),
     (("sweep", "--param", "p_opt", "--values", "0.6"),
      "argument --sigma: not allowed with a sweep over p_opt", "sigma = 0.3\n"),
+    # a required flag has no config key: the command line must give it, and wins
+    (("simulate", "--table", "1", "--trials", "1"), "unknown config key 'table'", "table = 2\n"),
+    (("simulate", "--table", "1", "--trials", "1"), "unknown config key 'table'", "table = 3\n"),
+    (("prior", "--r-mech", "1"), "unknown config key 'r_mech'", "r_mech = 1.9\n"),
 ], ids=["shift-joint-r-train", "shift-subset-without-joint", "sweep-grid-values",
         "sweep-grid-range", "sweep-values-range", "sweep-values-steps", "sweep-grid-config-values",
         "shift-joint-k", "shift-joint-config-k", "sweep-grid-own-flag", "sweep-grid-x-flag-first",
         "sweep-p-opt-sigma", "sweep-param-own-flag", "sweep-grid-config-own-key",
-        "sweep-param-config-sigma"])
+        "sweep-param-config-sigma", "simulate-config-table", "simulate-config-table-not-a-choice",
+        "prior-config-r-mech"])
 def test_flag_the_mode_never_reads_exit_1(capsys, monkeypatch, tmp_path, two_level_joint, argv,
                                           message, config):
     # a config-file value counts as given; nothing is written, the CSV's directory included
