@@ -13,8 +13,8 @@ during a parse.
 A call builds only its own command's parser (all six for help, no arguments
 or an unknown command): all six would cost an in-process `simulate --table 1`
 call 8% of its wall time and 0.4 MB of peak memory, a fresh process 1.5 ms.
-The closed-form modules load with the CLI (`misspec` and `sweep` cost 2 ms a
-call, 8 ms when compiled). `sim` (numpy, about 100 ms per process) loads only
+The closed-form modules load with the CLI (6 ms from bytecode, 24 ms compiled
+from source; `-X importtime`). `sim` (numpy, about 100 ms a process) loads only
 in `simulate`, and its process pool (about 20 ms) only with workers > 1.
 """
 
@@ -26,8 +26,10 @@ import os
 import sys
 from pathlib import Path
 
-from . import certificates as cert, misspec, sweep as sw
-from .prior import DEFAULT_PRIOR_STRENGTH, JointDistribution, solve_prior_for_r_mech
+from . import certificates as cert, sweep as sw
+from .prior import (DEFAULT_PRIOR_STRENGTH, HORIZON, K, BurnInParams, JointDistribution,
+                    burn_in_lower_bound, check_retention, solve_prior_for_r_mech,
+                    verify_impossibility)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -35,7 +37,7 @@ EXIT_DOMAIN = 2
 
 LN2 = math.log(2.0)
 # dest: (type, 5-FU working value, help); a calibration flag not given takes its working value
-CALIBRATION = {"k": (int, 8, "number of arms"), "n": (int, 12, "horizon in cycles"),
+CALIBRATION = {"k": (int, K, "number of arms"), "n": (int, HORIZON, "horizon in cycles"),
                "sigma": (float, 0.40, "reward-noise std"),
                "kappa_mu": (float, 1.8, "occupancy sensitivity"),
                "d_f": (float, 3.0, "effective residual dimension"),
@@ -165,9 +167,8 @@ def cmd_simulate(args) -> None:
 
 
 def cmd_burnin(args) -> None:
-    params = misspec.BurnInParams(epsilon=args.eps, delta=args.delta, gap=args.gap,
-                                  k=_calibration(args)["k"])
-    result = misspec.burn_in_lower_bound(params)
+    params = BurnInParams(args.eps, args.delta, args.gap, _calibration(args)["k"])
+    result = burn_in_lower_bound(params)
     print(f"effective_prior_weight = {result.effective_prior_weight:.6g}")
     if result.binary_kl is not None:
         print(f"binary_kl = {_info(args, result.binary_kl)}")
@@ -183,7 +184,7 @@ def cmd_shift(args) -> None:
         _reject_given(args, ("r_train", "delta_pi", "k"), "not allowed with argument --joint")
         joint = JointDistribution.from_csv(args.joint)
         subset = args.subset if args.subset is not None else range(joint.k // 2)
-        report = misspec.verify_impossibility(joint, subset)
+        report = verify_impossibility(joint, subset)
         print(f"cond_entropy_residual = {report.cond_entropy_residual:.6g}")
         print(f"kl_residual = {report.kl_residual:.6g}")
         print(f"mi_excess = {report.mi_excess:.6g}")
@@ -193,7 +194,7 @@ def cmd_shift(args) -> None:
     _reject_given(args, ("subset",), "not allowed without argument --joint")
     if args.r_train is None or args.delta_pi is None:
         raise UsageError("shift requires --r-train and --delta-pi (or --joint)")
-    report = misspec.check_retention(args.r_train, _calibration(args)["k"], args.delta_pi)
+    report = check_retention(args.r_train, _calibration(args)["k"], args.delta_pi)
     print(f"threshold = {_info(args, report.threshold)}")
     print(f"retained = {report.retained.value}")
 
@@ -237,7 +238,7 @@ BITS = ("bits", dict(action="store_true", help="display entropies and informatio
 OUT = ("out", dict(default=".", help="output directory"))
 CALIBRATION_FLAGS = tuple((dest, dict(type=type_, help=help_))
                           for dest, (type_, _, help_) in CALIBRATION.items())
-K = CALIBRATION_FLAGS[0]  # burnin, shift and prior take certify's --k
+ARMS = CALIBRATION_FLAGS[0]  # burnin, shift and prior take certify's --k
 
 COMMANDS = {  # name: (command, summary, flags), in the order the help lists them
     "certify": (cmd_certify, "composite certificate", (
@@ -255,15 +256,15 @@ COMMANDS = {  # name: (command, summary, flags), in the order the help lists the
         OUT)),
     "burnin": (cmd_burnin, "burn-in lower bound", (
         *((dest, dict(type=float, required=True)) for dest in ("eps", "delta", "gap")),
-        K, BITS)),
+        ARMS, BITS)),
     "shift": (cmd_shift, "distribution-shift retention and impossibility", (
-        ("r_train", dict(type=float)), K, ("delta_pi", dict(type=float)),
+        ("r_train", dict(type=float)), ARMS, ("delta_pi", dict(type=float)),
         ("joint", dict(help="joint-distribution CSV file")),
         ("subset", dict(type=_comma_list(int, "integers"),
                         help="comma-separated kept arm indices")),
         BITS)),
     "prior": (cmd_prior, "two-level prior for an information level", (
-        K, ("r_mech", dict(type=float, required=True)))),
+        ARMS, ("r_mech", dict(type=float, required=True)))),
     "sweep": (cmd_sweep, "sensitivity sweeps to CSV", (
         *CALIBRATION_FLAGS,
         ("param", dict(choices=sw.SWEEP_PARAMETERS), "exclusive"),

@@ -41,7 +41,7 @@ import numpy as np
 
 from .certificates import (checked_record, ratio, real, residual_entropy, sample_complexity_ratio,
                            whole)
-from .prior import DEFAULT_PRIOR_STRENGTH, solve_prior_for_r_mech
+from .prior import DEFAULT_PRIOR_STRENGTH, HORIZON, K, solve_prior_for_r_mech
 
 # Two-sided normal quantile for a 96% confidence interval.
 Z_96 = 2.0537
@@ -50,11 +50,9 @@ Z_96 = 2.0537
 # changing it changes every simulated table.
 BLOCK_SIZE = 256
 
-# The calibrated 5-FU experiment: arms, Table 1 horizon, attainment
+# The calibrated 5-FU experiment (K arms, Table 1 HORIZON): attainment
 # probability of the optimal arm and of the others, and the information
 # levels of Table 1; Table 2 sweeps the horizon at one information level.
-K = 8
-HORIZON = 12
 P_OPT = 0.85
 P_BSA = 0.20
 R_MECH_GRID = (0.0, 0.3, 0.8, 1.4, 1.9)

@@ -21,15 +21,15 @@ from mechcert.certificates import (
     ub_envelope,
     write_csv,
 )
-from mechcert.misspec import (
+from mechcert.prior import (
     BurnInParams,
     burn_in_lower_bound,
     effective_prior_weight,
     r_min,
     retention_threshold,
+    solve_prior_for_r_mech,
     verify_impossibility,
 )
-from mechcert.prior import solve_prior_for_r_mech
 from mechcert.sim import (
     ExperimentConfig,
     table1_experiment,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mechcert.misspec import BurnInParams, burn_in_lower_bound, effective_prior_weight
+from mechcert.prior import BurnInParams, burn_in_lower_bound, effective_prior_weight
 
 
 class TestBinaryKL:

@@ -22,16 +22,14 @@ from mechcert.certificates import (
     ub_envelope,
     write_csv,
 )
-from mechcert.misspec import (
+from mechcert.prior import (
     BurnInParams,
+    JointDistribution,
+    TwoLevelPrior,
     check_retention,
     effective_prior_weight,
     r_min,
     retention_threshold,
-)
-from mechcert.prior import (
-    JointDistribution,
-    TwoLevelPrior,
     solve_prior_for_r_mech,
 )
 from mechcert.sim import ExperimentConfig, build_environment, regret_curves, run_trial

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import math
 import os
 import shlex
@@ -122,6 +123,13 @@ class TestCertify:
         code, out, err = run(capsys, "certify", "--config", str(cfg))
         assert (code, out) == (1, "")
         assert err == f"error: {cfg}:3: duplicate config key 'b_mu' (first set on line 1)\n"
+
+    def test_config_line_without_equals_exit_1(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k = 8\nb_mu 0.9\n")
+        code, out, err = run(capsys, "certify", "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert err == f"error: {cfg}:2: expected 'key = value', got 'b_mu 0.9'\n"
 
     def test_missing_config_file(self, capsys):
         code, _, err = run(capsys, "certify", "--config", "/no/such/file.cfg")
@@ -471,18 +479,21 @@ def test_out_not_a_directory_exit_1(capsys, tmp_path, argv):
 
 
 def test_import_loads_only_what_the_command_runs(tmp_path):
-    """`cli` loads the closed-form modules and none of numpy, scipy,
-    multiprocessing or dataclasses; the bare package loads none of its modules;
-    the Monte Carlo engine needs neither dataclasses nor `sweep`, and only
-    `simulate` loads numpy."""
+    """The package is six modules. `cli` loads the other closed-form ones and none
+    of numpy, scipy, multiprocessing or dataclasses; the bare package loads none
+    of its modules; the Monte Carlo engine needs neither dataclasses nor `sweep`,
+    and only `simulate` loads numpy."""
     import mechcert
+    assert importlib.util.find_spec("mechcert.misspec") is None
+    assert sorted(p.stem for p in Path(mechcert.__file__).parent.glob("*.py")) == [
+        "__init__", "certificates", "cli", "prior", "sim", "sweep"]
     src = str(Path(mechcert.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     heavy = ("m.split('.')[0] in ('numpy', 'scipy') or m in ('concurrent.futures.process', "
              "'dataclasses')")
     cli_loads = sorted(["mechcert", *(f"mechcert.{m}" for m in ("certificates", "prior",
-                                                                 "misspec", "sweep", "cli"))])
+                                                                 "sweep", "cli"))])
     for module, shown, loaded in (
             ("mechcert", f"{heavy} or m.startswith('mechcert.')", []),
             ("mechcert.cli", f"{heavy} or m.split('.')[0] == 'mechcert'", cli_loads),

@@ -4,19 +4,17 @@ import numpy as np
 import pytest
 
 from conftest import joint_from_channel
-from mechcert.misspec import (
+from mechcert.prior import (
+    JointDistribution,
     Retention,
     check_retention,
+    conditional_entropy,
     impossibility_construction,
+    kl_divergence,
+    mutual_information,
     r_min,
     retention_threshold,
     verify_impossibility,
-)
-from mechcert.prior import (
-    JointDistribution,
-    conditional_entropy,
-    kl_divergence,
-    mutual_information,
 )
 
 
