@@ -216,7 +216,11 @@ class BurnInResult(NamedTuple):
 
 def effective_prior_weight(epsilon: float, k: int) -> float:
     """Prior weight on the optimum once spread across all k arms."""
-    epsilon, k = real("epsilon", epsilon, 0, 1, open=True), whole("k", k, 2)
+    return _effective_prior_weight(real("epsilon", epsilon, 0, 1, open=True), whole("k", k, 2))
+
+
+def _effective_prior_weight(epsilon: float, k: int) -> float:
+    """The effective-prior-weight formula, unchecked."""
     return epsilon / (1.0 - epsilon + epsilon * k)
 
 
@@ -231,7 +235,7 @@ def burn_in_lower_bound(p: BurnInParams) -> BurnInResult:
     So kl is positive and finite; raises OverflowError when the bound is inf.
     """
     eps, k = p.epsilon, p.k
-    eps_k = effective_prior_weight(eps, k)
+    eps_k = _effective_prior_weight(eps, k)
     log_term = math.log((1.0 - eps) / p.delta)
     if log_term <= 0:
         return BurnInResult(cycles=0.0, effective_prior_weight=eps_k, binary_kl=None)
@@ -256,7 +260,11 @@ class ShiftReport(NamedTuple):
 
 def retention_threshold(r_train: float, k: int) -> float:
     """Largest KL shift under which half the information survives."""
-    r_train, k = real("r_train", r_train, 0), whole("k", k, 2)
+    return _retention_threshold(real("r_train", r_train, 0), whole("k", k, 2))
+
+
+def _retention_threshold(r_train: float, k: int) -> float:
+    """The retention-threshold formula, unchecked."""
     return r_train**2 / (2.0 * k**2 * math.log(k) ** 2)
 
 
@@ -265,6 +273,11 @@ def r_min(k: int) -> float:
     k = whole("k", k, 2)
     if k < _MIN_ARMS:
         raise ValueError(f"retention guarantee requires k >= {_MIN_ARMS}, got {k}")
+    return _r_min(k)
+
+
+def _r_min(k: int) -> float:
+    """The r_min formula, unchecked."""
     return 2.0 * k ** (4.0 - k / 2.0) * math.log(k)
 
 
@@ -276,10 +289,11 @@ def check_retention(r_train: float, k: int, delta_pi: float) -> ShiftReport:
     r_min, so the floor is part of the guarantee's premise.
     """
     delta_pi = real("delta_pi", delta_pi, 0)
-    threshold = retention_threshold(r_train, k)
+    r_train, k = real("r_train", r_train, 0), whole("k", k, 2)
+    threshold = _retention_threshold(r_train, k)
     if k < _MIN_ARMS:
         retained = Retention.OUT_OF_SCOPE
-    elif r_train >= r_min(k) and delta_pi <= threshold:
+    elif r_train >= _r_min(k) and delta_pi <= threshold:
         retained = Retention.GUARANTEED
     else:
         retained = Retention.NOT_GUARANTEED

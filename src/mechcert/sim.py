@@ -11,7 +11,8 @@ draws from its own environment and policy streams, spawned from a
 SeedSequence keyed by (master seed, b). One pass over the Thompson rounds
 serves every level of the block: each round is seeded from the policy
 stream alone, draws BLOCK_SIZE reward uniforms, and then gives each level
-one gamma draw, trial after trial, from the state those uniforms leave.
+BLOCK_SIZE * K arm uniforms and the gammas of its arms whose pseudo-counts
+both exceed 1, trial after trial, from the state those uniforms leave.
 So a trial's draws never depend on the trials after it, and the last
 block simulates only the trials asked for. A trial's regret depends only
 on (seed, trial index, prior strength, r_mech): never on the trial count,
@@ -75,48 +76,58 @@ def _thompson_rounds(seq: np.random.SeedSequence, counts: np.ndarray, means: np.
     """Run Thompson sampling on every row of every level at once; the block kernel.
 
     counts is the C-contiguous (levels, rows, k, 2) array of initial
-    pseudo-counts (alpha, beta), updated in place, and means the (rows, k)
-    arm means, which every level shares. Round t is seeded the way numpy's
-    SFC64 seeds itself from three words, here words 3(t-1) .. 3t - 1 of
-    `seq.generate_state`: the state [w0, w1, w2, 1] advanced twelve steps.
-    It draws BLOCK_SIZE reward uniforms, a fixed amount, of which the rows
-    use the first, and then gives each level one `standard_gamma` draw over
-    its counts, row by row, from the state those uniforms leave; the ratio
-    G_a / G_b orders the arms as the Beta(a, b) draw G_a / (G_a + G_b) does
-    (numpy's `beta` unless a, b <= 1). So a row's draws never depend on the
-    rows after it or on the other levels. Returns every row's cumulative
-    pseudo-regret at each horizon, shape (levels, rows, len(horizons)).
+    pseudo-counts (alpha, beta), updated in place, and means the (rows, k) arm
+    means, which every level shares. Round t is seeded the way numpy's SFC64
+    seeds itself from three words, here words 3(t-1) .. 3t - 1 of
+    `seq.generate_state`: the state [w0, w1, w2, 1] advanced twelve steps. It
+    draws BLOCK_SIZE reward uniforms, of which the rows use the first; then
+    each level, from the state they leave, draws BLOCK_SIZE * k arm uniforms U
+    and one `standard_gamma` draw over the (alpha, beta) of its rows' arms
+    whose shapes both exceed 1, row by row. So a row's draws never depend on
+    the rows after it or on the other levels. Arms rank by the log of an exact
+    Beta(a, b) sample, which keeps samples within 1e-16 of 1 apart: log(U) / a
+    when b = 1, log(-expm1(log(U) / b)) when a = 1, else -log1p(G_b / G_a).
+    Returns the (levels, rows, len(horizons)) cumulative pseudo-regrets.
     """
     levels, rows, k, _ = counts.shape
     rng = np.random.Generator(np.random.SFC64(seq))
-    bit_generator = rng.bit_generator
     gaps = (means.max(axis=1, keepdims=True) - means).ravel()
     means = means.ravel()
-    base = np.arange(rows) * k
+    # one flat index over (levels, rows, k), which wraps round the shared means
+    arms = np.arange(levels * rows).reshape(levels, rows) * k
+    alpha, beta = counts[..., 0], counts[..., 1]  # a success adds to alpha, a failure to beta
     n = max(horizons)
     words = seq.generate_state(3 * n, np.uint64).reshape(n, 3)
-    seed = {"bit_generator": "SFC64", "state": {}, "has_uint32": 0, "uinteger": 0}
+    seed = {"bit_generator": "SFC64", "has_uint32": 0, "uinteger": 0}
     uniforms = np.empty(BLOCK_SIZE)
     drawn = uniforms[:rows]  # a view: each round's uniforms reach it
+    arm_uniforms = np.empty((levels, BLOCK_SIZE * k))
+    arm_drawn = arm_uniforms[:, :rows * k].reshape(levels, rows, k)  # a view too
     regret = np.zeros((levels, rows))
-    # views per level: its counts, the same counts flat, and its running regret
-    cells = list(zip(counts, counts.reshape(levels, -1), regret))
     reached = {}
-    # a ratio that overflows (a shape near 1e308, or G_b = 0) is inf, which still ranks first
+    # U = 0 samples Beta(a, 1) as 0, Beta(1, b) as 1; an overflowing gamma draw samples 1
     with np.errstate(over="ignore", divide="ignore"):
         for t, state in enumerate(np.column_stack((words, np.ones(n, np.uint64))), 1):
-            seed["state"]["state"] = state
-            bit_generator.state = seed
-            bit_generator.random_raw(12)
+            rng.bit_generator.state = {**seed, "state": {"state": state}}
+            rng.bit_generator.random_raw(12)
             rng.random(out=uniforms)
-            start = bit_generator.state
-            for level, (shapes, flat, path) in enumerate(cells):
+            start = rng.bit_generator.state
+            gamma_arms = np.flatnonzero(np.minimum(alpha, beta) > 1)
+            pairs = counts.reshape(-1, 2).take(gamma_arms, 0)
+            pairs = np.split(pairs, gamma_arms.searchsorted(arms[1:, 0]))
+            gammas = []
+            for level, (arm_uniform, pair) in enumerate(zip(arm_uniforms, pairs)):
                 if level:
-                    bit_generator.state = start
-                g = rng.standard_gamma(shapes)
-                pulled = base + (g[..., 0] / g[..., 1]).argmax(axis=1)  # ties go to the lowest arm
-                path += gaps[pulled]
-                flat[2 * pulled + (drawn >= means[pulled])] += 1  # alpha on a success, else beta
+                    rng.bit_generator.state = start
+                rng.random(out=arm_uniform)
+                gammas.append(rng.standard_gamma(pair))
+            logs = np.log(arm_drawn) / np.maximum(alpha, beta)  # over the shape that is not 1
+            keys = np.where(beta == 1, logs, np.log(-np.expm1(logs)))
+            g = np.concatenate(gammas)
+            np.put(keys, gamma_arms, -np.log1p(g[:, 1] / g[:, 0]))
+            pulled = arms + keys.argmax(axis=2)  # ties go to the lowest arm
+            regret += gaps.take(pulled, mode="wrap")
+            counts.reshape(-1)[2 * pulled + (drawn >= means.take(pulled, mode="wrap"))] += 1
             if t in horizons:
                 reached[t] = regret.copy()
     return np.stack([reached[t] for t in horizons], axis=-1)

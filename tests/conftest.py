@@ -5,6 +5,7 @@ from collections import Counter, defaultdict
 import numpy as np
 import pytest
 
+from mechcert import prior
 from mechcert.prior import JointDistribution, TwoLevelPrior, solve_prior_for_r_mech
 from mechcert.sim import K, P_BSA, P_OPT
 
@@ -35,6 +36,18 @@ def two_level_joint():
         return joint_from_channel([1 / k] * k, [w[k - i:] + w[:k - i] for i in range(k)])
 
     return joint
+
+
+@pytest.fixture
+def checked_names(monkeypatch):
+    """The names that `prior`'s input checks `real` and `whole` see, in call order."""
+    names = []
+    for check in (prior.real, prior.whole):
+        def counting(name, *args, check=check, **kwargs):
+            names.append(name)
+            return check(name, *args, **kwargs)
+        monkeypatch.setattr(prior, check.__name__, counting)
+    return names
 
 
 @functools.cache
@@ -102,12 +115,12 @@ def exact_beta_regret(r_mech, strength, n, nodes=128):
     the first two moments of the regret accrued on the way to it. Each
     pull probability is a Gauss-Legendre sum over `nodes` nodes.
 
-    Exact means at n = 12, with converged quadrature, which no test checks
-    because each level takes 2-10 s here:
-      strength 2: 5.88161, 4.62126, 2.83160, 1.26264 and 0.33695 at
+    Exact means, with converged quadrature:
+      strength 2 at n = 12, which no test checks because each level takes
+        2-10 s here: 5.88161, 4.62126, 2.83160, 1.26264 and 0.33695 at
         r_mech = 0, 0.3, 0.8, 1.4 and 1.9;
       uninformed (r_mech = 0), Table 2's horizons: 2.72767 at n = 5 and
-        5.07152 at n = 10.
+        5.07152 at n = 10, both in the uninformed oracle test's horizons.
     """
     beta = solve_prior_for_r_mech(K, r_mech).beta
     rec = (1 + strength * K * (beta - 1 / K), 1.0, 0, 0)

@@ -83,6 +83,13 @@ class TestBurnInBound:
         with pytest.raises(ValueError):
             BurnInParams(epsilon=0.2, delta=0.01, gap=0.2, k=1)
 
+    def test_checked_params_are_not_checked_again(self, request):
+        # BurnInParams checks its fields once; the bound only reads them
+        params = BurnInParams(epsilon=0.2, delta=0.01, gap=0.2, k=8)
+        checked = request.getfixturevalue("checked_names")
+        assert burn_in_lower_bound(params).cycles > 0
+        assert checked == []
+
     @pytest.mark.parametrize("k", [2, 3, 8, 10**20])
     @pytest.mark.parametrize("eps", [1e-300, 1e-9, 1e-3, 0.5, 1 - 1e-3, 1 - 1e-9,
                                      1 - 2**-52])

@@ -81,6 +81,11 @@ class TestCheckRetention:
         with pytest.raises(ValueError):
             check_retention(1.6, 12, -0.1)
 
+    def test_each_input_checked_once(self, checked_names):
+        # the threshold and the r_min floor reuse the checked r_train and k
+        assert check_retention(1.6, 12, 0.01).retained is Retention.NOT_GUARANTEED
+        assert checked_names == ["delta_pi", "r_train", "k"]
+
     def test_verification_inequality(self):
         # published worst-case arithmetic at k = 12, r = 0.035 (rounded)
         k, r = 12, 0.035

@@ -78,7 +78,7 @@ class TestRunTrial:
         env = build_environment(8, 3, 0.85, 0.20)
         got = np.array([run_trial(policy, env, n, rng) for n in (1, 12, 200) for _ in range(5)])
         assert hashlib.sha256(got.tobytes()).hexdigest() == (
-            "a289204f4db8beff6bb71a3dea052b414a05f4b025623145f46c3ac679c86ee5")
+            "4e7848b5463e011ceb0aef57ec746f0b2ede02e5f9177b58134fa08ea5a79686")
 
 
 class TestMonteCarlo:
@@ -124,7 +124,8 @@ class TestMonteCarlo:
             assert np.array_equal(few, many[:, :trials]), trials
 
     def test_round_state_is_numpy_sfc64_seeding(self, monkeypatch):
-        # each round starts where np.random.SFC64 starts from the round's three words
+        # each round starts where np.random.SFC64 starts from the round's three
+        # words, and its level draws its arm uniforms where the reward uniforms end
         class Words(np.random.bit_generator.ISeedSequence):
             def __init__(self, words):
                 self.words = words
@@ -133,9 +134,9 @@ class TestMonteCarlo:
                 assert (n_words, dtype) == (3, np.uint64)
                 return np.array(self.words, dtype=np.uint64)
 
-        starts = []
+        starts, generator = [], np.random.Generator
 
-        class Recording(np.random.Generator):
+        class Recording(generator):
             def random(self, *args, **kwargs):
                 starts.append(self.bit_generator.state)
                 return super().random(*args, **kwargs)
@@ -144,27 +145,56 @@ class TestMonteCarlo:
         _block_regrets(11, 2.0, (solve_prior_for_r_mech(8, 1.4),), (5,), 2)
         policy_seq = np.random.SeedSequence(entropy=11, spawn_key=(2,)).spawn(2)[1]
         words = policy_seq.generate_state(15, np.uint64).reshape(5, 3)
-        assert len(starts) == 6  # the environment stream's uniforms, then one draw per round
-        for start, three in zip(starts[1:], words):
-            expected = np.random.SFC64(Words(three)).state
-            assert np.array_equal(start["state"]["state"], expected["state"]["state"])
-            assert (start["has_uint32"], start["uinteger"]) == (0, 0)
+        # the environment stream's uniforms, then per round the rewards' and the level's
+        assert len(starts) == 11
+        for round_start, level_start, three in zip(starts[1::2], starts[2::2], words):
+            seeded = generator(np.random.SFC64(Words(three)))
+            expected = seeded.bit_generator.state
+            assert np.array_equal(round_start["state"]["state"], expected["state"]["state"])
+            assert (round_start["has_uint32"], round_start["uinteger"]) == (0, 0)
+            seeded.random(BLOCK_SIZE)
+            expected = seeded.bit_generator.state
+            assert np.array_equal(level_start["state"]["state"], expected["state"]["state"])
 
     def test_partial_block_draws_only_its_gammas(self, monkeypatch):
-        # every round draws BLOCK_SIZE reward uniforms, a fixed amount, and
-        # for each level one gamma per pseudo-count of the rows asked for
-        sizes = []
+        # every round draws BLOCK_SIZE reward uniforms and, for each level,
+        # BLOCK_SIZE * k arm uniforms, fixed amounts, then gammas only for the
+        # arms of the rows asked for whose two shapes both exceed 1, row by row:
+        # a prefix of the full block's gammas
+        draws = []
 
         class Recording(np.random.Generator):
+            def random(self, *args, **kwargs):
+                uniforms = super().random(*args, **kwargs)
+                draws.append(("uniform", uniforms.size))
+                return uniforms
+
             def standard_gamma(self, shape, *args, **kwargs):
-                sizes.append(np.shape(shape))
+                draws.append(("gamma", np.array(shape)))
                 return super().standard_gamma(shape, *args, **kwargs)
 
         monkeypatch.setattr(np.random, "Generator", Recording)
+
+        def run(levels, rows):
+            draws.clear()
+            _block_regrets(3, 2.0, tuple(solve_prior_for_r_mech(8, r) for r in levels), (12,), 0,
+                           rows)
+            return draws[1:]  # after the environment stream's uniforms
+
         for levels in ((1.4,), R_MECH_GRID):
-            sizes.clear()
-            _block_regrets(3, 2.0, tuple(solve_prior_for_r_mech(8, r) for r in levels), (12,), 0, 44)
-            assert sizes == [(44, 8, 2)] * (12 * len(levels)), levels
+            part, full = run(levels, 44), run(levels, BLOCK_SIZE)
+            per_level = [("uniform", BLOCK_SIZE * 8), ("gamma", None)]
+            layout = ([("uniform", BLOCK_SIZE)] + per_level * len(levels)) * 12
+            assert [kind for kind, _ in part] == [kind for kind, _ in full] == [
+                kind for kind, _ in layout]
+            for (kind, size), (_, p), (_, f) in zip(layout, part, full):
+                if kind == "uniform":
+                    assert p == f == size
+                else:
+                    assert p.shape == (len(p), 2) and len(p) <= 44 * 8 and np.all(p > 1)
+                    assert np.array_equal(p, f[:len(p)])
+            drawn = [sum(len(g) for kind, g in d if kind == "gamma") for d in (part, full)]
+            assert 0 < drawn[0] < drawn[1], levels
 
     def test_short_horizon_is_prefix_of_long_run(self):
         # Table 2 reads every horizon off one run, so its arms still
@@ -235,9 +265,9 @@ class TestMonteCarlo:
     # below 1/8, where the recommended arm's and the others' shapes swap roles.
     # A new value here is a declared stream change, as in test_stream_pinned.
     @pytest.mark.parametrize("strength,digest", [
-        (0.0, "8f5fa48b35ef0e56dc8c54e893805fefd3b687d82e9d8b56dfab45d3ea64745e"),
-        (5.0, "a337f86a3ad4ae706e668f0aad91e6f8bf34c9ee1b4eb00bdfa291658369acf2"),
-        (2e307, "517a7605d31c806a6d237ed632fcd98d294ff4823f08e1b2fcf2963b2350dbd9"),
+        (0.0, "c1982a1bc9932e2d455d0982e9d6244dfe108436ee23747d0a41aef0c5b5d973"),
+        (5.0, "8180a2b6ca4ae6d34f2a0ef9db9979971cc2d2fce1c1b24a81a0cb3444a1f90a"),
+        (2e307, "ba1e71803d72877e185b38e721039139735760b18a38a059dd39d5f8a6d3891e"),
     ], ids=["0.0", "5.0", "2e+307"])
     def test_block_pinned(self, strength, digest):
         priors = tuple(solve_prior_for_r_mech(8, r) for r in R_MECH_GRID)
@@ -245,6 +275,16 @@ class TestMonteCarlo:
                              (1, 12, 200), 0)
         assert got.shape == (6, BLOCK_SIZE, 3)
         assert hashlib.sha256(got.tobytes()).hexdigest() == digest
+
+    def test_samples_near_one_stay_apart(self):
+        # at the largest strength a prior 1e-12 below 1/8 puts the seven other
+        # arms at Beta(2.3e295, 1), whose samples all round to 1.0; ranked by
+        # their logs, each of the seven is still pulled first about 1/7 of the time
+        rec, rest = TwoLevelPrior(8, 1 / 8 - 1e-12).pseudo_counts(2e307)
+        counts = np.array([[rec] + [rest] * 7] * BLOCK_SIZE)[None]
+        means = np.where(np.arange(8) == 7, P_OPT, P_BSA)[None].repeat(BLOCK_SIZE, axis=0)
+        first = sim._thompson_rounds(np.random.SeedSequence(0), counts, means, (1,))
+        assert 20 <= np.sum(first == 0.0) <= 55  # 256 / 7 = 36.6 rows pull arm 7
 
     def test_blocks_and_streams_are_distinct(self, monkeypatch):
         # each stream is seeded from its own spawned SeedSequence, not from the
@@ -262,8 +302,8 @@ class TestMonteCarlo:
         assert len(seeds) == 4 and env != policy
 
     def test_block_of_levels_equals_one_call_per_level(self):
-        # every level's gamma draws in a round start from the same state, so
-        # sharing a block with other levels changes none of a level's draws
+        # every level's draws in a round start from the same state, so sharing
+        # a block with other levels changes none of a level's draws
         priors = tuple(solve_prior_for_r_mech(8, r) for r in (0.0, 0.8, 1.9))
         together = _block_regrets(9, 2.0, priors, (1, 12, 30), 1)
         assert together.shape == (3, BLOCK_SIZE, 3)
@@ -456,9 +496,9 @@ class TestTables:
     # change: list the old and new hashes and the moved values in CHANGES.md.
     @pytest.mark.parametrize("experiment,digest", [
         (table1_experiment,
-         "22d3aab9c1af20575adf56100093842fe55e02440fde1cb885f109b7898b26a8"),
+         "97a7d35d229681106b29b0c664915694d4b1aee8aa6e0b3d4e300366880c3cc0"),
         (table2_experiment,
-         "1df340a7b0b706b456561b3e0ecc43aa86c26a8b96a953cb49e058849ed35133"),
+         "19161b455e306ed69c0a7764a8c1335993a7a5a2008efa96fafda8ac6f9f39e4"),
     ], ids=["table1", "table2"])
     def test_stream_pinned(self, tmp_path, experiment, digest):
         path = tmp_path / "table.csv"
@@ -554,10 +594,11 @@ class TestExactBetaRegret:
         for r_mech, value in zip(R_MECH_GRID, (4.18805, 3.19567, 1.91687, 0.84095, 0.21698)):
             assert exact_beta_regret(r_mech, 2.0, 8)[0][-1] == pytest.approx(value, abs=5e-6)
 
-    # Table 1's strengths reach horizon 8; at strength 5 the recommended arm's
-    # first shape reaches about 35
+    # Table 1's strength reaches horizon 8 and the uninformed policy Table 2's
+    # n = 10, where most arms have both shapes above 1 and draw gammas; at
+    # strength 5 the recommended arm's first shape reaches about 35
     @pytest.mark.parametrize("strength,horizon", [
-        (DEFAULT_PRIOR_STRENGTH, 8), (5.0, 6), (0.0, 8),
+        (DEFAULT_PRIOR_STRENGTH, 8), (5.0, 6), (0.0, 10),
     ], ids=["hybrid", "hybrid-strength-5", "uninformed"])
     def test_regret_curves_match_oracle(self, strength, horizon):
         config = ExperimentConfig(trials=ORACLE_TRIALS, seed=ORACLE_SEED, prior_strength=strength)
