@@ -10,9 +10,10 @@ constant. Block b holds trials b*BLOCK_SIZE .. (b+1)*BLOCK_SIZE - 1 and
 draws from its own environment and policy streams, spawned from a
 SeedSequence keyed by (master seed, b). One pass over the Thompson rounds
 serves every level of the block: each round is seeded from the policy
-stream alone, draws BLOCK_SIZE reward uniforms, and then gives each level
-BLOCK_SIZE * K arm uniforms and the gammas of its arms whose pseudo-counts
-both exceed 1, trial after trial, from the state those uniforms leave.
+stream alone and draws BLOCK_SIZE reward uniforms, then BLOCK_SIZE * K arm
+uniforms, in one call. Every level ranks its arms with those same uniforms;
+only each level's gammas, for its arms whose pseudo-counts both exceed 1,
+trial after trial, restart from the state the uniforms leave.
 So a trial's draws never depend on the trials after it, and the last
 block simulates only the trials asked for. A trial's regret depends only
 on (seed, trial index, prior strength, r_mech): never on the trial count,
@@ -79,12 +80,13 @@ def _thompson_rounds(seq: np.random.SeedSequence, counts: np.ndarray, means: np.
     pseudo-counts (alpha, beta), updated in place, and means the (rows, k) arm
     means, which every level shares. Round t is seeded the way numpy's SFC64
     seeds itself from three words, here words 3(t-1) .. 3t - 1 of
-    `seq.generate_state`: the state [w0, w1, w2, 1] advanced twelve steps. It
-    draws BLOCK_SIZE reward uniforms, of which the rows use the first; then
-    each level, from the state they leave, draws BLOCK_SIZE * k arm uniforms U
-    and one `standard_gamma` draw over the (alpha, beta) of its rows' arms
-    whose shapes both exceed 1, row by row. So a row's draws never depend on
-    the rows after it or on the other levels. Arms rank by the log of an exact
+    `seq.generate_state`: the state [w0, w1, w2, 1] advanced twelve steps. One
+    call draws BLOCK_SIZE reward uniforms and then BLOCK_SIZE * k arm uniforms
+    U, and the rows use the first of each; every level ranks with the same U.
+    Then each level, from the state that call leaves, makes one
+    `standard_gamma` draw over the (alpha, beta) of its rows' arms whose shapes
+    both exceed 1, row by row. So a row's draws never depend on the rows after
+    it or on the other levels. Arms rank by the log of an exact
     Beta(a, b) sample, which keeps samples within 1e-16 of 1 apart: log(U) / a
     when b = 1, log(-expm1(log(U) / b)) when a = 1, else -log1p(G_b / G_a).
     Returns the (levels, rows, len(horizons)) cumulative pseudo-regrets.
@@ -99,10 +101,9 @@ def _thompson_rounds(seq: np.random.SeedSequence, counts: np.ndarray, means: np.
     n = max(horizons)
     words = seq.generate_state(3 * n, np.uint64).reshape(n, 3)
     seed = {"bit_generator": "SFC64", "has_uint32": 0, "uinteger": 0}
-    uniforms = np.empty(BLOCK_SIZE)
-    drawn = uniforms[:rows]  # a view: each round's uniforms reach it
-    arm_uniforms = np.empty((levels, BLOCK_SIZE * k))
-    arm_drawn = arm_uniforms[:, :rows * k].reshape(levels, rows, k)  # a view too
+    uniforms = np.empty(BLOCK_SIZE * (1 + k))  # the reward uniforms, then the arm uniforms
+    drawn = uniforms[:rows]  # views: each round's uniforms reach them
+    arm_drawn = uniforms[BLOCK_SIZE:BLOCK_SIZE + rows * k].reshape(rows, k)
     regret = np.zeros((levels, rows))
     reached = {}
     # U = 0 samples Beta(a, 1) as 0, Beta(1, b) as 1; an overflowing gamma draw samples 1
@@ -116,10 +117,9 @@ def _thompson_rounds(seq: np.random.SeedSequence, counts: np.ndarray, means: np.
             pairs = counts.reshape(-1, 2).take(gamma_arms, 0)
             pairs = np.split(pairs, gamma_arms.searchsorted(arms[1:, 0]))
             gammas = []
-            for level, (arm_uniform, pair) in enumerate(zip(arm_uniforms, pairs)):
+            for level, pair in enumerate(pairs):
                 if level:
                     rng.bit_generator.state = start
-                rng.random(out=arm_uniform)
                 gammas.append(rng.standard_gamma(pair))
             logs = np.log(arm_drawn) / np.maximum(alpha, beta)  # over the shape that is not 1
             keys = np.where(beta == 1, logs, np.log(-np.expm1(logs)))

@@ -50,6 +50,32 @@ def checked_names(monkeypatch):
     return names
 
 
+@pytest.fixture
+def recorded_draws(monkeypatch):
+    """Each `random` and `standard_gamma` call of a numpy Generator, in call order:
+    (method, SFC64 state before, state after, uniforms drawn or gamma shapes),
+    a state being its four words, has_uint32 and uinteger."""
+    draws = []
+
+    def state(rng):
+        s = rng.bit_generator.state
+        return (*s["state"]["state"].tolist(), s["has_uint32"], s["uinteger"])
+
+    class Recording(np.random.Generator):
+        def random(self, *args, **kwargs):
+            before, uniforms = state(self), super().random(*args, **kwargs)
+            draws.append(("random", before, state(self), uniforms.size))
+            return uniforms
+
+        def standard_gamma(self, shape, *args, **kwargs):
+            before, gammas = state(self), super().standard_gamma(shape, *args, **kwargs)
+            draws.append(("standard_gamma", before, state(self), np.array(shape)))
+            return gammas
+
+    monkeypatch.setattr(np.random, "Generator", Recording)
+    return draws
+
+
 @functools.cache
 def _gauss_legendre(nodes):
     """Gauss-Legendre nodes and weights on [0, 1].

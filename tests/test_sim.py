@@ -123,9 +123,10 @@ class TestMonteCarlo:
             few = regret_curves(config._replace(trials=trials), [1.9, 0.0], (5, 200))
             assert np.array_equal(few, many[:, :trials]), trials
 
-    def test_round_state_is_numpy_sfc64_seeding(self, monkeypatch):
+    def test_round_state_is_numpy_sfc64_seeding(self, recorded_draws):
         # each round starts where np.random.SFC64 starts from the round's three
-        # words, and its level draws its arm uniforms where the reward uniforms end
+        # words and draws its reward and arm uniforms in one call; every level's
+        # gammas start where those uniforms end
         class Words(np.random.bit_generator.ISeedSequence):
             def __init__(self, words):
                 self.words = words
@@ -134,66 +135,42 @@ class TestMonteCarlo:
                 assert (n_words, dtype) == (3, np.uint64)
                 return np.array(self.words, dtype=np.uint64)
 
-        starts, generator = [], np.random.Generator
-
-        class Recording(generator):
-            def random(self, *args, **kwargs):
-                starts.append(self.bit_generator.state)
-                return super().random(*args, **kwargs)
-
-        monkeypatch.setattr(np.random, "Generator", Recording)
-        _block_regrets(11, 2.0, (solve_prior_for_r_mech(8, 1.4),), (5,), 2)
+        priors = tuple(solve_prior_for_r_mech(8, r) for r in (1.4, 0.3))
+        _block_regrets(11, 2.0, priors, (5,), 2)
         policy_seq = np.random.SeedSequence(entropy=11, spawn_key=(2,)).spawn(2)[1]
         words = policy_seq.generate_state(15, np.uint64).reshape(5, 3)
-        # the environment stream's uniforms, then per round the rewards' and the level's
-        assert len(starts) == 11
-        for round_start, level_start, three in zip(starts[1::2], starts[2::2], words):
-            seeded = generator(np.random.SFC64(Words(three)))
-            expected = seeded.bit_generator.state
-            assert np.array_equal(round_start["state"]["state"], expected["state"]["state"])
-            assert (round_start["has_uint32"], round_start["uinteger"]) == (0, 0)
-            seeded.random(BLOCK_SIZE)
-            expected = seeded.bit_generator.state
-            assert np.array_equal(level_start["state"]["state"], expected["state"]["state"])
+        rounds = recorded_draws[1:]  # after the environment stream's uniforms
+        assert [name for name, *_ in rounds] == ["random", "standard_gamma", "standard_gamma"] * 5
+        for (_, start, end, size), first, second, three in zip(rounds[::3], rounds[1::3],
+                                                               rounds[2::3], words):
+            seeded = np.random.SFC64(Words(three)).state
+            assert start == (*seeded["state"]["state"].tolist(), 0, 0)
+            assert size == BLOCK_SIZE * 9
+            assert first[1] == second[1] == end
 
-    def test_partial_block_draws_only_its_gammas(self, monkeypatch):
-        # every round draws BLOCK_SIZE reward uniforms and, for each level,
-        # BLOCK_SIZE * k arm uniforms, fixed amounts, then gammas only for the
-        # arms of the rows asked for whose two shapes both exceed 1, row by row:
-        # a prefix of the full block's gammas
-        draws = []
-
-        class Recording(np.random.Generator):
-            def random(self, *args, **kwargs):
-                uniforms = super().random(*args, **kwargs)
-                draws.append(("uniform", uniforms.size))
-                return uniforms
-
-            def standard_gamma(self, shape, *args, **kwargs):
-                draws.append(("gamma", np.array(shape)))
-                return super().standard_gamma(shape, *args, **kwargs)
-
-        monkeypatch.setattr(np.random, "Generator", Recording)
-
+    def test_partial_block_draws_only_its_gammas(self, recorded_draws):
+        # every round draws BLOCK_SIZE reward and BLOCK_SIZE * k arm uniforms in
+        # one call, fixed amounts, then for each level gammas only for the arms
+        # of the rows asked for whose two shapes both exceed 1, row by row: a
+        # prefix of the full block's gammas
         def run(levels, rows):
-            draws.clear()
+            recorded_draws.clear()
             _block_regrets(3, 2.0, tuple(solve_prior_for_r_mech(8, r) for r in levels), (12,), 0,
                            rows)
-            return draws[1:]  # after the environment stream's uniforms
+            return recorded_draws[1:]  # after the environment stream's uniforms
 
         for levels in ((1.4,), R_MECH_GRID):
             part, full = run(levels, 44), run(levels, BLOCK_SIZE)
-            per_level = [("uniform", BLOCK_SIZE * 8), ("gamma", None)]
-            layout = ([("uniform", BLOCK_SIZE)] + per_level * len(levels)) * 12
-            assert [kind for kind, _ in part] == [kind for kind, _ in full] == [
-                kind for kind, _ in layout]
-            for (kind, size), (_, p), (_, f) in zip(layout, part, full):
-                if kind == "uniform":
-                    assert p == f == size
+            layout = (["random"] + ["standard_gamma"] * len(levels)) * 12
+            assert [d[0] for d in part] == [d[0] for d in full] == layout
+            for (name, *_, p), (*_, f) in zip(part, full):
+                if name == "random":
+                    assert p == f == BLOCK_SIZE * 9
                 else:
                     assert p.shape == (len(p), 2) and len(p) <= 44 * 8 and np.all(p > 1)
                     assert np.array_equal(p, f[:len(p)])
-            drawn = [sum(len(g) for kind, g in d if kind == "gamma") for d in (part, full)]
+            drawn = [sum(len(g) for name, *_, g in d if name == "standard_gamma")
+                     for d in (part, full)]
             assert 0 < drawn[0] < drawn[1], levels
 
     def test_short_horizon_is_prefix_of_long_run(self):
@@ -488,8 +465,9 @@ class TestTables:
         config = ExperimentConfig(trials=300, seed=5)
         rows = table1_experiment(config)
         assert all(row.uninf == rows[0].uninf for row in rows)
-        for r_mech in R_MECH_GRID:
-            assert run_monte_carlo(config, "uninformed", r_mech) == rows[0].uninf
+        for row in rows:
+            assert run_monte_carlo(config, "uninformed", row.r_mech) == rows[0].uninf
+            assert run_monte_carlo(config, "hybrid", row.r_mech) == row.hyb
         assert rows[0].hyb == rows[0].uninf
 
     # The random streams, pinned. A new value here is a declared stream
@@ -520,6 +498,7 @@ class TestTables:
 # test_quadrature_converges bounds.
 ORACLE_SEED = 0
 ORACLE_TRIALS = 20_000
+ORACLE2_TRIALS = 50_000  # the round-2 cases' own count, also fixed before their first run
 QUADRATURE_ERROR = 1e-6
 
 
@@ -534,35 +513,11 @@ class TestExactOracle:
             uninformed = exact_beta_regret(r_mech, 0.0, 1)[0][0]
             assert uninformed == pytest.approx(GAP * 7 / 8, abs=QUADRATURE_ERROR)
 
-    # at strength 5 the recommended arm's first shape reaches about 35
-    @pytest.mark.parametrize("algorithm,strength", [
-        ("hybrid", DEFAULT_PRIOR_STRENGTH), ("hybrid", 5.0), ("uninformed", 0.0),
-    ], ids=["hybrid", "hybrid-strength-5", "uninformed"])
-    def test_one_round_regret_matches_oracle(self, algorithm, strength):
-        config = ExperimentConfig(trials=ORACLE_TRIALS, seed=ORACLE_SEED, prior_strength=strength)
-        for r_mech in R_MECH_GRID:
-            (exact,), (sd,) = exact_beta_regret(r_mech, strength, 1)
-            tol = 4 * sd / math.sqrt(ORACLE_TRIALS) + QUADRATURE_ERROR
-            got = run_monte_carlo(config, algorithm, r_mech, n=1).mean
-            assert abs(got - exact) <= tol, (r_mech, got, exact, tol)
-
-
-# The round-2 checks keep their own trial count, fixed before their first run.
-ORACLE2_TRIALS = 50_000
-
 
 class TestSecondRoundOracle:
     def test_oracle_value(self):
         # with the success/failure update swapped the value is 132223/115200
         assert exact_beta_regret(0.0, 0.0, 2)[0][1] == pytest.approx(129857 / 115200, abs=1e-9)
-
-    def test_two_round_regret_matches_oracle(self):
-        config = ExperimentConfig(trials=ORACLE2_TRIALS, seed=ORACLE_SEED)
-        for r_mech in R_MECH_GRID:
-            (_, exact), (_, sd) = exact_beta_regret(r_mech, 0.0, 2)
-            tol = 4 * sd / math.sqrt(ORACLE2_TRIALS) + QUADRATURE_ERROR
-            got = run_monte_carlo(config, "uninformed", r_mech, n=2).mean
-            assert abs(got - exact) <= tol, (r_mech, got, exact, tol)
 
 
 class TestHybridSecondRoundOracle:
@@ -572,15 +527,6 @@ class TestHybridSecondRoundOracle:
         uninformed = exact_beta_regret(0.0, 0.0, 2)
         for r_mech in R_MECH_GRID:
             assert np.allclose(exact_beta_regret(r_mech, 0.0, 2), uninformed, rtol=0, atol=1e-9)
-
-    def test_two_round_regret_matches_oracle(self):
-        config = ExperimentConfig(trials=ORACLE2_TRIALS, seed=ORACLE_SEED)
-        curves = regret_curves(config, R_MECH_GRID, (2,))
-        for r_mech, regrets in zip(R_MECH_GRID, curves[:, :, 0]):
-            (_, exact), (_, sd) = exact_beta_regret(r_mech, config.prior_strength, 2)
-            tol = 4 * sd / math.sqrt(ORACLE2_TRIALS) + QUADRATURE_ERROR
-            got = float(np.mean(regrets))
-            assert abs(got - exact) <= tol, (r_mech, got, exact, tol)
 
 
 class TestExactBetaRegret:
@@ -596,15 +542,18 @@ class TestExactBetaRegret:
 
     # Table 1's strength reaches horizon 8 and the uninformed policy Table 2's
     # n = 10, where most arms have both shapes above 1 and draw gammas; at
-    # strength 5 the recommended arm's first shape reaches about 35
-    @pytest.mark.parametrize("strength,horizon", [
-        (DEFAULT_PRIOR_STRENGTH, 8), (5.0, 6), (0.0, 10),
-    ], ids=["hybrid", "hybrid-strength-5", "uninformed"])
-    def test_regret_curves_match_oracle(self, strength, horizon):
-        config = ExperimentConfig(trials=ORACLE_TRIALS, seed=ORACLE_SEED, prior_strength=strength)
+    # strength 5 the recommended arm's first shape reaches about 35; the
+    # round-2 cases run ORACLE2_TRIALS
+    @pytest.mark.parametrize("strength,horizon,trials", [
+        (DEFAULT_PRIOR_STRENGTH, 8, ORACLE_TRIALS), (5.0, 6, ORACLE_TRIALS),
+        (0.0, 10, ORACLE_TRIALS), (DEFAULT_PRIOR_STRENGTH, 2, ORACLE2_TRIALS),
+        (0.0, 2, ORACLE2_TRIALS),
+    ], ids=["hybrid", "hybrid-strength-5", "uninformed", "hybrid-round-2", "uninformed-round-2"])
+    def test_regret_curves_match_oracle(self, strength, horizon, trials):
+        config = ExperimentConfig(trials=trials, seed=ORACLE_SEED, prior_strength=strength)
         curves = regret_curves(config, R_MECH_GRID, range(1, horizon + 1))
         for r_mech, regrets in zip(R_MECH_GRID, curves):
             exact, sd = np.array(exact_beta_regret(r_mech, strength, horizon))
-            tol = 4 * sd / math.sqrt(ORACLE_TRIALS) + QUADRATURE_ERROR
+            tol = 4 * sd / math.sqrt(trials) + QUADRATURE_ERROR
             got = regrets.mean(axis=0)
             assert np.all(np.abs(got - exact) <= tol), (r_mech, got, exact, tol)
