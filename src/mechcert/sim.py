@@ -8,16 +8,18 @@ rest at the baseline attainment. Regret is pseudo-regret on means.
 Reproducibility contract: trials run in blocks of BLOCK_SIZE, a frozen
 constant. Block b holds trials b*BLOCK_SIZE .. (b+1)*BLOCK_SIZE - 1 and
 draws from its own environment and policy streams, spawned from a
-SeedSequence keyed by (master seed, b). One pass over the Thompson rounds
-serves every level of the block: each round is seeded from the policy
-stream alone and draws BLOCK_SIZE reward uniforms, then BLOCK_SIZE * K arm
+SeedSequence keyed by (master seed, b). One kernel pass serves every level
+of a run of up to PASS_BLOCKS consecutive blocks, each block on its own
+streams: in each round every block is seeded from its own policy stream
+alone and draws BLOCK_SIZE reward uniforms, then BLOCK_SIZE * K arm
 uniforms, in one call. Every level ranks its arms with those same uniforms;
 only each level's gammas, for its arms whose pseudo-counts both exceed 1,
 trial after trial, restart from the state the uniforms leave.
 So a trial's draws never depend on the trials after it, and the last
 block simulates only the trials asked for. A trial's regret depends only
 on (seed, trial index, prior strength, r_mech): never on the trial count,
-the worker count, the execution order or the other levels. Each Thompson
+the worker count, the run size, the execution order or the other levels;
+the run size changes only the time and the memory. Each Thompson
 round makes the same draws whatever the horizon, so a shorter horizon's
 regret is the longer run's prefix.
 The environment stream draws each trial's optimal arm first and its
@@ -52,6 +54,10 @@ Z_96 = 2.0537
 # changing it changes every simulated table.
 BLOCK_SIZE = 256
 
+# Most consecutive blocks that one kernel pass simulates. Not part of the
+# reproducibility contract: it changes only the time and the memory.
+PASS_BLOCKS = 4
+
 # The calibrated 5-FU experiment (K arms, Table 1 HORIZON): attainment
 # probability of the optimal arm and of the others, and the information
 # levels of Table 1; Table 2 sweeps the horizon at one information level.
@@ -72,58 +78,74 @@ def build_environment(k: int, optimal: int, p_opt: float, p_bsa: float) -> np.nd
     return np.where(np.arange(k) == optimal, p_opt, p_bsa)
 
 
-def _thompson_rounds(seq: np.random.SeedSequence, counts: np.ndarray, means: np.ndarray,
-                     horizons) -> np.ndarray:
-    """Run Thompson sampling on every row of every level at once; the block kernel.
+def _thompson_rounds(seqs, counts: np.ndarray, means: np.ndarray, horizons) -> np.ndarray:
+    """Run Thompson sampling on every row of every level at once; the kernel of one pass.
 
-    counts is the C-contiguous (levels, rows, k, 2) array of initial
-    pseudo-counts (alpha, beta), updated in place, and means the (rows, k) arm
-    means, which every level shares. Round t is seeded the way numpy's SFC64
-    seeds itself from three words, here words 3(t-1) .. 3t - 1 of
-    `seq.generate_state`: the state [w0, w1, w2, 1] advanced twelve steps. One
+    seqs holds one policy SeedSequence per block of the pass. counts is the
+    C-contiguous (levels, rows, k, 2) array of initial pseudo-counts (alpha,
+    beta), updated in place, whose rows are the blocks' rows in order, every
+    block but the last full; means is the (rows, k) arm means, which every
+    level shares. In round t each block is seeded the way numpy's SFC64 seeds
+    itself from three words, here words 3(t-1) .. 3t - 1 of its own
+    `generate_state`: the state [w0, w1, w2, 1] advanced twelve steps. One
     call draws BLOCK_SIZE reward uniforms and then BLOCK_SIZE * k arm uniforms
-    U, and the rows use the first of each; every level ranks with the same U.
-    Then each level, from the state that call leaves, makes one
-    `standard_gamma` draw over the (alpha, beta) of its rows' arms whose shapes
-    both exceed 1, row by row. So a row's draws never depend on the rows after
-    it or on the other levels. Arms rank by the log of an exact
-    Beta(a, b) sample, which keeps samples within 1e-16 of 1 apart: log(U) / a
-    when b = 1, log(-expm1(log(U) / b)) when a = 1, else -log1p(G_b / G_a).
-    Returns the (levels, rows, len(horizons)) cumulative pseudo-regrets.
+    U, and the block's rows use the first of each; every level ranks with the
+    same U. Then each level, from the state that call leaves, makes one
+    `standard_gamma` draw over the (alpha, beta) of the block's arms whose
+    shapes both exceed 1, row by row. So a row's draws never depend on the
+    rows after it, on the other levels or on the other blocks of the pass.
+    Arms rank by the log of an exact Beta(a, b) sample, which keeps samples
+    within 1e-16 of 1 apart: log(U) / a when b = 1, log(-expm1(log(U) / b))
+    when a = 1, else -log1p(G_b / G_a). The ranking, regret and count update
+    run once over the whole pass. Returns the (levels, rows, len(horizons))
+    cumulative pseudo-regrets.
     """
     levels, rows, k, _ = counts.shape
-    rng = np.random.Generator(np.random.SFC64(seq))
+    rng = np.random.Generator(np.random.SFC64(seqs[0]))
     gaps = (means.max(axis=1, keepdims=True) - means).ravel()
     means = means.ravel()
     # one flat index over (levels, rows, k), which wraps round the shared means
     arms = np.arange(levels * rows).reshape(levels, rows) * k
+    # where each (level, block) segment of that index starts, in index order
+    starts = arms[:, ::BLOCK_SIZE].ravel()
     alpha, beta = counts[..., 0], counts[..., 1]  # a success adds to alpha, a failure to beta
     n = max(horizons)
-    words = seq.generate_state(3 * n, np.uint64).reshape(n, 3)
+    words = np.ones((n, len(seqs), 4), np.uint64)
+    for block, seq in enumerate(seqs):
+        words[:, block, :3] = seq.generate_state(3 * n, np.uint64).reshape(n, 3)
     seed = {"bit_generator": "SFC64", "has_uint32": 0, "uinteger": 0}
-    uniforms = np.empty(BLOCK_SIZE * (1 + k))  # the reward uniforms, then the arm uniforms
-    drawn = uniforms[:rows]  # views: each round's uniforms reach them
-    arm_drawn = uniforms[BLOCK_SIZE:BLOCK_SIZE + rows * k].reshape(rows, k)
+    # per block the reward uniforms, then the arm uniforms
+    uniforms = np.empty((len(seqs), BLOCK_SIZE * (1 + k)))
+    # every round reuses the (levels, rows, k) scaled logs and keys
+    scaled, keys = np.empty((2, levels, rows, k))
     regret = np.zeros((levels, rows))
     reached = {}
     # U = 0 samples Beta(a, 1) as 0, Beta(1, b) as 1; an overflowing gamma draw samples 1
     with np.errstate(over="ignore", divide="ignore"):
-        for t, state in enumerate(np.column_stack((words, np.ones(n, np.uint64))), 1):
-            rng.bit_generator.state = {**seed, "state": {"state": state}}
-            rng.bit_generator.random_raw(12)
-            rng.random(out=uniforms)
-            start = rng.bit_generator.state
-            gamma_arms = np.flatnonzero(np.minimum(alpha, beta) > 1)
+        for t, states in enumerate(words, 1):
+            np.minimum(alpha, beta, out=keys)
+            gamma_arms = np.flatnonzero(keys > 1)
             pairs = counts.reshape(-1, 2).take(gamma_arms, 0)
-            pairs = np.split(pairs, gamma_arms.searchsorted(arms[1:, 0]))
-            gammas = []
-            for level, pair in enumerate(pairs):
-                if level:
-                    rng.bit_generator.state = start
-                gammas.append(rng.standard_gamma(pair))
-            logs = np.log(arm_drawn) / np.maximum(alpha, beta)  # over the shape that is not 1
-            keys = np.where(beta == 1, logs, np.log(-np.expm1(logs)))
-            g = np.concatenate(gammas)
+            g = np.empty_like(pairs)
+            bounds = [*gamma_arms.searchsorted(starts).tolist(), len(pairs)]
+            for block, state in enumerate(states):
+                rng.bit_generator.state = {**seed, "state": {"state": state}}
+                rng.bit_generator.random_raw(12)
+                rng.random(out=uniforms[block])
+                start = rng.bit_generator.state
+                for segment in range(block, len(starts), len(seqs)):
+                    if segment > block:
+                        rng.bit_generator.state = start
+                    lo, hi = bounds[segment], bounds[segment + 1]
+                    rng.standard_gamma(pairs[lo:hi], out=g[lo:hi])
+            # views when the pass is one block, copies otherwise
+            drawn = uniforms[:, :BLOCK_SIZE].reshape(-1)[:rows]
+            arm_drawn = uniforms[:, BLOCK_SIZE:].reshape(-1, k)[:rows]
+            np.maximum(alpha, beta, out=scaled)  # the shape that is not 1
+            np.divide(np.log(arm_drawn), scaled, out=scaled)
+            np.negative(np.expm1(scaled, out=keys), out=keys)
+            np.log(keys, out=keys)
+            np.copyto(keys, scaled, where=beta == 1)
             np.put(keys, gamma_arms, -np.log1p(g[:, 1] / g[:, 0]))
             pulled = arms + keys.argmax(axis=2)  # ties go to the lowest arm
             regret += gaps.take(pulled, mode="wrap")
@@ -134,12 +156,12 @@ def _thompson_rounds(seq: np.random.SeedSequence, counts: np.ndarray, means: np.
 
 
 def run_trial(policy: tuple, means: np.ndarray, n: int, rng: np.random.Generator) -> float:
-    """Cumulative pseudo-regret of one trial of n rounds: the block kernel on one
+    """Cumulative pseudo-regret of one trial of n rounds: the kernel on one
     level of one row, its rounds seeded from a seed drawn from rng."""
     n = whole("horizon", n, 1)
     counts = np.stack(policy, axis=-1)[None, None].astype(float)
     seq = np.random.SeedSequence(rng.integers(2**63))
-    return float(_thompson_rounds(seq, counts, means[None, :], (n,))[0, 0, 0])
+    return float(_thompson_rounds((seq,), counts, means[None, :], (n,))[0, 0, 0])
 
 
 class ExperimentConfig(checked_record("ExperimentConfig", "trials seed prior_strength workers")):
@@ -165,24 +187,30 @@ def _summarize(regrets: np.ndarray) -> RegretSummary:
     return RegretSummary(mean=float(np.mean(regrets)), ci=half)
 
 
-def _block_regrets(seed: int, strength: float, priors, horizons, block: int,
+def _block_regrets(seed: int, strength: float, priors, horizons, first: int,
                    rows: int = BLOCK_SIZE) -> np.ndarray:
-    """Regrets of the first `rows` trials of one block under each prior, shape
-    (len(priors), rows, len(horizons)).
+    """Regrets of the first `rows` trials from block `first` on under each
+    prior, shape (len(priors), rows, len(horizons)): one kernel pass over the
+    run of consecutive blocks those rows fill, each block on its own streams.
 
-    The environment stream draws every trial's optimal arm uniformly, then
-    one uniform per trial that sets its recommended arm at an offset drawn
-    from each prior (centred on arm 0): the same joint law as drawing the
-    recommendation first. Both draws cover all BLOCK_SIZE trials and serve
-    every prior. One kernel call runs the block's Thompson rounds for every
-    prior at once, each prior's draws the same as if it ran alone. A
-    trial's recommended arm starts at the prior's recommended pseudo-counts,
-    the other arms at the rest's.
+    Each block's environment stream draws every trial's optimal arm
+    uniformly, then one uniform per trial that sets its recommended arm at
+    an offset drawn from each prior (centred on arm 0): the same joint law as
+    drawing the recommendation first. Both draws cover all BLOCK_SIZE trials
+    of the block and serve every prior. Each prior is encoded once for the
+    whole run, and one kernel call runs the run's Thompson rounds for every
+    prior at once, each prior's and each block's draws the same as if it ran
+    alone. A trial's recommended arm starts at the prior's recommended
+    pseudo-counts, the other arms at the rest's.
     """
-    env_seq, policy_seq = np.random.SeedSequence(entropy=seed, spawn_key=(block,)).spawn(2)
-    env_rng = np.random.Generator(np.random.SFC64(env_seq))
-    optimal = env_rng.integers(K, size=BLOCK_SIZE)[:rows]
-    uniforms = env_rng.random(BLOCK_SIZE)[:rows]
+    optimal, uniforms, policy_seqs = [], [], []
+    for block in range(first, first - (-rows // BLOCK_SIZE)):
+        env_seq, policy_seq = np.random.SeedSequence(entropy=seed, spawn_key=(block,)).spawn(2)
+        env_rng = np.random.Generator(np.random.SFC64(env_seq))
+        optimal.append(env_rng.integers(K, size=BLOCK_SIZE))
+        uniforms.append(env_rng.random(BLOCK_SIZE))
+        policy_seqs.append(policy_seq)
+    optimal, uniforms = np.concatenate(optimal)[:rows], np.concatenate(uniforms)[:rows]
     arms = np.arange(K)
     means = np.where(arms == optimal[:, None], P_OPT, P_BSA)
     counts = np.empty((len(priors), rows, K, 2))
@@ -192,7 +220,7 @@ def _block_regrets(seed: int, strength: float, priors, horizons, block: int,
         rec, rest = prior.pseudo_counts(strength)
         is_recommended = (arms == recommended[:, None]).astype(np.intp)
         np.array((rest, rec)).take(is_recommended, axis=0, out=cell)
-    return _thompson_rounds(policy_seq, counts, means, horizons)
+    return _thompson_rounds(policy_seqs, counts, means, horizons)
 
 
 def regret_curves(config: ExperimentConfig, levels, horizons) -> np.ndarray:
@@ -203,9 +231,13 @@ def regret_curves(config: ExperimentConfig, levels, horizons) -> np.ndarray:
     config.trials, len(horizons)) array; trial t is row t % BLOCK_SIZE of
     block t // BLOCK_SIZE. Each level's prior is solved once. At strength 0
     every level is keyed 0, and each distinct key is simulated once and
-    copied to its levels. One job runs every key on one block; with
-    workers > 1 the jobs are split into contiguous chunks over one process
-    pool of at most the CPU count, which changes nothing but the wall time.
+    copied to its levels. One job is one kernel pass over every key and a
+    run of up to PASS_BLOCKS consecutive blocks, each block on its own
+    streams: the blocks are split into max(workers, blocks / PASS_BLOCKS
+    rounded up) near-equal contiguous runs. With workers > 1 the jobs are
+    split into contiguous chunks over one process pool of at most the CPU
+    count. Neither the run size nor the worker count changes anything but
+    the time and memory.
     """
     levels, horizons = tuple(levels), tuple(whole("horizon", n, 1) for n in horizons)
     if not (levels and horizons):
@@ -218,16 +250,20 @@ def regret_curves(config: ExperimentConfig, levels, horizons) -> np.ndarray:
     distinct = {key: i for i, key in enumerate(dict.fromkeys(keys))}
     job = partial(_block_regrets, config.seed, config.prior_strength,
                   tuple(priors[r] for r in distinct), horizons)
-    rows = [min(BLOCK_SIZE, config.trials - b * BLOCK_SIZE) for b in range(blocks)]
     workers = min(config.workers, blocks, os.cpu_count() or 1)
+    runs = max(workers, -(-blocks // PASS_BLOCKS))
+    # the first trial of each run, then the end of the last
+    starts = [i * blocks // runs * BLOCK_SIZE for i in range(runs)] + [config.trials]
+    firsts = [start // BLOCK_SIZE for start in starts[:-1]]
+    rows = [end - start for start, end in zip(starts, starts[1:])]
     if workers == 1:
-        parts = list(map(job, range(blocks), rows))
+        parts = list(map(job, firsts, rows))
     else:
         # imported here so that the serial and closed-form paths skip multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(job, range(blocks), rows, chunksize=-(-blocks // workers)))
+            parts = list(pool.map(job, firsts, rows, chunksize=-(-runs // workers)))
     return np.concatenate(parts, axis=1)[[distinct[key] for key in keys]]
 
 

@@ -260,12 +260,15 @@ class TestMonteCarlo:
         rec, rest = TwoLevelPrior(8, 1 / 8 - 1e-12).pseudo_counts(2e307)
         counts = np.array([[rec] + [rest] * 7] * BLOCK_SIZE)[None]
         means = np.where(np.arange(8) == 7, P_OPT, P_BSA)[None].repeat(BLOCK_SIZE, axis=0)
-        first = sim._thompson_rounds(np.random.SeedSequence(0), counts, means, (1,))
+        first = sim._thompson_rounds((np.random.SeedSequence(0),), counts, means, (1,))
         assert 20 <= np.sum(first == 0.0) <= 55  # 256 / 7 = 36.6 rows pull arm 7
 
     def test_blocks_and_streams_are_distinct(self, monkeypatch):
         # each stream is seeded from its own spawned SeedSequence, not from the
-        # raw seed, which would give every block and both streams one sequence
+        # raw seed, which would give every block and both streams one sequence;
+        # the two blocks are one pass, whose kernel generator starts from the
+        # first block's policy child and is reseeded every round from each
+        # block's own
         seeds, sfc64 = [], np.random.SFC64
 
         def recording(seed):
@@ -275,8 +278,51 @@ class TestMonteCarlo:
         monkeypatch.setattr(np.random, "SFC64", recording)
         curves = regret_curves(ExperimentConfig(trials=2 * BLOCK_SIZE, seed=3), [0.0], (12,))
         assert not np.array_equal(curves[0, :BLOCK_SIZE], curves[0, BLOCK_SIZE:])
-        env, policy = (np.random.Generator(sfc64(seed)).random() for seed in seeds[:2])
-        assert len(seeds) == 4 and env != policy
+        first = [np.random.Generator(sfc64(seed)).random() for seed in seeds]
+        assert len(seeds) == 3 and len(set(first)) == 3
+
+    @pytest.mark.parametrize("strength", [0.0, 2.0])
+    def test_grouped_blocks_equal_blocks_alone(self, monkeypatch, strength):
+        # 1,100 trials are five blocks, so two kernel passes at workers=1, of two
+        # and three blocks; each block draws from its own streams, so the run
+        # is the concatenation of each block simulated alone
+        passes, thompson_rounds = [], sim._thompson_rounds
+
+        def kernel(seqs, *rest):
+            passes.append(len(seqs))
+            return thompson_rounds(seqs, *rest)
+
+        monkeypatch.setattr(sim, "_thompson_rounds", kernel)
+        config = ExperimentConfig(trials=1100, seed=4, prior_strength=strength)
+        grouped = regret_curves(config, R_MECH_GRID, (1, 12))
+        assert passes == [2, 3]
+        priors = tuple(solve_prior_for_r_mech(8, r) for r in R_MECH_GRID)
+        alone = [_block_regrets(4, strength, priors, (1, 12), block,
+                                min(BLOCK_SIZE, 1100 - block * BLOCK_SIZE))
+                 for block in range(5)]
+        assert np.array_equal(grouped, np.concatenate(alone, axis=1))
+
+    def test_pass_draws_each_block_as_alone(self, recorded_draws):
+        # in a two-block pass each block makes the calls it makes alone, from
+        # the same states and with the same sizes and shapes: its environment
+        # draw, then per round one uniform call and one gamma call per level
+        priors = tuple(solve_prior_for_r_mech(8, r) for r in (1.4, 0.3))
+
+        def run(first, rows):
+            recorded_draws.clear()
+            _block_regrets(3, 2.0, priors, (12,), first, rows)
+            return list(recorded_draws)
+
+        together = run(0, BLOCK_SIZE + 44)
+        calls = 1 + len(priors)  # a block's calls per round
+        # the environment draws come first, then each round's calls block by block
+        rounds = [together[i:i + 2 * calls] for i in range(2, len(together), 2 * calls)]
+        assert len(together) == 2 + 12 * 2 * calls
+        for block, rows in enumerate((BLOCK_SIZE, 44)):
+            own = [together[block], *(c for r in rounds for c in r[block * calls:][:calls])]
+            for (*mine, drawn), (*alone, alone_drawn) in zip(own, run(block, rows), strict=True):
+                assert mine == alone
+                assert np.array_equal(drawn, alone_drawn)
 
     def test_block_of_levels_equals_one_call_per_level(self):
         # every level's draws in a round start from the same state, so sharing
@@ -293,28 +339,41 @@ class TestMonteCarlo:
     ])
     def test_each_distinct_cell_simulated_once(self, monkeypatch, experiment, strength,
                                                cells):
-        # 300 trials are two blocks, one call each, the second of 44 rows, and
-        # each block is one kernel pass over all its cells; Table 1 has four
-        # informed cells and one flat one, Table 2 one of each, and at
+        # 300 trials are two blocks, the second of 44 rows: one kernel pass over
+        # both at workers=1, one pass per block at workers=2 (a thread pool
+        # stands in for the process pool, so the counters see every call), and
+        # each pass runs every cell of its blocks; Table 1 has four informed
+        # cells and one flat one per block, Table 2 one of each, and at
         # strength 0 every cell is flat
+        import concurrent.futures
+
         seen, passes = [], []
 
         def counting(*job):
             seen.append(job)
             return _block_regrets(*job)
 
-        def kernel(seq, counts, *rest):
-            passes.append(counts.shape[:2])
-            return thompson_rounds(seq, counts, *rest)
+        def kernel(seqs, counts, *rest):
+            passes.append((len(seqs), counts.shape[:2]))
+            return thompson_rounds(seqs, counts, *rest)
 
         thompson_rounds = sim._thompson_rounds
         monkeypatch.setattr(sim, "_block_regrets", counting)
         monkeypatch.setattr(sim, "_thompson_rounds", kernel)
-        experiment(ExperimentConfig(trials=300, seed=5, prior_strength=strength))
-        assert [(block, rows) for *_, block, rows in seen] == [(0, BLOCK_SIZE), (1, 44)]
-        assert passes == [(len(priors), rows) for _, _, priors, _, _, rows in seen]
-        assert all(len(set(priors)) == len(priors) for _, _, priors, *_ in seen)
-        assert sum(len(priors) for _, _, priors, *_ in seen) == cells
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            concurrent.futures.ThreadPoolExecutor)
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
+        for workers, jobs in ((1, [(0, 300)]), (2, [(0, BLOCK_SIZE), (1, 44)])):
+            seen.clear()
+            passes.clear()
+            experiment(ExperimentConfig(trials=300, seed=5, prior_strength=strength,
+                                        workers=workers))
+            assert sorted((first, rows) for *_, first, rows in seen) == jobs
+            assert sorted(passes) == sorted((-(-rows // BLOCK_SIZE), (len(priors), rows))
+                                            for _, _, priors, _, _, rows in seen)
+            assert all(len(set(priors)) == len(priors) for _, _, priors, *_ in seen)
+            assert sum(len(priors) * -(-rows // BLOCK_SIZE)
+                       for _, _, priors, _, _, rows in seen) == cells
 
     @pytest.mark.parametrize("experiment,levels", [
         (table1_experiment, {0.0, 0.3, 0.8, 1.4, 1.9}), (table2_experiment, {0.0, 1.9}),
