@@ -121,7 +121,11 @@ class CalibrationParams(checked_record("CalibrationParams", "k n sigma kappa_mu 
     @classmethod
     def canonical(cls, k: int, n: int, sigma: float, kappa_mu: float,
                   d_f: float, b_mu: float) -> "CalibrationParams":
-        """The plain constructor by a second name: ln k and the canonical sigma_f2."""
+        """The plain constructor by a second name: ln k and the canonical sigma_f2.
+
+        `mechbench/run.py` and `tests/test_acceptance.py` build their working
+        point through it, so it goes with ROADMAP item 9's benchmark refit.
+        """
         return cls(k=k, n=n, sigma=sigma, kappa_mu=kappa_mu, d_f=d_f, b_mu=b_mu)
 
 

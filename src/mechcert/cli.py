@@ -11,11 +11,11 @@ parses again: argparse converts a string default by its flag's type only
 during a parse.
 
 A call builds only its own command's parser (all six for help, no arguments
-or an unknown command): the other five would add 0.8 ms (12%) and 0.03 MB of
-traced peak memory to an in-process `simulate --table 1 --trials 300`, 1.5 ms to a fresh process.
-The closed-form modules load with the CLI (6 ms from bytecode, 24 ms compiled
-from source; `-X importtime`). `sim` (numpy, about 100 ms a process) loads only
-in `simulate`, and its process pool (about 20 ms) only with workers > 1.
+or an unknown command), since the other five are a measurable share of a
+short `simulate` call. The closed-form modules load with the CLI, as
+deferring them would save little; `sim` loads only in `simulate`, and its
+process pool only with workers > 1, since numpy and the pool are the costly
+imports.
 """
 
 from __future__ import annotations

@@ -3,34 +3,52 @@
 Compares Thompson sampling with a hybrid (two-level) prior against
 uninformed Thompson sampling and a fixed off-grid baseline dose, on an
 environment with one arm at the optimal attainment probability and the
-rest at the baseline attainment. Regret is pseudo-regret on means.
+rest at the baseline attainment. Regret is pseudo-regret on means. The
+baseline dose's regret is a constant and is computed in closed form.
 
-Reproducibility contract: trials run in blocks of BLOCK_SIZE, a frozen
-constant. Block b holds trials b*BLOCK_SIZE .. (b+1)*BLOCK_SIZE - 1 and
-draws from its own environment and policy streams, spawned from a
-SeedSequence keyed by (master seed, b). One kernel pass serves every level
-of a run of up to PASS_BLOCKS consecutive blocks, each block on its own
-streams: in each round every block is seeded from its own policy stream
-alone and draws BLOCK_SIZE reward uniforms, then BLOCK_SIZE * K arm
-uniforms, in one call. Every level ranks its arms with those same uniforms;
-only each level's gammas, for its arms whose pseudo-counts both exceed 1,
-trial after trial, restart from the state the uniforms leave.
-So a trial's draws never depend on the trials after it, and the last
-block simulates only the trials asked for. A trial's regret depends only
-on (seed, trial index, prior strength, r_mech): never on the trial count,
-the worker count, the run size, the execution order or the other levels;
-the run size changes only the time and the memory. Each Thompson
-round makes the same draws whatever the horizon, so a shorter horizon's
-regret is the longer run's prefix.
-The environment stream draws each trial's optimal arm first and its
-recommended arm second, so the path of a flat policy (every pseudo-count
-1) depends on neither the strength nor r_mech: a cell is one information
-level, uninformed Thompson sampling is the level r_mech = 0, and at
-strength 0 every level is that level. The baseline dose is a constant
-and is computed in closed form.
+Reproducibility contract. This is its one statement; README
+"Reproducibility" lists the tests that pin each promise.
 
-This is the only module that imports numpy: the closed-form calculator
-and the CLI's other commands run on the standard library alone.
+Blocks. Trials run in blocks of BLOCK_SIZE, a frozen constant: trial t is
+row t % BLOCK_SIZE of block t // BLOCK_SIZE. Block b draws from two
+streams, the environment and policy children of a SeedSequence with
+entropy the master seed and spawn key (b,).
+
+Environment. The environment stream (SFC64) draws the optimal arm of every
+one of the block's BLOCK_SIZE trials, uniformly, then one uniform per
+trial that places its recommended arm at an offset from the optimum drawn
+from each level's prior (centred on arm 0): the same joint law of
+(recommended, optimal) arms, and so the same mutual information, as
+drawing the recommendation first. Every level of the block shares these
+draws. A trial's recommended arm starts at its prior's recommended
+pseudo-counts, every other arm at the rest's.
+
+Rounds. Round t of block b is seeded as numpy's SFC64 seeds itself from
+three words, here words 3(t-1) .. 3t - 1 of the policy child's
+`generate_state(3n, uint64)`: the state [w0, w1, w2, 1] advanced twelve
+steps. One `random` call then draws BLOCK_SIZE reward uniforms and
+BLOCK_SIZE * k arm uniforms U, fixed amounts, of which a partial block's
+rows use the first of each, and every level ranks its arms with the same
+U. Each level then restarts from the state that call leaves and makes one
+`standard_gamma` draw over the (alpha, beta) of its rows' arms whose two
+shapes both exceed 1, row by row, giving G_a and G_b. Each arm's sample
+is an exact Beta(a, b) draw, ranked by its log: log(U) / a when b = 1
+(U^(1/a)), log(-expm1(log(U) / b)) when a = 1 (1 - U^(1/b)), else
+-log1p(G_b / G_a) (G_a / (G_a + G_b)). The pulled arm has the largest
+key, ties going to the lowest arm; its reward is a success when the row's
+reward uniform is below its mean. The hybrid encoding starts every arm at
+Beta(A, 1) or Beta(1, B), so most arms need no gamma draw.
+
+What follows. A row's draws never depend on the rows after it, so the
+last block simulates only the trials asked for. A trial's regret depends
+only on (seed, trial index, prior strength, r_mech): never on the trial
+count, the worker count, how blocks are grouped into kernel passes, the
+execution order or the other levels of the table. A round makes the same
+draws whatever the horizon, so a shorter horizon's regret is the longer
+run's prefix. The environment draws the optimum before the
+recommendation, so the path of a flat policy (every pseudo-count 1)
+depends on neither the strength nor r_mech: uninformed Thompson sampling
+is the level r_mech = 0, and at strength 0 every level is that level.
 """
 
 from __future__ import annotations
@@ -55,7 +73,8 @@ Z_96 = 2.0537
 BLOCK_SIZE = 256
 
 # Most consecutive blocks that one kernel pass simulates. Not part of the
-# reproducibility contract: it changes only the time and the memory.
+# reproducibility contract, since each block draws from its own streams in
+# whatever pass it runs: it changes only the time and the memory.
 PASS_BLOCKS = 4
 
 # The calibrated 5-FU experiment (K arms, Table 1 HORIZON): attainment
@@ -69,7 +88,11 @@ TABLE2_HORIZONS = (5, 10, 20, 50, 200)
 
 
 def build_environment(k: int, optimal: int, p_opt: float, p_bsa: float) -> np.ndarray:
-    """The arm means of one environment: p_opt at `optimal`, p_bsa elsewhere."""
+    """The arm means of one environment: p_opt at `optimal`, p_bsa elsewhere.
+
+    No table calls it; `mechbench/bench_trace.TRACED` wraps it by name, so it
+    goes with ROADMAP item 9's benchmark refit.
+    """
     k = whole("k", k, 2)
     if not 0.0 <= p_bsa < p_opt <= 1.0:
         raise ValueError(f"require 0 <= p_bsa < p_opt <= 1, got p_bsa={p_bsa}, p_opt={p_opt}")
@@ -85,20 +108,9 @@ def _thompson_rounds(seqs, counts: np.ndarray, means: np.ndarray, horizons) -> n
     C-contiguous (levels, rows, k, 2) array of initial pseudo-counts (alpha,
     beta), updated in place, whose rows are the blocks' rows in order, every
     block but the last full; means is the (rows, k) arm means, which every
-    level shares. In round t each block is seeded the way numpy's SFC64 seeds
-    itself from three words, here words 3(t-1) .. 3t - 1 of its own
-    `generate_state`: the state [w0, w1, w2, 1] advanced twelve steps. One
-    call draws BLOCK_SIZE reward uniforms and then BLOCK_SIZE * k arm uniforms
-    U, and the block's rows use the first of each; every level ranks with the
-    same U. Then each level, from the state that call leaves, makes one
-    `standard_gamma` draw over the (alpha, beta) of the block's arms whose
-    shapes both exceed 1, row by row. So a row's draws never depend on the
-    rows after it, on the other levels or on the other blocks of the pass.
-    Arms rank by the log of an exact Beta(a, b) sample, which keeps samples
-    within 1e-16 of 1 apart: log(U) / a when b = 1, log(-expm1(log(U) / b))
-    when a = 1, else -log1p(G_b / G_a). The ranking, regret and count update
-    run once over the whole pass. Returns the (levels, rows, len(horizons))
-    cumulative pseudo-regrets.
+    level shares. Arms rank by the log of their Beta sample, which keeps
+    samples within 1e-16 of 1 apart. Returns the (levels, rows,
+    len(horizons)) cumulative pseudo-regrets.
     """
     levels, rows, k, _ = counts.shape
     rng = np.random.Generator(np.random.SFC64(seqs[0]))
@@ -157,7 +169,11 @@ def _thompson_rounds(seqs, counts: np.ndarray, means: np.ndarray, horizons) -> n
 
 def run_trial(policy: tuple, means: np.ndarray, n: int, rng: np.random.Generator) -> float:
     """Cumulative pseudo-regret of one trial of n rounds: the kernel on one
-    level of one row, its rounds seeded from a seed drawn from rng."""
+    level of one row, its rounds seeded from a seed drawn from rng.
+
+    No table calls it; `mechbench/bench_trace.TRACED` wraps it by name, so it
+    goes with ROADMAP item 9's benchmark refit.
+    """
     n = whole("horizon", n, 1)
     counts = np.stack(policy, axis=-1)[None, None].astype(float)
     seq = np.random.SeedSequence(rng.integers(2**63))
@@ -191,17 +207,7 @@ def _block_regrets(seed: int, strength: float, priors, horizons, first: int,
                    rows: int = BLOCK_SIZE) -> np.ndarray:
     """Regrets of the first `rows` trials from block `first` on under each
     prior, shape (len(priors), rows, len(horizons)): one kernel pass over the
-    run of consecutive blocks those rows fill, each block on its own streams.
-
-    Each block's environment stream draws every trial's optimal arm
-    uniformly, then one uniform per trial that sets its recommended arm at
-    an offset drawn from each prior (centred on arm 0): the same joint law as
-    drawing the recommendation first. Both draws cover all BLOCK_SIZE trials
-    of the block and serve every prior. Each prior is encoded once for the
-    whole run, and one kernel call runs the run's Thompson rounds for every
-    prior at once, each prior's and each block's draws the same as if it ran
-    alone. A trial's recommended arm starts at the prior's recommended
-    pseudo-counts, the other arms at the rest's.
+    run of consecutive blocks those rows fill.
     """
     optimal, uniforms, policy_seqs = [], [], []
     for block in range(first, first - (-rows // BLOCK_SIZE)):
@@ -227,17 +233,12 @@ def regret_curves(config: ExperimentConfig, levels, horizons) -> np.ndarray:
     """Cumulative pseudo-regret of each trial of each level at each horizon.
 
     A level r_mech is Thompson sampling from the hybrid prior at scale
-    config.prior_strength; level 0 is uninformed. Returns a (len(levels),
-    config.trials, len(horizons)) array; trial t is row t % BLOCK_SIZE of
-    block t // BLOCK_SIZE. Each level's prior is solved once. At strength 0
-    every level is keyed 0, and each distinct key is simulated once and
-    copied to its levels. One job is one kernel pass over every key and a
-    run of up to PASS_BLOCKS consecutive blocks, each block on its own
-    streams: the blocks are split into max(workers, blocks / PASS_BLOCKS
-    rounded up) near-equal contiguous runs. With workers > 1 the jobs are
-    split into contiguous chunks over one process pool of at most the CPU
-    count. Neither the run size nor the worker count changes anything but
-    the time and memory.
+    config.prior_strength. Returns a (len(levels), config.trials,
+    len(horizons)) array. Each level's prior is solved once and each distinct
+    level simulated once; at strength 0 every level is one. The blocks are
+    split into max(workers, blocks / PASS_BLOCKS rounded up) near-equal
+    contiguous runs, one kernel pass each, mapped with workers > 1 over one
+    process pool of at most the CPU count.
     """
     levels, horizons = tuple(levels), tuple(whole("horizon", n, 1) for n in horizons)
     if not (levels and horizons):
@@ -272,7 +273,9 @@ def run_monte_carlo(config: ExperimentConfig, algorithm: str, r_mech: float,
     """Mean cumulative pseudo-regret with a 96% CI over config.trials trials.
 
     `algorithm` is "hybrid" or "uninformed" (the hybrid encoding at
-    strength 0, which still rejects an r_mech outside [0, ln K]).
+    strength 0, which still rejects an r_mech outside [0, ln K]). No table
+    calls it; `mechbench/run.py` times it and `mechbench/bench_trace.TRACED`
+    wraps it by name, so it goes with ROADMAP item 9's benchmark refit.
     """
     strengths = {"hybrid": config.prior_strength, "uninformed": 0.0}
     if algorithm not in strengths:

@@ -51,6 +51,22 @@ def checked_names(monkeypatch):
 
 
 @pytest.fixture
+def started_pools(monkeypatch):
+    """The max_workers of each ProcessPoolExecutor started, in start order."""
+    import concurrent.futures
+
+    started = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    return started
+
+
+@pytest.fixture
 def recorded_draws(monkeypatch):
     """Each `random` and `standard_gamma` call of a numpy Generator, in call order:
     (method, SFC64 state before, state after, uniforms drawn or gamma shapes),

@@ -1,7 +1,9 @@
+import ast
 import hashlib
 import importlib.util
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -18,6 +20,24 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def package_env(**extra):
+    """os.environ for a subprocess that imports this checkout's mechcert: its
+    `src` first on PYTHONPATH, then `extra`."""
+    import mechcert
+    src = str(Path(mechcert.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])), **extra}
+
+
+@pytest.fixture
+def joint_csv(tmp_path, two_level_joint):
+    """tmp_path / "joint.csv": the k = 8 two-level joint table at beta = 0.972."""
+    path = tmp_path / "joint.csv"
+    path.write_text("8\n" + "".join(
+        ",".join(map(str, row)) + "\n" for row in two_level_joint(8, 0.972).probs))
+    return path
 
 
 class TestCertify:
@@ -196,24 +216,15 @@ class TestSimulate:
     @pytest.mark.parametrize("table,trials", [
         pytest.param("1", "300", id="1"), pytest.param("2", "300", id="2"),
         pytest.param("1", "600", id="1-600"), pytest.param("2", "600", id="2-600")])
-    def test_workers_do_not_change_output(self, capsys, tmp_path, monkeypatch, table, trials):
-        import concurrent.futures
-
-        started = []
-
-        class CountingPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                started.append(kwargs.get("max_workers"))
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    def test_workers_do_not_change_output(self, capsys, tmp_path, monkeypatch, started_pools,
+                                          table, trials):
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         csv = f"table{table}.csv"
         for workers, out in (("1", tmp_path / "a"), ("2", tmp_path / "b")):
             code, _, _ = run(capsys, "simulate", "--table", table, "--trials", trials,
                              "--seed", "5", "--workers", workers, "--out", str(out))
             assert code == 0
-        assert started == [2]
+        assert started_pools == [2]
         assert (tmp_path / "a" / csv).read_bytes() == (tmp_path / "b" / csv).read_bytes()
 
     # the largest strength whose pseudo-counts s * K stay finite: each arm's
@@ -442,13 +453,10 @@ def test_list_flags_from_config_take_effect(capsys, tmp_path):
         "sweep-p-opt-sigma", "sweep-param-own-flag", "sweep-grid-config-own-key",
         "sweep-param-config-sigma", "simulate-config-table", "simulate-config-table-not-a-choice",
         "prior-config-r-mech"])
-def test_flag_the_mode_never_reads_exit_1(capsys, monkeypatch, tmp_path, two_level_joint, argv,
+def test_flag_the_mode_never_reads_exit_1(capsys, monkeypatch, tmp_path, joint_csv, argv,
                                           message, config):
     # a config-file value counts as given; nothing is written, the CSV's directory included
     monkeypatch.chdir(tmp_path)
-    joint = two_level_joint(8, 0.972)
-    (tmp_path / "joint.csv").write_text("8\n" + "".join(
-        ",".join(map(str, row)) + "\n" for row in joint.probs))
     if config is not None:
         (tmp_path / "run.cfg").write_text(config)
         argv = (*argv, "--config", "run.cfg")
@@ -487,9 +495,7 @@ def test_import_loads_only_what_the_command_runs(tmp_path):
     assert importlib.util.find_spec("mechcert.misspec") is None
     assert sorted(p.stem for p in Path(mechcert.__file__).parent.glob("*.py")) == [
         "__init__", "certificates", "cli", "prior", "sim", "sweep"]
-    src = str(Path(mechcert.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = package_env()
     heavy = ("m.split('.')[0] in ('numpy', 'scipy') or m in ('concurrent.futures.process', "
              "'dataclasses')")
     cli_loads = sorted(["mechcert", *(f"mechcert.{m}" for m in ("certificates", "prior",
@@ -555,14 +561,9 @@ def test_action_table_pinned():
         "f8c9346124c0426a1e2fbde72a5b5485c626dd2009a9439400764b66b2183fd6")
 
 
-def test_closed_form_commands_run_without_site_packages(tmp_path, two_level_joint):
+def test_closed_form_commands_run_without_site_packages(tmp_path, joint_csv):
     """Every closed-form command exits 0 under `python -S`: no site-packages, so
     no numpy."""
-    import mechcert
-    src = str(Path(mechcert.__file__).resolve().parents[1])
-    joint = two_level_joint(8, 0.972)
-    (tmp_path / "joint.csv").write_text("8\n" + "".join(
-        ",".join(map(str, row)) + "\n" for row in joint.probs))
     for argv in (["certify"], ["prior", "--r-mech", "1.9"],
                  ["burnin", "--eps", "0.05", "--delta", "0.1", "--gap", "0.3"],
                  ["shift", "--r-train", "1.6", "--delta-pi", "0.5"],
@@ -570,7 +571,7 @@ def test_closed_form_commands_run_without_site_packages(tmp_path, two_level_join
                  ["sweep", "--grid", "kappa_mu", "b_mu", "--steps", "3"],
                  ["sweep", "--param", "k", "--min", "2", "--max", "20", "--steps", "19"]):
         result = subprocess.run([sys.executable, "-S", "-m", "mechcert.cli", *argv],
-                                env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path,
+                                env=package_env(), cwd=tmp_path,
                                 capture_output=True, text=True, timeout=60)
         assert (result.returncode, result.stderr) == (0, ""), argv
 
@@ -580,15 +581,12 @@ def test_closed_form_commands_run_without_site_packages(tmp_path, two_level_join
 def test_closed_stdout_is_not_an_error(unbuffered):
     """A reader that closes the pipe before mechcert writes, as `grep -q` may after
     its match: exit 0 and nothing on stderr, whether stdout is buffered or not."""
-    import mechcert
-    src = str(Path(mechcert.__file__).resolve().parents[1])
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         result = subprocess.run([sys.executable, "-m", "mechcert.cli", "burnin", "--eps",
                                  "0.9999999998", "--delta", "1e-12", "--gap", "1", "--k", "2"],
-                                env={**os.environ, "PYTHONPATH": src,
-                                     "PYTHONUNBUFFERED": unbuffered},
+                                env=package_env(PYTHONUNBUFFERED=unbuffered),
                                 stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60)
     finally:
         os.close(write_end)
@@ -786,7 +784,7 @@ def test_config_k_takes_effect(capsys, tmp_path, argv):
     assert from_config != default
 
 
-def test_readme_cli_lines_parse(capsys, monkeypatch, tmp_path, two_level_joint):
+def test_readme_cli_lines_parse(capsys, monkeypatch, tmp_path, joint_csv):
     """Every `mechcert ...` line of the README's CLI block parses, and all but
     `simulate` (the acceptance gate runs its 10,000-trial tables) exit 0."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -794,9 +792,6 @@ def test_readme_cli_lines_parse(capsys, monkeypatch, tmp_path, two_level_joint):
     lines = [line for line in block.splitlines() if line.startswith("mechcert ")]
     assert len(lines) >= 6
     monkeypatch.chdir(tmp_path)
-    joint = two_level_joint(8, 0.972)
-    (tmp_path / "joint.csv").write_text("8\n" + "".join(
-        ",".join(map(str, row)) + "\n" for row in joint.probs))
     (tmp_path / "run.cfg").write_text("# working point\nn = 24\nb_mu = 0.5\n")
     for line in lines:
         argv = shlex.split(line)[1:]
@@ -804,3 +799,27 @@ def test_readme_cli_lines_parse(capsys, monkeypatch, tmp_path, two_level_joint):
         if argv[0] != "simulate":
             code, _, err = run(capsys, *argv)
             assert (code, err) == (0, ""), line
+
+
+def test_readme_reproducibility_promises_name_their_tests():
+    """Every promise, a bullet of the README's "Reproducibility" section, names
+    at least one test, and each test it names (`Class::test_x` or `test_x`) is
+    defined under tests/, so renaming or deleting one fails here."""
+    root = Path(__file__).resolve().parents[1]
+    section = (root / "README.md").read_text().split("\n## Reproducibility\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    promises = re.findall(r"^- .*(?:\n  .*)*", section, re.M)
+    defined = set()
+    for path in (root / "tests").glob("test_*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                defined.update(f"{prefix}{item.name}" for item in node.body
+                               if isinstance(item, ast.FunctionDef)
+                               for prefix in ("", f"{node.name}::"))
+            elif isinstance(node, ast.FunctionDef):
+                defined.add(node.name)
+    assert len(promises) >= 9
+    for promise in promises:
+        named = re.findall(r"`((?:Test\w+::)?test_\w+)`", promise)
+        assert named, promise
+        assert set(named) <= defined, sorted(set(named) - defined)

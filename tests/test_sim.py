@@ -405,22 +405,12 @@ class TestMonteCarlo:
             regret_curves(FAST._replace(prior_strength=strength), [0.3, level], (12,))
 
     @pytest.mark.parametrize("experiment", [table1_experiment, table2_experiment])
-    def test_one_pool_per_table(self, monkeypatch, experiment):
-        import concurrent.futures
-
-        started = []
-
-        class CountingPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                started.append(kwargs.get("max_workers"))
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    def test_one_pool_per_table(self, monkeypatch, started_pools, experiment):
         monkeypatch.setattr(sim.os, "cpu_count", lambda: 4)
         serial = experiment(ExperimentConfig(trials=300, seed=5))
-        assert started == []
+        assert started_pools == []
         assert experiment(ExperimentConfig(trials=300, seed=5, workers=2)) == serial
-        assert started == [2]
+        assert started_pools == [2]
 
     def test_pool_is_capped_at_cpu_count(self, monkeypatch):
         import concurrent.futures
@@ -602,7 +592,7 @@ class TestExactBetaRegret:
     # Table 1's strength reaches horizon 8 and the uninformed policy Table 2's
     # n = 10, where most arms have both shapes above 1 and draw gammas; at
     # strength 5 the recommended arm's first shape reaches about 35; the
-    # round-2 cases run ORACLE2_TRIALS
+    # round-2 cases run ORACLE2_TRIALS; r_mech = ln 8 is the point-mass prior
     @pytest.mark.parametrize("strength,horizon,trials", [
         (DEFAULT_PRIOR_STRENGTH, 8, ORACLE_TRIALS), (5.0, 6, ORACLE_TRIALS),
         (0.0, 10, ORACLE_TRIALS), (DEFAULT_PRIOR_STRENGTH, 2, ORACLE2_TRIALS),
@@ -610,8 +600,9 @@ class TestExactBetaRegret:
     ], ids=["hybrid", "hybrid-strength-5", "uninformed", "hybrid-round-2", "uninformed-round-2"])
     def test_regret_curves_match_oracle(self, strength, horizon, trials):
         config = ExperimentConfig(trials=trials, seed=ORACLE_SEED, prior_strength=strength)
-        curves = regret_curves(config, R_MECH_GRID, range(1, horizon + 1))
-        for r_mech, regrets in zip(R_MECH_GRID, curves):
+        levels = (*R_MECH_GRID, math.log(8))
+        curves = regret_curves(config, levels, range(1, horizon + 1))
+        for r_mech, regrets in zip(levels, curves, strict=True):
             exact, sd = np.array(exact_beta_regret(r_mech, strength, horizon))
             tol = 4 * sd / math.sqrt(trials) + QUADRATURE_ERROR
             got = regrets.mean(axis=0)
