@@ -210,32 +210,23 @@ class BurnInParams(checked_record("BurnInParams", "epsilon delta gap k")):
 
 class BurnInResult(NamedTuple):
     cycles: float
-    effective_prior_weight: float  # eps_k, the prior weight spread over k arms
+    effective_prior_weight: float  # eps_k, the prior weight on the optimum spread over k arms
     binary_kl: float | None     # kl(eps_k, 1 - eps_k) in nats; None when degenerate
-
-
-def effective_prior_weight(epsilon: float, k: int) -> float:
-    """Prior weight on the optimum once spread across all k arms."""
-    return _effective_prior_weight(real("epsilon", epsilon, 0, 1, open=True), whole("k", k, 2))
-
-
-def _effective_prior_weight(epsilon: float, k: int) -> float:
-    """The effective-prior-weight formula, unchecked."""
-    return epsilon / (1.0 - epsilon + epsilon * k)
 
 
 def burn_in_lower_bound(p: BurnInParams) -> BurnInResult:
     """Minimum expected cycles wasted before overturning the wrong prior.
 
-    (1-delta)(1-epsilon) * gap * ln((1-epsilon)/delta) / kl(eps_k, 1-eps_k).
-    When delta >= 1 - epsilon the log term is non-positive and the bound
-    degenerates to zero. kl is taken from epsilon and k, not from the rounded
-    eps_k: kl(eps_k, 1-eps_k) = (1 - 2 eps_k) ln((1-eps_k)/eps_k), where
+    (1-delta)(1-epsilon) * gap * ln((1-epsilon)/delta) / kl(eps_k, 1-eps_k), with
+    eps_k = epsilon / (1 - epsilon + epsilon k). When delta >= 1 - epsilon the
+    log term is non-positive and the bound degenerates to zero. kl is taken from
+    epsilon and k, not from the rounded eps_k:
+    kl(eps_k, 1-eps_k) = (1 - 2 eps_k) ln((1-eps_k)/eps_k), where
     1 - 2 eps_k = (1 + eps(k-3)) / (1 + eps(k-1)) and (1-eps_k)/eps_k = (1 + eps(k-2)) / eps.
     So kl is positive and finite; raises OverflowError when the bound is inf.
     """
     eps, k = p.epsilon, p.k
-    eps_k = _effective_prior_weight(eps, k)
+    eps_k = eps / (1.0 - eps + eps * k)
     log_term = math.log((1.0 - eps) / p.delta)
     if log_term <= 0:
         return BurnInResult(cycles=0.0, effective_prior_weight=eps_k, binary_kl=None)
@@ -254,18 +245,8 @@ class Retention(Enum):
 
 
 class ShiftReport(NamedTuple):
-    threshold: float
+    threshold: float  # the largest KL shift under which half of r_train survives
     retained: Retention
-
-
-def retention_threshold(r_train: float, k: int) -> float:
-    """Largest KL shift under which half the information survives."""
-    return _retention_threshold(real("r_train", r_train, 0), whole("k", k, 2))
-
-
-def _retention_threshold(r_train: float, k: int) -> float:
-    """The retention-threshold formula, unchecked."""
-    return r_train**2 / (2.0 * k**2 * math.log(k) ** 2)
 
 
 def r_min(k: int) -> float:
@@ -284,13 +265,13 @@ def _r_min(k: int) -> float:
 def check_retention(r_train: float, k: int, delta_pi: float) -> ShiftReport:
     """Does at least half of r_train survive a KL shift of delta_pi?
 
-    Guaranteed requires k >= 12, r_train >= r_min(k), and the shift
-    within retention_threshold; the proof's worst case sits exactly at
-    r_min, so the floor is part of the guarantee's premise.
+    Guaranteed requires k >= 12, r_train >= r_min(k), and the shift within
+    the threshold r_train^2 / (2 k^2 ln^2 k); the proof's worst case sits
+    exactly at r_min, so the floor is part of the guarantee's premise.
     """
     delta_pi = real("delta_pi", delta_pi, 0)
     r_train, k = real("r_train", r_train, 0), whole("k", k, 2)
-    threshold = _retention_threshold(r_train, k)
+    threshold = r_train**2 / (2.0 * k**2 * math.log(k) ** 2)
     if k < _MIN_ARMS:
         retained = Retention.OUT_OF_SCOPE
     elif r_train >= _r_min(k) and delta_pi <= threshold:

@@ -158,9 +158,9 @@ def exact_beta_regret(r_mech, strength, n, nodes=128):
     pull probability is a Gauss-Legendre sum over `nodes` nodes.
 
     Exact means, with converged quadrature:
-      strength 2 at n = 12, which no test checks because each level takes
-        2-10 s here: 5.88161, 4.62126, 2.83160, 1.26264 and 0.33695 at
-        r_mech = 0, 0.3, 0.8, 1.4 and 1.9;
+      strength 2 at n = 12, which no test checks because the number of
+        states, and so the cost, grows steeply with n: 5.88161, 4.62126,
+        2.83160, 1.26264 and 0.33695 at r_mech = 0, 0.3, 0.8, 1.4 and 1.9;
       uninformed (r_mech = 0), Table 2's horizons: 2.72767 at n = 5 and
         5.07152 at n = 10, both in the uninformed oracle test's horizons.
     """

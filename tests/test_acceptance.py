@@ -24,9 +24,8 @@ from mechcert.certificates import (
 from mechcert.prior import (
     BurnInParams,
     burn_in_lower_bound,
-    effective_prior_weight,
+    check_retention,
     r_min,
-    retention_threshold,
     solve_prior_for_r_mech,
     verify_impossibility,
 )
@@ -135,9 +134,8 @@ def test_criterion_3_sensitivity_table():
 
 def test_criterion_4_burn_in():
     failures = []
-    eps_k = effective_prior_weight(0.2, 8)
-    check(failures, "eps_K", eps_k, 0.0833, 1e-3)
     bound = burn_in_lower_bound(BurnInParams(epsilon=0.2, delta=0.01, gap=0.2, k=8))
+    check(failures, "eps_K", bound.effective_prior_weight, 0.0833, 1e-3)
     check(failures, "binary_kl", bound.binary_kl, 1.998, 0.005)
     check(failures, "burn-in cycles", bound.cycles, 0.347, 0.005)
     record(4, "burn-in lower bound", failures)
@@ -145,8 +143,8 @@ def test_criterion_4_burn_in():
 
 def test_criterion_5_shift():
     failures = []
-    check(failures, "retention_threshold(1.6, 8)", retention_threshold(1.6, 8),
-          0.00463, 1e-4)
+    check(failures, "check_retention(1.6, 8, 0).threshold",
+          check_retention(1.6, 8, 0.0).threshold, 0.00463, 1e-4)
     check(failures, "r_min(12)", r_min(12), 0.0345, 5e-4)
     # worst-case verification arithmetic at k = 12, r = 0.035 (rounded)
     k, r = 12, 0.035

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mechcert.prior import BurnInParams, burn_in_lower_bound, effective_prior_weight
+from mechcert.prior import BurnInParams, burn_in_lower_bound
 
 
 class TestBinaryKL:
@@ -24,21 +24,26 @@ class TestBinaryKL:
         assert result.binary_kl == pytest.approx((1 - 2 * p) * math.log((1 - p) / p), rel=1e-12)
 
 
+def eps_k(epsilon, k):
+    """eps_k as burn_in_lower_bound reports it; delta and gap do not enter it."""
+    return burn_in_lower_bound(BurnInParams(epsilon, 0.01, 0.2, k)).effective_prior_weight
+
+
 class TestEffectiveWeight:
     def test_values(self):
-        assert effective_prior_weight(0.2, 8) == pytest.approx(0.0833, abs=1e-3)
-        assert effective_prior_weight(0.15, 8) == pytest.approx(0.0732, abs=1e-3)
-        assert effective_prior_weight(1e-12, 8) < 1e-11
+        assert eps_k(0.2, 8) == pytest.approx(0.0833, abs=1e-3)
+        assert eps_k(0.15, 8) == pytest.approx(0.0732, abs=1e-3)
+        assert eps_k(1e-12, 8) < 1e-11
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            effective_prior_weight(0.0, 8)
+            eps_k(0.0, 8)
         with pytest.raises(ValueError):
-            effective_prior_weight(0.2, 1)
+            eps_k(0.2, 1)
 
     @given(st.floats(1e-6, 1 - 1e-6), st.integers(2, 100))
     def test_bounded_by_epsilon(self, eps, k):
-        w = effective_prior_weight(eps, k)
+        w = eps_k(eps, k)
         assert 0 < w < 1
         assert w <= eps + 1e-12
 
@@ -52,7 +57,7 @@ class TestBurnInBound:
         assert result.binary_kl is not None
         # epsilon = 0.2 > delta = 0.01 sits outside the proposition's premise
         assert params.assumption_violated
-        assert result.effective_prior_weight == effective_prior_weight(0.2, 8)
+        assert result.effective_prior_weight == 0.2 / (1 - 0.2 + 0.2 * 8)
 
     def test_zero_gap(self):
         result = burn_in_lower_bound(BurnInParams(epsilon=0.2, delta=0.01, gap=0.0, k=8))
@@ -71,7 +76,8 @@ class TestBurnInBound:
         result = burn_in_lower_bound(BurnInParams(epsilon=0.9, delta=0.3, gap=0.2, k=8))
         assert result.cycles == 0.0
         assert result.binary_kl is None
-        assert result.effective_prior_weight == effective_prior_weight(0.9, 8)
+        # eps_k is reported in the degenerate regime too
+        assert result.effective_prior_weight == 0.9 / (1 - 0.9 + 0.9 * 8)
 
     def test_param_validation(self):
         with pytest.raises(ValueError):

@@ -27,19 +27,16 @@ from mechcert.prior import (
     JointDistribution,
     TwoLevelPrior,
     check_retention,
-    effective_prior_weight,
     r_min,
-    retention_threshold,
     solve_prior_for_r_mech,
 )
 from mechcert.sim import ExperimentConfig, build_environment, regret_curves, run_trial
 from mechcert.sweep import SweepSpec, grid_axis, linear_grid, sweep_1d, sweep_2d
 
-WORKING = CalibrationParams.canonical(k=8, n=12, sigma=0.40, kappa_mu=1.8,
-                                      d_f=3.0, b_mu=0.22)
+WORKING = CalibrationParams(k=8, n=12, sigma=0.40, kappa_mu=1.8, d_f=3.0, b_mu=0.22)
 
 params_st = st.builds(
-    CalibrationParams.canonical,
+    CalibrationParams,
     k=st.integers(2, 32),
     n=st.integers(2, 500),
     sigma=st.floats(0.05, 2.0),
@@ -109,8 +106,8 @@ class TestChannelCapacity:
     @given(params_st, st.floats(0.2, 5.0))
     def test_kappa_invariant_numerator(self, p, kappa2):
         # kappa^2 * sigma_f2 does not depend on kappa under the canonical rule
-        p2 = CalibrationParams.canonical(k=p.k, n=p.n, sigma=p.sigma,
-                                         kappa_mu=kappa2, d_f=p.d_f, b_mu=p.b_mu)
+        p2 = CalibrationParams(k=p.k, n=p.n, sigma=p.sigma,
+                               kappa_mu=kappa2, d_f=p.d_f, b_mu=p.b_mu)
         assert p.kappa_mu**2 * p.sigma_f2 == pytest.approx(
             kappa2**2 * p2.sigma_f2, rel=1e-12)
 
@@ -161,13 +158,11 @@ class TestCriticalBias:
         assert critical_bias(WORKING) == pytest.approx(0.714, abs=1e-3)
 
     def test_low_kappa(self):
-        p = CalibrationParams.canonical(k=8, n=12, sigma=0.40, kappa_mu=0.6,
-                                        d_f=3.0, b_mu=0.22)
+        p = CalibrationParams(k=8, n=12, sigma=0.40, kappa_mu=0.6, d_f=3.0, b_mu=0.22)
         assert critical_bias(p) == pytest.approx(2.14, abs=0.01)
 
     def test_single_cycle_unreachable(self):
-        p = CalibrationParams.canonical(k=8, n=1, sigma=0.40, kappa_mu=1.8,
-                                        d_f=3.0, b_mu=0.22)
+        p = CalibrationParams(k=8, n=1, sigma=0.40, kappa_mu=1.8, d_f=3.0, b_mu=0.22)
         assert critical_bias(p) is None
 
     def test_closed_form_agreement(self):
@@ -179,8 +174,8 @@ class TestCriticalBias:
     @settings(max_examples=100)
     @given(params_st, st.floats(0.0, 3.0))
     def test_independent_of_b_mu(self, p, other_b):
-        p2 = CalibrationParams.canonical(k=p.k, n=p.n, sigma=p.sigma,
-                                         kappa_mu=p.kappa_mu, d_f=p.d_f, b_mu=other_b)
+        p2 = CalibrationParams(k=p.k, n=p.n, sigma=p.sigma,
+                               kappa_mu=p.kappa_mu, d_f=p.d_f, b_mu=other_b)
         b1 = critical_bias(p)
         if b1 is None:
             assert critical_bias(p2) is None
@@ -206,8 +201,7 @@ class TestRegime:
         assert regime_at(WORKING, 0.40) is Regime.DATA_EFFICIENT
 
     def test_unreachable_is_its_own_regime(self):
-        p = CalibrationParams.canonical(k=8, n=1, sigma=0.40, kappa_mu=1.8,
-                                        d_f=3.0, b_mu=0.22)
+        p = CalibrationParams(k=8, n=1, sigma=0.40, kappa_mu=1.8, d_f=3.0, b_mu=0.22)
         assert regime_at(p, 0.0) is Regime.UNREACHABLE
 
 
@@ -271,15 +265,14 @@ class TestReport:
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
-            CalibrationParams.canonical(k=1, n=12, sigma=0.4, kappa_mu=1.8,
-                                        d_f=3.0, b_mu=0.22)
+            CalibrationParams(k=1, n=12, sigma=0.4, kappa_mu=1.8, d_f=3.0, b_mu=0.22)
         with pytest.raises(ValueError):
-            CalibrationParams.canonical(k=8, n=0, sigma=0.4, kappa_mu=1.8,
-                                        d_f=3.0, b_mu=0.22)
+            CalibrationParams(k=8, n=0, sigma=0.4, kappa_mu=1.8, d_f=3.0, b_mu=0.22)
 
     def test_plain_constructor_is_canonical(self):
         p = CalibrationParams(k=8, n=12, sigma=0.40, kappa_mu=1.8, d_f=3.0, b_mu=0.22)
-        assert p == WORKING
+        assert p == CalibrationParams.canonical(k=8, n=12, sigma=0.40, kappa_mu=1.8,
+                                                d_f=3.0, b_mu=0.22)
         assert p.h_mu == math.log(8)
         assert p.sigma_f2 == 2.0 * 0.40**2 * math.log(8) / (1.8**2 * 3.0)
         # sigma_f2 is derived, never stored, and the report has no flag for an override
@@ -319,10 +312,9 @@ COUNT_SITES = {
     "ub_envelope.k": ("k", 2, 8, lambda v: ub_envelope(v, 12, 1.0)),
     "ub_envelope.n": ("n", 1, 8, lambda v: ub_envelope(8, v, 1.0)),
     "BurnInParams.k": ("k", 2, 8, lambda v: BurnInParams(0.2, 0.01, 0.2, k=v).k),
-    "effective_prior_weight.k": ("k", 2, 8, lambda v: effective_prior_weight(0.2, v)),
     "TwoLevelPrior.k": ("k", 2, 8, lambda v: TwoLevelPrior(k=v, beta=0.5).k),
     "solve_prior_for_r_mech.k": ("k", 2, 8, lambda v: solve_prior_for_r_mech(v, 0.5).k),
-    "retention_threshold.k": ("k", 2, 8, lambda v: retention_threshold(1.6, v)),
+    "check_retention.k": ("k", 2, 8, lambda v: check_retention(1.6, v, 0.0)),
     "r_min.k": ("k", 2, 12, r_min),
     "build_environment.k": ("k", 2, 8, lambda v: build_environment(v, 0, 0.85, 0.2).tolist()),
     "build_environment.optimal": ("optimal", 0, 8,
@@ -382,10 +374,8 @@ REAL_SITES = {
                            lambda v: BurnInParams(0.2, v, 0.2, 8).delta),
     "BurnInParams.gap": ("gap", "[0, inf)", 0.0, math.inf, 0.2,
                          lambda v: BurnInParams(0.2, 0.01, v, 8).gap),
-    "effective_prior_weight.epsilon": ("epsilon", "(0, 1)", 0.0, 1.0, 0.2,
-                                       lambda v: effective_prior_weight(v, 8)),
-    "retention_threshold.r_train": ("r_train", "[0, inf)", 0.0, math.inf, 1.6,
-                                    lambda v: retention_threshold(v, 12)),
+    "check_retention.r_train": ("r_train", "[0, inf)", 0.0, math.inf, 1.6,
+                                lambda v: check_retention(v, 12, 0.0)),
     "check_retention.delta_pi": ("delta_pi", "[0, inf)", 0.0, math.inf, 0.005,
                                  lambda v: check_retention(1.6, 12, v)),
     # beta's bounds carry 1e-12 of slack at each end

@@ -801,6 +801,22 @@ def test_readme_cli_lines_parse(capsys, monkeypatch, tmp_path, joint_csv):
             assert (code, err) == (0, ""), line
 
 
+def test_readme_burnin_table_is_what_burnin_prints(capsys):
+    """The README's table of the burn-in bound against --eps, which shows the
+    bound shrinking as the prior grows more confidently wrong, is `burnin`'s
+    own output at --delta 0.01 --gap 0.65 --k 8."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    eps_row, _, cycles_row = readme.split("\n| `--eps` |", 1)[1].splitlines()[:3]
+    eps = eps_row.strip(" |").split(" | ")
+    cycles = cycles_row.split("| cycles |", 1)[1].strip(" |").split(" | ")
+    assert len(eps) == len(cycles) == 8
+    for e, want in zip(eps, cycles):
+        code, out, _ = run(capsys, "burnin", "--eps", e, "--delta", "0.01", "--gap", "0.65")
+        assert code == 0 and f"burn_in_cycles = {want}\n" in out, e
+    # from eps = 0.2 on, the bound falls with every step toward a point-mass prior
+    assert [float(c) for c in cycles[1:]] == sorted(map(float, cycles[1:]), reverse=True)
+
+
 def test_readme_reproducibility_promises_name_their_tests():
     """Every promise, a bullet of the README's "Reproducibility" section, names
     at least one test, and each test it names (`Class::test_x` or `test_x`) is

@@ -13,7 +13,6 @@ from mechcert.prior import (
     kl_divergence,
     mutual_information,
     r_min,
-    retention_threshold,
     verify_impossibility,
 )
 
@@ -30,23 +29,28 @@ def cyclic_joint(rng, k):
     return joint_from_channel(np.full(k, 1.0 / k), cond)
 
 
+def threshold(r_train, k):
+    """The threshold as check_retention reports it; the shift does not enter it."""
+    return check_retention(r_train, k, 0.0).threshold
+
+
 class TestRetentionThreshold:
     def test_running_example(self):
-        assert retention_threshold(1.6, 8) == pytest.approx(0.00463, abs=1e-4)
+        assert threshold(1.6, 8) == pytest.approx(0.00463, abs=1e-4)
 
     def test_zero_information(self):
-        assert retention_threshold(0.0, 12) == 0.0
+        assert threshold(0.0, 12) == 0.0
 
     def test_worst_case_point(self):
         # r_train^2 / (2 k^2 ln^2 k) evaluated directly at (0.035, 12)
         expected = 0.035**2 / (2 * 144 * math.log(12) ** 2)
-        assert retention_threshold(0.035, 12) == pytest.approx(expected, rel=1e-12)
+        assert threshold(0.035, 12) == pytest.approx(expected, rel=1e-12)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            retention_threshold(-0.1, 8)
+            threshold(-0.1, 8)
         with pytest.raises(ValueError):
-            retention_threshold(1.0, 1)
+            threshold(1.0, 1)
 
 
 class TestRMin:

@@ -15,6 +15,7 @@ from mechcert.sim import (
     R_MECH_GRID,
     ExperimentConfig,
     _block_regrets,
+    _summarize,
     build_environment,
     regret_curves,
     run_monte_carlo,
@@ -83,15 +84,15 @@ class TestRunTrial:
 
 class TestMonteCarlo:
     def test_determinism(self):
-        a = run_monte_carlo(FAST, "uninformed", 0.8)
-        b = run_monte_carlo(FAST, "uninformed", 0.8)
-        assert a == b
+        a = regret_curves(FAST._replace(prior_strength=0.0), [0.8], (12,))
+        b = regret_curves(FAST._replace(prior_strength=0.0), [0.8], (12,))
+        assert np.array_equal(a, b)
 
     def test_serial_equals_parallel(self):
-        serial = run_monte_carlo(FAST, "hybrid", 1.4)
+        serial = regret_curves(FAST, [1.4], (12,))
         parallel_cfg = ExperimentConfig(trials=400, seed=42, workers=2)
-        parallel = run_monte_carlo(parallel_cfg, "hybrid", 1.4)
-        assert serial == parallel
+        parallel = regret_curves(parallel_cfg, [1.4], (12,))
+        assert np.array_equal(serial, parallel)
 
     def test_trial_regret_independent_of_trial_count(self):
         few = regret_curves(FAST, [1.4], (12,))[0]
@@ -180,7 +181,7 @@ class TestMonteCarlo:
         short = regret_curves(FAST, [0.0], (5,))[0]
         assert np.array_equal(curves[:, 0], short[:, 0])
         assert np.all(curves[:, 0] <= curves[:, 1])
-        assert run_monte_carlo(FAST, "uninformed", 1.9, n=5) == table2_experiment(FAST)[0].uninf
+        assert _summarize(short[:, 0]) == table2_experiment(FAST)[0].uninf
 
     def test_unordered_and_repeated_horizons(self):
         levels = [1.4, 0.0]
@@ -395,7 +396,7 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="r_mech must lie in"):
             regret_curves(FAST._replace(prior_strength=0.0), [0.3, 5.0], (12,))
         with pytest.raises(ValueError, match="r_mech must lie in"):
-            run_monte_carlo(FAST, "uninformed", 5.0)
+            regret_curves(FAST._replace(prior_strength=0.0), [5.0], (12,))
 
     @pytest.mark.parametrize("strength", [0.0, 2.0])
     @pytest.mark.parametrize("level", [math.nan, -0.01])
@@ -454,8 +455,14 @@ class TestMonteCarlo:
             assert row.bsa.ci == 0.0
 
     def test_uninformed_band(self):
-        s = run_monte_carlo(ExperimentConfig(trials=2000, seed=42), "uninformed", 0.0)
-        assert 5.75 <= s.mean <= 6.05
+        config = ExperimentConfig(trials=2000, seed=42, prior_strength=0.0)
+        assert 5.75 <= regret_curves(config, [0.0], (12,)).mean() <= 6.05
+
+    def test_run_monte_carlo_summarizes_one_level(self):
+        # "hybrid" runs at the config's strength and "uninformed" at strength 0
+        for algorithm, strength in (("hybrid", FAST.prior_strength), ("uninformed", 0.0)):
+            curves = regret_curves(FAST._replace(prior_strength=strength), [1.4], (5,))
+            assert run_monte_carlo(FAST, algorithm, 1.4, n=5) == _summarize(curves[0, :, 0])
 
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError):
@@ -514,9 +521,11 @@ class TestTables:
         config = ExperimentConfig(trials=300, seed=5)
         rows = table1_experiment(config)
         assert all(row.uninf == rows[0].uninf for row in rows)
+        flat = config._replace(prior_strength=0.0)
         for row in rows:
-            assert run_monte_carlo(config, "uninformed", row.r_mech) == rows[0].uninf
-            assert run_monte_carlo(config, "hybrid", row.r_mech) == row.hyb
+            uninf = regret_curves(flat, [row.r_mech], (12,))[0, :, 0]
+            assert _summarize(uninf) == rows[0].uninf
+            assert _summarize(regret_curves(config, [row.r_mech], (12,))[0, :, 0]) == row.hyb
         assert rows[0].hyb == rows[0].uninf
 
     # The random streams, pinned. A new value here is a declared stream

@@ -19,8 +19,7 @@ from mechcert.sweep import (
     sweep_2d,
 )
 
-BASE = CalibrationParams.canonical(k=8, n=12, sigma=0.40, kappa_mu=1.8,
-                                   d_f=3.0, b_mu=0.22)
+BASE = CalibrationParams(k=8, n=12, sigma=0.40, kappa_mu=1.8, d_f=3.0, b_mu=0.22)
 
 
 def one_param(param, values):
@@ -28,7 +27,7 @@ def one_param(param, values):
 
 
 def expected_cell(base, overrides):
-    """The cell a sweep should evaluate, built directly with the canonical constructor."""
+    """The cell a sweep should evaluate, built directly with the plain constructor."""
     fields = dict(k=base.k, n=base.n, sigma=base.sigma, kappa_mu=base.kappa_mu,
                   d_f=base.d_f, b_mu=base.b_mu)
     for name, value in overrides.items():
@@ -36,7 +35,7 @@ def expected_cell(base, overrides):
             fields["sigma"] = math.sqrt(value * (1.0 - value))
         else:
             fields[name] = value
-    return CalibrationParams.canonical(**fields)
+    return CalibrationParams(**fields)
 
 
 # valid values of each sweep parameter
@@ -49,7 +48,7 @@ CELL_VALUES = {
     "b_mu": st.floats(0.0, 3.0),
 }
 # n = 1 leaves the working target unreachable, so Unreachable rows are drawn too
-bases = st.builds(CalibrationParams.canonical, k=st.integers(2, 32), n=st.integers(1, 60),
+bases = st.builds(CalibrationParams, k=st.integers(2, 32), n=st.integers(1, 60),
                   sigma=st.floats(0.05, 2.0), kappa_mu=st.floats(0.1, 5.0),
                   d_f=st.floats(0.5, 10.0), b_mu=st.floats(0.0, 3.0))
 
@@ -83,8 +82,7 @@ class TestSingleRule:
     @pytest.mark.parametrize("n", [1, 12])
     @pytest.mark.parametrize("b_mu", [0.0, 0.22])
     def test_sweep_2d_ratio_is_b_mu_over_critical_bias(self, n, b_mu):
-        base = CalibrationParams.canonical(k=8, n=n, sigma=0.40, kappa_mu=1.8,
-                                           d_f=3.0, b_mu=b_mu)
+        base = CalibrationParams(k=8, n=n, sigma=0.40, kappa_mu=1.8, d_f=3.0, b_mu=b_mu)
         pairs = [(x, y) for x, y in itertools.permutations(SWEEP_PARAMETERS, 2)
                  if {x, y} != {"sigma", "p_opt"}]
         for x_param, y_param in pairs:
@@ -242,8 +240,7 @@ class TestSweep2D:
                      SweepSpec(parameter="b_mu", values=[0.2, -0.1], base=BASE))
 
     def test_axes_on_different_bases_rejected(self):
-        other = CalibrationParams.canonical(k=8, n=24, sigma=0.40, kappa_mu=1.8,
-                                           d_f=3.0, b_mu=0.22)
+        other = CalibrationParams(k=8, n=24, sigma=0.40, kappa_mu=1.8, d_f=3.0, b_mu=0.22)
         with pytest.raises(ValueError, match="both sweep axes must share the same base"):
             sweep_2d(grid_axis("kappa_mu", BASE, 3), grid_axis("b_mu", other, 3))
 
