@@ -79,8 +79,22 @@ def _header(record, prefix: str = "") -> str:
 
 
 def write_csv(path, rows) -> str:
-    """Write the first row's column names, then one line per row record; return the text."""
-    text = "\n".join([_header(rows[0]), *map(_fmt, rows)]) + "\n"
+    """Write the first row's column names, then one line per row record; return the text.
+
+    A column holds text in every row or in none. Each row is written with one `%`
+    format built from the first row's fields, `%s` for text and `%.6g` for any other
+    field, which gives `_fmt`'s bytes for a flat row of text and numbers. A row that
+    format cannot write, one with a None cell or a nested record, raises TypeError
+    there and is written by `_fmt`, value by value.
+    """
+    line = ",".join(["%s" if isinstance(x, str) else "%.6g" for x in rows[0]])
+    lines = [_header(rows[0])]
+    for row in rows:
+        try:
+            lines.append(line % row)
+        except TypeError:
+            lines.append(_fmt(row))
+    text = "\n".join(lines) + "\n"
     with open(path, "w") as fh:
         fh.write(text)
     return text

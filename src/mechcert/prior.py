@@ -84,7 +84,11 @@ def solve_prior_for_r_mech(k: int, r_mech: float) -> TwoLevelPrior:
 
     Exploits strict monotone decrease of the entropy in beta; the
     endpoints r_mech = 0 and r_mech = ln k short-circuit to the exact
-    uniform and point-mass priors.
+    uniform and point-mass priors. In between, beta is the root in
+    [1/k, 1 - 1e-15] found by plain bisection, which stops when the midpoint
+    is no longer strictly inside the bracket, that is when lo and hi are
+    adjacent floats (about 55 steps). k and r_mech are checked here once, so
+    each step evaluates the entropy formula unchecked.
     """
     k = whole("k", k, 2)
     h_max = math.log(k)
@@ -93,24 +97,14 @@ def solve_prior_for_r_mech(k: int, r_mech: float) -> TwoLevelPrior:
         return TwoLevelPrior(k=k, beta=1.0 / k)
     if r_mech >= h_max - 1e-15:
         return TwoLevelPrior(k=k, beta=1.0)
-    return TwoLevelPrior(k=k, beta=_solve_beta(k, r_mech))
-
-
-def _solve_beta(k: int, r_mech: float) -> float:
-    """Root of TwoLevelPrior(k, b).entropy() = ln k - r_mech for b in [1/k, 1 - 1e-15].
-
-    Plain bisection; it stops when the midpoint is no longer strictly inside
-    the bracket, that is when lo and hi are adjacent floats (about 55 steps).
-    The caller has checked k and r_mech, so each step evaluates the formula unchecked.
-    """
-    target = math.log(k) - r_mech
+    target = h_max - r_mech
     lo, hi = 1.0 / k, 1.0 - 1e-15
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         if _level_entropy(k, mid) > target:
             lo = mid
         else:
             hi = mid
-    return mid
+    return TwoLevelPrior(k=k, beta=mid)
 
 
 class JointDistribution(checked_record("JointDistribution", "probs")):

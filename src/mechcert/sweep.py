@@ -3,17 +3,21 @@
 Each swept cell is the base parameter vector with the swept values
 applied: the prior entropy tracks k, the noise scale tracks p_opt
 through the Bernoulli standard deviation (`SETS`), and the canonical
-residual variance is recomputed in every cell. Both sweeps read one grid
-walk. The critical bias never reads b_mu, so any sweep solves it once per
-distinct cell of its values other than b_mu (once for a b_mu sweep, once
-per value of the other axis on a grid with a b_mu axis); every swept value
-is still checked. Output is CSV rows; plotting is left to external tools:
-`certificates.write_csv` writes the rows, whose fields are the columns.
+residual variance is recomputed in every cell. The critical bias never
+reads b_mu, so any sweep solves it once per distinct cell of its values
+other than b_mu (once for a b_mu sweep, once per value of the other axis on
+a grid with a b_mu axis); every swept value is still checked. Both sweeps
+read one structure, `_cells`: it checks the axes, solves each distinct cell,
+and hands back each row's b_mu and solved cell in row order, from which a
+sweep builds its rows in one pass. Output is CSV rows; plotting is left to
+external tools: `certificates.write_csv` writes the rows, whose fields are
+the columns.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from itertools import product
 from typing import NamedTuple
 
@@ -83,12 +87,16 @@ class Sweep2DRow(NamedTuple):
     ratio: float  # b_mu / critical_bias; inf when the target is unreachable
 
 
-def _walk(*specs: SweepSpec):
-    """(values, b_mu, cell, critical bias) over the specs' Cartesian product, in row order.
+def _cells(*specs: SweepSpec) -> tuple[list, list]:
+    """Each row's b_mu and (cell, critical bias), in row order, over the specs' product.
 
-    The axes share one base and set distinct fields. Every b_mu value is checked before any
-    solve; the cell (at the base b_mu) and its critical bias, which never reads b_mu, are
-    made once per distinct tuple of the other values, when first met in row order.
+    The axes share one base and set distinct fields, and every b_mu value is checked,
+    in that order, before any solve. The cell (at the base b_mu) and its critical bias,
+    which never reads b_mu, are then made once per distinct tuple of the other values,
+    in the order rows first meet them, so an invalid cell raises where row order first
+    meets it. A b_mu axis is the first or the last axis; the rows of one b_mu value meet
+    every cell when it is the first, and each cell meets every b_mu value in turn when
+    it is the last.
     """
     base = specs[0].base
     if any(spec.base != base for spec in specs):
@@ -96,23 +104,22 @@ def _walk(*specs: SweepSpec):
     params = [spec.parameter for spec in specs]
     if len({SETS[param][0] for param in params}) < len(params):
         raise ValueError(f"grid axes {' and '.join(params)} set the same quantity")
-    at = params.index("b_mu") if "b_mu" in params else None
-    others = [SETS[param] for param in params if param != "b_mu"]
-    if at is not None:
-        for value in specs[at].values:
+    b_mus = [base.b_mu]
+    if "b_mu" in params:
+        b_mus = specs[params.index("b_mu")].values
+        for value in b_mus:
             real("b_mu", value, 0)
-    solved = {}  # (cell, critical bias) by the values other than b_mu
-    for values in product(*(spec.values for spec in specs)):
-        if at is None:
-            b_mu, key = base.b_mu, values
-        else:
-            b_mu, key = values[at], values[:at] + values[at + 1:]
-        try:
-            cell, b_crit = solved[key]
-        except KeyError:
-            cell = base._replace(**{field: to(v) for (field, to), v in zip(others, key)})
-            cell, b_crit = solved[key] = cell, critical_bias(cell)
-        yield values, b_mu, cell, b_crit
+    others = [spec for spec in specs if spec.parameter != "b_mu"]
+    sets = [SETS[spec.parameter] for spec in others]
+    made, solved = {}, []  # (cell, critical bias) by key, and in the keys' product order
+    for key in product(*(spec.values for spec in others)):
+        if key not in made:
+            cell = base._replace(**{field: to(v) for (field, to), v in zip(sets, key)})
+            made[key] = cell, critical_bias(cell)
+        solved.append(made[key])
+    if params[0] == "b_mu" and len(params) == 2:
+        return [b_mu for b_mu in b_mus for _ in solved], solved * len(b_mus)
+    return b_mus * len(solved), [cell for cell in solved for _ in b_mus]
 
 
 def sweep_1d(spec: SweepSpec) -> list[Sweep1DRow]:
@@ -120,7 +127,12 @@ def sweep_1d(spec: SweepSpec) -> list[Sweep1DRow]:
     raises ValueError, as in sweep_2d."""
     return [Sweep1DRow(spec.parameter, value, channel_capacity(b_mu, cell), b_crit,
                        ratio(b_mu, b_crit), regime(b_mu, b_crit).value)
-            for (value,), b_mu, cell, b_crit in _walk(spec)]
+            for value, b_mu, (cell, b_crit) in zip(spec.values, *_cells(spec))]
+
+
+# A Sweep2DRow from a tuple, built in C: a grid makes thousands of rows, and the
+# class's own __new__ is a Python function.
+_row2d = partial(tuple.__new__, Sweep2DRow)
 
 
 def sweep_2d(x_spec: SweepSpec, y_spec: SweepSpec) -> list[Sweep2DRow]:
@@ -130,5 +142,7 @@ def sweep_2d(x_spec: SweepSpec, y_spec: SweepSpec) -> list[Sweep2DRow]:
     baseline regimes. Two axes that set the same quantity (b_mu twice, or sigma and
     p_opt) raise ValueError, as does an invalid value.
     """
-    return [Sweep2DRow(x_spec.parameter, y_spec.parameter, x, y, ratio(b_mu, b_crit))
-            for (x, y), b_mu, _, b_crit in _walk(x_spec, y_spec)]
+    x_param, y_param = x_spec.parameter, y_spec.parameter
+    return [_row2d((x_param, y_param, x, y, ratio(b_mu, b_crit)))
+            for (x, y), b_mu, (_, b_crit)
+            in zip(product(x_spec.values, y_spec.values), *_cells(x_spec, y_spec))]

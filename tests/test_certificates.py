@@ -467,11 +467,29 @@ class _Row(NamedTuple):
     c: float | None
 
 
+class _Flat(NamedTuple):
+    a: str
+    n: int
+    c: float | None
+
+
 def test_write_csv_names_columns_from_the_row_fields(tmp_path):
     """The header is the first row's field names, a nested record's fields under its
-    own name; a string passes through, None is nan and a number takes 6 digits."""
+    own name; a string passes through, None is nan and a number takes 6 digits. Flat
+    rows take the one-format path; a row with a None cell or a nested record keeps the
+    value-by-value rule, and both give these bytes."""
     path = tmp_path / "rows.csv"
-    rows = [_Row("x", _Summary(1 / 3, 0.0), None), _Row("y", _Summary(2.0, math.inf), 1e-7)]
-    text = write_csv(path, rows)
-    assert text == "a,b_mean,b_ci,c\nx,0.333333,0,nan\ny,2,inf,1e-07\n"
-    assert path.read_text() == text
+    cases = [
+        ([_Row("x", _Summary(1 / 3, 0.0), None), _Row("y", _Summary(2.0, math.inf), 1e-7)],
+         "a,b_mean,b_ci,c\nx,0.333333,0,nan\ny,2,inf,1e-07\n"),
+        ([_Flat("x", 1, 0.5), _Flat("y", 2, None)], "a,n,c\nx,1,0.5\ny,2,nan\n"),
+        ([_Flat("x", 123456789, np.float64(1 / 3)), _Flat("y", np.int64(-7), 0.0)],
+         "a,n,c\nx,1.23457e+08,0.333333\ny,-7,0\n"),
+        ([_Flat("x", 3, math.inf), _Flat("y", 4, -math.inf), _Flat("z", 5, math.nan)],
+         "a,n,c\nx,3,inf\ny,4,-inf\nz,5,nan\n"),
+        ([_Row("z", _Summary(0.5, 1e300), 3.0)], "a,b_mean,b_ci,c\nz,0.5,1e+300,3\n"),
+    ]
+    for rows, expected in cases:
+        text = write_csv(path, rows)
+        assert text == expected
+        assert path.read_text() == text

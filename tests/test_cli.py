@@ -717,9 +717,11 @@ class TestSweepCommand:
     @pytest.mark.parametrize("grid,digest", [
         (("kappa_mu", "b_mu"), "eefc77cc7ff83cbf5be9214c883e9bb6861c4be52209eae5b09e1ab4f07078f8"),
         (("b_mu", "k"), "5f572f8ff781e03e31158c6aba703055dcbab94464e7898fb1ffcb78ffd6e233"),
+        (("p_opt", "kappa_mu"), "0adf1ab6088542ad2d9891cd0fc865f1f0641fa92aeb6eb2da058f39c66fd62c"),
     ], ids="-".join)
     def test_grid_csv_bytes_pinned(self, capsys, tmp_path, grid, digest):
-        # b_mu as the inner and as the outer axis, at the default 60 steps
+        # b_mu as the inner and as the outer axis, and no b_mu axis (every cell solved,
+        # p_opt setting sigma on a grid axis), at the default 60 steps
         code, _, _ = run(capsys, "sweep", "--grid", *grid, "--out", str(tmp_path))
         assert code == 0
         assert hashlib.sha256((tmp_path / "sweep2d.csv").read_bytes()).hexdigest() == digest
