@@ -7,7 +7,8 @@ envelopes. All entropies and information quantities are in nats.
 
 It also holds the regime rule `regime` and the helpers the other modules
 share: the count rule `whole`, the real-number rule `real`, the `ratio` rule,
-`checked_record` and the table writer `write_csv`.
+`checked_record` and the table writer `write_csv`, which writes every row of a
+table through one `%` format.
 """
 
 from __future__ import annotations
@@ -64,37 +65,30 @@ def checked_record(name: str, fields: str):
     return base
 
 
-def _fmt(record) -> str:
-    """CSV text of a record (a row, or a summary nested in one): its fields in
-    order, where strings pass through, None is nan, a nested record is its own
-    fields, and numbers take 6 significant digits."""
-    return ",".join([x if isinstance(x, str) else "nan" if x is None
-                     else _fmt(x) if isinstance(x, tuple) else f"{x:.6g}" for x in record])
-
-
-def _header(record, prefix: str = "") -> str:
-    """Column names in `_fmt`'s order: a nested record's are `<field>_<subfield>`."""
-    return ",".join([_header(x, f"{prefix}{name}_") if isinstance(x, tuple) else prefix + name
-                     for name, x in zip(record._fields, record)])
+def _columns(record, prefix: str = ""):
+    """Each column's name and value, in field order; a nested record's fields take its
+    place, named `<field>_<subfield>`."""
+    for name, x in zip(record._fields, record):
+        if isinstance(x, tuple):
+            yield from _columns(x, f"{prefix}{name}_")
+        else:
+            yield prefix + name, x
 
 
 def write_csv(path, rows) -> str:
     """Write the first row's column names, then one line per row record; return the text.
 
-    A column holds text in every row or in none. Each row is written with one `%`
-    format built from the first row's fields, `%s` for text and `%.6g` for any other
-    field, which gives `_fmt`'s bytes for a flat row of text and numbers. A row that
-    format cannot write, one with a None cell or a nested record, raises TypeError
-    there and is written by `_fmt`, value by value.
+    The header and one `%` format come from the first row's columns: `%s` for text
+    and `%.6g` for any other value. Every row has the first row's shape, and a column
+    holds text in every row or in none. Rows are flattened through the same columns
+    only when the first row nests a record. A row with a different number of columns,
+    or a None, text or record in a number column, raises TypeError.
     """
-    line = ",".join(["%s" if isinstance(x, str) else "%.6g" for x in rows[0]])
-    lines = [_header(rows[0])]
-    for row in rows:
-        try:
-            lines.append(line % row)
-        except TypeError:
-            lines.append(_fmt(row))
-    text = "\n".join(lines) + "\n"
+    names, values = zip(*_columns(rows[0]))
+    line = ",".join(["%s" if isinstance(x, str) else "%.6g" for x in values])
+    if any(isinstance(x, tuple) for x in rows[0]):
+        rows = [tuple(x for _, x in _columns(row)) for row in rows]
+    text = "\n".join([",".join(names), *[line % row for row in rows]]) + "\n"
     with open(path, "w") as fh:
         fh.write(text)
     return text

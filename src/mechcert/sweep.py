@@ -11,7 +11,8 @@ read one structure, `_cells`: it checks the axes, solves each distinct cell,
 and hands back each row's b_mu and solved cell in row order, from which a
 sweep builds its rows in one pass. Output is CSV rows; plotting is left to
 external tools: `certificates.write_csv` writes the rows, whose fields are
-the columns.
+the columns. No row holds None: an unreachable cell's critical bias is nan
+in a 1-D row, and its ratio is inf in both.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ class Sweep1DRow(NamedTuple):
     param: str
     value: float
     capacity_nats: float
-    critical_bias: float | None
+    critical_bias: float  # nan when the target is unreachable
     ratio: float
     regime: str  # a Regime value
 
@@ -123,9 +124,10 @@ def _cells(*specs: SweepSpec) -> tuple[list, list]:
 
 
 def sweep_1d(spec: SweepSpec) -> list[Sweep1DRow]:
-    """The capacity, critical bias, ratio and regime at each value; an invalid value
-    raises ValueError, as in sweep_2d."""
-    return [Sweep1DRow(spec.parameter, value, channel_capacity(b_mu, cell), b_crit,
+    """The capacity, critical bias (nan when unreachable), ratio and regime at each
+    value; an invalid value raises ValueError, as in sweep_2d."""
+    return [Sweep1DRow(spec.parameter, value, channel_capacity(b_mu, cell),
+                       math.nan if b_crit is None else b_crit,
                        ratio(b_mu, b_crit), regime(b_mu, b_crit).value)
             for value, b_mu, (cell, b_crit) in zip(spec.values, *_cells(spec))]
 

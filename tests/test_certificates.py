@@ -2,6 +2,7 @@ import math
 import pickle
 import re
 import sys
+from collections import namedtuple
 from typing import NamedTuple
 
 import numpy as np
@@ -464,25 +465,22 @@ class _Summary(NamedTuple):
 class _Row(NamedTuple):
     a: str
     b: _Summary
-    c: float | None
+    c: float
 
 
 class _Flat(NamedTuple):
     a: str
     n: int
-    c: float | None
+    c: float
 
 
 def test_write_csv_names_columns_from_the_row_fields(tmp_path):
     """The header is the first row's field names, a nested record's fields under its
-    own name; a string passes through, None is nan and a number takes 6 digits. Flat
-    rows take the one-format path; a row with a None cell or a nested record keeps the
-    value-by-value rule, and both give these bytes."""
+    own name; a string passes through and a number takes 6 digits. One format, taken
+    from the first row, writes every row: a None cell, a later row of another shape,
+    or text or a record in a number column raises TypeError."""
     path = tmp_path / "rows.csv"
     cases = [
-        ([_Row("x", _Summary(1 / 3, 0.0), None), _Row("y", _Summary(2.0, math.inf), 1e-7)],
-         "a,b_mean,b_ci,c\nx,0.333333,0,nan\ny,2,inf,1e-07\n"),
-        ([_Flat("x", 1, 0.5), _Flat("y", 2, None)], "a,n,c\nx,1,0.5\ny,2,nan\n"),
         ([_Flat("x", 123456789, np.float64(1 / 3)), _Flat("y", np.int64(-7), 0.0)],
          "a,n,c\nx,1.23457e+08,0.333333\ny,-7,0\n"),
         ([_Flat("x", 3, math.inf), _Flat("y", 4, -math.inf), _Flat("z", 5, math.nan)],
@@ -493,3 +491,55 @@ def test_write_csv_names_columns_from_the_row_fields(tmp_path):
         text = write_csv(path, rows)
         assert text == expected
         assert path.read_text() == text
+    for rows in [
+        [_Row("x", _Summary(1 / 3, 0.0), None), _Row("y", _Summary(2.0, math.inf), 1e-7)],
+        [_Flat("x", 1, 0.5), _Flat("y", 2, None)],
+        [_Row("x", _Summary(0.5, 1.0), 3.0), _Flat("y", 2, 0.5)],
+        [_Flat("x", 1, 0.5), _Row("y", _Summary(0.5, 1.0), 3.0)],
+        [_Flat("x", 1, 0.5), _Flat("y", "2", 0.5)],
+    ]:
+        with pytest.raises(TypeError):
+            write_csv(path, rows)
+
+
+_TEXT = st.text(max_size=8)
+_NUMBERS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310,
+                     1e300, -1e300]),
+    st.integers(-10**20, 10**20),
+    st.floats().map(np.float64),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+)
+# a column is text or a number, or a nested record of such columns
+_LEAF = st.sampled_from(["text", "number"])
+_SCHEMA = st.lists(st.one_of(_LEAF, st.lists(_LEAF, min_size=1, max_size=3)),
+                   min_size=1, max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_write_csv_matches_an_independent_oracle(tmp_path_factory, data):
+    """Every line is the row's leaves in order, text as given and every number as
+    `format(x, ".6g")`, under `<field>_<subfield>` names for a nested record."""
+    schema = data.draw(_SCHEMA)
+    outer = namedtuple("Outer", [f"f{i}" for i in range(len(schema))])
+    inner = [namedtuple(f"Inner{i}", [f"g{j}" for j in range(len(kind))])
+             if isinstance(kind, list) else None for i, kind in enumerate(schema)]
+    names = []
+    for i, kind in enumerate(schema):
+        names += [f"f{i}_g{j}" for j in range(len(kind))] if inner[i] else [f"f{i}"]
+    draw_leaf = {"text": _TEXT, "number": _NUMBERS}
+    rows, lines = [], [",".join(names)]
+    for _ in range(data.draw(st.integers(1, 4))):
+        fields, leaves = [], []
+        for i, kind in enumerate(schema):
+            values = [data.draw(draw_leaf[leaf]) for leaf in (kind if inner[i] else [kind])]
+            fields.append(inner[i]._make(values) if inner[i] else values[0])
+            leaves += values
+        rows.append(outer._make(fields))
+        lines.append(",".join([x if isinstance(x, str) else format(x, ".6g") for x in leaves]))
+    path = tmp_path_factory.getbasetemp() / "oracle.csv"
+    assert write_csv(path, rows) == "\n".join(lines) + "\n"
+    with open(path, newline="") as fh:  # a text cell may hold "\r"
+        assert fh.read() == "\n".join(lines) + "\n"
