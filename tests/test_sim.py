@@ -40,20 +40,14 @@ class TestEnvironment:
         assert build_environment(2, 0, 1.0, 0.0).tolist() == [1.0, 0.0]
 
     def test_zero_gap_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^require 0 <= p_bsa < p_opt <= 1, "
+                                             r"got p_bsa=0\.5, p_opt=0\.5$"):
             build_environment(8, 0, 0.5, 0.5)
-        with pytest.raises(ValueError):
-            build_environment(1, 0, 0.85, 0.20)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^optimal arm 9 outside \[0, 8\)$"):
             build_environment(8, 9, 0.85, 0.20)
 
 
 class TestRunTrial:
-    def test_horizon_guard(self):
-        env = build_environment(8, 0, 0.85, 0.20)
-        with pytest.raises(ValueError):
-            run_trial(UNINFORMED, env, 0, np.random.default_rng(0))
-
     def test_first_round_uniform(self):
         # with exchangeable Beta(1,1) priors the first pull is uniform,
         # so one-round regret averages (1 - 1/8) * 0.65
@@ -465,14 +459,8 @@ class TestMonteCarlo:
             assert run_monte_carlo(FAST, algorithm, 1.4, n=5) == _summarize(curves[0, :, 0])
 
     def test_unknown_algorithm(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^unknown algorithm 'ucb'$"):
             run_monte_carlo(FAST, "ucb", 0.0)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(trials=0)
-        with pytest.raises(ValueError):
-            ExperimentConfig(workers=0)
 
     # the strength is checked here only, so none of these reaches the kernel
     @pytest.mark.parametrize("strength", [-1.0, math.nan, math.inf, -0.01, 1e308])
