@@ -15,8 +15,6 @@ from mechcert.certificates import (
     CalibrationParams,
     Regime,
     certificate_report,
-    channel_capacity,
-    critical_bias,
     lb_envelope,
     ub_envelope,
     write_csv,

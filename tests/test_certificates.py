@@ -445,6 +445,26 @@ def test_every_value_error_test_names_its_message():
     assert blind == []
 
 
+def test_every_imported_name_is_read():
+    """Each module of the package and of tests/ reads every name it imports, so no
+    import outlives the code that used it (`from __future__` aside)."""
+    root = Path(__file__).resolve().parents[1]
+    unused = []
+    for path in [*sorted((root / "src" / "mechcert").glob("*.py")),
+                 *sorted((root / "tests").glob("*.py"))]:
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                # `import a.b` binds `a`
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+                unused += [f"{path.name}:{node.lineno} {name}" for name in bound
+                           if name not in read]
+    assert unused == []
+
+
 class _Summary(NamedTuple):
     mean: float
     ci: float

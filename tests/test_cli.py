@@ -40,49 +40,100 @@ def joint_csv(tmp_path, two_level_joint):
     return path
 
 
+def write_inputs(root, files):
+    """Write each (name, text or bytes) of `files` under root."""
+    for name, content in files.items():
+        (root / name).write_bytes(content if isinstance(content, bytes) else content.encode())
+
+
+# certify at the working point, and at b_mu = 0.80, past the critical bias
+WORKING_REPORT = ("sigma_f2 = 0.068459\ncapacity = 0.796042 nats\nh_mech_floor = 1.2834 nats\n"
+                  "critical_bias = 0.71389\nbias_ratio_crit_over_b = 3.24496\n"
+                  "regime = DataEfficient\nsample_ratio = 1.62026\nlb_envelope = 7.69738\n"
+                  "ub_envelope = 11.0998\n")
+BASELINE_REPORT = ("sigma_f2 = 0.068459\ncapacity = 0.142017 nats\nh_mech_floor = 1.93742 nats\n"
+                   "critical_bias = 0.71389\nbias_ratio_crit_over_b = 0.892363\n"
+                   "regime = Baseline\nsample_ratio = 1.0733\nlb_envelope = 9.45746\n"
+                   "ub_envelope = 13.6379\n")
+ASSUMPTION_FLAG = "flag = assumption epsilon <= delta violated; bound is exploratory\n"
+
+# case id: (argv, input files written to the working directory, the whole stdout)
+CLOSED_FORM_OUTPUTS = {
+    # no warning line at k = 8
+    "certify-working-values": ("certify", {}, WORKING_REPORT),
+    # the envelopes' ratio ub/lb is sqrt(ln k), below 1 when k < e
+    "certify-crossed-envelopes-warn": (
+        "certify --k 2 --n 1000000", {},
+        "sigma_f2 = 0.0228197\ncapacity = 0.314627 nats\nh_mech_floor = 0.37852 nats\n"
+        "critical_bias = 222.222\nbias_ratio_crit_over_b = 1010.1\nregime = DataEfficient\n"
+        "sample_ratio = 1.8312\nlb_envelope = 1045.07\nub_envelope = 870.081\n"
+        "warning = lb_envelope exceeds ub_envelope "
+        "(constant-free envelopes cross when ln k < 1)\n"),
+    "certify-baseline-regime": ("certify --b-mu 0.80", {}, BASELINE_REPORT),
+    "certify-config-file": ("certify --config run.cfg",
+                            {"run.cfg": "# working values\nk = 8\nn = 12\nb_mu = 0.80\n"},
+                            BASELINE_REPORT),
+    "certify-flags-override-config": ("certify --config run.cfg --b-mu 0.22",
+                                      {"run.cfg": "b_mu = 0.80\n"}, WORKING_REPORT),
+    # Excel's "CSV UTF-8" export and Windows Notepad start a file with a byte order mark
+    "certify-config-byte-order-mark": ("certify --config run.cfg",
+                                       {"run.cfg": b"\xef\xbb\xbfb_mu = 0.8\n"}, BASELINE_REPORT),
+    "burnin-running-example": (
+        "burnin --eps 0.2 --delta 0.01 --gap 0.2 --k 8", {},
+        "effective_prior_weight = 0.0833333\nbinary_kl = 1.99825 nats\n"
+        "burn_in_cycles = 0.347361\n" + ASSUMPTION_FLAG),
+    "burnin-assumption-flag": (
+        "burnin --eps 0.15 --delta 0.10 --gap 0.2 --k 8", {},
+        "effective_prior_weight = 0.0731707\nbinary_kl = 2.16742 nats\n"
+        "burn_in_cycles = 0.151069\n" + ASSUMPTION_FLAG),
+    "burnin-degenerate-flag": (
+        "burnin --eps 0.9 --delta 0.3 --gap 0.2 --k 8", {},
+        "effective_prior_weight = 0.123288\nburn_in_cycles = 0\n"
+        "flag = degenerate regime (delta >= 1 - epsilon); bound is 0\n" + ASSUMPTION_FLAG),
+    # kl(eps_k, 1 - eps_k) is taken from eps and k: eps_k near 0 or 1/2 keeps its digits
+    "burnin-eps-underflow": (
+        "burnin --eps 1e-300 --delta 0.01 --gap 0.2", {},
+        "effective_prior_weight = 1e-300\nbinary_kl = 690.776 nats\nburn_in_cycles = 0.00132\n"),
+    "burnin-k-overflow": (
+        "burnin --eps 0.2 --delta 0.01 --gap 0.2 --k 100000000000000000000", {},
+        "effective_prior_weight = 1e-20\nbinary_kl = 46.0517 nats\n"
+        "burn_in_cycles = 0.0150725\n" + ASSUMPTION_FLAG),
+    "burnin-eps-near-1": (
+        "burnin --eps 0.999999998 --delta 1e-12 --gap 1 --k 2", {},
+        "effective_prior_weight = 0.5\nbinary_kl = 2e-18 nats\n"
+        "burn_in_cycles = 7.6009e+09\n" + ASSUMPTION_FLAG),
+    "burnin-eps-nearer-1": (
+        "burnin --eps 0.9999999998 --delta 1e-12 --gap 1 --k 2", {},
+        "effective_prior_weight = 0.5\nbinary_kl = 2e-20 nats\n"
+        "burn_in_cycles = 5.29832e+10\n" + ASSUMPTION_FLAG),
+    "shift-retention-report": ("shift --r-train 1.6 --k 8 --delta-pi 0.5", {},
+                               "threshold = 0.00462526 nats\nretained = OutOfScope\n"),
+    "shift-guaranteed": ("shift --r-train 1.6 --k 12 --delta-pi 0.0", {},
+                         "threshold = 0.00143955 nats\nretained = Guaranteed\n"),
+    "shift-independent-joint": (
+        "shift --joint uniform.joint", {"uniform.joint": "10\n" + ("0.01," * 9 + "0.01\n") * 10},
+        "cond_entropy_residual = 4.44089e-16\nkl_residual = 2.22045e-16\nmi_excess = 0\n"
+        "shift_divergence = 0 nats\nmutual_information_test = 0 nats\n"),
+    "shift-joint-byte-order-mark": (
+        "shift --joint diag.csv", {"diag.csv": b"\xef\xbb\xbf2\n0.5,0\n0,0.5\n"},
+        "cond_entropy_residual = 5.55112e-17\nkl_residual = 0\nmi_excess = 0\n"
+        "shift_divergence = 0.346574 nats\nmutual_information_test = 0.215762 nats\n"),
+    "prior-table2-level": ("prior --k 8 --r-mech 1.9", {}, "beta = 0.972502\nalpha = 0.00392825\n"),
+    "prior-uniform": ("prior --k 8 --r-mech 0", {}, "beta = 0.125\nalpha = 0.125\n"),
+    # r_mech = ln 8
+    "prior-point-mass": ("prior --k 8 --r-mech 2.0794415416798357", {}, "beta = 1\nalpha = 0\n"),
+}
+
+
+@pytest.mark.parametrize("argv,files,stdout", CLOSED_FORM_OUTPUTS.values(),
+                         ids=CLOSED_FORM_OUTPUTS)
+def test_closed_form_output(capsys, monkeypatch, tmp_path, argv, files, stdout):
+    monkeypatch.chdir(tmp_path)
+    write_inputs(tmp_path, files)
+    assert run(capsys, *shlex.split(argv)) == (0, stdout, "")
+
+
 class TestCertify:
-    def test_working_values(self, capsys):
-        code, out, err = run(capsys, "certify")
-        assert code == 0
-        # the whole output, pinned: no warning line at k = 8
-        assert out == ("sigma_f2 = 0.068459\ncapacity = 0.796042 nats\n"
-                       "h_mech_floor = 1.2834 nats\ncritical_bias = 0.71389\n"
-                       "bias_ratio_crit_over_b = 3.24496\nregime = DataEfficient\n"
-                       "sample_ratio = 1.62026\nlb_envelope = 7.69738\nub_envelope = 11.0998\n")
-        assert err == ""
-
-    def test_crossed_envelopes_warn(self, capsys):
-        # the envelopes' ratio ub/lb is sqrt(ln k), below 1 when k < e
-        code, out, err = run(capsys, "certify", "--k", "2", "--n", "1000000")
-        assert code == 0
-        assert out.endswith("lb_envelope = 1045.07\nub_envelope = 870.081\n"
-                            "warning = lb_envelope exceeds ub_envelope "
-                            "(constant-free envelopes cross when ln k < 1)\n")
-        assert err == ""
-
-    def test_baseline_regime(self, capsys):
-        code, out, _ = run(capsys, "certify", "--b-mu", "0.80")
-        assert code == 0
-        assert "Baseline" in out
-
-    def test_unreachable_exit_2(self, capsys, tmp_path):
-        for argv, target in [(("--n", "1"), "2.07944"), (("--target", "5"), "5")]:
-            code, out, err = run(capsys, "certify", *argv, "--out", str(tmp_path))
-            assert code == 2
-            assert out == ""
-            assert err == (f"error: target unreachable: target {target} nats exceeds "
-                           "zero-bias capacity 1.30461 nats\n")
-            assert not (tmp_path / "certify.txt").exists()
-
-    def test_sigma_f2_is_derived_not_an_input(self, capsys, tmp_path):
-        code, out, err = run(capsys, "certify", "--sigma-f2", "1")
-        assert (code, out) == (1, "")
-        assert "unrecognized arguments: --sigma-f2 1" in err
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("sigma_f2 = 1\n")
-        code, out, err = run(capsys, "certify", "--config", str(cfg))
-        assert (code, out, err) == (1, "", "error: unknown config key 'sigma_f2'\n")
-
     def test_bits_display(self, capsys):
         _, nats_out, _ = run(capsys, "certify")
         _, bits_out, _ = run(capsys, "certify", "--bits")
@@ -97,48 +148,6 @@ class TestCertify:
         code, out, _ = run(capsys, "certify", "--out", str(out_dir))
         assert code == 0
         assert (out_dir / "certify.txt").read_text().strip() == out.strip()
-
-    def test_config_file(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("# working values\nk = 8\nn = 12\nb_mu = 0.80\n")
-        code, out, _ = run(capsys, "certify", "--config", str(cfg))
-        assert code == 0
-        assert "Baseline" in out
-
-    def test_flags_override_config(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("b_mu = 0.80\n")
-        code, out, _ = run(capsys, "certify", "--config", str(cfg), "--b-mu", "0.22")
-        assert code == 0
-        assert "DataEfficient" in out
-
-    @pytest.mark.parametrize("content,message", [
-        (b"horizon = 12\n", "unknown config key 'horizon'"),
-        (b"k = x\n", "argument --k: invalid int value: 'x'"),
-        # one value per key: a later line does not silently replace an earlier one
-        (b"b_mu = 0.9\n# a second value\nb_mu = 0.1\n",
-         "{cfg}:3: duplicate config key 'b_mu' (first set on line 1)"),
-        (b"k = 8\nb_mu 0.9\n", "{cfg}:2: expected 'key = value', got 'b_mu 0.9'"),
-        # None: no file at the path
-        (None, "cannot read config file {cfg}: [Errno 2] No such file or directory: '{cfg}'"),
-        (b"b_mu = 0.8\xff\n", "cannot read config file {cfg}: 'utf-8' codec can't decode "
-                              "byte 0xff in position 10: invalid start byte"),
-    ], ids=["unknown-key", "bad-value", "duplicate-key", "line-without-equals", "missing-file",
-            "undecodable"])
-    def test_bad_config_file_exit_1(self, capsys, tmp_path, content, message):
-        cfg = tmp_path / "run.cfg"
-        if content is not None:
-            cfg.write_bytes(content)
-        code, out, err = run(capsys, "certify", "--config", str(cfg))
-        assert (code, out, err) == (1, "", f"error: {message.format(cfg=cfg)}\n")
-
-    def test_config_file_with_byte_order_mark(self, capsys, tmp_path):
-        # Excel's "CSV UTF-8" export and Windows Notepad start a file with one
-        cfg = tmp_path / "run.cfg"
-        cfg.write_bytes(b"\xef\xbb\xbfb_mu = 0.8\n")
-        code, out, err = run(capsys, "certify", "--config", str(cfg))
-        assert (code, err) == (0, "")
-        assert "regime = Baseline" in out.splitlines()
 
 
 class TestSimulate:
@@ -163,14 +172,6 @@ class TestSimulate:
                            "--seed", "3", "--out", str(tmp_path))
         assert code == 0
         assert out == (tmp_path / f"table{table}.csv").read_text()
-
-    def test_config_key_of_another_command_exit_1(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("k = 8\n")
-        code, _, err = run(capsys, "simulate", "--table", "1", "--trials", "10",
-                           "--config", str(cfg), "--out", str(tmp_path))
-        assert code == 1
-        assert "unknown config key" in err
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -212,161 +213,238 @@ class TestSimulate:
         assert all(math.isfinite(float(row.split(",")[i])) for row in rows for i in means)
 
 
-class TestBurnin:
-    def test_running_example(self, capsys):
-        code, out, _ = run(capsys, "burnin", "--eps", "0.2", "--delta", "0.01",
-                           "--gap", "0.2", "--k", "8")
-        assert code == 0
-        assert "0.347" in out
-        assert "0.0833" in out
 
-    def test_assumption_flag(self, capsys):
-        code, out, _ = run(capsys, "burnin", "--eps", "0.15", "--delta", "0.10",
-                           "--gap", "0.2", "--k", "8")
-        assert code == 0
-        assert "0.151" in out
-        assert "assumption" in out
+# a valid 8x8 joint table, the diagonal at 1/8, for calls that fail on another input
+DIAG8 = "8\n" + "".join(",".join("0.125" if i == j else "0" for j in range(8)) + "\n"
+                        for i in range(8))
+# finite inputs whose arithmetic overflows or divides by zero
+OVERFLOW = "a parameter is out of numeric range (OverflowError)"
+ZERO_DIVISION = "a parameter is out of numeric range (ZeroDivisionError)"
 
-    def test_degenerate_flag(self, capsys):
-        code, out, _ = run(capsys, "burnin", "--eps", "0.9", "--delta", "0.3",
-                           "--gap", "0.2", "--k", "8")
-        assert code == 0
-        assert "burn_in_cycles = 0" in out
-        assert "degenerate" in out
+# case id: (argv, input files written to the working directory, exit code, the whole
+# message after "error: "). Exit 2 is a value outside its domain, exit 1 a usage or I/O
+# error. A row's --out names a directory the call must not make, or the file `taken`.
+CLI_ERRORS = {
+    "burnin-eps": ("burnin --eps 1.5 --delta 0.01 --gap 0.2", {}, 2,
+                   "epsilon must lie in (0, 1), got 1.5"),
+    "burnin-eps-nan": ("burnin --eps nan --delta 0.01 --gap 0.2", {}, 2,
+                       "epsilon must lie in (0, 1), got nan"),
+    "burnin-delta-nan": ("burnin --eps 0.2 --delta nan --gap 0.2", {}, 2,
+                         "delta must lie in (0, 0.5), got nan"),
+    "burnin-gap-nan": ("burnin --eps 0.2 --delta 0.01 --gap nan", {}, 2,
+                       "gap must lie in [0, inf), got nan"),
+    "burnin-k-zero": ("burnin --eps 0.2 --delta 0.01 --gap 0.2 --k 0", {}, 2,
+                      "k must be >= 2, got 0"),
+    "burnin-cycles-overflow": ("burnin --eps 0.45 --delta 1e-300 --gap 1e308", {}, 2, OVERFLOW),
+    "certify-b-mu-nan": ("certify --b-mu nan", {}, 2, "b_mu must lie in [0, inf), got nan"),
+    "certify-sigma-nan": ("certify --sigma nan", {}, 2, "sigma must lie in (0, inf), got nan"),
+    "certify-kappa-mu-nan": ("certify --kappa-mu nan", {}, 2,
+                             "kappa_mu must lie in (0, inf), got nan"),
+    "certify-d-f-nan": ("certify --d-f nan", {}, 2, "d_f must lie in (0, inf), got nan"),
+    "certify-target-nan": ("certify --target nan", {}, 2, "target must lie in (0, inf), got nan"),
+    "certify-k-zero": ("certify --k 0", {}, 2, "k must be >= 2, got 0"),
+    "certify-kappa-mu-overflow": ("certify --kappa-mu 1e200", {}, 2, OVERFLOW),
+    "certify-sigma-overflow": ("certify --sigma 1e200", {}, 2, OVERFLOW),
+    "certify-sigma-underflow": ("certify --sigma 1e-200", {}, 2, ZERO_DIVISION),
+    "certify-d-f-underflow": ("certify --d-f 1e-300", {}, 2, OVERFLOW),
+    "certify-d-f-overflow": ("certify --d-f 1e-320", {}, 2, OVERFLOW),
+    "certify-target-overflow": ("certify --target 1e-320", {}, 2, OVERFLOW),
+    "certify-capacity-overflow": ("certify --d-f 1e-308", {}, 2, OVERFLOW),
+    "certify-capacity-overflow-subnormal-d-f": ("certify --d-f 5e-309", {}, 2, OVERFLOW),
+    # the report directory is not made when no report is written
+    "certify-unreachable-n": ("certify --n 1 --out report", {}, 2,
+                              "target unreachable: target 2.07944 nats exceeds zero-bias "
+                              "capacity 1.30461 nats"),
+    "certify-unreachable-target": ("certify --target 5 --out report", {}, 2,
+                                   "target unreachable: target 5 nats exceeds zero-bias "
+                                   "capacity 1.30461 nats"),
+    "prior-k-zero": ("prior --k 0 --r-mech 1.9", {}, 2, "k must be >= 2, got 0"),
+    "prior-r-mech-nan": ("prior --r-mech nan", {}, 2, "r_mech must lie in [0, 2.07944], got nan"),
+    "prior-r-mech-out-of-range": ("prior --k 8 --r-mech 5.0", {}, 2,
+                                  "r_mech must lie in [0, 2.07944], got 5.0"),
+    "shift-r-train-nan": ("shift --r-train nan --delta-pi 0.005", {}, 2,
+                          "r_train must lie in [0, inf), got nan"),
+    "shift-delta-pi-nan": ("shift --r-train 1.6 --delta-pi nan", {}, 2,
+                           "delta_pi must lie in [0, inf), got nan"),
+    "shift-k-zero": ("shift --r-train 1.6 --delta-pi 0.005 --k 0", {}, 2, "k must be >= 2, got 0"),
+    "shift-r-train-overflow": ("shift --r-train 1e300 --delta-pi 0 --k 12", {}, 2, OVERFLOW),
+    "shift-joint-nan": ("shift --joint nan.joint", {"nan.joint": "2\nnan,0.5\n0.25,0.25\n"}, 2,
+                        "probs entry must lie in [0, inf), got nan"),
+    "shift-joint-empty": ("shift --joint empty.joint", {"empty.joint": ""}, 2,
+                          "empty.joint: expected k on the first line, then k rows of k "
+                          "comma-separated probabilities (invalid literal for int() with base 10: "
+                          "'')"),
+    "shift-joint-malformed": ("shift --joint malformed.joint",
+                              {"malformed.joint": "two\n0.5,0\n0,0.5\n"}, 2,
+                              "malformed.joint: expected k on the first line, then k rows of k "
+                              "comma-separated probabilities (invalid literal for int() with "
+                              "base 10: 'two')"),
+    "shift-joint-ragged": ("shift --joint ragged.joint",
+                           {"ragged.joint": "2\n0.5,0\n0,0.25,0.25\n"}, 2,
+                           "ragged.joint: expected k on the first line, then k rows of k "
+                           "comma-separated probabilities; got k = 2 and 2 rows of lengths "
+                           "[2, 3]"),
+    "shift-subset-repeated": ("shift --joint diag8.joint --subset 0,0,1,2,3",
+                              {"diag8.joint": DIAG8}, 2, "subset entry 0 is repeated"),
+    "simulate-strength-nan": ("simulate --table 1 --trials 10 --strength nan", {}, 2,
+                              "prior_strength must lie in [0, 2.24712e+307], got nan"),
+    "simulate-strength-negative": ("simulate --table 1 --trials 10 --strength -1", {}, 2,
+                                   "prior_strength must lie in [0, 2.24712e+307], got -1.0"),
+    "simulate-strength-overflow": ("simulate --table 1 --trials 3 --strength 1e308", {}, 2,
+                                   "prior_strength must lie in [0, 2.24712e+307], got 1e+308"),
+    "simulate-workers-negative": ("simulate --table 1 --trials 10 --workers -3", {}, 2,
+                                  "workers must be >= 1, got -3"),
+    "simulate-workers-zero": ("simulate --table 1 --trials 10 --workers 0", {}, 2,
+                              "workers must be >= 1, got 0"),
+    "simulate-trials-zero": ("simulate --table 1 --trials 0", {}, 2, "trials must be >= 1, got 0"),
+    "simulate-seed-negative": ("simulate --table 1 --trials 10 --seed -1", {}, 2,
+                               "seed must be >= 0, got -1"),
+    "sweep-grid-steps-zero": ("sweep --grid kappa_mu b_mu --steps 0", {}, 2,
+                              "steps must be >= 1, got 0"),
+    "sweep-param-steps-zero": ("sweep --param sigma --min 0.3 --max 0.5 --steps 0", {}, 2,
+                               "steps must be >= 1, got 0"),
+    "sweep-invalid-k-cell": ("sweep --param k --values 1.5,8", {}, 2,
+                             "k must be an integer, got 1.5"),
+    "sweep-non-integer-k": ("sweep --param k --values 8,8.7", {}, 2,
+                            "k must be an integer, got 8.7"),
+    "sweep-k-zero": ("sweep --k 0 --param b_mu --values 0.2", {}, 2, "k must be >= 2, got 0"),
+    "sweep-grid-sigma-p-opt": ("sweep --grid sigma p_opt --steps 3", {}, 2,
+                               "grid axes sigma and p_opt set the same quantity"),
+    "sweep-grid-same-axis": ("sweep --grid b_mu b_mu --steps 3", {}, 2,
+                             "grid axes b_mu and b_mu set the same quantity"),
+    "sweep-p-opt-out-of-range": ("sweep --param p_opt --values 1.5", {}, 2,
+                                 "p_opt must lie in (0, 1), got 1.5"),
+    "sweep-sigma-underflow": ("sweep --param sigma --values 1e-200", {}, 2, ZERO_DIVISION),
+    "sweep-d-f-overflow": ("sweep --param d_f --values 1e-320", {}, 2, OVERFLOW),
+    # a flag the chosen mode never reads, given on the command line or in the config file
+    "shift-joint-r-train": ("shift --joint joint.csv --r-train 1 --delta-pi 0.1",
+                            {"joint.csv": DIAG8}, 1,
+                            "argument --r-train: not allowed with argument --joint"),
+    "shift-joint-k": ("shift --joint joint.csv --k 12", {"joint.csv": DIAG8}, 1,
+                      "argument --k: not allowed with argument --joint"),
+    "shift-joint-config-k": ("shift --joint joint.csv --config run.cfg",
+                             {"joint.csv": DIAG8, "run.cfg": "k = 12\n"}, 1,
+                             "argument --k: not allowed with argument --joint"),
+    "shift-subset-without-joint": ("shift --r-train 1.6 --delta-pi 0.005 --subset 0,1", {}, 1,
+                                   "argument --subset: not allowed without argument --joint"),
+    "sweep-param-with-grid": ("sweep --param sigma --grid kappa_mu b_mu --steps 2 --out sweeps",
+                              {}, 1, "argument --grid: not allowed with argument --param"),
+    "sweep-grid-values": ("sweep --grid kappa_mu b_mu --values 1,2 --out sweeps", {}, 1,
+                          "argument --values: not allowed with argument --grid"),
+    "sweep-grid-config-values": ("sweep --grid kappa_mu b_mu --config run.cfg --out sweeps",
+                                 {"run.cfg": "values = 1,2\n"}, 1,
+                                 "argument --values: not allowed with argument --grid"),
+    "sweep-grid-range": ("sweep --grid kappa_mu b_mu --min 0 --max 9 --out sweeps", {}, 1,
+                         "argument --min: not allowed with argument --grid"),
+    "sweep-values-range": ("sweep --param b_mu --values 0.2,0.3 --min 0 --max 1 --out sweeps", {},
+                           1, "argument --min: not allowed with argument --values"),
+    "sweep-values-steps": ("sweep --param b_mu --values 0.2,0.3 --steps 5 --out sweeps", {}, 1,
+                           "argument --steps: not allowed with argument --values"),
+    # the flag of the field a swept parameter sets, the first grid axis's checked first
+    "sweep-grid-own-flag": ("sweep --grid kappa_mu b_mu --steps 5 --b-mu 0.35 --out sweeps", {},
+                            1, "argument --b-mu: not allowed with a sweep over b_mu"),
+    "sweep-grid-x-flag-first": ("sweep --grid kappa_mu b_mu --steps 5 --b-mu 0.35 --kappa-mu 0.7 "
+                                "--out sweeps", {}, 1,
+                                "argument --kappa-mu: not allowed with a sweep over kappa_mu"),
+    "sweep-p-opt-sigma": ("sweep --grid p_opt b_mu --sigma 0.3 --out sweeps", {}, 1,
+                          "argument --sigma: not allowed with a sweep over p_opt"),
+    "sweep-param-own-flag": ("sweep --param k --min 2 --max 5 --steps 4 --k 30 --out sweeps", {},
+                             1, "argument --k: not allowed with a sweep over k"),
+    "sweep-grid-config-own-key": ("sweep --grid b_mu k --config run.cfg --out sweeps",
+                                  {"run.cfg": "b_mu = 0.35\n"}, 1,
+                                  "argument --b-mu: not allowed with a sweep over b_mu"),
+    "sweep-param-config-sigma": ("sweep --param p_opt --values 0.6 --config run.cfg --out sweeps",
+                                 {"run.cfg": "sigma = 0.3\n"}, 1,
+                                 "argument --sigma: not allowed with a sweep over p_opt"),
+    # a flag the mode needs, missing
+    "shift-missing-delta-pi": ("shift --r-train 1.6", {}, 1,
+                               "shift requires --r-train and --delta-pi (or --joint)"),
+    "sweep-no-mode": ("sweep --out sweeps", {}, 1, "sweep requires --param or --grid"),
+    "sweep-missing-range": ("sweep --param sigma --out sweeps", {}, 1,
+                            "sweep needs --values or --min/--max"),
+    # a bad entry of a list flag is a usage error naming the flag
+    "subset-letters": ("shift --joint joint.csv --subset a,b,c,d", {"joint.csv": DIAG8}, 1,
+                       "argument --subset: expected comma-separated integers, got 'a,b,c,d'"),
+    "subset-float": ("shift --joint joint.csv --subset 0,1.5", {"joint.csv": DIAG8}, 1,
+                     "argument --subset: expected comma-separated integers, got '0,1.5'"),
+    "subset-config": ("shift --joint joint.csv --config run.cfg",
+                      {"joint.csv": DIAG8, "run.cfg": "subset = 0,x\n"}, 1,
+                      "argument --subset: expected comma-separated integers, got '0,x'"),
+    "values-letter": ("sweep --param b_mu --values x", {}, 1,
+                      "argument --values: expected comma-separated numbers, got 'x'"),
+    "values-empty-entry": ("sweep --param b_mu --values 0.2,,0.3", {}, 1,
+                           "argument --values: expected comma-separated numbers, got '0.2,,0.3'"),
+    "values-config": ("sweep --param b_mu --config run.cfg", {"run.cfg": "values = 0.2;0.3\n"}, 1,
+                      "argument --values: expected comma-separated numbers, got '0.2;0.3'"),
+    "k-letter": ("certify --k x", {}, 1, "argument --k: invalid int value: 'x'"),
+    # flags and config keys that no longer exist
+    "certify-sigma-f2-flag": ("certify --sigma-f2 1", {}, 1,
+                              "unrecognized arguments: --sigma-f2 1"),
+    "certify-sigma-f2-config": ("certify --config run.cfg", {"run.cfg": "sigma_f2 = 1\n"}, 1,
+                                "unknown config key 'sigma_f2'"),
+    "sweep-k-sweep-flag": ("sweep --param b_mu --values 0.22 --out sweeps --k-sweep", {}, 1,
+                           "unrecognized arguments: --k-sweep"),
+    "sweep-sigma-f2-flag": ("sweep --param b_mu --values 0.22 --out sweeps --sigma-f2 0.5", {}, 1,
+                            "unrecognized arguments: --sigma-f2 0.5"),
+    "sweep-sigma-f2-config": ("sweep --param b_mu --values 0.22 --out sweeps --config run.cfg",
+                              {"run.cfg": "sigma_f2 = 0.5\n"}, 1, "unknown config key 'sigma_f2'"),
+    # config keys: a required flag has none (the command line must give it, and wins),
+    # nor has a flag of another command
+    "simulate-config-table": ("simulate --table 1 --trials 1 --config run.cfg",
+                              {"run.cfg": "table = 2\n"}, 1, "unknown config key 'table'"),
+    "simulate-config-table-not-a-choice": ("simulate --table 1 --trials 1 --config run.cfg",
+                                           {"run.cfg": "table = 3\n"}, 1,
+                                           "unknown config key 'table'"),
+    "prior-config-r-mech": ("prior --r-mech 1 --config run.cfg", {"run.cfg": "r_mech = 1.9\n"}, 1,
+                            "unknown config key 'r_mech'"),
+    "simulate-config-k": ("simulate --table 1 --trials 10 --config run.cfg --out tables",
+                          {"run.cfg": "k = 8\n"}, 1, "unknown config key 'k'"),
+    "sweep-config-param-not-a-choice": ("sweep --config run.cfg --values 1 --out sweeps",
+                                        {"run.cfg": "param = foo\n"}, 1,
+                                        "config param = foo: choose from sigma, kappa_mu, d_f, k, "
+                                        "p_opt, b_mu"),
+    # a config file that cannot be read or parsed
+    "unknown-key": ("certify --config run.cfg", {"run.cfg": "horizon = 12\n"}, 1,
+                    "unknown config key 'horizon'"),
+    "bad-value": ("certify --config run.cfg", {"run.cfg": "k = x\n"}, 1,
+                  "argument --k: invalid int value: 'x'"),
+    # one value per key: a later line does not silently replace an earlier one
+    "duplicate-key": ("certify --config run.cfg",
+                      {"run.cfg": "b_mu = 0.9\n# a second value\nb_mu = 0.1\n"}, 1,
+                      "run.cfg:3: duplicate config key 'b_mu' (first set on line 1)"),
+    "line-without-equals": ("certify --config run.cfg", {"run.cfg": "k = 8\nb_mu 0.9\n"}, 1,
+                            "run.cfg:2: expected 'key = value', got 'b_mu 0.9'"),
+    "missing-file": ("certify --config run.cfg", {}, 1,
+                     "cannot read config file run.cfg: [Errno 2] No such file or directory: "
+                     "'run.cfg'"),
+    "undecodable": ("certify --config run.cfg", {"run.cfg": b"b_mu = 0.8\xff\n"}, 1,
+                    "cannot read config file run.cfg: 'utf-8' codec can't decode byte 0xff in "
+                    "position 10: invalid start byte"),
+    # --out names a file: checked before anything is printed
+    "certify": ("certify --out taken", {"taken": "a file\n"}, 1,
+                "cannot create output directory taken: [Errno 17] File exists: 'taken'"),
+    "simulate": ("simulate --table 1 --trials 3 --out taken", {"taken": "a file\n"}, 1,
+                 "cannot create output directory taken: [Errno 17] File exists: 'taken'"),
+    "sweep": ("sweep --param b_mu --values 0.2 --out taken", {"taken": "a file\n"}, 1,
+              "cannot create output directory taken: [Errno 17] File exists: 'taken'"),
+}
 
-    @pytest.mark.parametrize("argv,kl,cycles", [
-        (("--eps", "1e-300", "--delta", "0.01", "--gap", "0.2"), "690.776", "0.00132"),
-        (("--eps", "0.2", "--delta", "0.01", "--gap", "0.2", "--k", "1" + "0" * 20),
-         "46.0517", "0.0150725"),
-        (("--eps", "0.999999998", "--delta", "1e-12", "--gap", "1", "--k", "2"),
-         "2e-18", "7.6009e+09"),
-        (("--eps", "0.9999999998", "--delta", "1e-12", "--gap", "1", "--k", "2"),
-         "2e-20", "5.29832e+10"),
-    ], ids=["burnin-eps-underflow", "burnin-k-overflow", "burnin-eps-near-1",
-            "burnin-eps-nearer-1"])
-    def test_finite_bound_at_extreme_inputs(self, capsys, argv, kl, cycles):
-        # kl(eps_k, 1 - eps_k) is taken from eps and k: eps_k near 0 or 1/2 keeps its digits
-        code, out, err = run(capsys, "burnin", *argv)
-        assert (code, err) == (0, "")
-        assert f"\nbinary_kl = {kl} nats\nburn_in_cycles = {cycles}\n" in out
+
+def snapshot(root):
+    """Every path under root, with a file's bytes (None for a directory)."""
+    return {path: path.read_bytes() if path.is_file() else None for path in root.rglob("*")}
 
 
-# --joint files read by the exit-2 cases below
-BAD_JOINTS = {"nan.joint": "2\nnan,0.5\n0.25,0.25\n", "empty.joint": "",
-              "malformed.joint": "two\n0.5,0\n0,0.5\n", "ragged.joint": "2\n0.5,0\n0,0.25,0.25\n",
-              # a valid 8x8 diagonal table, for a bad --subset
-              "diag8.joint": "8\n" + "".join(",".join("0.125" if i == j else "0" for j in range(8))
-                                             + "\n" for i in range(8))}
-# finite inputs whose arithmetic overflows, underflows or divides by zero
-OUT_OF_RANGE = "a parameter is out of numeric range"
-
-
-@pytest.mark.parametrize("argv,message", [
-    (("burnin", "--eps", "1.5", "--delta", "0.01", "--gap", "0.2"), "epsilon must lie in (0, 1)"),
-    (("certify", "--b-mu", "nan"), "b_mu must lie in [0, inf), got nan"),
-    (("certify", "--sigma", "nan"), "sigma must lie in (0, inf), got nan"),
-    (("certify", "--kappa-mu", "nan"), "kappa_mu must lie in (0, inf), got nan"),
-    (("certify", "--d-f", "nan"), "d_f must lie in (0, inf), got nan"),
-    (("certify", "--target", "nan"), "target must lie in (0, inf), got nan"),
-    (("simulate", "--table", "1", "--trials", "10", "--strength", "nan"),
-     "prior_strength must lie in [0, 2.24712e+307], got nan"),
-    (("simulate", "--table", "1", "--trials", "10", "--strength", "-1"),
-     "prior_strength must lie in [0, 2.24712e+307], got -1.0"),
-    (("simulate", "--table", "1", "--trials", "10", "--workers", "-3"), "workers must be >= 1"),
-    (("simulate", "--table", "1", "--trials", "10", "--workers", "0"), "workers must be >= 1"),
-    (("simulate", "--table", "1", "--trials", "0"), "trials must be >= 1, got 0"),
-    (("simulate", "--table", "1", "--trials", "10", "--seed", "-1"), "seed must be >= 0, got -1"),
-    (("burnin", "--eps", "0.2", "--delta", "0.01", "--gap", "nan"),
-     "gap must lie in [0, inf), got nan"),
-    (("shift", "--r-train", "nan", "--delta-pi", "0.005"), "r_train must lie in [0, inf), got nan"),
-    (("shift", "--r-train", "1.6", "--delta-pi", "nan"), "delta_pi must lie in [0, inf), got nan"),
-    (("burnin", "--eps", "0.2", "--delta", "0.01", "--gap", "0.2", "--k", "0"),
-     "k must be >= 2, got 0"),
-    (("shift", "--r-train", "1.6", "--delta-pi", "0.005", "--k", "0"), "k must be >= 2, got 0"),
-    (("prior", "--k", "0", "--r-mech", "1.9"), "k must be >= 2, got 0"),
-    (("sweep", "--grid", "kappa_mu", "b_mu", "--steps", "0"), "steps must be >= 1"),
-    (("sweep", "--param", "sigma", "--min", "0.3", "--max", "0.5", "--steps", "0"),
-     "steps must be >= 1"),
-    (("sweep", "--param", "k", "--values", "1.5,8"), "k must be an integer, got 1.5"),
-    (("certify", "--k", "0"), "k must be >= 2, got 0"),
-    (("sweep", "--k", "0", "--param", "b_mu", "--values", "0.2"), "k must be >= 2, got 0"),
-    (("sweep", "--param", "k", "--values", "8,8.7"), "k must be an integer, got 8.7"),
-    (("sweep", "--grid", "sigma", "p_opt", "--steps", "3"), "set the same quantity"),
-    (("sweep", "--grid", "b_mu", "b_mu", "--steps", "3"), "set the same quantity"),
-    (("shift", "--joint", "nan.joint"), "probs entry must lie in [0, inf), got nan"),
-    (("shift", "--joint", "empty.joint"), "expected k on the first line, then k rows"),
-    (("shift", "--joint", "malformed.joint"), "expected k on the first line, then k rows"),
-    (("shift", "--joint", "ragged.joint"), "expected k on the first line, then k rows"),
-    (("certify", "--kappa-mu", "1e200"), OUT_OF_RANGE),
-    (("certify", "--sigma", "1e200"), OUT_OF_RANGE),
-    (("certify", "--sigma", "1e-200"), OUT_OF_RANGE),
-    (("certify", "--d-f", "1e-300"), OUT_OF_RANGE),
-    (("shift", "--r-train", "1e300", "--delta-pi", "0", "--k", "12"), OUT_OF_RANGE),
-    (("sweep", "--param", "sigma", "--values", "1e-200"), OUT_OF_RANGE),
-    (("simulate", "--table", "1", "--trials", "3", "--strength", "1e308"),
-     "prior_strength must lie in [0, 2.24712e+307], got 1e+308"),
-    (("certify", "--d-f", "1e-320"), OUT_OF_RANGE),
-    (("sweep", "--param", "d_f", "--values", "1e-320"), OUT_OF_RANGE),
-    (("certify", "--target", "1e-320"), OUT_OF_RANGE),
-    (("certify", "--d-f", "1e-308"), OUT_OF_RANGE),
-    (("certify", "--d-f", "5e-309"), OUT_OF_RANGE),
-    (("burnin", "--eps", "0.45", "--delta", "1e-300", "--gap", "1e308"), OUT_OF_RANGE),
-    (("prior", "--r-mech", "nan"), "r_mech must lie in [0, 2.07944], got nan"),
-    (("burnin", "--eps", "nan", "--delta", "0.01", "--gap", "0.2"),
-     "epsilon must lie in (0, 1), got nan"),
-    (("burnin", "--eps", "0.2", "--delta", "nan", "--gap", "0.2"),
-     "delta must lie in (0, 0.5), got nan"),
-    (("sweep", "--param", "p_opt", "--values", "1.5"), "p_opt must lie in (0, 1), got 1.5"),
-    (("shift", "--joint", "diag8.joint", "--subset", "0,0,1,2,3"), "subset entry 0 is repeated"),
-    (("prior", "--k", "8", "--r-mech", "5.0"), "r_mech must lie in [0, 2.07944], got 5.0"),
-], ids=["burnin-eps", "certify-b-mu-nan", "certify-sigma-nan", "certify-kappa-mu-nan",
-        "certify-d-f-nan", "certify-target-nan", "simulate-strength-nan",
-        "simulate-strength-negative", "simulate-workers-negative", "simulate-workers-zero",
-        "simulate-trials-zero", "simulate-seed-negative", "burnin-gap-nan", "shift-r-train-nan",
-        "shift-delta-pi-nan", "burnin-k-zero", "shift-k-zero", "prior-k-zero",
-        "sweep-grid-steps-zero", "sweep-param-steps-zero",
-        "sweep-invalid-k-cell", "certify-k-zero", "sweep-k-zero", "sweep-non-integer-k",
-        "sweep-grid-sigma-p-opt", "sweep-grid-same-axis", "shift-joint-nan", "shift-joint-empty",
-        "shift-joint-malformed", "shift-joint-ragged", "certify-kappa-mu-overflow",
-        "certify-sigma-overflow", "certify-sigma-underflow", "certify-d-f-underflow",
-        "shift-r-train-overflow", "sweep-sigma-underflow", "simulate-strength-overflow",
-        "certify-d-f-overflow", "sweep-d-f-overflow", "certify-target-overflow",
-        "certify-capacity-overflow", "certify-capacity-overflow-subnormal-d-f",
-        "burnin-cycles-overflow", "prior-r-mech-nan", "burnin-eps-nan", "burnin-delta-nan",
-        "sweep-p-opt-out-of-range", "shift-subset-repeated", "prior-r-mech-out-of-range"])
-def test_domain_error_exit_2(capsys, monkeypatch, tmp_path, argv, message):
+@pytest.mark.parametrize("argv,files,code,message", CLI_ERRORS.values(), ids=CLI_ERRORS)
+def test_cli_error(capsys, monkeypatch, tmp_path, argv, files, code, message):
+    """A failing call prints one error line to stderr and nothing to stdout, and
+    leaves its working directory as it found it: no file written or changed, no
+    directory made."""
     monkeypatch.chdir(tmp_path)
-    for name, text in BAD_JOINTS.items():
-        (tmp_path / name).write_text(text)
-    code, out, err = run(capsys, *argv)
-    assert code == 2
-    assert err.startswith("error:")
-    assert message in err
-    assert "nan" not in out
-    assert not list(tmp_path.glob("*.csv"))
-
-
-@pytest.mark.parametrize("argv,flag,config", [
-    (("shift", "--joint", "joint.csv", "--subset", "a,b,c,d"), "--subset", None),
-    (("shift", "--joint", "joint.csv", "--subset", "0,1.5"), "--subset", None),
-    (("shift", "--joint", "joint.csv"), "--subset", "subset = 0,x\n"),
-    (("sweep", "--param", "b_mu", "--values", "x"), "--values", None),
-    (("sweep", "--param", "b_mu", "--values", "0.2,,0.3"), "--values", None),
-    (("sweep", "--param", "b_mu"), "--values", "values = 0.2;0.3\n"),
-    (("certify", "--k", "x"), "--k", None),
-], ids=["subset-letters", "subset-float", "subset-config", "values-letter", "values-empty-entry",
-        "values-config", "k-letter"])
-def test_bad_list_entry_is_usage_error_naming_flag(capsys, monkeypatch, tmp_path, argv, flag,
-                                                   config):
-    monkeypatch.chdir(tmp_path)
-    if config is not None:
-        (tmp_path / "run.cfg").write_text(config)
-        argv = (*argv, "--config", "run.cfg")
-    code, out, err = run(capsys, *argv)
-    assert code == 1
-    assert err.startswith(f"error: argument {flag}:")
-    assert out == ""
-    assert not list(tmp_path.glob("*.csv"))
+    write_inputs(tmp_path, files)
+    before = snapshot(tmp_path)
+    assert run(capsys, *shlex.split(argv)) == (code, "", f"error: {message}\n")
+    assert snapshot(tmp_path) == before
 
 
 def test_list_flags_from_config_take_effect(capsys, tmp_path):
@@ -379,85 +457,6 @@ def test_list_flags_from_config_take_effect(capsys, tmp_path):
     assert code == 0
     assert ((tmp_path / "a" / "sweep1d.csv").read_bytes()
             == (tmp_path / "b" / "sweep1d.csv").read_bytes())
-
-
-@pytest.mark.parametrize("argv,message,config", [
-    (("shift", "--joint", "joint.csv", "--r-train", "1", "--delta-pi", "0.1"),
-     "argument --r-train: not allowed with argument --joint", None),
-    (("shift", "--r-train", "1.6", "--delta-pi", "0.005", "--subset", "0,1"),
-     "argument --subset: not allowed without argument --joint", None),
-    (("sweep", "--grid", "kappa_mu", "b_mu", "--values", "1,2"),
-     "argument --values: not allowed with argument --grid", None),
-    (("sweep", "--grid", "kappa_mu", "b_mu", "--min", "0", "--max", "9"),
-     "argument --min: not allowed with argument --grid", None),
-    (("sweep", "--param", "b_mu", "--values", "0.2,0.3", "--min", "0", "--max", "1"),
-     "argument --min: not allowed with argument --values", None),
-    (("sweep", "--param", "b_mu", "--values", "0.2,0.3", "--steps", "5"),
-     "argument --steps: not allowed with argument --values", None),
-    (("sweep", "--grid", "kappa_mu", "b_mu"),
-     "argument --values: not allowed with argument --grid", "values = 1,2\n"),
-    (("shift", "--joint", "joint.csv", "--k", "12"),
-     "argument --k: not allowed with argument --joint", None),
-    (("shift", "--joint", "joint.csv"),
-     "argument --k: not allowed with argument --joint", "k = 12\n"),
-    (("sweep", "--grid", "kappa_mu", "b_mu", "--steps", "5", "--b-mu", "0.35"),
-     "argument --b-mu: not allowed with a sweep over b_mu", None),
-    (("sweep", "--grid", "kappa_mu", "b_mu", "--steps", "5", "--b-mu", "0.35",
-      "--kappa-mu", "0.7"),
-     "argument --kappa-mu: not allowed with a sweep over kappa_mu", None),
-    (("sweep", "--grid", "p_opt", "b_mu", "--sigma", "0.3"),
-     "argument --sigma: not allowed with a sweep over p_opt", None),
-    (("sweep", "--param", "k", "--min", "2", "--max", "5", "--steps", "4", "--k", "30"),
-     "argument --k: not allowed with a sweep over k", None),
-    (("sweep", "--grid", "b_mu", "k"),
-     "argument --b-mu: not allowed with a sweep over b_mu", "b_mu = 0.35\n"),
-    (("sweep", "--param", "p_opt", "--values", "0.6"),
-     "argument --sigma: not allowed with a sweep over p_opt", "sigma = 0.3\n"),
-    # a required flag has no config key: the command line must give it, and wins
-    (("simulate", "--table", "1", "--trials", "1"), "unknown config key 'table'", "table = 2\n"),
-    (("simulate", "--table", "1", "--trials", "1"), "unknown config key 'table'", "table = 3\n"),
-    (("prior", "--r-mech", "1"), "unknown config key 'r_mech'", "r_mech = 1.9\n"),
-    # a flag the mode needs, missing
-    (("shift", "--r-train", "1.6"), "shift requires --r-train and --delta-pi (or --joint)", None),
-    (("sweep",), "sweep requires --param or --grid", None),
-    (("sweep", "--param", "sigma"), "sweep needs --values or --min/--max", None),
-], ids=["shift-joint-r-train", "shift-subset-without-joint", "sweep-grid-values",
-        "sweep-grid-range", "sweep-values-range", "sweep-values-steps", "sweep-grid-config-values",
-        "shift-joint-k", "shift-joint-config-k", "sweep-grid-own-flag", "sweep-grid-x-flag-first",
-        "sweep-p-opt-sigma", "sweep-param-own-flag", "sweep-grid-config-own-key",
-        "sweep-param-config-sigma", "simulate-config-table", "simulate-config-table-not-a-choice",
-        "prior-config-r-mech", "shift-missing-delta-pi", "sweep-no-mode", "sweep-missing-range"])
-def test_flag_the_mode_never_reads_exit_1(capsys, monkeypatch, tmp_path, joint_csv, argv,
-                                          message, config):
-    # a config-file value counts as given; nothing is written, the CSV's directory included
-    monkeypatch.chdir(tmp_path)
-    if config is not None:
-        (tmp_path / "run.cfg").write_text(config)
-        argv = (*argv, "--config", "run.cfg")
-    if argv[0] == "sweep":
-        argv = (*argv, "--out", "sweeps")
-    before = sorted(tmp_path.iterdir())
-    code, out, err = run(capsys, *argv)
-    assert code == 1
-    assert err == f"error: {message}\n"
-    assert out == ""
-    assert sorted(tmp_path.iterdir()) == before
-
-
-@pytest.mark.parametrize("argv", [
-    ("certify",),
-    ("simulate", "--table", "1", "--trials", "3"),
-    ("sweep", "--param", "b_mu", "--values", "0.2"),
-], ids=lambda argv: argv[0])
-def test_out_not_a_directory_exit_1(capsys, tmp_path, argv):
-    # checked before anything is printed
-    blocker = tmp_path / "taken"
-    blocker.write_text("a file\n")
-    code, out, err = run(capsys, *argv, "--out", str(blocker))
-    assert code == 1
-    assert out == ""
-    assert err.startswith(f"error: cannot create output directory {blocker}: ")
-    assert blocker.read_text() == "a file\n"
 
 
 def test_import_loads_only_what_the_command_runs(tmp_path):
@@ -567,19 +566,6 @@ def test_closed_stdout_is_not_an_error(unbuffered):
 
 
 class TestShift:
-    def test_retention_report(self, capsys):
-        code, out, _ = run(capsys, "shift", "--r-train", "1.6", "--k", "8",
-                           "--delta-pi", "0.5")
-        assert code == 0
-        assert "0.0046" in out
-        assert "OutOfScope" in out
-
-    def test_guaranteed(self, capsys):
-        code, out, _ = run(capsys, "shift", "--r-train", "1.6", "--k", "12",
-                           "--delta-pi", "0.0")
-        assert code == 0
-        assert "Guaranteed" in out
-
     def test_impossibility_mode(self, capsys, tmp_path, two_level_joint):
         joint = two_level_joint(8, 0.972)
         path = tmp_path / "joint.csv"
@@ -591,37 +577,6 @@ class TestShift:
         for key in ("cond_entropy_residual", "kl_residual", "mi_excess"):
             line = next(l for l in out.splitlines() if l.startswith(key))
             assert float(line.split("=")[1].split()[0]) < 1e-9
-
-    def test_independent_joint_prints_zero_information(self, capsys, tmp_path):
-        path = tmp_path / "uniform.joint"
-        path.write_text("10\n" + (",".join(["0.01"] * 10) + "\n") * 10)
-        code, out, _ = run(capsys, "shift", "--joint", str(path))
-        assert code == 0
-        assert "mutual_information_test = 0 nats" in out.splitlines()
-
-    def test_joint_file_with_byte_order_mark(self, capsys, tmp_path):
-        path = tmp_path / "diag.csv"
-        path.write_bytes(b"\xef\xbb\xbf2\n0.5,0\n0,0.5\n")
-        code, out, err = run(capsys, "shift", "--joint", str(path))
-        assert (code, err) == (0, "")
-        assert "shift_divergence = 0.346574 nats" in out.splitlines()
-
-
-class TestPrior:
-    def test_table2_level(self, capsys):
-        code, out, _ = run(capsys, "prior", "--k", "8", "--r-mech", "1.9")
-        assert code == 0
-        assert "beta = 0.9725" in out
-
-    def test_uniform(self, capsys):
-        code, out, _ = run(capsys, "prior", "--k", "8", "--r-mech", "0")
-        assert code == 0
-        assert "beta = 0.125" in out
-
-    def test_point_mass(self, capsys):
-        code, out, _ = run(capsys, "prior", "--k", "8", "--r-mech", str(math.log(8)))
-        assert code == 0
-        assert "beta = 1" in out
 
 
 class TestSweepCommand:
@@ -652,31 +607,14 @@ class TestSweepCommand:
                 (tmp_path / "sweep1d.csv").read_text().splitlines()[1:]]
         assert [r[1] for r in rows] == [str(k) for k in range(2, 21)]
 
-    def test_removed_flags_exit_1(self, capsys, tmp_path):
-        one_row = ("--param", "b_mu", "--values", "0.22", "--out", str(tmp_path))
-        for argv in (("--k-sweep",), ("--sigma-f2", "0.5")):
-            code, _, err = run(capsys, "sweep", *one_row, *argv)
-            assert code == 1
-            assert "unrecognized arguments" in err
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("sigma_f2 = 0.5\n")
-        code, _, err = run(capsys, "sweep", *one_row, "--config", str(cfg))
-        assert code == 1
-        assert "unknown config key 'sigma_f2'" in err
-
-    def test_param_with_grid_exit_1(self, capsys, tmp_path):
-        out = tmp_path / "out"
-        code, _, err = run(capsys, "sweep", "--param", "sigma", "--grid", "kappa_mu", "b_mu",
-                           "--steps", "2", "--out", str(out))
-        assert code == 1
-        assert "argument --grid: not allowed with argument --param" in err
-        assert not out.exists()
+    def test_config_param_yields_to_explicit_grid(self, capsys, tmp_path):
         # a config-file param is a default, so an explicit --grid still wins
         cfg = tmp_path / "run.cfg"
         cfg.write_text("param = sigma\n")
-        code, _, _ = run(capsys, "sweep", "--config", str(cfg), "--grid", "kappa_mu", "b_mu",
-                         "--steps", "2", "--out", str(out))
-        assert code == 0
+        out = tmp_path / "out"
+        assert run(capsys, "sweep", "--config", str(cfg), "--grid", "kappa_mu", "b_mu",
+                   "--steps", "2", "--out", str(out)) == (
+            0, f"wrote {out / 'sweep2d.csv'} (4 rows)\n", "")
         assert sorted(f.name for f in out.iterdir()) == ["sweep2d.csv"]
 
     @pytest.mark.parametrize("grid,digest", [
@@ -714,17 +652,12 @@ class TestSweepCommand:
         assert sorted({int(r[2]) for r in rows}) == list(range(4, 17))
         assert all(r[2] == str(int(r[2])) for r in rows)
 
-    def test_config_value_outside_choices_exit_1(self, capsys, tmp_path):
+    def test_config_param_among_choices_takes_effect(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("param = foo\n")
-        code, _, err = run(capsys, "sweep", "--config", str(cfg), "--values", "1",
-                           "--out", str(tmp_path))
-        assert code == 1
-        assert "param = foo" in err
         cfg.write_text("param = sigma\n")
-        code, _, _ = run(capsys, "sweep", "--config", str(cfg), "--values", "0.4",
-                         "--out", str(tmp_path))
-        assert code == 0
+        assert run(capsys, "sweep", "--config", str(cfg), "--values", "0.4", "--out",
+                   str(tmp_path)) == (0, f"wrote {tmp_path / 'sweep1d.csv'} (1 rows)\n", "")
+        assert (tmp_path / "sweep1d.csv").read_text().splitlines()[1].startswith("sigma,0.4,")
 
 
 @pytest.mark.parametrize("argv", [
