@@ -222,9 +222,12 @@ OVERFLOW = "a parameter is out of numeric range (OverflowError)"
 ZERO_DIVISION = "a parameter is out of numeric range (ZeroDivisionError)"
 
 # case id: (argv, input files written to the working directory, exit code, the whole
-# message after "error: "). Exit 2 is a value outside its domain, exit 1 a usage or I/O
-# error. A row's --out names a directory the call must not make, or the file `taken`.
-CLI_ERRORS = {
+# message after "error: "). Every failing CLI call is a row of one of the three tables
+# below, and `check_cli_error` checks each row. A row's --out names a directory the
+# call must not make, or the file `taken`.
+
+# exit 2: a value outside its domain
+DOMAIN_ERRORS = {
     "burnin-eps": ("burnin --eps 1.5 --delta 0.01 --gap 0.2", {}, 2,
                    "epsilon must lie in (0, 1), got 1.5"),
     "burnin-eps-nan": ("burnin --eps nan --delta 0.01 --gap 0.2", {}, 2,
@@ -316,6 +319,10 @@ CLI_ERRORS = {
                                  "p_opt must lie in (0, 1), got 1.5"),
     "sweep-sigma-underflow": ("sweep --param sigma --values 1e-200", {}, 2, ZERO_DIVISION),
     "sweep-d-f-overflow": ("sweep --param d_f --values 1e-320", {}, 2, OVERFLOW),
+}
+
+# exit 1: a flag the chosen mode never reads, or a flag it needs and lacks
+MODE_FLAG_ERRORS = {
     # a flag the chosen mode never reads, given on the command line or in the config file
     "shift-joint-r-train": ("shift --joint joint.csv --r-train 1 --delta-pi 0.1",
                             {"joint.csv": DIAG8}, 1,
@@ -362,6 +369,18 @@ CLI_ERRORS = {
     "sweep-no-mode": ("sweep --out sweeps", {}, 1, "sweep requires --param or --grid"),
     "sweep-missing-range": ("sweep --param sigma --out sweeps", {}, 1,
                             "sweep needs --values or --min/--max"),
+    # a required flag has no config key: the command line must give it, and wins
+    "simulate-config-table": ("simulate --table 1 --trials 1 --config run.cfg",
+                              {"run.cfg": "table = 2\n"}, 1, "unknown config key 'table'"),
+    "simulate-config-table-not-a-choice": ("simulate --table 1 --trials 1 --config run.cfg",
+                                           {"run.cfg": "table = 3\n"}, 1,
+                                           "unknown config key 'table'"),
+    "prior-config-r-mech": ("prior --r-mech 1 --config run.cfg", {"run.cfg": "r_mech = 1.9\n"}, 1,
+                            "unknown config key 'r_mech'"),
+}
+
+# exit 1: any other usage or I/O error
+USAGE_ERRORS = {
     # a bad entry of a list flag is a usage error naming the flag
     "subset-letters": ("shift --joint joint.csv --subset a,b,c,d", {"joint.csv": DIAG8}, 1,
                        "argument --subset: expected comma-separated integers, got 'a,b,c,d'"),
@@ -388,15 +407,7 @@ CLI_ERRORS = {
                             "unrecognized arguments: --sigma-f2 0.5"),
     "sweep-sigma-f2-config": ("sweep --param b_mu --values 0.22 --out sweeps --config run.cfg",
                               {"run.cfg": "sigma_f2 = 0.5\n"}, 1, "unknown config key 'sigma_f2'"),
-    # config keys: a required flag has none (the command line must give it, and wins),
-    # nor has a flag of another command
-    "simulate-config-table": ("simulate --table 1 --trials 1 --config run.cfg",
-                              {"run.cfg": "table = 2\n"}, 1, "unknown config key 'table'"),
-    "simulate-config-table-not-a-choice": ("simulate --table 1 --trials 1 --config run.cfg",
-                                           {"run.cfg": "table = 3\n"}, 1,
-                                           "unknown config key 'table'"),
-    "prior-config-r-mech": ("prior --r-mech 1 --config run.cfg", {"run.cfg": "r_mech = 1.9\n"}, 1,
-                            "unknown config key 'r_mech'"),
+    # nor has a flag of another command a config key
     "simulate-config-k": ("simulate --table 1 --trials 10 --config run.cfg --out tables",
                           {"run.cfg": "k = 8\n"}, 1, "unknown config key 'k'"),
     "sweep-config-param-not-a-choice": ("sweep --config run.cfg --values 1 --out sweeps",
@@ -435,8 +446,7 @@ def snapshot(root):
     return {path: path.read_bytes() if path.is_file() else None for path in root.rglob("*")}
 
 
-@pytest.mark.parametrize("argv,files,code,message", CLI_ERRORS.values(), ids=CLI_ERRORS)
-def test_cli_error(capsys, monkeypatch, tmp_path, argv, files, code, message):
+def check_cli_error(capsys, monkeypatch, tmp_path, argv, files, code, message):
     """A failing call prints one error line to stderr and nothing to stdout, and
     leaves its working directory as it found it: no file written or changed, no
     directory made."""
@@ -445,6 +455,21 @@ def test_cli_error(capsys, monkeypatch, tmp_path, argv, files, code, message):
     before = snapshot(tmp_path)
     assert run(capsys, *shlex.split(argv)) == (code, "", f"error: {message}\n")
     assert snapshot(tmp_path) == before
+
+
+@pytest.mark.parametrize("row", DOMAIN_ERRORS.values(), ids=DOMAIN_ERRORS)
+def test_domain_error_exit_2(capsys, monkeypatch, tmp_path, row):
+    check_cli_error(capsys, monkeypatch, tmp_path, *row)
+
+
+@pytest.mark.parametrize("row", MODE_FLAG_ERRORS.values(), ids=MODE_FLAG_ERRORS)
+def test_flag_the_mode_never_reads_exit_1(capsys, monkeypatch, tmp_path, row):
+    check_cli_error(capsys, monkeypatch, tmp_path, *row)
+
+
+@pytest.mark.parametrize("row", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+def test_usage_error_exit_1(capsys, monkeypatch, tmp_path, row):
+    check_cli_error(capsys, monkeypatch, tmp_path, *row)
 
 
 def test_list_flags_from_config_take_effect(capsys, tmp_path):
