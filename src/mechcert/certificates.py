@@ -8,7 +8,9 @@ envelopes. All entropies and information quantities are in nats.
 It also holds the regime rule `regime` and the helpers the other modules
 share: the count rule `whole`, the real-number rule `real`, the `ratio` rule,
 `checked_record` and the table writer `write_csv`, which writes every row of a
-table through one `%` format.
+table through one `%` format, and the constants the CLI's parsers read: the
+working point of the calibrated experiment and the sweep axes. Every CLI call
+loads this module, so a call loads `prior`, `sweep` or `sim` only to run it.
 """
 
 from __future__ import annotations
@@ -18,6 +20,19 @@ import operator
 from collections import namedtuple
 from enum import Enum
 from typing import NamedTuple
+
+K = 8  # arms of the calibrated 5-FU experiment, the CLI's working --k
+HORIZON = 12  # its Table 1 horizon in cycles, the CLI's working --n
+# Pseudo-count scale for encoding the hybrid prior into Beta posteriors,
+# frozen after a one-time grid search over s in {1..40} against the
+# published hybrid regret column (see README).
+DEFAULT_PRIOR_STRENGTH = 2.0
+# Axis range of each sweep parameter in a 2-D grid; the keys are the parameters.
+GRID_RANGES = {"sigma": (0.357, 0.50), "kappa_mu": (0.6, 3.0), "d_f": (2.0, 5.0),
+               "k": (4, 16), "p_opt": (0.50, 0.95), "b_mu": (0.10, 0.40)}
+SWEEP_PARAMETERS = tuple(GRID_RANGES)
+GRID_STEPS = 60    # points per 2-D grid axis
+PARAM_STEPS = 50   # points of a 1-D sweep over a range
 
 
 class Regime(Enum):

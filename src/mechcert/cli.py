@@ -12,10 +12,13 @@ during a parse.
 
 A call builds only its own command's parser (all six for help, no arguments
 or an unknown command), since the other five are a measurable share of a
-short `simulate` call. The closed-form modules load with the CLI, as
-deferring them would save little; `sim` loads only in `simulate`, and its
-process pool only with workers > 1, since numpy and the pool are the costly
-imports.
+short `simulate` call. A call also loads only the modules its command runs:
+this module imports `certificates` alone, which holds the constants the
+parsers read, and each command imports the rest in its own body (`prior`
+for burnin, shift and prior; `sweep` for sweep; `sim`, with `prior` and
+numpy, for simulate, and its process pool only with workers > 1). A fresh
+process compiles every module it loads unless a `__pycache__` is valid, so
+a module that a call does not run is start-up time it pays for nothing.
 """
 
 from __future__ import annotations
@@ -26,10 +29,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import certificates as cert, sweep as sw
-from .prior import (DEFAULT_PRIOR_STRENGTH, HORIZON, K, BurnInParams, JointDistribution,
-                    burn_in_lower_bound, check_retention, solve_prior_for_r_mech,
-                    verify_impossibility)
+from . import certificates as cert
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -37,7 +37,8 @@ EXIT_DOMAIN = 2
 
 LN2 = math.log(2.0)
 # dest: (type, 5-FU working value, help); a calibration flag not given takes its working value
-CALIBRATION = {"k": (int, K, "number of arms"), "n": (int, HORIZON, "horizon in cycles"),
+CALIBRATION = {"k": (int, cert.K, "number of arms"),
+               "n": (int, cert.HORIZON, "horizon in cycles"),
                "sigma": (float, 0.40, "reward-noise std"),
                "kappa_mu": (float, 1.8, "occupancy sensitivity"),
                "d_f": (float, 3.0, "effective residual dimension"),
@@ -167,6 +168,8 @@ def cmd_simulate(args) -> None:
 
 
 def cmd_burnin(args) -> None:
+    from .prior import BurnInParams, burn_in_lower_bound
+
     params = BurnInParams(args.eps, args.delta, args.gap, _calibration(args)["k"])
     result = burn_in_lower_bound(params)
     print(f"effective_prior_weight = {result.effective_prior_weight:.6g}")
@@ -180,6 +183,8 @@ def cmd_burnin(args) -> None:
 
 
 def cmd_shift(args) -> None:
+    from .prior import JointDistribution, check_retention, verify_impossibility
+
     if args.joint is not None:
         _reject_given(args, ("r_train", "delta_pi", "k"), "not allowed with argument --joint")
         joint = JointDistribution.from_csv(args.joint)
@@ -200,19 +205,23 @@ def cmd_shift(args) -> None:
 
 
 def cmd_prior(args) -> None:
+    from .prior import solve_prior_for_r_mech
+
     prior = solve_prior_for_r_mech(_calibration(args)["k"], args.r_mech)
     print(f"beta = {prior.beta:.6g}")
     print(f"alpha = {prior.alpha:.6g}")
 
 
 def cmd_sweep(args) -> None:
+    from . import sweep as sw
+
     # the flag of the field a swept parameter sets is never read
     for param in args.grid or filter(None, [args.param]):
         _reject_given(args, (sw.SETS[param][0],), f"not allowed with a sweep over {param}")
     base = cert.CalibrationParams(**_calibration(args))
     if args.grid:
         _reject_given(args, ("values", "min", "max"), "not allowed with argument --grid")
-        steps = sw.GRID_STEPS if args.steps is None else args.steps
+        steps = cert.GRID_STEPS if args.steps is None else args.steps
         rows = sw.sweep_2d(*(sw.grid_axis(param, base, steps) for param in args.grid))
         name = "sweep2d.csv"
     elif args.param:
@@ -222,7 +231,7 @@ def cmd_sweep(args) -> None:
         elif args.min is None or args.max is None:
             raise UsageError("sweep needs --values or --min/--max")
         else:
-            steps = sw.PARAM_STEPS if args.steps is None else args.steps
+            steps = cert.PARAM_STEPS if args.steps is None else args.steps
             values = sw.linear_grid(args.min, args.max, steps)
         rows = sw.sweep_1d(sw.SweepSpec(parameter=args.param, values=values, base=base))
         name = "sweep1d.csv"
@@ -251,7 +260,7 @@ COMMANDS = {  # name: (command, summary, flags), in the order the help lists the
         ("trials", dict(type=int, default=10_000)),
         ("seed", dict(type=int, default=0, help="master RNG seed")),
         ("workers", dict(type=int, default=1)),
-        ("strength", dict(type=float, default=DEFAULT_PRIOR_STRENGTH,
+        ("strength", dict(type=float, default=cert.DEFAULT_PRIOR_STRENGTH,
                           help="hybrid prior pseudo-count scale")),
         OUT)),
     "burnin": (cmd_burnin, "burn-in lower bound", (
@@ -267,16 +276,29 @@ COMMANDS = {  # name: (command, summary, flags), in the order the help lists the
         ARMS, ("r_mech", dict(type=float, required=True)))),
     "sweep": (cmd_sweep, "sensitivity sweeps to CSV", (
         *CALIBRATION_FLAGS,
-        ("param", dict(choices=sw.SWEEP_PARAMETERS), "exclusive"),
+        ("param", dict(choices=cert.SWEEP_PARAMETERS), "exclusive"),
         ("min", dict(type=float)), ("max", dict(type=float)),
-        ("steps", dict(type=int, help=f"grid points per axis (default {sw.GRID_STEPS} with "
-                                      f"--grid, {sw.PARAM_STEPS} with --param)")),
+        ("steps", dict(type=int, help=f"grid points per axis (default {cert.GRID_STEPS} with "
+                                      f"--grid, {cert.PARAM_STEPS} with --param)")),
         ("values", dict(type=_comma_list(float, "numbers"),
                         help="explicit comma-separated values")),
-        ("grid", dict(nargs=2, metavar=("X", "Y"), choices=sw.SWEEP_PARAMETERS,
+        ("grid", dict(nargs=2, metavar=("X", "Y"), choices=cert.SWEEP_PARAMETERS,
                       help="two parameters for a 2-D ratio grid"), "exclusive"),
         OUT)),
 }
+
+
+def __getattr__(name: str):
+    """`cli.solve_prior_for_r_mech`, which loads `prior` on first access (PEP 562).
+
+    `mechbench`'s tracer wraps that attribute by name, so it must resolve,
+    although `cmd_prior` imports the function itself. It goes with ROADMAP
+    item 9's benchmark refit.
+    """
+    if name == "solve_prior_for_r_mech":
+        from .prior import solve_prior_for_r_mech
+        return solve_prior_for_r_mech
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def build_parser(names=tuple(COMMANDS)) -> _Parser:

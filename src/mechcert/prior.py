@@ -26,13 +26,6 @@ from typing import NamedTuple
 
 from .certificates import checked_record, real, whole
 
-K = 8  # arms of the calibrated 5-FU experiment, the CLI's working --k
-HORIZON = 12  # its Table 1 horizon in cycles, the CLI's working --n
-# Pseudo-count scale for encoding the hybrid prior into Beta posteriors,
-# frozen after a one-time grid search over s in {1..40} against the
-# published hybrid regret column (see README).
-DEFAULT_PRIOR_STRENGTH = 2.0
-
 
 def _entropy(p) -> float:
     """Shannon entropy in nats of a sequence of probabilities, with 0*ln(0) = 0."""

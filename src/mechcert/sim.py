@@ -61,9 +61,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .certificates import (checked_record, ratio, real, residual_entropy, sample_complexity_ratio,
-                           whole)
-from .prior import DEFAULT_PRIOR_STRENGTH, HORIZON, K, solve_prior_for_r_mech
+from .certificates import (DEFAULT_PRIOR_STRENGTH, HORIZON, K, checked_record, ratio, real,
+                           residual_entropy, sample_complexity_ratio, whole)
+from .prior import solve_prior_for_r_mech
 
 # Two-sided normal quantile for a 96% confidence interval.
 Z_96 = 2.0537

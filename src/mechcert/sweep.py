@@ -22,15 +22,10 @@ from functools import partial
 from itertools import product
 from typing import NamedTuple
 
-from .certificates import (CalibrationParams, channel_capacity, checked_record, critical_bias,
-                           ratio, real, regime, whole)
+from .certificates import (GRID_RANGES, GRID_STEPS, SWEEP_PARAMETERS, CalibrationParams,
+                           channel_capacity, checked_record, critical_bias, ratio, real, regime,
+                           whole)
 
-# Axis range of each sweep parameter in a 2-D grid; the keys are the parameters.
-GRID_RANGES = {"sigma": (0.357, 0.50), "kappa_mu": (0.6, 3.0), "d_f": (2.0, 5.0),
-               "k": (4, 16), "p_opt": (0.50, 0.95), "b_mu": (0.10, 0.40)}
-SWEEP_PARAMETERS = tuple(GRID_RANGES)
-GRID_STEPS = 60    # points per 2-D grid axis
-PARAM_STEPS = 50   # points of a 1-D sweep over a range
 # What a swept value sets: (calibration field, the field's value at that swept value).
 # Each parameter sets its own field, except p_opt, the optimal arm's success
 # probability, which sets sigma to its Bernoulli standard deviation.

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from mechcert import prior
+from mechcert.certificates import K
 from mechcert.prior import JointDistribution, TwoLevelPrior, solve_prior_for_r_mech
-from mechcert.sim import K, P_BSA, P_OPT
+from mechcert.sim import P_BSA, P_OPT
 
 ACCEPTANCE_RESULTS = []
 

@@ -485,10 +485,12 @@ def test_list_flags_from_config_take_effect(capsys, tmp_path):
 
 
 def test_import_loads_only_what_the_command_runs(tmp_path):
-    """The package is six modules. `cli` loads the other closed-form ones and none
-    of numpy, scipy, multiprocessing or dataclasses; the bare package loads none
-    of its modules; the Monte Carlo engine needs neither dataclasses nor `sweep`,
-    and only `simulate` loads numpy."""
+    """The package is six modules. `cli` loads `certificates` alone and none of
+    numpy, scipy, multiprocessing or dataclasses; the bare package loads none of
+    its modules; the Monte Carlo engine needs neither dataclasses nor `sweep`.
+    A fresh call loads only the modules its command runs, and only `simulate`
+    loads numpy. Reading `cli.solve_prior_for_r_mech` is what loads `prior`,
+    and any other missing name of `cli` is an AttributeError."""
     import mechcert
     assert importlib.util.find_spec("mechcert.misspec") is None
     assert sorted(p.stem for p in Path(mechcert.__file__).parent.glob("*.py")) == [
@@ -496,8 +498,7 @@ def test_import_loads_only_what_the_command_runs(tmp_path):
     env = package_env()
     heavy = ("m.split('.')[0] in ('numpy', 'scipy') or m in ('concurrent.futures.process', "
              "'dataclasses')")
-    cli_loads = sorted(["mechcert", *(f"mechcert.{m}" for m in ("certificates", "prior",
-                                                                 "sweep", "cli"))])
+    cli_loads = ["mechcert", "mechcert.certificates", "mechcert.cli"]
     for module, shown, loaded in (
             ("mechcert", f"{heavy} or m.startswith('mechcert.')", []),
             ("mechcert.cli", f"{heavy} or m.split('.')[0] == 'mechcert'", cli_loads),
@@ -508,17 +509,26 @@ def test_import_loads_only_what_the_command_runs(tmp_path):
         assert result.stdout.strip() == str(loaded), module
     probe = ("import contextlib, io, sys\nfrom mechcert.cli import main\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n    main(sys.argv[1:])\n"
-             "print(sorted(m for m in sys.modules if m == 'numpy'))")
-    for argv, loaded in ((["certify"], []), (["prior", "--r-mech", "1.9"], []),
-                         (["burnin", "--eps", "0.05", "--delta", "0.1", "--gap", "0.3"], []),
-                         (["shift", "--r-train", "1.6", "--delta-pi", "0.5"], []),
-                         (["sweep", "--param", "b_mu", "--values", "0.2", "--out", str(tmp_path)],
-                          []),
-                         (["simulate", "--table", "1", "--trials", "1", "--out", str(tmp_path)],
-                          ["numpy"])):
+             "print(sorted(m for m in sys.modules if m == 'numpy' or "
+             "m.split('.')[0] == 'mechcert'))")
+    prior = ["mechcert.prior"]
+    for argv, added in ((["certify"], []), (["prior", "--r-mech", "1.9"], prior),
+                        (["burnin", "--eps", "0.05", "--delta", "0.1", "--gap", "0.3"], prior),
+                        (["shift", "--r-train", "1.6", "--delta-pi", "0.5"], prior),
+                        (["sweep", "--param", "b_mu", "--values", "0.2", "--out", str(tmp_path)],
+                         ["mechcert.sweep"]),
+                        (["simulate", "--table", "1", "--trials", "1", "--out", str(tmp_path)],
+                         [*prior, "mechcert.sim", "numpy"])):
         result = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
                                 capture_output=True, text=True, timeout=60, check=True)
-        assert result.stdout.strip() == str(loaded), argv
+        assert result.stdout.strip() == str(cli_loads + added), argv
+    probe = ("import sys\nfrom mechcert import cli\n"
+             "loaded = ['mechcert.prior' in sys.modules]\nseam = cli.solve_prior_for_r_mech\n"
+             "loaded.append('mechcert.prior' in sys.modules)\nfrom mechcert import prior\n"
+             "print(loaded, seam is prior.solve_prior_for_r_mech, hasattr(cli, 'no_such_name'))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, timeout=60, check=True)
+    assert result.stdout.strip() == "[False, True] True False"
 
 
 @pytest.mark.parametrize("argv", [("-h",), (), *((name, "-h") for name in COMMANDS),
@@ -646,7 +656,7 @@ class TestSweepCommand:
         (("kappa_mu", "b_mu"), "eefc77cc7ff83cbf5be9214c883e9bb6861c4be52209eae5b09e1ab4f07078f8"),
         (("b_mu", "k"), "5f572f8ff781e03e31158c6aba703055dcbab94464e7898fb1ffcb78ffd6e233"),
         (("p_opt", "kappa_mu"), "0adf1ab6088542ad2d9891cd0fc865f1f0641fa92aeb6eb2da058f39c66fd62c"),
-    ], ids="-".join)
+    ], ids=["kappa_mu-b_mu", "b_mu-k", "p_opt-kappa_mu"])
     def test_grid_csv_bytes_pinned(self, capsys, tmp_path, grid, digest):
         # b_mu as the inner and as the outer axis, and no b_mu axis (every cell solved,
         # p_opt setting sigma on a grid axis), at the default 60 steps

@@ -7,7 +7,8 @@ import pytest
 
 from conftest import exact_beta_regret
 from mechcert import sim
-from mechcert.prior import DEFAULT_PRIOR_STRENGTH, TwoLevelPrior, solve_prior_for_r_mech
+from mechcert.certificates import DEFAULT_PRIOR_STRENGTH
+from mechcert.prior import TwoLevelPrior, solve_prior_for_r_mech
 from mechcert.sim import (
     BLOCK_SIZE,
     P_BSA,

@@ -8,16 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mechcert import certificates, sweep
-from mechcert.certificates import CalibrationParams, certificate_report, critical_bias, write_csv
-from mechcert.sweep import (
-    GRID_RANGES,
-    SWEEP_PARAMETERS,
-    SweepSpec,
-    grid_axis,
-    linear_grid,
-    sweep_1d,
-    sweep_2d,
-)
+from mechcert.certificates import (GRID_RANGES, SWEEP_PARAMETERS, CalibrationParams,
+                                   certificate_report, critical_bias, write_csv)
+from mechcert.sweep import SweepSpec, grid_axis, linear_grid, sweep_1d, sweep_2d
 
 BASE = CalibrationParams(k=8, n=12, sigma=0.40, kappa_mu=1.8, d_f=3.0, b_mu=0.22)
 
