@@ -229,6 +229,14 @@ def _block_regrets(seed: int, strength: float, priors, horizons, first: int,
     return _thompson_rounds(policy_seqs, counts, means, horizons)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def regret_curves(config: ExperimentConfig, levels, horizons) -> np.ndarray:
     """Cumulative pseudo-regret of each trial of each level at each horizon.
 
@@ -238,7 +246,7 @@ def regret_curves(config: ExperimentConfig, levels, horizons) -> np.ndarray:
     level simulated once; at strength 0 every level is one. The blocks are
     split into max(workers, blocks / PASS_BLOCKS rounded up) near-equal
     contiguous runs, one kernel pass each, mapped with workers > 1 over one
-    process pool of at most the CPU count.
+    process pool of at most the CPUs this process may run on.
     """
     levels, horizons = tuple(levels), tuple(whole("horizon", n, 1) for n in horizons)
     if not (levels and horizons):
@@ -251,7 +259,7 @@ def regret_curves(config: ExperimentConfig, levels, horizons) -> np.ndarray:
     distinct = {key: i for i, key in enumerate(dict.fromkeys(keys))}
     job = partial(_block_regrets, config.seed, config.prior_strength,
                   tuple(priors[r] for r in distinct), horizons)
-    workers = min(config.workers, blocks, os.cpu_count() or 1)
+    workers = min(config.workers, blocks, _usable_cpus())
     runs = max(workers, -(-blocks // PASS_BLOCKS))
     # the first trial of each run, then the end of the last
     starts = [i * blocks // runs * BLOCK_SIZE for i in range(runs)] + [config.trials]

@@ -1,13 +1,11 @@
 import ast
 import hashlib
 import importlib.util
-import math
 import os
 import re
 import shlex
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
@@ -31,15 +29,6 @@ def package_env(**extra):
         filter(None, [src, os.environ.get("PYTHONPATH")])), **extra}
 
 
-@pytest.fixture
-def joint_csv(tmp_path, two_level_joint):
-    """tmp_path / "joint.csv": the k = 8 two-level joint table at beta = 0.972."""
-    path = tmp_path / "joint.csv"
-    path.write_text("8\n" + "".join(
-        ",".join(map(str, row)) + "\n" for row in two_level_joint(8, 0.972).probs))
-    return path
-
-
 def write_inputs(root, files):
     """Write each (name, text or bytes) of `files` under root."""
     for name, content in files.items():
@@ -56,11 +45,47 @@ BASELINE_REPORT = ("sigma_f2 = 0.068459\ncapacity = 0.142017 nats\nh_mech_floor 
                    "regime = Baseline\nsample_ratio = 1.0733\nlb_envelope = 9.45746\n"
                    "ub_envelope = 13.6379\n")
 ASSUMPTION_FLAG = "flag = assumption epsilon <= delta violated; bound is exploratory\n"
+GUARANTEED = "threshold = 0.00143955 nats\nretained = Guaranteed\n"
+# the k = 8 two-level joint table at beta = 0.972: 0.972 / 8 on the diagonal
+TWO_LEVEL8 = "8\n" + "".join(",".join("0.1215" if i == j else "0.0005" for j in range(8)) + "\n"
+                             for i in range(8))
+# simulate prints the table it writes
+TABLE1_HEADER = ("r_mech,h_mech,hyb_mean,hyb_ci,uninf_mean,uninf_ci,bsa_mean,bsa_ci,"
+                 "ratio_uninf_hyb,lb_prediction,ratio_bsa_hyb\n")
+TABLE1_SEED42 = TABLE1_HEADER + (
+    "0,2.07944,5.8825,0.357522,5.8825,0.357522,7.8,0,1,1,1.32597\n"
+    "0.3,1.77944,4.4525,0.855758,5.8825,0.357522,7.8,0,1.32117,1.08101,1.75182\n"
+    "0.8,1.27944,1.2675,0.6876,5.8825,0.357522,7.8,0,4.64103,1.27486,6.15385\n"
+    "1.4,0.679442,0.73125,0.595431,5.8825,0.357522,7.8,0,8.04444,1.74943,10.6667\n"
+    "1.9,0.179442,0.17875,0.116957,5.8825,0.357522,7.8,0,32.9091,3.40417,43.6364\n")
+# the largest strength whose pseudo-counts s * K stay finite: each arm's pair has at
+# most one shape near 1e308, and a ratio G_a / G_b that overflows is inf, which ranks
+# its arm first; every mean stays finite
+TABLE1_LARGEST_STRENGTH = TABLE1_HEADER + (
+    "0,2.07944,6.0775,0.384018,6.0775,0.384018,7.8,0,1,1,1.28342\n"
+    "0.3,1.77944,3.315,1.26802,6.0775,0.384018,7.8,0,1.83333,1.08101,2.35294\n"
+    "0.8,1.27944,0.975,0.848317,6.0775,0.384018,7.8,0,6.23333,1.27486,8\n"
+    "1.4,0.679442,0.585,0.675617,6.0775,0.384018,7.8,0,10.3889,1.74943,13.3333\n"
+    "1.9,0.179442,0,0,6.0775,0.384018,7.8,0,inf,3.40417,inf\n")
+TABLE2_SEED7 = (
+    "n,hyb_mean,hyb_ci,uninf_mean,uninf_ci,ratio\n5,0.238333,0.31016,2.81667,0.184763,11.8182\n"
+    "10,0.606667,0.62032,5.395,0.307951,8.89286\n20,1.19167,1.21958,9.36,0.68517,7.85455\n"
+    "50,2.405,2.22467,14.365,1.56168,5.97297\n200,4.85333,2.58937,18.3733,1.75857,3.78571\n")
+TABLE2_LARGEST_STRENGTH = (
+    "n,hyb_mean,hyb_ci,uninf_mean,uninf_ci,ratio\n5,0,0,2.84375,0.176834,inf\n"
+    "10,0,0,5.15125,0.325539,inf\n20,0,0,8.79125,0.770689,inf\n"
+    "50,0,0,13.5038,1.40697,inf\n200,0,0,17.6313,1.29775,inf\n")
+KAPPA_MU_SWEEP = ("param,value,capacity_nats,critical_bias,ratio,regime\n"
+                  "kappa_mu,0.6,1.2165,2.14167,0.102724,DataEfficient\n"
+                  "kappa_mu,3,0.474852,0.428334,0.513618,DataEfficient\n")
 
-# case id: (argv, input files written to the working directory, the whole stdout)
-CLOSED_FORM_OUTPUTS = {
+# case id: (argv, input files written to the working directory, the whole stdout,
+# {each file the call writes: its whole text, or "sha256:<hex>" of its bytes when it
+# is longer than ten lines}). Every successful CLI call is a row, and
+# `check_cli_output` checks each row.
+CLI_OUTPUTS = {
     # no warning line at k = 8
-    "certify-working-values": ("certify", {}, WORKING_REPORT),
+    "certify-working-values": ("certify", {}, WORKING_REPORT, {}),
     # the envelopes' ratio ub/lb is sqrt(ln k), below 1 when k < e
     "certify-crossed-envelopes-warn": (
         "certify --k 2 --n 1000000", {},
@@ -68,119 +93,193 @@ CLOSED_FORM_OUTPUTS = {
         "critical_bias = 222.222\nbias_ratio_crit_over_b = 1010.1\nregime = DataEfficient\n"
         "sample_ratio = 1.8312\nlb_envelope = 1045.07\nub_envelope = 870.081\n"
         "warning = lb_envelope exceeds ub_envelope "
-        "(constant-free envelopes cross when ln k < 1)\n"),
-    "certify-baseline-regime": ("certify --b-mu 0.80", {}, BASELINE_REPORT),
+        "(constant-free envelopes cross when ln k < 1)\n", {}),
+    "certify-baseline-regime": ("certify --b-mu 0.80", {}, BASELINE_REPORT, {}),
+    # a reachable target other than the default h_mu / n
+    "certify-target": (
+        "certify --target 0.1", {},
+        "sigma_f2 = 0.068459\ncapacity = 0.796042 nats\nh_mech_floor = 1.2834 nats\n"
+        "critical_bias = 0.971418\nbias_ratio_crit_over_b = 4.41554\nregime = DataEfficient\n"
+        "sample_ratio = 1.62026\nlb_envelope = 7.69738\nub_envelope = 11.0998\n", {}),
+    "certify-bits": (
+        "certify --bits", {},
+        "sigma_f2 = 0.068459\ncapacity = 1.14845 bits\nh_mech_floor = 1.85155 bits\n"
+        "critical_bias = 0.71389\nbias_ratio_crit_over_b = 3.24496\nregime = DataEfficient\n"
+        "sample_ratio = 1.62026\nlb_envelope = 7.69738\nub_envelope = 11.0998\n", {}),
+    "certify-report-file": ("certify --out report", {}, WORKING_REPORT,
+                            {"report/certify.txt": WORKING_REPORT}),
     "certify-config-file": ("certify --config run.cfg",
                             {"run.cfg": "# working values\nk = 8\nn = 12\nb_mu = 0.80\n"},
-                            BASELINE_REPORT),
+                            BASELINE_REPORT, {}),
     "certify-flags-override-config": ("certify --config run.cfg --b-mu 0.22",
-                                      {"run.cfg": "b_mu = 0.80\n"}, WORKING_REPORT),
+                                      {"run.cfg": "b_mu = 0.80\n"}, WORKING_REPORT, {}),
     # Excel's "CSV UTF-8" export and Windows Notepad start a file with a byte order mark
     "certify-config-byte-order-mark": ("certify --config run.cfg",
-                                       {"run.cfg": b"\xef\xbb\xbfb_mu = 0.8\n"}, BASELINE_REPORT),
+                                       {"run.cfg": b"\xef\xbb\xbfb_mu = 0.8\n"}, BASELINE_REPORT,
+                                       {}),
+    "simulate-table1": ("simulate --table 1 --trials 40 --seed 42 --out tables", {},
+                        TABLE1_SEED42, {"tables/table1.csv": TABLE1_SEED42}),
+    "simulate-table2": ("simulate --table 2 --trials 30 --seed 7", {}, TABLE2_SEED7,
+                        {"table2.csv": TABLE2_SEED7}),
+    "simulate-table1-largest-strength": ("simulate --table 1 --trials 40 --seed 3 --strength 2e307",
+                                         {}, TABLE1_LARGEST_STRENGTH,
+                                         {"table1.csv": TABLE1_LARGEST_STRENGTH}),
+    "simulate-table2-largest-strength": ("simulate --table 2 --trials 40 --seed 3 --strength 2e307",
+                                         {}, TABLE2_LARGEST_STRENGTH,
+                                         {"table2.csv": TABLE2_LARGEST_STRENGTH}),
     "burnin-running-example": (
         "burnin --eps 0.2 --delta 0.01 --gap 0.2 --k 8", {},
         "effective_prior_weight = 0.0833333\nbinary_kl = 1.99825 nats\n"
-        "burn_in_cycles = 0.347361\n" + ASSUMPTION_FLAG),
+        "burn_in_cycles = 0.347361\n" + ASSUMPTION_FLAG, {}),
+    "burnin-bits": (
+        "burnin --eps 0.2 --delta 0.01 --gap 0.2 --k 8 --bits", {},
+        "effective_prior_weight = 0.0833333\nbinary_kl = 2.88286 bits\n"
+        "burn_in_cycles = 0.347361\n" + ASSUMPTION_FLAG, {}),
+    "burnin-config-k": (
+        "burnin --eps 0.2 --delta 0.01 --gap 0.2 --config run.cfg", {"run.cfg": "k = 12\n"},
+        "effective_prior_weight = 0.0625\nbinary_kl = 2.36954 nats\n"
+        "burn_in_cycles = 0.292931\n" + ASSUMPTION_FLAG, {}),
     "burnin-assumption-flag": (
         "burnin --eps 0.15 --delta 0.10 --gap 0.2 --k 8", {},
         "effective_prior_weight = 0.0731707\nbinary_kl = 2.16742 nats\n"
-        "burn_in_cycles = 0.151069\n" + ASSUMPTION_FLAG),
+        "burn_in_cycles = 0.151069\n" + ASSUMPTION_FLAG, {}),
     "burnin-degenerate-flag": (
         "burnin --eps 0.9 --delta 0.3 --gap 0.2 --k 8", {},
         "effective_prior_weight = 0.123288\nburn_in_cycles = 0\n"
-        "flag = degenerate regime (delta >= 1 - epsilon); bound is 0\n" + ASSUMPTION_FLAG),
+        "flag = degenerate regime (delta >= 1 - epsilon); bound is 0\n" + ASSUMPTION_FLAG, {}),
     # kl(eps_k, 1 - eps_k) is taken from eps and k: eps_k near 0 or 1/2 keeps its digits
     "burnin-eps-underflow": (
         "burnin --eps 1e-300 --delta 0.01 --gap 0.2", {},
-        "effective_prior_weight = 1e-300\nbinary_kl = 690.776 nats\nburn_in_cycles = 0.00132\n"),
+        "effective_prior_weight = 1e-300\nbinary_kl = 690.776 nats\nburn_in_cycles = 0.00132\n",
+        {}),
     "burnin-k-overflow": (
         "burnin --eps 0.2 --delta 0.01 --gap 0.2 --k 100000000000000000000", {},
         "effective_prior_weight = 1e-20\nbinary_kl = 46.0517 nats\n"
-        "burn_in_cycles = 0.0150725\n" + ASSUMPTION_FLAG),
+        "burn_in_cycles = 0.0150725\n" + ASSUMPTION_FLAG, {}),
     "burnin-eps-near-1": (
         "burnin --eps 0.999999998 --delta 1e-12 --gap 1 --k 2", {},
         "effective_prior_weight = 0.5\nbinary_kl = 2e-18 nats\n"
-        "burn_in_cycles = 7.6009e+09\n" + ASSUMPTION_FLAG),
+        "burn_in_cycles = 7.6009e+09\n" + ASSUMPTION_FLAG, {}),
     "burnin-eps-nearer-1": (
         "burnin --eps 0.9999999998 --delta 1e-12 --gap 1 --k 2", {},
         "effective_prior_weight = 0.5\nbinary_kl = 2e-20 nats\n"
-        "burn_in_cycles = 5.29832e+10\n" + ASSUMPTION_FLAG),
+        "burn_in_cycles = 5.29832e+10\n" + ASSUMPTION_FLAG, {}),
     "shift-retention-report": ("shift --r-train 1.6 --k 8 --delta-pi 0.5", {},
-                               "threshold = 0.00462526 nats\nretained = OutOfScope\n"),
-    "shift-guaranteed": ("shift --r-train 1.6 --k 12 --delta-pi 0.0", {},
-                         "threshold = 0.00143955 nats\nretained = Guaranteed\n"),
+                               "threshold = 0.00462526 nats\nretained = OutOfScope\n", {}),
+    "shift-bits": ("shift --r-train 1.6 --k 8 --delta-pi 0.5 --bits", {},
+                   "threshold = 0.00667285 bits\nretained = OutOfScope\n", {}),
+    "shift-guaranteed": ("shift --r-train 1.6 --k 12 --delta-pi 0.0", {}, GUARANTEED, {}),
+    "shift-config-k": ("shift --r-train 1.6 --delta-pi 0.0 --config run.cfg",
+                       {"run.cfg": "k = 12\n"}, GUARANTEED, {}),
+    # the kept arms carry all the information: no residual
+    "shift-joint-subset": (
+        "shift --joint joint.csv --subset 0,1,2,3", {"joint.csv": TWO_LEVEL8},
+        "cond_entropy_residual = 0\nkl_residual = 1.11022e-16\nmi_excess = 0\n"
+        "shift_divergence = 0.948618 nats\nmutual_information_test = 0.826426 nats\n", {}),
+    "shift-joint-bits": (
+        "shift --joint joint.csv --bits", {"joint.csv": TWO_LEVEL8},
+        "cond_entropy_residual = 0\nkl_residual = 1.11022e-16\nmi_excess = 0\n"
+        "shift_divergence = 1.36857 bits\nmutual_information_test = 1.19228 bits\n", {}),
     "shift-independent-joint": (
         "shift --joint uniform.joint", {"uniform.joint": "10\n" + ("0.01," * 9 + "0.01\n") * 10},
         "cond_entropy_residual = 4.44089e-16\nkl_residual = 2.22045e-16\nmi_excess = 0\n"
-        "shift_divergence = 0 nats\nmutual_information_test = 0 nats\n"),
+        "shift_divergence = 0 nats\nmutual_information_test = 0 nats\n", {}),
     "shift-joint-byte-order-mark": (
         "shift --joint diag.csv", {"diag.csv": b"\xef\xbb\xbf2\n0.5,0\n0,0.5\n"},
         "cond_entropy_residual = 5.55112e-17\nkl_residual = 0\nmi_excess = 0\n"
-        "shift_divergence = 0.346574 nats\nmutual_information_test = 0.215762 nats\n"),
-    "prior-table2-level": ("prior --k 8 --r-mech 1.9", {}, "beta = 0.972502\nalpha = 0.00392825\n"),
-    "prior-uniform": ("prior --k 8 --r-mech 0", {}, "beta = 0.125\nalpha = 0.125\n"),
+        "shift_divergence = 0.346574 nats\nmutual_information_test = 0.215762 nats\n", {}),
+    "prior-table2-level": ("prior --k 8 --r-mech 1.9", {}, "beta = 0.972502\nalpha = 0.00392825\n",
+                           {}),
+    "prior-config-k": ("prior --r-mech 1.9 --config run.cfg", {"run.cfg": "k = 12\n"},
+                       "beta = 0.895617\nalpha = 0.00948935\n", {}),
+    "prior-uniform": ("prior --k 8 --r-mech 0", {}, "beta = 0.125\nalpha = 0.125\n", {}),
     # r_mech = ln 8
-    "prior-point-mass": ("prior --k 8 --r-mech 2.0794415416798357", {}, "beta = 1\nalpha = 0\n"),
+    "prior-point-mass": ("prior --k 8 --r-mech 2.0794415416798357", {}, "beta = 1\nalpha = 0\n",
+                         {}),
+    "sweep-values": ("sweep --param kappa_mu --values 0.6,3.0 --out sweeps", {},
+                     "wrote sweeps/sweep1d.csv (2 rows)\n", {"sweeps/sweep1d.csv": KAPPA_MU_SWEEP}),
+    "sweep-config-values": ("sweep --param kappa_mu --config run.cfg",
+                            {"run.cfg": "values = 0.6,3.0\n"}, "wrote sweep1d.csv (2 rows)\n",
+                            {"sweep1d.csv": KAPPA_MU_SWEEP}),
+    "sweep-config-param": ("sweep --config run.cfg --values 0.4", {"run.cfg": "param = sigma\n"},
+                           "wrote sweep1d.csv (1 rows)\n",
+                           {"sweep1d.csv": "param,value,capacity_nats,critical_bias,ratio,regime\n"
+                                           "sigma,0.4,0.796042,0.71389,0.308171,DataEfficient\n"}),
+    # both regimes
+    "sweep-b-mu": ("sweep --param b_mu --values 0.1,0.2,0.9,2", {}, "wrote sweep1d.csv (4 rows)\n",
+                   {"sweep1d.csv": "param,value,capacity_nats,critical_bias,ratio,regime\n"
+                                   "b_mu,0.1,1.15018,0.71389,0.140078,DataEfficient\n"
+                                   "b_mu,0.2,0.852998,0.71389,0.280155,DataEfficient\n"
+                                   "b_mu,0.9,0.11497,0.71389,1.2607,Baseline\n"
+                                   "b_mu,2,0.0251471,0.71389,2.80155,Baseline\n"}),
+    # no bias meets the target at n = 1
+    "sweep-kappa-mu-unreachable": (
+        "sweep --param kappa_mu --values 0.6,1.8,3 --n 1", {}, "wrote sweep1d.csv (3 rows)\n",
+        {"sweep1d.csv": "param,value,capacity_nats,critical_bias,ratio,regime\n"
+                        "kappa_mu,0.6,1.2165,nan,inf,Unreachable\n"
+                        "kappa_mu,1.8,0.796042,nan,inf,Unreachable\n"
+                        "kappa_mu,3,0.474852,nan,inf,Unreachable\n"}),
+    # the values k = 2..20
+    "sweep-k": (
+        "sweep --param k --min 2 --max 20 --steps 19", {}, "wrote sweep1d.csv (19 rows)\n",
+        {"sweep1d.csv": "sha256:2253813b44b47993bc0d439d7d9c3073579eaf510f3e0db933027b1c62506573"}),
+    # p_opt sets sigma, at the default 50 steps
+    "sweep-p-opt": (
+        "sweep --param p_opt --min 0.5 --max 0.95", {}, "wrote sweep1d.csv (50 rows)\n",
+        {"sweep1d.csv": "sha256:1ac9062dbf4f0849ffb60ed2b938ef14f71b3bdb336b212dc94da67f13350a3d"}),
+    # a config-file param is a default, so an explicit --grid still wins
+    "sweep-config-param-yields-to-grid": (
+        "sweep --config run.cfg --grid kappa_mu b_mu --steps 2 --out out",
+        {"run.cfg": "param = sigma\n"}, "wrote out/sweep2d.csv (4 rows)\n",
+        {"out/sweep2d.csv": "x_param,y_param,x,y,ratio\nkappa_mu,b_mu,0.6,0.1,0.0466925\n"
+                            "kappa_mu,b_mu,0.6,0.4,0.18677\nkappa_mu,b_mu,3,0.1,0.233463\n"
+                            "kappa_mu,b_mu,3,0.4,0.93385\n"}),
+    # at the default 60 steps: b_mu as the inner and as the outer axis, no b_mu axis
+    # (every cell solved, p_opt setting sigma on a grid axis), and k as the outer axis,
+    # whose 60 steps round to the 13 integers 4..16
+    "sweep-grid-kappa_mu-b_mu": (
+        "sweep --grid kappa_mu b_mu", {}, "wrote sweep2d.csv (3600 rows)\n",
+        {"sweep2d.csv": "sha256:eefc77cc7ff83cbf5be9214c883e9bb6861c4be52209eae5b09e1ab4f07078f8"}),
+    "sweep-grid-b_mu-k": (
+        "sweep --grid b_mu k", {}, "wrote sweep2d.csv (780 rows)\n",
+        {"sweep2d.csv": "sha256:5f572f8ff781e03e31158c6aba703055dcbab94464e7898fb1ffcb78ffd6e233"}),
+    "sweep-grid-p_opt-kappa_mu": (
+        "sweep --grid p_opt kappa_mu", {}, "wrote sweep2d.csv (3600 rows)\n",
+        {"sweep2d.csv": "sha256:0adf1ab6088542ad2d9891cd0fc865f1f0641fa92aeb6eb2da058f39c66fd62c"}),
+    "sweep-grid-k-b_mu": (
+        "sweep --grid k b_mu", {}, "wrote sweep2d.csv (780 rows)\n",
+        {"sweep2d.csv": "sha256:deb6fcd3c155521458d9bb5125a4e0aee594208613475668038a28578c222b91"}),
 }
 
 
-@pytest.mark.parametrize("argv,files,stdout", CLOSED_FORM_OUTPUTS.values(),
-                         ids=CLOSED_FORM_OUTPUTS)
-def test_closed_form_output(capsys, monkeypatch, tmp_path, argv, files, stdout):
+def snapshot(root):
+    """Every path under root, with a file's bytes (None for a directory)."""
+    return {path: path.read_bytes() if path.is_file() else None for path in root.rglob("*")}
+
+
+def check_cli_output(capsys, monkeypatch, tmp_path, argv, files, stdout, written):
+    """A successful call prints its whole stdout and nothing to stderr. Its working
+    directory then holds the inputs, untouched, and exactly the files `written`
+    (with the directories that hold them), each with its text or digest."""
     monkeypatch.chdir(tmp_path)
     write_inputs(tmp_path, files)
+    before = snapshot(tmp_path)
     assert run(capsys, *shlex.split(argv)) == (0, stdout, "")
+    after = snapshot(tmp_path)
+    for name, want in written.items():
+        data = after.pop(tmp_path / name)
+        digest = f"sha256:{hashlib.sha256(data).hexdigest()}"
+        assert (digest if want.startswith("sha256:") else data.decode()) == want, name
+    assert after == {**before, **{tmp_path / d: None for name in written
+                                  for d in Path(name).parents[:-1]}}
 
 
-class TestCertify:
-    def test_bits_display(self, capsys):
-        _, nats_out, _ = run(capsys, "certify")
-        _, bits_out, _ = run(capsys, "certify", "--bits")
-        def grab(text, key):
-            line = next(l for l in text.splitlines() if l.startswith(key))
-            return float(line.split("=")[1].split()[0])
-        assert grab(bits_out, "capacity") == pytest.approx(
-            grab(nats_out, "capacity") / math.log(2), rel=1e-4)
-
-    def test_report_file(self, capsys, tmp_path):
-        out_dir = tmp_path / "report"
-        code, out, _ = run(capsys, "certify", "--out", str(out_dir))
-        assert code == 0
-        assert (out_dir / "certify.txt").read_text().strip() == out.strip()
+@pytest.mark.parametrize("row", CLI_OUTPUTS.values(), ids=CLI_OUTPUTS)
+def test_cli_output(capsys, monkeypatch, tmp_path, row):
+    check_cli_output(capsys, monkeypatch, tmp_path, *row)
 
 
 class TestSimulate:
-    def test_table1_smoke(self, capsys, tmp_path):
-        code, out, _ = run(capsys, "simulate", "--table", "1", "--trials", "40",
-                           "--seed", "42", "--out", str(tmp_path))
-        assert code == 0
-        lines = (tmp_path / "table1.csv").read_text().splitlines()
-        assert len(lines) == 6
-        assert lines[0].startswith("r_mech,h_mech,")
-        assert out.splitlines()[0] == lines[0]
-
-    def test_table2_smoke(self, capsys, tmp_path):
-        code, _, _ = run(capsys, "simulate", "--table", "2", "--trials", "30",
-                         "--seed", "7", "--out", str(tmp_path))
-        assert code == 0
-        assert len((tmp_path / "table2.csv").read_text().splitlines()) == 6
-
-    @pytest.mark.parametrize("table", ["1", "2"])
-    def test_stdout_is_the_csv(self, capsys, tmp_path, table):
-        code, out, _ = run(capsys, "simulate", "--table", table, "--trials", "40",
-                           "--seed", "3", "--out", str(tmp_path))
-        assert code == 0
-        assert out == (tmp_path / f"table{table}.csv").read_text()
-
-    def test_byte_identical_reruns(self, capsys, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        run(capsys, "simulate", "--table", "1", "--trials", "60", "--seed", "5",
-            "--out", str(a))
-        run(capsys, "simulate", "--table", "1", "--trials", "60", "--seed", "5",
-            "--out", str(b))
-        assert (a / "table1.csv").read_bytes() == (b / "table1.csv").read_bytes()
-
     # 300 trials are two blocks and 600 are three, the last one partial, so two
     # workers start one pool whatever the CPU count
     @pytest.mark.parametrize("table,trials", [
@@ -188,7 +287,7 @@ class TestSimulate:
         pytest.param("1", "600", id="1-600"), pytest.param("2", "600", id="2-600")])
     def test_workers_do_not_change_output(self, capsys, tmp_path, monkeypatch, started_pools,
                                           table, trials):
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr("mechcert.sim._usable_cpus", lambda: 4)
         csv = f"table{table}.csv"
         for workers, out in (("1", tmp_path / "a"), ("2", tmp_path / "b")):
             code, _, _ = run(capsys, "simulate", "--table", table, "--trials", trials,
@@ -196,21 +295,6 @@ class TestSimulate:
             assert code == 0
         assert started_pools == [2]
         assert (tmp_path / "a" / csv).read_bytes() == (tmp_path / "b" / csv).read_bytes()
-
-    # the largest strength whose pseudo-counts s * K stay finite: each arm's
-    # pair has at most one shape near 1e308, and a ratio G_a / G_b that overflows
-    # is inf, which ranks its arm first without a warning
-    @pytest.mark.parametrize("table", ["1", "2"])
-    def test_largest_accepted_strength(self, capsys, tmp_path, table):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            code, out, err = run(capsys, "simulate", "--table", table, "--trials", "40",
-                                 "--seed", "3", "--strength", "2e307", "--out", str(tmp_path))
-        assert (code, err) == (0, "")
-        header, *rows = out.splitlines()
-        means = [i for i, name in enumerate(header.split(",")) if name.endswith("_mean")]
-        assert len(rows) == 5 and len(means) >= 2
-        assert all(math.isfinite(float(row.split(",")[i])) for row in rows for i in means)
 
 
 
@@ -441,11 +525,6 @@ USAGE_ERRORS = {
 }
 
 
-def snapshot(root):
-    """Every path under root, with a file's bytes (None for a directory)."""
-    return {path: path.read_bytes() if path.is_file() else None for path in root.rglob("*")}
-
-
 def check_cli_error(capsys, monkeypatch, tmp_path, argv, files, code, message):
     """A failing call prints one error line to stderr and nothing to stdout, and
     leaves its working directory as it found it: no file written or changed, no
@@ -470,18 +549,6 @@ def test_flag_the_mode_never_reads_exit_1(capsys, monkeypatch, tmp_path, row):
 @pytest.mark.parametrize("row", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
 def test_usage_error_exit_1(capsys, monkeypatch, tmp_path, row):
     check_cli_error(capsys, monkeypatch, tmp_path, *row)
-
-
-def test_list_flags_from_config_take_effect(capsys, tmp_path):
-    (tmp_path / "run.cfg").write_text("values = 0.6,3.0\n")
-    code, _, _ = run(capsys, "sweep", "--param", "kappa_mu", "--config",
-                     str(tmp_path / "run.cfg"), "--out", str(tmp_path / "a"))
-    assert code == 0
-    code, _, _ = run(capsys, "sweep", "--param", "kappa_mu", "--values", "0.6,3.0",
-                     "--out", str(tmp_path / "b"))
-    assert code == 0
-    assert ((tmp_path / "a" / "sweep1d.csv").read_bytes()
-            == (tmp_path / "b" / "sweep1d.csv").read_bytes())
 
 
 def test_import_loads_only_what_the_command_runs(tmp_path):
@@ -569,9 +636,10 @@ def test_action_table_pinned():
         "f8c9346124c0426a1e2fbde72a5b5485c626dd2009a9439400764b66b2183fd6")
 
 
-def test_closed_form_commands_run_without_site_packages(tmp_path, joint_csv):
+def test_closed_form_commands_run_without_site_packages(tmp_path):
     """Every closed-form command exits 0 under `python -S`: no site-packages, so
     no numpy."""
+    write_inputs(tmp_path, {"joint.csv": TWO_LEVEL8})
     for argv in (["certify"], ["prior", "--r-mech", "1.9"],
                  ["burnin", "--eps", "0.05", "--delta", "0.1", "--gap", "0.3"],
                  ["shift", "--r-train", "1.6", "--delta-pi", "0.5"],
@@ -600,118 +668,7 @@ def test_closed_stdout_is_not_an_error(unbuffered):
     assert (result.returncode, result.stderr) == (0, "")
 
 
-class TestShift:
-    def test_impossibility_mode(self, capsys, tmp_path, two_level_joint):
-        joint = two_level_joint(8, 0.972)
-        path = tmp_path / "joint.csv"
-        path.write_text("8\n" + "".join(",".join(str(float(x)) for x in row) + "\n"
-                                        for row in joint.probs))
-        code, out, _ = run(capsys, "shift", "--joint", str(path),
-                           "--subset", "0,1,2,3")
-        assert code == 0
-        for key in ("cond_entropy_residual", "kl_residual", "mi_excess"):
-            line = next(l for l in out.splitlines() if l.startswith(key))
-            assert float(line.split("=")[1].split()[0]) < 1e-9
-
-
-class TestSweepCommand:
-    def test_1d(self, capsys, tmp_path):
-        code, _, _ = run(capsys, "sweep", "--param", "kappa_mu",
-                         "--values", "0.6,3.0", "--out", str(tmp_path))
-        assert code == 0
-        lines = (tmp_path / "sweep1d.csv").read_text().splitlines()
-        assert len(lines) == 3
-        fields = lines[1].split(",")
-        assert fields[0] == "kappa_mu"
-        assert float(fields[1]) == 0.6
-        assert float(fields[2]) == pytest.approx(1.22, abs=0.01)
-        assert fields[5] == "DataEfficient"
-
-    def test_grid(self, capsys, tmp_path):
-        code, _, _ = run(capsys, "sweep", "--grid", "kappa_mu", "b_mu",
-                         "--steps", "5", "--out", str(tmp_path))
-        assert code == 0
-        lines = (tmp_path / "sweep2d.csv").read_text().splitlines()
-        assert len(lines) == 26
-
-    def test_k_sweep(self, capsys, tmp_path):
-        code, _, _ = run(capsys, "sweep", "--param", "k", "--min", "2", "--max", "20",
-                         "--steps", "19", "--out", str(tmp_path))
-        assert code == 0
-        rows = [line.split(",") for line in
-                (tmp_path / "sweep1d.csv").read_text().splitlines()[1:]]
-        assert [r[1] for r in rows] == [str(k) for k in range(2, 21)]
-
-    def test_config_param_yields_to_explicit_grid(self, capsys, tmp_path):
-        # a config-file param is a default, so an explicit --grid still wins
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("param = sigma\n")
-        out = tmp_path / "out"
-        assert run(capsys, "sweep", "--config", str(cfg), "--grid", "kappa_mu", "b_mu",
-                   "--steps", "2", "--out", str(out)) == (
-            0, f"wrote {out / 'sweep2d.csv'} (4 rows)\n", "")
-        assert sorted(f.name for f in out.iterdir()) == ["sweep2d.csv"]
-
-    @pytest.mark.parametrize("grid,digest", [
-        (("kappa_mu", "b_mu"), "eefc77cc7ff83cbf5be9214c883e9bb6861c4be52209eae5b09e1ab4f07078f8"),
-        (("b_mu", "k"), "5f572f8ff781e03e31158c6aba703055dcbab94464e7898fb1ffcb78ffd6e233"),
-        (("p_opt", "kappa_mu"), "0adf1ab6088542ad2d9891cd0fc865f1f0641fa92aeb6eb2da058f39c66fd62c"),
-    ], ids=["kappa_mu-b_mu", "b_mu-k", "p_opt-kappa_mu"])
-    def test_grid_csv_bytes_pinned(self, capsys, tmp_path, grid, digest):
-        # b_mu as the inner and as the outer axis, and no b_mu axis (every cell solved,
-        # p_opt setting sigma on a grid axis), at the default 60 steps
-        code, _, _ = run(capsys, "sweep", "--grid", *grid, "--out", str(tmp_path))
-        assert code == 0
-        assert hashlib.sha256((tmp_path / "sweep2d.csv").read_bytes()).hexdigest() == digest
-
-    @pytest.mark.parametrize("argv,digest", [
-        (("b_mu", "--values", "0.1,0.2,0.9,2"),
-         "e6a6ce5a01f67702fa91f9e41ae48617ed0870b4c34b2af96d76a0b1cd8e7f4e"),
-        (("p_opt", "--min", "0.5", "--max", "0.95"),
-         "1ac9062dbf4f0849ffb60ed2b938ef14f71b3bdb336b212dc94da67f13350a3d"),
-        (("kappa_mu", "--values", "0.6,1.8,3", "--n", "1"),
-         "b8b1a1ceb523d45c4a77f2b608253e17bc0545645063e3786fe470f440245330"),
-    ], ids=["b_mu", "p_opt", "kappa_mu-unreachable"])
-    def test_1d_csv_bytes_pinned(self, capsys, tmp_path, argv, digest):
-        # both regimes, the p_opt -> sigma cells, and Unreachable rows at n = 1
-        code, _, _ = run(capsys, "sweep", "--param", *argv, "--out", str(tmp_path))
-        assert code == 0
-        assert hashlib.sha256((tmp_path / "sweep1d.csv").read_bytes()).hexdigest() == digest
-
-    def test_grid_k_axis_is_integral(self, capsys, tmp_path):
-        code, _, _ = run(capsys, "sweep", "--grid", "k", "b_mu", "--out", str(tmp_path))
-        assert code == 0
-        rows = [line.split(",") for line in
-                (tmp_path / "sweep2d.csv").read_text().splitlines()[1:]]
-        assert len(rows) == 13 * 60
-        assert sorted({int(r[2]) for r in rows}) == list(range(4, 17))
-        assert all(r[2] == str(int(r[2])) for r in rows)
-
-    def test_config_param_among_choices_takes_effect(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("param = sigma\n")
-        assert run(capsys, "sweep", "--config", str(cfg), "--values", "0.4", "--out",
-                   str(tmp_path)) == (0, f"wrote {tmp_path / 'sweep1d.csv'} (1 rows)\n", "")
-        assert (tmp_path / "sweep1d.csv").read_text().splitlines()[1].startswith("sigma,0.4,")
-
-
-@pytest.mark.parametrize("argv", [
-    ("burnin", "--eps", "0.2", "--delta", "0.01", "--gap", "0.2"),
-    ("shift", "--r-train", "1.6", "--delta-pi", "0.0"),
-    ("prior", "--r-mech", "1.9"),
-])
-def test_config_k_takes_effect(capsys, tmp_path, argv):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("k = 12\n")
-    code, from_config, _ = run(capsys, *argv, "--config", str(cfg))
-    assert code == 0
-    _, explicit, _ = run(capsys, *argv, "--k", "12")
-    _, default, _ = run(capsys, *argv)
-    assert from_config == explicit
-    assert from_config != default
-
-
-def test_readme_cli_lines_parse(capsys, monkeypatch, tmp_path, joint_csv):
+def test_readme_cli_lines_parse(capsys, monkeypatch, tmp_path):
     """Every `mechcert ...` line of the README's CLI block parses, and all but
     `simulate` (the acceptance gate runs its 10,000-trial tables) exit 0."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -719,7 +676,8 @@ def test_readme_cli_lines_parse(capsys, monkeypatch, tmp_path, joint_csv):
     lines = [line for line in block.splitlines() if line.startswith("mechcert ")]
     assert len(lines) >= 6
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "run.cfg").write_text("# working point\nn = 24\nb_mu = 0.5\n")
+    write_inputs(tmp_path, {"joint.csv": TWO_LEVEL8,
+                            "run.cfg": "# working point\nn = 24\nb_mu = 0.5\n"})
     for line in lines:
         argv = shlex.split(line)[1:]
         build_parser().parse_args(argv)
@@ -747,7 +705,8 @@ def test_readme_burnin_table_is_what_burnin_prints(capsys):
 def test_readme_reproducibility_promises_name_their_tests():
     """Every promise, a bullet of the README's "Reproducibility" section, names
     at least one test, and each test it names (`Class::test_x` or `test_x`) is
-    defined under tests/, so renaming or deleting one fails here."""
+    defined under tests/, so renaming or deleting one fails here. A named row,
+    `test_cli_output[<id>]`, must be a row of CLI_OUTPUTS."""
     root = Path(__file__).resolve().parents[1]
     section = (root / "README.md").read_text().split("\n## Reproducibility\n", 1)[1]
     section = section.split("\n## ", 1)[0]
@@ -763,6 +722,9 @@ def test_readme_reproducibility_promises_name_their_tests():
                 defined.add(node.name)
     assert len(promises) >= 9
     for promise in promises:
-        named = re.findall(r"`((?:Test\w+::)?test_\w+)`", promise)
+        named = re.findall(r"`((?:Test\w+::)?test_\w+)(?:\[([\w-]+)\])?`", promise)
         assert named, promise
-        assert set(named) <= defined, sorted(set(named) - defined)
+        tests = {test for test, _ in named}
+        assert tests <= defined, sorted(tests - defined)
+        rows = {(test, row) for test, row in named if row}
+        assert rows <= {("test_cli_output", row) for row in CLI_OUTPUTS}, sorted(rows)

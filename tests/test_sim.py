@@ -358,7 +358,7 @@ class TestMonteCarlo:
         monkeypatch.setattr(sim, "_thompson_rounds", kernel)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             concurrent.futures.ThreadPoolExecutor)
-        monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
         for workers, jobs in ((1, [(0, 300)]), (2, [(0, BLOCK_SIZE), (1, 44)])):
             seen.clear()
             passes.clear()
@@ -402,7 +402,7 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("experiment", [table1_experiment, table2_experiment])
     def test_one_pool_per_table(self, monkeypatch, started_pools, experiment):
-        monkeypatch.setattr(sim.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(sim, "_usable_cpus", lambda: 4)
         serial = experiment(ExperimentConfig(trials=300, seed=5))
         assert started_pools == []
         assert experiment(ExperimentConfig(trials=300, seed=5, workers=2)) == serial
@@ -429,11 +429,24 @@ class TestMonteCarlo:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(sim.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(sim, "_usable_cpus", lambda: 3)
         # 1,000 trials are four blocks, so the CPU count, not the block count, binds
         serial = table1_experiment(ExperimentConfig(trials=1000, seed=5))
         assert table1_experiment(ExperimentConfig(trials=1000, seed=5, workers=10**6)) == serial
         assert started == [3]
+
+    def test_usable_cpus_are_the_affinity_set(self, monkeypatch, started_pools):
+        # a process pinned to one CPU of a four-CPU machine runs two workers serially
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert sim._usable_cpus() == 1
+        table1_experiment(ExperimentConfig(trials=300, seed=5, workers=2))
+        assert started_pools == []
+        # without affinity sets, the CPU count; with no count either, one
+        monkeypatch.delattr(sim.os, "sched_getaffinity", raising=False)
+        assert sim._usable_cpus() == 4
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: None)
+        assert sim._usable_cpus() == 1
 
     def test_bsa_constant(self):
         for row in table1_experiment(FAST):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from mechcert import certificates, sweep
 from mechcert.certificates import (GRID_RANGES, SWEEP_PARAMETERS, CalibrationParams,
-                                   certificate_report, critical_bias, write_csv)
+                                   certificate_report, critical_bias)
 from mechcert.sweep import SweepSpec, grid_axis, linear_grid, sweep_1d, sweep_2d
 
 BASE = CalibrationParams(k=8, n=12, sigma=0.40, kappa_mu=1.8, d_f=3.0, b_mu=0.22)
@@ -264,23 +264,3 @@ class TestKSweep:
         biases = [r.critical_bias for r in rows]
         assert max(biases) - min(biases) < 0.05
 
-
-class TestCsvWriters:
-    def test_sweep1d_csv(self, tmp_path):
-        rows = one_param("kappa_mu", [0.6, 3.0])
-        path = tmp_path / "sweep1d.csv"
-        write_csv(path, rows)
-        lines = path.read_text().splitlines()
-        assert lines[0].split(",") == ["param", "value", "capacity_nats", "critical_bias", "ratio",
-                                       "regime"]
-        assert len(lines) == 3
-        assert lines[1].startswith("kappa_mu,0.6,")
-
-    def test_sweep2d_csv(self, tmp_path):
-        rows = sweep_2d(SweepSpec(parameter="kappa_mu", values=[1.8], base=BASE),
-                        SweepSpec(parameter="b_mu", values=[0.22], base=BASE))
-        path = tmp_path / "sweep2d.csv"
-        write_csv(path, rows)
-        lines = path.read_text().splitlines()
-        assert lines[0].split(",") == ["x_param", "y_param", "x", "y", "ratio"]
-        assert lines[1].split(",")[:2] == ["kappa_mu", "b_mu"]
