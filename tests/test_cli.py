@@ -279,7 +279,31 @@ def test_cli_output(capsys, monkeypatch, tmp_path, row):
     check_cli_output(capsys, monkeypatch, tmp_path, *row)
 
 
+# the calls below pass --out as an absolute path, which the rows above do not
 class TestSimulate:
+    def test_table1_smoke(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "simulate", "--table", "1", "--trials", "40",
+                           "--seed", "42", "--out", str(tmp_path))
+        assert (code, out, (tmp_path / "table1.csv").read_text()) == (0, TABLE1_SEED42,
+                                                                      TABLE1_SEED42)
+
+    def test_table2_smoke(self, capsys, tmp_path):
+        code, _, _ = run(capsys, "simulate", "--table", "2", "--trials", "30",
+                         "--seed", "7", "--out", str(tmp_path))
+        assert (code, (tmp_path / "table2.csv").read_text()) == (0, TABLE2_SEED7)
+
+    @pytest.mark.parametrize("table", ["1", "2"])
+    def test_stdout_is_the_csv(self, capsys, tmp_path, table):
+        code, out, _ = run(capsys, "simulate", "--table", table, "--trials", "40",
+                           "--seed", "3", "--out", str(tmp_path))
+        assert (code, out) == (0, (tmp_path / f"table{table}.csv").read_text())
+
+    def test_byte_identical_reruns(self, capsys, tmp_path):
+        for name in "ab":
+            run(capsys, "simulate", "--table", "1", "--trials", "60", "--seed", "5",
+                "--out", str(tmp_path / name))
+        assert (tmp_path / "a/table1.csv").read_bytes() == (tmp_path / "b/table1.csv").read_bytes()
+
     # 300 trials are two blocks and 600 are three, the last one partial, so two
     # workers start one pool whatever the CPU count
     @pytest.mark.parametrize("table,trials", [
@@ -296,6 +320,25 @@ class TestSimulate:
         assert started_pools == [2]
         assert (tmp_path / "a" / csv).read_bytes() == (tmp_path / "b" / csv).read_bytes()
 
+
+class TestSweepCommand:
+    def test_1d(self, capsys, tmp_path):
+        code, _, _ = run(capsys, "sweep", "--param", "kappa_mu",
+                         "--values", "0.6,3.0", "--out", str(tmp_path))
+        assert (code, (tmp_path / "sweep1d.csv").read_text()) == (0, KAPPA_MU_SWEEP)
+
+    def test_grid(self, capsys, tmp_path):
+        code, _, _ = run(capsys, "sweep", "--grid", "kappa_mu", "b_mu",
+                         "--steps", "5", "--out", str(tmp_path))
+        assert (code, len((tmp_path / "sweep2d.csv").read_text().splitlines())) == (0, 26)
+
+    def test_config_param_yields_to_explicit_grid(self, capsys, tmp_path):
+        (tmp_path / "run.cfg").write_text("param = sigma\n")
+        out = tmp_path / "out"
+        assert run(capsys, "sweep", "--config", str(tmp_path / "run.cfg"), "--grid", "kappa_mu",
+                   "b_mu", "--steps", "2", "--out", str(out)) == (
+            0, f"wrote {out / 'sweep2d.csv'} (4 rows)\n", "")
+        assert sorted(f.name for f in out.iterdir()) == ["sweep2d.csv"]
 
 
 # a valid 8x8 joint table, the diagonal at 1/8, for calls that fail on another input

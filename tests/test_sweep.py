@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from mechcert import certificates, sweep
 from mechcert.certificates import (GRID_RANGES, SWEEP_PARAMETERS, CalibrationParams,
-                                   certificate_report, critical_bias)
+                                   certificate_report, critical_bias, write_csv)
 from mechcert.sweep import SweepSpec, grid_axis, linear_grid, sweep_1d, sweep_2d
 
 BASE = CalibrationParams(k=8, n=12, sigma=0.40, kappa_mu=1.8, d_f=3.0, b_mu=0.22)
@@ -264,3 +264,17 @@ class TestKSweep:
         biases = [r.critical_bias for r in rows]
         assert max(biases) - min(biases) < 0.05
 
+
+class TestCsvWriters:
+    def test_sweep1d_csv(self, tmp_path):
+        write_csv(tmp_path / "sweep1d.csv", one_param("kappa_mu", [0.6, 3.0]))
+        header, *rows = (tmp_path / "sweep1d.csv").read_text().splitlines()
+        assert header == "param,value,capacity_nats,critical_bias,ratio,regime"
+        assert len(rows) == 2 and rows[0].startswith("kappa_mu,0.6,")
+
+    def test_sweep2d_csv(self, tmp_path):
+        write_csv(tmp_path / "sweep2d.csv",
+                  sweep_2d(SweepSpec(parameter="kappa_mu", values=[1.8], base=BASE),
+                           SweepSpec(parameter="b_mu", values=[0.22], base=BASE)))
+        assert (tmp_path / "sweep2d.csv").read_text() == (
+            "x_param,y_param,x,y,ratio\nkappa_mu,b_mu,1.8,0.22,0.308171\n")
