@@ -15,10 +15,12 @@ or an unknown command), since the other five are a measurable share of a
 short `simulate` call. A call also loads only the modules its command runs:
 this module imports `certificates` alone, which holds the constants the
 parsers read, and each command imports the rest in its own body (`prior`
-for burnin, shift and prior; `sweep` for sweep; `sim`, with `prior` and
-numpy, for simulate, and its process pool only with workers > 1). A fresh
-process compiles every module it loads unless a `__pycache__` is valid, so
-a module that a call does not run is start-up time it pays for nothing.
+for burnin and shift, and for prior through `solve_prior_for_r_mech`, which
+besides `main` is the one name here that `mechbench`'s tracer wraps; `sweep`
+for sweep; `sim`, with `prior` and numpy, for simulate, and its process
+pool only with workers > 1). A fresh process compiles every module it
+loads unless a `__pycache__` is valid, so a module that a call does not run
+is start-up time it pays for nothing.
 """
 
 from __future__ import annotations
@@ -204,9 +206,14 @@ def cmd_shift(args) -> None:
     print(f"retained = {report.retained.value}")
 
 
-def cmd_prior(args) -> None:
-    from .prior import solve_prior_for_r_mech
+def solve_prior_for_r_mech(k: int, r_mech: float):
+    """`prior.solve_prior_for_r_mech`, loading `prior` only when called."""
+    from . import prior
 
+    return prior.solve_prior_for_r_mech(k, r_mech)
+
+
+def cmd_prior(args) -> None:
     prior = solve_prior_for_r_mech(_calibration(args)["k"], args.r_mech)
     print(f"beta = {prior.beta:.6g}")
     print(f"alpha = {prior.alpha:.6g}")
@@ -286,19 +293,6 @@ COMMANDS = {  # name: (command, summary, flags), in the order the help lists the
                       help="two parameters for a 2-D ratio grid"), "exclusive"),
         OUT)),
 }
-
-
-def __getattr__(name: str):
-    """`cli.solve_prior_for_r_mech`, which loads `prior` on first access (PEP 562).
-
-    `mechbench`'s tracer wraps that attribute by name, so it must resolve,
-    although `cmd_prior` imports the function itself. It goes with ROADMAP
-    item 9's benchmark refit.
-    """
-    if name == "solve_prior_for_r_mech":
-        from .prior import solve_prior_for_r_mech
-        return solve_prior_for_r_mech
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def build_parser(names=tuple(COMMANDS)) -> _Parser:

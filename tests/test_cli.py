@@ -599,8 +599,9 @@ def test_import_loads_only_what_the_command_runs(tmp_path):
     numpy, scipy, multiprocessing or dataclasses; the bare package loads none of
     its modules; the Monte Carlo engine needs neither dataclasses nor `sweep`.
     A fresh call loads only the modules its command runs, and only `simulate`
-    loads numpy. Reading `cli.solve_prior_for_r_mech` is what loads `prior`,
-    and any other missing name of `cli` is an AttributeError."""
+    loads numpy. Reading `cli.solve_prior_for_r_mech` loads nothing; calling it
+    is what loads `prior`, and any other missing name of `cli` is an
+    AttributeError."""
     import mechcert
     assert importlib.util.find_spec("mechcert.misspec") is None
     assert sorted(p.stem for p in Path(mechcert.__file__).parent.glob("*.py")) == [
@@ -632,13 +633,51 @@ def test_import_loads_only_what_the_command_runs(tmp_path):
         result = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
                                 capture_output=True, text=True, timeout=60, check=True)
         assert result.stdout.strip() == str(cli_loads + added), argv
-    probe = ("import sys\nfrom mechcert import cli\n"
-             "loaded = ['mechcert.prior' in sys.modules]\nseam = cli.solve_prior_for_r_mech\n"
+    probe = ("import sys\nfrom mechcert import cli\nseam = cli.solve_prior_for_r_mech\n"
+             "loaded = ['mechcert.prior' in sys.modules]\ngot = seam(8, 1.9)\n"
              "loaded.append('mechcert.prior' in sys.modules)\nfrom mechcert import prior\n"
-             "print(loaded, seam is prior.solve_prior_for_r_mech, hasattr(cli, 'no_such_name'))")
+             "print(loaded, got == prior.solve_prior_for_r_mech(8, 1.9), "
+             "hasattr(cli, 'no_such_name'))")
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                             text=True, timeout=60, check=True)
     assert result.stdout.strip() == "[False, True] True False"
+
+
+COUNTED = ("cli.solve_prior_for_r_mech", "sim.solve_prior_for_r_mech",
+           "certificates.certificate_report", "sweep.sweep_2d")
+# command: (argv, calls through each name of COUNTED that the command reaches)
+TRACED_CALLS = {
+    "certify": ("certify", {"certificates.certificate_report": 1}),
+    "prior": ("prior --r-mech 1.9", {"cli.solve_prior_for_r_mech": 1}),
+    "burnin": ("burnin --eps 0.05 --delta 0.1 --gap 0.3", {}),
+    "shift": ("shift --r-train 1.6 --delta-pi 0.5", {}),
+    "sweep": ("sweep --grid kappa_mu b_mu --steps 2", {"sweep.sweep_2d": 1}),
+    # one solve per distinct level of Table 1
+    "simulate": ("simulate --table 1 --trials 4", {"sim.solve_prior_for_r_mech": 5}),
+}
+
+
+@pytest.mark.parametrize("argv,counts", TRACED_CALLS.values(), ids=TRACED_CALLS)
+def test_each_command_calls_its_traced_names(capsys, monkeypatch, tmp_path, argv, counts):
+    """A wrapper set on a module attribute, as `mechbench`'s tracer sets one,
+    sees every call that a command makes through that name; a command reaches
+    only the names its row counts."""
+    from mechcert import certificates, sim, sweep
+    modules = {"cli": cli, "sim": sim, "certificates": certificates, "sweep": sweep}
+    calls = dict.fromkeys(COUNTED, 0)
+
+    def counter(path, fn):
+        def counted(*args, **kwargs):
+            calls[path] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for path in COUNTED:
+        module, name = path.split(".")
+        monkeypatch.setattr(modules[module], name, counter(path, getattr(modules[module], name)))
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *argv.split())[0] == 0
+    assert calls == {**dict.fromkeys(COUNTED, 0), **counts}
 
 
 @pytest.mark.parametrize("argv", [("-h",), (), *((name, "-h") for name in COMMANDS),
