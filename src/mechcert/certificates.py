@@ -8,9 +8,10 @@ envelopes. All entropies and information quantities are in nats.
 It also holds the regime rule `regime` and the helpers the other modules
 share: the count rule `whole`, the real-number rule `real`, the `ratio` rule,
 `checked_record` and the table writer `write_csv`, which writes every row of a
-table through one `%` format, and the constants the CLI's parsers read: the
-working point of the calibrated experiment and the sweep axes. Every CLI call
-loads this module, so a call loads `prior`, `sweep` or `sim` only to run it.
+table through one `%` format, and the constants: the calibrated 5-FU experiment
+(`K`, `HORIZON`, `P_OPT`, `P_BSA`, its prior strength and its working point
+`WORKING`, which fills a CLI calibration flag not given) and the sweep axes.
+Every CLI call loads this module, so a call loads `prior`, `sweep` or `sim` only to run it.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from typing import NamedTuple
 
 K = 8  # arms of the calibrated 5-FU experiment, the CLI's working --k
 HORIZON = 12  # its Table 1 horizon in cycles, the CLI's working --n
+P_OPT = 0.85  # attainment probability of its optimal arm
+P_BSA = 0.20  # attainment probability of every other arm
 # Pseudo-count scale for encoding the hybrid prior into Beta posteriors,
 # frozen after a one-time grid search over s in {1..40} against the
 # published hybrid regret column (see README).
@@ -145,6 +148,9 @@ class CalibrationParams(checked_record("CalibrationParams", "k n sigma kappa_mu 
     canonical = classmethod(__new__)
 
 
+WORKING = CalibrationParams(k=K, n=HORIZON, sigma=0.40, kappa_mu=1.8, d_f=3.0, b_mu=0.22)
+
+
 class CertificateReport(NamedTuple):
     """Composite certificate evaluated at a working point."""
 
@@ -214,19 +220,14 @@ def regime(b_mu: float, b_crit: float | None) -> Regime:
     return Regime.DATA_EFFICIENT if b_mu < b_crit else Regime.BASELINE
 
 
-def _envelope_radicand(k: int, n: int, h_mech: float) -> float:
-    """k*n*h_mech, each input checked by its rule."""
-    return whole("k", k, 2) * whole("n", n, 1) * real("h_mech", h_mech, 0)
+def ub_envelope(k: int, n: int, h_mech: float) -> float:
+    """Upper regret envelope sqrt(k*n*h_mech), constant-free."""
+    return math.sqrt(whole("k", k, 2) * whole("n", n, 1) * real("h_mech", h_mech, 0))
 
 
 def lb_envelope(k: int, n: int, h_mech: float) -> float:
     """Lower regret envelope sqrt(k*n*h_mech / ln k), constant-free."""
-    return math.sqrt(_envelope_radicand(k, n, h_mech) / math.log(k))
-
-
-def ub_envelope(k: int, n: int, h_mech: float) -> float:
-    """Upper regret envelope sqrt(k*n*h_mech), constant-free."""
-    return math.sqrt(_envelope_radicand(k, n, h_mech))
+    return ub_envelope(k, n, h_mech) / math.sqrt(math.log(k))
 
 
 def sample_complexity_ratio(h_mu: float, h_mech: float) -> float:

@@ -13,8 +13,8 @@ during a parse.
 A call builds only its own command's parser (all six for help, no arguments
 or an unknown command), since the other five are a measurable share of a
 short `simulate` call. A call also loads only the modules its command runs:
-this module imports `certificates` alone, which holds the constants the
-parsers read, and each command imports the rest in its own body (`prior`
+this module imports `certificates` alone, which holds every constant it
+reads, and each command imports the rest in its own body (`prior`
 for burnin and shift, and for prior through `solve_prior_for_r_mech`, which
 besides `main` is the one name here that `mechbench`'s tracer wraps; `sweep`
 for sweep; `sim`, with `prior` and numpy, for simulate, and its process
@@ -38,13 +38,13 @@ EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 
 LN2 = math.log(2.0)
-# dest: (type, 5-FU working value, help); a calibration flag not given takes its working value
-CALIBRATION = {"k": (int, cert.K, "number of arms"),
-               "n": (int, cert.HORIZON, "horizon in cycles"),
-               "sigma": (float, 0.40, "reward-noise std"),
-               "kappa_mu": (float, 1.8, "occupancy sensitivity"),
-               "d_f": (float, 3.0, "effective residual dimension"),
-               "b_mu": (float, 0.22, "occupancy-weighted bias")}
+# dest: (type, help); a calibration flag not given takes its value in cert.WORKING
+CALIBRATION = {"k": (int, "number of arms"),
+               "n": (int, "horizon in cycles"),
+               "sigma": (float, "reward-noise std"),
+               "kappa_mu": (float, "occupancy sensitivity"),
+               "d_f": (float, "effective residual dimension"),
+               "b_mu": (float, "occupancy-weighted bias")}
 
 
 class UsageError(Exception):
@@ -109,9 +109,9 @@ def _info(args, x: float) -> str:
 
 
 def _calibration(args) -> dict:
-    """The command's calibration flags, each at its working value when not given."""
-    return {name: working if getattr(args, name) is None else getattr(args, name)
-            for name, (_, working, _) in CALIBRATION.items() if hasattr(args, name)}
+    """The command's calibration flags, each not given at its value in `cert.WORKING`."""
+    return {name: getattr(cert.WORKING, name) if getattr(args, name) is None
+            else getattr(args, name) for name in CALIBRATION if hasattr(args, name)}
 
 
 def _flag(dest: str) -> str:
@@ -253,7 +253,7 @@ def cmd_sweep(args) -> None:
 BITS = ("bits", dict(action="store_true", help="display entropies and information in bits"))
 OUT = ("out", dict(default=".", help="output directory"))
 CALIBRATION_FLAGS = tuple((dest, dict(type=type_, help=help_))
-                          for dest, (type_, _, help_) in CALIBRATION.items())
+                          for dest, (type_, help_) in CALIBRATION.items())
 ARMS = CALIBRATION_FLAGS[0]  # burnin, shift and prior take certify's --k
 
 COMMANDS = {  # name: (command, summary, flags), in the order the help lists them

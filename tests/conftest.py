@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from mechcert import prior
-from mechcert.certificates import K
+from mechcert.certificates import K, P_BSA, P_OPT
 from mechcert.prior import JointDistribution, TwoLevelPrior, solve_prior_for_r_mech
-from mechcert.sim import P_BSA, P_OPT
 
 ACCEPTANCE_RESULTS = []
 

@@ -13,6 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mechcert.certificates import (
+    HORIZON,
+    K,
+    P_BSA,
+    P_OPT,
+    WORKING,
     CalibrationParams,
     Regime,
     certificate_report,
@@ -36,8 +41,6 @@ from mechcert.prior import (
 from mechcert.sim import ExperimentConfig, build_environment, regret_curves, run_trial
 from mechcert.sweep import SweepSpec, grid_axis, linear_grid, sweep_1d, sweep_2d
 
-WORKING = CalibrationParams(k=8, n=12, sigma=0.40, kappa_mu=1.8, d_f=3.0, b_mu=0.22)
-
 params_st = st.builds(
     CalibrationParams,
     k=st.integers(2, 32),
@@ -53,6 +56,9 @@ class TestCanonicalSigmaF2:
     """The derived sigma_f2, 2*sigma^2*ln k / (kappa_mu^2 * d_f)."""
 
     def test_working_values(self):
+        assert WORKING == CalibrationParams(k=8, n=12, sigma=0.40, kappa_mu=1.8, d_f=3.0,
+                                            b_mu=0.22)
+        assert (K, HORIZON, P_OPT, P_BSA) == (8, 12, 0.85, 0.20)
         assert WORKING.sigma_f2 == pytest.approx(0.0685, abs=1e-4)
 
     def test_direct_formula(self):
@@ -64,7 +70,7 @@ class TestCanonicalSigmaF2:
                                              ("d_f", 4.0)])
     def test_replace_rederives_the_canonical_value(self, field, value):
         # a copy's canonical sigma_f2 follows its own k, sigma, kappa_mu and d_f
-        fields = dict(k=8, n=12, sigma=0.40, kappa_mu=1.8, d_f=3.0, b_mu=0.22)
+        fields = WORKING._asdict()
         copy = CalibrationParams(**fields)._replace(**{field: value})
         direct = CalibrationParams(**{**fields, field: value})
         assert copy == direct and copy.sigma_f2 == direct.sigma_f2
@@ -72,7 +78,7 @@ class TestCanonicalSigmaF2:
 
     @pytest.mark.parametrize("field,value", [("kappa_mu", 1e-160), ("d_f", 1e-320)])
     def test_overflow_rejected(self, field, value):
-        fields = dict(k=8, n=12, sigma=0.40, kappa_mu=1.8, d_f=3.0, b_mu=0.22)
+        fields = WORKING._asdict()
         with pytest.raises(OverflowError, match="^canonical sigma_f2 overflows: inf$"):
             CalibrationParams(**{**fields, field: value})
 
@@ -153,11 +159,11 @@ class TestCriticalBias:
         assert critical_bias(WORKING) == pytest.approx(0.714, abs=1e-3)
 
     def test_low_kappa(self):
-        p = CalibrationParams(k=8, n=12, sigma=0.40, kappa_mu=0.6, d_f=3.0, b_mu=0.22)
+        p = WORKING._replace(kappa_mu=0.6)
         assert critical_bias(p) == pytest.approx(2.14, abs=0.01)
 
     def test_single_cycle_unreachable(self):
-        p = CalibrationParams(k=8, n=1, sigma=0.40, kappa_mu=1.8, d_f=3.0, b_mu=0.22)
+        p = WORKING._replace(n=1)
         assert critical_bias(p) is None
 
     def test_closed_form_agreement(self):
@@ -196,7 +202,7 @@ class TestRegime:
         assert regime_at(WORKING, 0.40) is Regime.DATA_EFFICIENT
 
     def test_unreachable_is_its_own_regime(self):
-        p = CalibrationParams(k=8, n=1, sigma=0.40, kappa_mu=1.8, d_f=3.0, b_mu=0.22)
+        p = WORKING._replace(n=1)
         assert regime_at(p, 0.0) is Regime.UNREACHABLE
 
 
@@ -268,19 +274,14 @@ class TestReport:
             CalibrationParams(k=k, n=12, sigma=0.4, kappa_mu=1.8, d_f=3.0, b_mu=0.22)
 
 
-def _params(**count):
-    return CalibrationParams(**{**dict(k=8, n=12, sigma=0.4, kappa_mu=1.8, d_f=3.0, b_mu=0.22),
-                                **count})
-
-
-_ARM_MEANS = build_environment(8, 0, 0.85, 0.20)
+_ARM_MEANS = build_environment(8, 0, P_OPT, P_BSA)
 _FLAT = (np.ones(8), np.ones(8))
 
 # entry point: (count name, minimum, an accepted value, a call returning the stored count
 # or the result)
 COUNT_SITES = {
-    "CalibrationParams.k": ("k", 2, 8, lambda v: _params(k=v).k),
-    "CalibrationParams.n": ("n", 1, 8, lambda v: _params(n=v).n),
+    "CalibrationParams.k": ("k", 2, 8, lambda v: WORKING._replace(k=v).k),
+    "CalibrationParams.n": ("n", 1, 8, lambda v: WORKING._replace(n=v).n),
     "lb_envelope.k": ("k", 2, 8, lambda v: lb_envelope(v, 12, 1.0)),
     "lb_envelope.n": ("n", 1, 8, lambda v: lb_envelope(8, v, 1.0)),
     "ub_envelope.k": ("k", 2, 8, lambda v: ub_envelope(v, 12, 1.0)),
@@ -320,12 +321,13 @@ def test_every_count_follows_one_rule(name, minimum, good, call):
 # and upper bound, an accepted value, a call returning the stored value or the result)
 REAL_SITES = {
     "CalibrationParams.sigma": ("sigma", "(0, inf)", 0.0, math.inf, 0.4,
-                                lambda v: _params(sigma=v).sigma),
+                                lambda v: WORKING._replace(sigma=v).sigma),
     "CalibrationParams.kappa_mu": ("kappa_mu", "(0, inf)", 0.0, math.inf, 1.8,
-                                   lambda v: _params(kappa_mu=v).kappa_mu),
-    "CalibrationParams.d_f": ("d_f", "(0, inf)", 0.0, math.inf, 3.0, lambda v: _params(d_f=v).d_f),
+                                   lambda v: WORKING._replace(kappa_mu=v).kappa_mu),
+    "CalibrationParams.d_f": ("d_f", "(0, inf)", 0.0, math.inf, 3.0,
+                              lambda v: WORKING._replace(d_f=v).d_f),
     "CalibrationParams.b_mu": ("b_mu", "[0, inf)", 0.0, math.inf, 0.22,
-                               lambda v: _params(b_mu=v).b_mu),
+                               lambda v: WORKING._replace(b_mu=v).b_mu),
     "channel_capacity.b_mu": ("b_mu", "[0, inf)", 0.0, math.inf, 0.22,
                               lambda v: channel_capacity(v, WORKING)),
     "residual_entropy.h_mu": ("h_mu", "[0, inf)", 0.0, math.inf, 2.0,
@@ -397,8 +399,7 @@ def test_every_real_follows_one_rule(name, interval, lo, hi, good, call):
 # each validated type: its valid fields, one bad field and the message it raises; the
 # count and real rules' messages are tested site by site above
 VALIDATED = [
-    (CalibrationParams, dict(k=8, n=12, sigma=0.40, kappa_mu=1.8, d_f=3.0, b_mu=0.22),
-     {"k": 1}, "k must be >= 2"),
+    (CalibrationParams, WORKING._asdict(), {"k": 1}, "k must be >= 2"),
     (BurnInParams, dict(epsilon=0.2, delta=0.01, gap=0.2, k=8), {"k": 1}, "k must be >= 2"),
     (SweepSpec, dict(parameter="b_mu", values=[0.1, 0.2], base=WORKING), {"values": []},
      "sweep values must be non-empty"),

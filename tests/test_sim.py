@@ -7,12 +7,10 @@ import pytest
 
 from conftest import exact_beta_regret
 from mechcert import sim
-from mechcert.certificates import DEFAULT_PRIOR_STRENGTH
+from mechcert.certificates import DEFAULT_PRIOR_STRENGTH, P_BSA, P_OPT
 from mechcert.prior import TwoLevelPrior, solve_prior_for_r_mech
 from mechcert.sim import (
     BLOCK_SIZE,
-    P_BSA,
-    P_OPT,
     R_MECH_GRID,
     ExperimentConfig,
     _block_regrets,

@@ -8,15 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mechcert import certificates, sweep
-from mechcert.certificates import (GRID_RANGES, SWEEP_PARAMETERS, CalibrationParams,
+from mechcert.certificates import (GRID_RANGES, SWEEP_PARAMETERS, WORKING, CalibrationParams,
                                    certificate_report, critical_bias, write_csv)
 from mechcert.sweep import SweepSpec, grid_axis, linear_grid, sweep_1d, sweep_2d
 
-BASE = CalibrationParams(k=8, n=12, sigma=0.40, kappa_mu=1.8, d_f=3.0, b_mu=0.22)
-
 
 def one_param(param, values):
-    return sweep_1d(SweepSpec(parameter=param, values=list(values), base=BASE))
+    return sweep_1d(SweepSpec(parameter=param, values=list(values), base=WORKING))
 
 
 def expected_cell(base, overrides):
@@ -76,7 +74,7 @@ class TestSingleRule:
     @pytest.mark.parametrize("n", [1, 12])
     @pytest.mark.parametrize("b_mu", [0.0, 0.22])
     def test_sweep_2d_ratio_is_b_mu_over_critical_bias(self, n, b_mu):
-        base = CalibrationParams(k=8, n=n, sigma=0.40, kappa_mu=1.8, d_f=3.0, b_mu=b_mu)
+        base = WORKING._replace(n=n, b_mu=b_mu)
         pairs = [(x, y) for x, y in itertools.permutations(SWEEP_PARAMETERS, 2)
                  if {x, y} != {"sigma", "p_opt"}]
         for x_param, y_param in pairs:
@@ -152,30 +150,30 @@ class TestSweep1D:
         message = ("unknown sweep parameter 'horizon'; choose from "
                    "('sigma', 'kappa_mu', 'd_f', 'k', 'p_opt', 'b_mu')")
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            SweepSpec(parameter="horizon", values=[1.0], base=BASE)
+            SweepSpec(parameter="horizon", values=[1.0], base=WORKING)
 
 
 class TestSweep2D:
     def test_working_point_ratio(self):
-        rows = sweep_2d(SweepSpec(parameter="kappa_mu", values=[1.8], base=BASE),
-                        SweepSpec(parameter="b_mu", values=[0.22], base=BASE))
+        rows = sweep_2d(SweepSpec(parameter="kappa_mu", values=[1.8], base=WORKING),
+                        SweepSpec(parameter="b_mu", values=[0.22], base=WORKING))
         assert len(rows) == 1
         assert rows[0].ratio == pytest.approx(1 / 3.24, abs=0.01)
 
     def test_zero_bias_cell(self):
-        rows = sweep_2d(SweepSpec(parameter="kappa_mu", values=[1.8], base=BASE),
-                        SweepSpec(parameter="b_mu", values=[0.0], base=BASE))
+        rows = sweep_2d(SweepSpec(parameter="kappa_mu", values=[1.8], base=WORKING),
+                        SweepSpec(parameter="b_mu", values=[0.0], base=WORKING))
         assert rows[0].ratio == 0.0
 
     def test_high_kappa_high_bias_cell(self):
-        rows = sweep_2d(SweepSpec(parameter="kappa_mu", values=[3.0], base=BASE),
-                        SweepSpec(parameter="b_mu", values=[0.40], base=BASE))
+        rows = sweep_2d(SweepSpec(parameter="kappa_mu", values=[3.0], base=WORKING),
+                        SweepSpec(parameter="b_mu", values=[0.40], base=WORKING))
         assert rows[0].ratio == pytest.approx(0.93, abs=0.01)
         assert rows[0].ratio < 1.0
 
     def test_full_grid_size_and_order(self):
-        rows = sweep_2d(SweepSpec(parameter="sigma", values=[0.357, 0.50], base=BASE),
-                        SweepSpec(parameter="b_mu", values=[0.10, 0.25, 0.40], base=BASE))
+        rows = sweep_2d(SweepSpec(parameter="sigma", values=[0.357, 0.50], base=WORKING),
+                        SweepSpec(parameter="b_mu", values=[0.10, 0.25, 0.40], base=WORKING))
         assert len(rows) == 6
         assert [(r.x, r.y) for r in rows[:3]] == [(0.357, 0.10), (0.357, 0.25), (0.357, 0.40)]
 
@@ -185,15 +183,15 @@ class TestSweep2D:
     ])
     def test_axes_setting_the_same_quantity_rejected(self, x_param, y_param):
         with pytest.raises(ValueError, match="same quantity"):
-            sweep_2d(grid_axis(x_param, BASE, 3), grid_axis(y_param, BASE, 3))
+            sweep_2d(grid_axis(x_param, WORKING, 3), grid_axis(y_param, WORKING, 3))
 
     @pytest.mark.parametrize("axes,solves", [
-        ((grid_axis("kappa_mu", BASE), grid_axis("b_mu", BASE)), 60),
-        ((grid_axis("b_mu", BASE), grid_axis("k", BASE)), 13),
-        ((grid_axis("kappa_mu", BASE), grid_axis("d_f", BASE)), 3600),
-        ((SweepSpec("b_mu", linear_grid(0.10, 0.40, 50), BASE),), 1),
-        ((SweepSpec("kappa_mu", linear_grid(0.6, 3.0, 50), BASE),), 50),
-        ((SweepSpec("k", [8, 8.0, 12], BASE),), 2),
+        ((grid_axis("kappa_mu", WORKING), grid_axis("b_mu", WORKING)), 60),
+        ((grid_axis("b_mu", WORKING), grid_axis("k", WORKING)), 13),
+        ((grid_axis("kappa_mu", WORKING), grid_axis("d_f", WORKING)), 3600),
+        ((SweepSpec("b_mu", linear_grid(0.10, 0.40, 50), WORKING),), 1),
+        ((SweepSpec("kappa_mu", linear_grid(0.6, 3.0, 50), WORKING),), 50),
+        ((SweepSpec("k", [8, 8.0, 12], WORKING),), 2),
     ], ids=["kappa_mu-b_mu", "b_mu-k", "kappa_mu-d_f", "1d-b_mu", "1d-kappa_mu", "1d-k-8-8.0-12"])
     def test_grid_solves_each_critical_bias_once(self, monkeypatch, axes, solves):
         # the critical bias never reads b_mu, so a b_mu axis adds no solves, and equal
@@ -209,33 +207,33 @@ class TestSweep2D:
         # both axes hold an invalid value: the b_mu one is reported; other invalid b_mu
         # values on either axis are cases of tests/test_certificates.py's REAL_SITES
         with pytest.raises(ValueError, match=r"^b_mu must lie in \[0, inf\), got -0.1$"):
-            sweep_2d(SweepSpec(parameter="kappa_mu", values=[-1.0], base=BASE),
-                     SweepSpec(parameter="b_mu", values=[0.2, -0.1], base=BASE))
+            sweep_2d(SweepSpec(parameter="kappa_mu", values=[-1.0], base=WORKING),
+                     SweepSpec(parameter="b_mu", values=[0.2, -0.1], base=WORKING))
 
     def test_axes_on_different_bases_rejected(self):
-        other = CalibrationParams(k=8, n=24, sigma=0.40, kappa_mu=1.8, d_f=3.0, b_mu=0.22)
+        other = WORKING._replace(n=24)
         with pytest.raises(ValueError, match="both sweep axes must share the same base"):
-            sweep_2d(grid_axis("kappa_mu", BASE, 3), grid_axis("b_mu", other, 3))
+            sweep_2d(grid_axis("kappa_mu", WORKING, 3), grid_axis("b_mu", other, 3))
 
 
 class TestGridAxis:
     def test_ranges_and_default_steps(self):
         for param, (lo, hi) in GRID_RANGES.items():
-            axis = grid_axis(param, BASE)
-            assert axis.parameter == param and axis.base is BASE
+            axis = grid_axis(param, WORKING)
+            assert axis.parameter == param and axis.base is WORKING
             if param != "k":
                 assert axis.values == linear_grid(lo, hi, 60)
 
     def test_default_k_axis_is_the_integers_4_to_16(self):
-        assert grid_axis("k", BASE).values == list(range(4, 17))
+        assert grid_axis("k", WORKING).values == list(range(4, 17))
 
     @pytest.mark.parametrize("steps", [2, 3, 4, 5, 7, 13])
     def test_integral_k_axis_unchanged(self, steps):
-        assert grid_axis("k", BASE, steps).values == linear_grid(4, 16, steps)
+        assert grid_axis("k", WORKING, steps).values == linear_grid(4, 16, steps)
 
     def test_non_integral_k_axis_is_rounded(self):
         # linspace(4, 16, 6) = 4, 6.4, 8.8, 11.2, 13.6, 16
-        assert grid_axis("k", BASE, 6).values == [4, 6, 9, 11, 14, 16]
+        assert grid_axis("k", WORKING, 6).values == [4, 6, 9, 11, 14, 16]
 
 
 class TestLinearGrid:
@@ -274,7 +272,7 @@ class TestCsvWriters:
 
     def test_sweep2d_csv(self, tmp_path):
         write_csv(tmp_path / "sweep2d.csv",
-                  sweep_2d(SweepSpec(parameter="kappa_mu", values=[1.8], base=BASE),
-                           SweepSpec(parameter="b_mu", values=[0.22], base=BASE)))
+                  sweep_2d(SweepSpec(parameter="kappa_mu", values=[1.8], base=WORKING),
+                           SweepSpec(parameter="b_mu", values=[0.22], base=WORKING)))
         assert (tmp_path / "sweep2d.csv").read_text() == (
             "x_param,y_param,x,y,ratio\nkappa_mu,b_mu,1.8,0.22,0.308171\n")
